@@ -62,7 +62,7 @@ func run(args []string) error {
 		obsSample    = fs.Int("obs-sample", 1, "keep 1 in N trace events (1 = all)")
 		obsBuffer    = fs.Int("obs-buffer", obs.DefaultBufferCap, "per-run trace ring-buffer capacity in events")
 		lineage      = fs.Bool("lineage", false, "collect causal refresh-lineage spans (generation → duty → handoff → delivery trees) per run and write lineage.jsonl to the -obs directory (requires -obs)")
-		timelineTick = fs.Float64("timeline-tick", 0, "simulated-time telemetry sampling period in seconds: snapshot freshness ratio, cumulative counts and per-node/item copy age every tick into timeline.csv in the -obs directory (0 = off, negative = auto tick of measurement-phase/240; requires -obs)")
+		timelineTick = obs.TimelineTickFlag(fs)
 		timings      = fs.Bool("timings", false, "include machine-dependent wall-clock columns in tables that have them (E10)")
 		httpAddr     = fs.String("http", "", "serve the live endpoint on this address for the duration of the run: HTML status page at /, sweep progress SSE at /live/progress, OpenMetrics at /live/metrics, pprof at /debug/pprof")
 

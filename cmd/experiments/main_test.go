@@ -133,6 +133,33 @@ func TestRunWithObservability(t *testing.T) {
 	}
 }
 
+// TestRunTimelineTickForms: -timeline-tick takes a number of seconds or a
+// duration, both spellings of one tick write the same timeline, and a
+// non-finite tick is refused.
+func TestRunTimelineTickForms(t *testing.T) {
+	timeline := func(tick string) []byte {
+		t.Helper()
+		dir := filepath.Join(t.TempDir(), "obs")
+		if _, err := captureStdout(t, func() error {
+			return run([]string{"-run", "E2", "-quick", "-obs", dir, "-timeline-tick", tick})
+		}); err != nil {
+			t.Fatalf("-timeline-tick %s: %v", tick, err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, "timeline.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	secs, dur := timeline("3600"), timeline("1h")
+	if len(secs) == 0 || string(secs) != string(dur) {
+		t.Fatalf("timeline.csv differs between -timeline-tick 3600 (%d bytes) and 1h (%d bytes)", len(secs), len(dur))
+	}
+	if err := run([]string{"-run", "E2", "-quick", "-obs", t.TempDir(), "-timeline-tick", "NaN"}); err == nil {
+		t.Fatal("-timeline-tick NaN accepted")
+	}
+}
+
 // TestRunCheckpointResume is the CLI acceptance test for the tentpole: an
 // interrupted checkpointed run (simulated by truncating the journal to its
 // first half) resumed with -resume prints tables byte-identical to an

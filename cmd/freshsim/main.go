@@ -73,7 +73,7 @@ func run(args []string) error {
 		obsSample    = fs.Int("obs-sample", 1, "keep 1 in N trace events (1 = all)")
 		obsBuffer    = fs.Int("obs-buffer", obs.DefaultBufferCap, "per-run trace ring-buffer capacity in events")
 		lineage      = fs.Bool("lineage", false, "collect causal refresh-lineage spans (generation → duty → handoff → delivery trees) and write lineage.jsonl to the -obs directory (requires -obs)")
-		timelineTick = fs.Duration("timeline-tick", 0, "simulated-time telemetry sampling period: snapshot freshness ratio, cumulative counts and per-node/item copy age every tick into timeline.csv in the -obs directory (0 = off, negative = auto tick of measurement-phase/240; requires -obs)")
+		timelineTick = obs.TimelineTickFlag(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,7 +101,7 @@ func run(args []string) error {
 			}
 		}
 		observer = obs.NewObserver(obs.Config{SampleEvery: *obsSample, BufferCap: *obsBuffer,
-			Lineage: *lineage, TimelineTick: timelineTick.Seconds()})
+			Lineage: *lineage, TimelineTick: *timelineTick})
 	}
 
 	if *cpuProfile != "" {
@@ -148,13 +148,15 @@ func run(args []string) error {
 	} else {
 		baseOpts = append(baseOpts, freshcache.WithPreset(*preset))
 	}
-	if *queries > 0 {
+	// 0 turns queries and loss off; every other value, NaN included, goes
+	// to the option, which rejects what is out of range.
+	if *queries != 0 {
 		baseOpts = append(baseOpts, freshcache.WithQueryWorkload(*queries, *zipf))
 	}
 	if *msgTime > 0 {
 		baseOpts = append(baseOpts, freshcache.WithBandwidth(*msgTime))
 	}
-	if *loss > 0 {
+	if *loss != 0 {
 		baseOpts = append(baseOpts, freshcache.WithMessageLoss(*loss))
 	}
 	if *churnUp > 0 || *churnDown > 0 {

@@ -95,6 +95,12 @@ func TestRunErrors(t *testing.T) {
 		{"-trace", path, "-items", "0"},
 		{"-trace", path, "-compare", "direct,bogus"},
 		{"-badflag"},
+		// Non-finite numbers pass every range test written as x <= 0,
+		// so each must be rejected on its own: NaN leaves no plan
+		// satisfiable, and infinitely many queries never finish issuing.
+		{"-trace", path, "-preq", "NaN"},
+		{"-trace", path, "-queries", "Inf"},
+		{"-trace", path, "-loss", "NaN"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -216,6 +222,30 @@ func TestRunWithObservability(t *testing.T) {
 	}
 	if m.Tool != "freshsim" || m.Events == nil || m.Events.Runs != 1 {
 		t.Fatalf("manifest incomplete: %+v", m)
+	}
+}
+
+// TestRunTimelineTickForms: -timeline-tick takes a number of seconds or a
+// duration, and both spellings of one tick write the same timeline.
+func TestRunTimelineTickForms(t *testing.T) {
+	path := smallTraceFile(t)
+	timeline := func(tick string) []byte {
+		t.Helper()
+		dir := filepath.Join(t.TempDir(), "obs")
+		if _, err := captureStdout(t, func() error {
+			return run([]string{"-trace", path, "-items", "2", "-caching", "4", "-refresh", "4h", "-obs", dir, "-timeline-tick", tick})
+		}); err != nil {
+			t.Fatalf("-timeline-tick %s: %v", tick, err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, "timeline.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	secs, dur := timeline("3600"), timeline("1h")
+	if len(secs) == 0 || string(secs) != string(dur) {
+		t.Fatalf("timeline.csv differs between -timeline-tick 3600 (%d bytes) and 1h (%d bytes)", len(secs), len(dur))
 	}
 }
 

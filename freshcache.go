@@ -30,6 +30,7 @@ package freshcache
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"freshcache/internal/cache"
@@ -262,7 +263,7 @@ func WithSeed(seed int64) Option {
 // exponent.
 func WithQueryWorkload(perNodePerDay, zipfExponent float64) Option {
 	return func(o *options) error {
-		if perNodePerDay <= 0 || zipfExponent <= 0 {
+		if !(perNodePerDay > 0) || math.IsInf(perNodePerDay, 1) || !(zipfExponent > 0) || math.IsInf(zipfExponent, 1) {
 			return fmt.Errorf("freshcache: bad workload (%v queries/day, zipf %v)", perNodePerDay, zipfExponent)
 		}
 		o.queriesPerDay = perNodePerDay
@@ -276,7 +277,7 @@ func WithQueryWorkload(perNodePerDay, zipfExponent float64) Option {
 // (default 0.9).
 func WithFreshnessRequirement(p float64) Option {
 	return func(o *options) error {
-		if p <= 0 || p > 1 {
+		if !(p > 0 && p <= 1) {
 			return fmt.Errorf("freshcache: requirement %v outside (0,1]", p)
 		}
 		o.pReq = p
@@ -311,7 +312,7 @@ func WithMaxRelays(n int) Option {
 // contact rates before measurement starts (default 0.3).
 func WithWarmupFraction(f float64) Option {
 	return func(o *options) error {
-		if f <= 0 || f >= 1 {
+		if !(f > 0 && f < 1) {
 			return fmt.Errorf("freshcache: warmup fraction %v outside (0,1)", f)
 		}
 		o.warmup = f
@@ -374,7 +375,7 @@ func WithDistributedKnowledge() Option {
 // p in [0, 1).
 func WithMessageLoss(p float64) Option {
 	return func(o *options) error {
-		if p < 0 || p >= 1 {
+		if !(p >= 0 && p < 1) {
 			return fmt.Errorf("freshcache: loss probability %v outside [0,1)", p)
 		}
 		o.dropProb = p

@@ -1,6 +1,7 @@
 package freshcache
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 	"time"
@@ -194,6 +195,14 @@ func TestOptionValidation(t *testing.T) {
 		{WithQueryDelegation(0)},
 		{WithRebuildInterval(0)},
 		{nil},
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = append(bad,
+			[]Option{WithQueryWorkload(v, 1)},
+			[]Option{WithQueryWorkload(1, v)},
+			[]Option{WithFreshnessRequirement(v)},
+			[]Option{WithWarmupFraction(v)},
+			[]Option{WithMessageLoss(v)})
 	}
 	for i, opts := range bad {
 		if _, err := New(opts...); err == nil {

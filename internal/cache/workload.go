@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"freshcache/internal/stats"
@@ -43,14 +44,15 @@ type WorkloadConfig struct {
 
 // Validate checks the workload parameters.
 func (c WorkloadConfig) Validate() error {
-	if c.QueryRate <= 0 {
-		return fmt.Errorf("cache: non-positive query rate %v", c.QueryRate)
+	// Written so that NaN, which fails every comparison, fails each test.
+	if !(c.QueryRate > 0) || math.IsInf(c.QueryRate, 1) {
+		return fmt.Errorf("cache: query rate %v is not a finite positive number", c.QueryRate)
 	}
-	if c.ZipfExponent <= 0 {
-		return fmt.Errorf("cache: non-positive zipf exponent %v", c.ZipfExponent)
+	if !(c.ZipfExponent > 0) || math.IsInf(c.ZipfExponent, 1) {
+		return fmt.Errorf("cache: zipf exponent %v is not a finite positive number", c.ZipfExponent)
 	}
-	if c.Timeout < 0 {
-		return fmt.Errorf("cache: negative timeout %v", c.Timeout)
+	if !(c.Timeout >= 0) || math.IsInf(c.Timeout, 1) {
+		return fmt.Errorf("cache: timeout %v is not a finite non-negative number", c.Timeout)
 	}
 	return nil
 }

@@ -18,6 +18,12 @@ func TestWorkloadValidate(t *testing.T) {
 		{QueryRate: 1, ZipfExponent: 0},
 		{QueryRate: 1, ZipfExponent: 1, Timeout: -1},
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = append(bad,
+			WorkloadConfig{QueryRate: v, ZipfExponent: 1},
+			WorkloadConfig{QueryRate: 1, ZipfExponent: v},
+			WorkloadConfig{QueryRate: 1, ZipfExponent: 1, Timeout: v})
+	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %d accepted", i)

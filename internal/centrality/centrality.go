@@ -8,89 +8,23 @@ package centrality
 
 import (
 	"fmt"
+	"maps"
 	"sort"
-	"sync/atomic"
 
 	"freshcache/internal/stats"
 	"freshcache/internal/trace"
 )
 
-// Epoched is implemented by rate views whose knowledge is immutable once
-// published, identified by an epoch tag: two reads through the same view
-// with the same epoch are guaranteed to return the same rates. Consumers
-// (e.g. the replication-plan memo in core) use the epoch as a cache key
-// and treat views without the interface — such as the continuously
-// updated per-node views of DistributedEstimator — as uncacheable.
-type Epoched interface {
-	// Epoch returns the view's snapshot identity. Distinct snapshots have
-	// distinct epochs; the value carries no meaning beyond equality.
-	Epoch() uint64
-}
-
-// matrixEpochs tags each RateMatrix with a process-unique epoch at
-// construction. Matrices are built, published and then only read (the
-// engine swaps in a whole new matrix on rebuild), so construction order
-// is a sound snapshot identity.
-var matrixEpochs atomic.Uint64
-
-// RateMatrix holds symmetric pairwise contact rates (1/s) for N nodes.
-type RateMatrix struct {
-	n     int
-	epoch uint64
-	rates []float64 // flat n*n, both (a,b) and (b,a) kept in sync
-}
-
-// NewRateMatrix returns a zero rate matrix for n nodes. Node counts above
-// MaxDenseNodes are refused with a *SizeError; use NewSparseRates (or
-// NewRateStore with BackingAuto) for large networks.
-func NewRateMatrix(n int) (*RateMatrix, error) {
-	if err := checkDense("NewRateMatrix", n); err != nil {
-		return nil, err
-	}
-	return &RateMatrix{n: n, epoch: matrixEpochs.Add(1), rates: make([]float64, n*n)}, nil
-}
-
-// Epoch implements Epoched: the matrix's snapshot identity, assigned at
-// construction.
-func (m *RateMatrix) Epoch() uint64 { return m.epoch }
-
-var _ Epoched = (*RateMatrix)(nil)
-
-// N returns the number of nodes.
-func (m *RateMatrix) N() int { return m.n }
-
-// Set records the contact rate for the pair (a, b).
-func (m *RateMatrix) Set(a, b trace.NodeID, rate float64) {
-	m.rates[int(a)*m.n+int(b)] = rate
-	m.rates[int(b)*m.n+int(a)] = rate
-}
-
-// Rate returns the contact rate of the pair (a, b); zero for pairs that
-// never meet and for a == b.
-func (m *RateMatrix) Rate(a, b trace.NodeID) float64 {
-	if a == b {
-		return 0
-	}
-	return m.rates[int(a)*m.n+int(b)]
-}
-
 // FromTrace builds the oracle rate store from the contacts starting in
-// [from, to), counting only observed pairs (O(contacts), never n²). The
-// backing is chosen automatically by node count. This is the
-// converged-knowledge estimator used when a protocol is granted full rate
-// information; the online counterpart is Estimator.
+// [from, to), counting only observed pairs (O(contacts), never n²). This
+// is the converged-knowledge estimator used when a protocol is granted
+// full rate information; the online counterpart is Estimator.
 func FromTrace(t *trace.Trace, from, to float64) (RateStore, error) {
-	return FromTraceBacking(t, from, to, BackingAuto)
-}
-
-// FromTraceBacking is FromTrace with an explicit backing choice.
-func FromTraceBacking(t *trace.Trace, from, to float64, b Backing) (RateStore, error) {
 	if to <= from {
 		return nil, fmt.Errorf("centrality: empty window [%v,%v)", from, to)
 	}
-	m, err := NewRateStore(t.N, b)
-	if err != nil {
-		return nil, err
+	if t.N <= 0 {
+		return nil, fmt.Errorf("centrality: FromTrace: non-positive node count %d", t.N)
 	}
 	counts := make(map[int]int)
 	for _, c := range t.Contacts {
@@ -98,16 +32,7 @@ func FromTraceBacking(t *trace.Trace, from, to float64, b Backing) (RateStore, e
 			counts[trace.PairKey(c.A, c.B, t.N)]++
 		}
 	}
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	w := to - from
-	for _, k := range keys {
-		m.Set(trace.NodeID(k/t.N), trace.NodeID(k%t.N), float64(counts[k])/w)
-	}
-	return m, nil
+	return ratesFromCounts(t.N, counts, to-from), nil
 }
 
 // Estimator accumulates contact observations online and converts them to
@@ -115,107 +40,50 @@ func FromTraceBacking(t *trace.Trace, from, to float64, b Backing) (RateStore, e
 // would (contacts counted over elapsed time). A single Estimator models
 // the network-wide view that nodes converge to by transitively exchanging
 // contact histories on every contact — the standard assumption of this
-// paper family. The backing mirrors the rate stores: a flat n×n count
-// slice for small networks, a pair-keyed map of observed pairs for large
-// ones.
+// paper family. Counts live in a map keyed by trace.PairKey, so an
+// estimator costs O(pairs that meet) at any node count.
+//
+// The zero Estimator is ready for Reset.
 type Estimator struct {
 	n      int
 	start  float64
-	counts []int       // dense backing; nil when sparse
-	sparse map[int]int // sparse backing, trace.PairKey → count; nil when dense
+	counts map[int]int
 }
 
-// NewEstimator returns an estimator for n nodes observing from startTime,
-// with the backing chosen automatically by node count.
+// NewEstimator returns an estimator for n nodes observing from startTime.
 func NewEstimator(n int, startTime float64) (*Estimator, error) {
-	return NewEstimatorBacking(n, startTime, BackingAuto)
-}
-
-// NewEstimatorBacking is NewEstimator with an explicit backing choice.
-func NewEstimatorBacking(n int, startTime float64, b Backing) (*Estimator, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("centrality: NewEstimator: non-positive node count %d", n)
-	}
-	e := &Estimator{n: n, start: startTime}
-	switch b.resolve(n) {
-	case BackingSparse:
-		e.sparse = make(map[int]int)
-	default:
-		if err := checkDense("NewEstimator", n); err != nil {
-			return nil, err
-		}
-		e.counts = make([]int, n*n)
+	e := new(Estimator)
+	if err := e.Reset(n, startTime); err != nil {
+		return nil, err
 	}
 	return e, nil
+}
+
+// Reset empties the estimator for n nodes observing from startTime. It
+// keeps the count map's storage, so a run that reuses an estimator does
+// not grow a fresh map.
+func (e *Estimator) Reset(n int, startTime float64) error {
+	if n <= 0 {
+		return fmt.Errorf("centrality: estimator for non-positive node count %d", n)
+	}
+	e.n, e.start = n, startTime
+	if e.counts == nil {
+		e.counts = make(map[int]int)
+	}
+	clear(e.counts)
+	return nil
 }
 
 // Observe records one contact between a and b. The contact time is not
 // stored; rates derive from counts over the window.
 func (e *Estimator) Observe(a, b trace.NodeID) {
-	if e.counts != nil {
-		e.counts[int(a)*e.n+int(b)]++
-		e.counts[int(b)*e.n+int(a)]++
-		return
-	}
-	e.sparse[trace.PairKey(a, b, e.n)]++
+	e.counts[trace.PairKey(a, b, e.n)]++
 }
 
-// Counts returns a copy of the pairwise contact-count matrix, for
-// windowed estimation via RatesBetween. It is defined only for the dense
-// backing and returns nil for a sparse estimator — backing-agnostic
-// consumers should use Snapshot and RatesBetweenSnapshots instead.
-func (e *Estimator) Counts() []int {
-	if e.counts == nil {
-		return nil
-	}
-	out := make([]int, len(e.counts))
-	copy(out, e.counts)
-	return out
-}
-
-// Snapshot returns an immutable copy of the current pairwise counts in
-// the estimator's own backing, for windowed estimation via
-// RatesBetweenSnapshots.
+// Snapshot returns an immutable copy of the current pairwise counts, for
+// windowed estimation via RatesBetweenSnapshots.
 func (e *Estimator) Snapshot() CountSnapshot {
-	if e.counts != nil {
-		out := make([]int, len(e.counts))
-		copy(out, e.counts)
-		return CountSnapshot{n: e.n, dense: out}
-	}
-	out := make(map[int]int, len(e.sparse))
-	for k, v := range e.sparse {
-		out[k] = v
-	}
-	return CountSnapshot{n: e.n, sparse: out}
-}
-
-// RatesBetween computes the rate matrix from the growth between two count
-// snapshots (as returned by Counts) over an observation window — the
-// recent-history estimate used by periodic hierarchy rebuilds, which must
-// track drift rather than average over all regimes ever seen.
-func RatesBetween(before, after []int, n int, window float64) (*RateMatrix, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("centrality: non-positive window %v", window)
-	}
-	if len(before) != n*n || len(after) != n*n {
-		return nil, fmt.Errorf("centrality: snapshot size mismatch (%d, %d, n=%d)", len(before), len(after), n)
-	}
-	m, err := NewRateMatrix(n)
-	if err != nil {
-		return nil, err
-	}
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			d := after[a*n+b] - before[a*n+b]
-			if d < 0 {
-				return nil, fmt.Errorf("centrality: snapshot went backwards at pair (%d,%d)", a, b)
-			}
-			if d > 0 {
-				m.Set(trace.NodeID(a), trace.NodeID(b), float64(d)/window)
-			}
-		}
-	}
-	return m, nil
+	return CountSnapshot{n: e.n, counts: maps.Clone(e.counts)}
 }
 
 // Rates snapshots the estimated rate store as of `now`.
@@ -224,63 +92,23 @@ func (e *Estimator) Rates(now float64) (RateStore, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("centrality: no observation time elapsed (now=%v, start=%v)", now, e.start)
 	}
-	if e.counts != nil {
-		m, err := NewRateMatrix(e.n)
-		if err != nil {
-			return nil, err
-		}
-		for a := 0; a < e.n; a++ {
-			for b := a + 1; b < e.n; b++ {
-				if k := e.counts[a*e.n+b]; k > 0 {
-					m.Set(trace.NodeID(a), trace.NodeID(b), float64(k)/window)
-				}
-			}
-		}
-		return m, nil
-	}
-	s, err := NewSparseRates(e.n)
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]int, 0, len(e.sparse))
-	for k := range e.sparse {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		s.Set(trace.NodeID(k/e.n), trace.NodeID(k%e.n), float64(e.sparse[k])/window)
-	}
-	return s, nil
+	return ratesFromCounts(e.n, e.counts, window), nil
 }
 
 // Scores computes each node's cumulative-contact-probability centrality:
 // the expected fraction of other nodes it meets within the given time
-// window, C_i = (1/(N-1)) Σ_j (1 − e^{−λij·T}). Views that can enumerate
-// nonzero neighbors get an O(pairs) path; since ExpCDF(0, T) is exactly
-// 0, it is bit-identical to the dense full loop.
-func Scores(v RateView, window float64) []float64 {
-	n := v.N()
+// window, C_i = (1/(N-1)) Σ_j (1 − e^{−λij·T}). A pair that never meets
+// adds exactly ExpCDF(0, T) = 0, so the sum runs over each node's row.
+func Scores(s RateStore, window float64) []float64 {
+	n := s.N()
 	scores := make([]float64, n)
 	if n <= 1 {
 		return scores
 	}
-	if nv, ok := v.(NeighborVisitor); ok {
-		for a := 0; a < n; a++ {
-			var sum float64
-			nv.VisitNeighbors(trace.NodeID(a), func(b trace.NodeID, rate float64) {
-				sum += stats.ExpCDF(rate, window)
-			})
-			scores[a] = sum / float64(n-1)
-		}
-		return scores
-	}
-	for a := 0; a < n; a++ {
+	for a, row := range s.rows() {
 		var sum float64
-		for b := 0; b < n; b++ {
-			if a == b {
-				continue
-			}
-			sum += stats.ExpCDF(v.Rate(trace.NodeID(a), trace.NodeID(b)), window)
+		for _, nb := range row {
+			sum += stats.ExpCDF(nb.rate, window)
 		}
 		scores[a] = sum / float64(n-1)
 	}
@@ -311,22 +139,20 @@ func Rank(scores []float64) []trace.NodeID {
 // highest-centrality node, and later picks favor nodes covering regions
 // (communities) the current set misses — which is why plain top-k by
 // centrality is not used.
-func SelectCachingNodes(v RateView, window float64, k int) ([]trace.NodeID, error) {
-	return SelectCachingNodesExcluding(v, window, k, nil)
+func SelectCachingNodes(s RateStore, window float64, k int) ([]trace.NodeID, error) {
+	return SelectCachingNodesExcluding(s, window, k, nil)
 }
 
 // SelectCachingNodesExcluding is SelectCachingNodes with a set of nodes
 // barred from selection — the engine excludes data sources, which already
-// hold their own items and would waste a caching slot. Zero-rate pairs
-// contribute exactly 0 to every gain and multiply notCovered by exactly
-// 1, so the O(degree) neighbor-visiting path is bit-identical to the
-// dense full loop.
-func SelectCachingNodesExcluding(v RateView, window float64, k int, exclude map[trace.NodeID]bool) ([]trace.NodeID, error) {
-	n := v.N()
+// hold their own items and would waste a caching slot. A pair that never
+// meets adds exactly 0 to a gain and multiplies notCovered by exactly 1,
+// so both loops run over rows only.
+func SelectCachingNodesExcluding(s RateStore, window float64, k int, exclude map[trace.NodeID]bool) ([]trace.NodeID, error) {
+	n := s.N()
 	if k <= 0 || k > n-len(exclude) {
 		return nil, fmt.Errorf("centrality: cannot select %d caching nodes out of %d (%d excluded)", k, n, len(exclude))
 	}
-	nv, fast := v.(NeighborVisitor)
 	// notCovered[j] = Π over selected s of (1 - p_sj); 1 when nothing
 	// selected yet.
 	notCovered := make([]float64, n)
@@ -335,31 +161,21 @@ func SelectCachingNodesExcluding(v RateView, window float64, k int, exclude map[
 	}
 	selected := make([]trace.NodeID, 0, k)
 	inSet := make([]bool, n)
+	rows := s.rows()
 
 	for len(selected) < k {
 		best := trace.NodeID(-1)
 		bestGain := -1.0
-		for cand := 0; cand < n; cand++ {
+		for cand, row := range rows {
 			if inSet[cand] || exclude[trace.NodeID(cand)] {
 				continue
 			}
 			// Gain: candidate covers itself fully plus shrinks every other
 			// node's not-covered probability by (1 - p_cand,j).
 			gain := notCovered[cand]
-			if fast {
-				nv.VisitNeighbors(trace.NodeID(cand), func(j trace.NodeID, rate float64) {
-					if inSet[j] {
-						return
-					}
-					gain += notCovered[j] * stats.ExpCDF(rate, window)
-				})
-			} else {
-				for j := 0; j < n; j++ {
-					if j == cand || inSet[j] {
-						continue
-					}
-					p := stats.ExpCDF(v.Rate(trace.NodeID(cand), trace.NodeID(j)), window)
-					gain += notCovered[j] * p
+			for _, nb := range row {
+				if !inSet[nb.id] {
+					gain += notCovered[nb.id] * stats.ExpCDF(nb.rate, window)
 				}
 			}
 			if gain > bestGain {
@@ -370,18 +186,8 @@ func SelectCachingNodesExcluding(v RateView, window float64, k int, exclude map[
 		selected = append(selected, best)
 		inSet[best] = true
 		notCovered[best] = 0
-		if fast {
-			nv.VisitNeighbors(best, func(j trace.NodeID, rate float64) {
-				notCovered[j] *= 1 - stats.ExpCDF(rate, window)
-			})
-		} else {
-			for j := 0; j < n; j++ {
-				if j == int(best) {
-					continue
-				}
-				p := stats.ExpCDF(v.Rate(best, trace.NodeID(j)), window)
-				notCovered[j] *= 1 - p
-			}
+		for _, nb := range rows[best] {
+			notCovered[nb.id] *= 1 - stats.ExpCDF(nb.rate, window)
 		}
 	}
 	return selected, nil
@@ -418,16 +224,16 @@ func (p Placement) String() string {
 
 // Select picks k caching nodes under the given placement policy,
 // excluding the given nodes (data sources). seed drives PlaceRandom only.
-func Select(p Placement, v RateView, window float64, k int, exclude map[trace.NodeID]bool, seed int64) ([]trace.NodeID, error) {
-	n := v.N()
+func Select(p Placement, s RateStore, window float64, k int, exclude map[trace.NodeID]bool, seed int64) ([]trace.NodeID, error) {
+	n := s.N()
 	if k <= 0 || k > n-len(exclude) {
 		return nil, fmt.Errorf("centrality: cannot select %d caching nodes out of %d (%d excluded)", k, n, len(exclude))
 	}
 	switch p {
 	case PlaceGreedyCoverage:
-		return SelectCachingNodesExcluding(v, window, k, exclude)
+		return SelectCachingNodesExcluding(s, window, k, exclude)
 	case PlaceTopCentrality:
-		ranked := Rank(Scores(v, window))
+		ranked := Rank(Scores(s, window))
 		out := make([]trace.NodeID, 0, k)
 		for _, id := range ranked {
 			if exclude[id] {

@@ -9,38 +9,24 @@ import (
 	"freshcache/internal/trace"
 )
 
-// mustMatrix builds a dense matrix for tests where construction cannot
-// fail.
-func mustMatrix(t *testing.T, n int) *RateMatrix {
+// mustRates builds a store from explicit pair rates for tests where
+// construction cannot fail.
+func mustRates(t *testing.T, n int, pairs map[[2]trace.NodeID]float64) RateStore {
 	t.Helper()
-	m, err := NewRateMatrix(n)
+	s, err := RatesFromPairs(n, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	return s
 }
 
-func TestRateMatrixSymmetric(t *testing.T) {
-	m := mustMatrix(t, 4)
-	m.Set(1, 3, 0.5)
-	if m.Rate(1, 3) != 0.5 || m.Rate(3, 1) != 0.5 {
-		t.Fatalf("asymmetric: %v vs %v", m.Rate(1, 3), m.Rate(3, 1))
+// star returns rate 0.1 between node 0 and each other node of n.
+func star(n int) map[[2]trace.NodeID]float64 {
+	pairs := make(map[[2]trace.NodeID]float64)
+	for i := 1; i < n; i++ {
+		pairs[[2]trace.NodeID{0, trace.NodeID(i)}] = 0.1
 	}
-	if m.Rate(2, 2) != 0 {
-		t.Fatal("self rate must be 0")
-	}
-	if m.Rate(0, 1) != 0 {
-		t.Fatal("unset pair must be 0")
-	}
-}
-
-func TestNewRateMatrixRejectsBadSizes(t *testing.T) {
-	if _, err := NewRateMatrix(0); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-	if _, err := NewRateMatrix(-3); err == nil {
-		t.Fatal("negative n accepted")
-	}
+	return pairs
 }
 
 func TestFromTrace(t *testing.T) {
@@ -112,11 +98,7 @@ func TestEstimatorNoElapsedTime(t *testing.T) {
 
 func TestScores(t *testing.T) {
 	// Star topology: node 0 meets everyone, leaves meet only node 0.
-	m := mustMatrix(t, 5)
-	for i := 1; i < 5; i++ {
-		m.Set(0, trace.NodeID(i), 0.1)
-	}
-	scores := Scores(m, 100)
+	scores := Scores(mustRates(t, 5, star(5)), 100)
 	for i := 1; i < 5; i++ {
 		if scores[0] <= scores[i] {
 			t.Fatalf("hub score %v not above leaf %v", scores[0], scores[i])
@@ -135,7 +117,7 @@ func TestScores(t *testing.T) {
 }
 
 func TestScoresSingleNode(t *testing.T) {
-	scores := Scores(mustMatrix(t, 1), 100)
+	scores := Scores(mustRates(t, 1, nil), 100)
 	if len(scores) != 1 || scores[0] != 0 {
 		t.Fatalf("scores = %v", scores)
 	}
@@ -152,11 +134,7 @@ func TestRank(t *testing.T) {
 }
 
 func TestSelectCachingNodesStar(t *testing.T) {
-	m := mustMatrix(t, 5)
-	for i := 1; i < 5; i++ {
-		m.Set(0, trace.NodeID(i), 0.1)
-	}
-	sel, err := SelectCachingNodes(m, 100, 1)
+	sel, err := SelectCachingNodes(mustRates(t, 5, star(5)), 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +146,11 @@ func TestSelectCachingNodesStar(t *testing.T) {
 func TestSelectCachingNodesCoversCommunities(t *testing.T) {
 	// Two disjoint cliques {0,1,2} and {3,4,5}; selecting 2 nodes must
 	// take one from each clique even though all six have equal centrality.
-	m := mustMatrix(t, 6)
-	for _, pair := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {3, 4}, {3, 5}, {4, 5}} {
-		m.Set(trace.NodeID(pair[0]), trace.NodeID(pair[1]), 0.5)
+	pairs := make(map[[2]trace.NodeID]float64)
+	for _, pair := range [][2]trace.NodeID{{0, 1}, {0, 2}, {1, 2}, {3, 4}, {3, 5}, {4, 5}} {
+		pairs[pair] = 0.5
 	}
-	sel, err := SelectCachingNodes(m, 100, 2)
+	sel, err := SelectCachingNodes(mustRates(t, 6, pairs), 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +161,7 @@ func TestSelectCachingNodesCoversCommunities(t *testing.T) {
 }
 
 func TestSelectCachingNodesBounds(t *testing.T) {
-	m := mustMatrix(t, 4)
+	m := mustRates(t, 4, nil)
 	if _, err := SelectCachingNodes(m, 100, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}

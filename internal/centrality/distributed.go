@@ -6,20 +6,6 @@ import (
 	"freshcache/internal/trace"
 )
 
-// RateView is read-only access to pairwise contact-rate knowledge. The
-// converged RateMatrix implements it, as do the per-node local views of
-// DistributedEstimator — protocols written against RateView work with
-// either perfect or gossip-propagated knowledge.
-type RateView interface {
-	// N returns the number of nodes.
-	N() int
-	// Rate returns the believed contact rate of the pair (a, b) in 1/s
-	// (zero for unknown pairs and a == b).
-	Rate(a, b trace.NodeID) float64
-}
-
-var _ RateView = (*RateMatrix)(nil)
-
 // contactVector is an immutable snapshot of one node's direct-contact
 // counts with every other node, taken at asOf. Views exchange these by
 // pointer, so a merge is O(N) pointer/timestamp comparisons.
@@ -167,6 +153,18 @@ func (v *localView) Rate(a, b trace.NodeID) float64 {
 		count = vb.counts[a]
 	}
 	return float64(count) / window
+}
+
+// AppendCommonNeighbors implements RateView. A local view keeps no
+// per-node rows, so it tests every node through Rate.
+func (v *localView) AppendCommonNeighbors(dst []CommonNeighbor, a, b trace.NodeID) []CommonNeighbor {
+	for c := 0; c < v.d.n; c++ {
+		ra, rb := v.Rate(a, trace.NodeID(c)), v.Rate(trace.NodeID(c), b)
+		if ra > 0 && rb > 0 {
+			dst = append(dst, CommonNeighbor{ID: trace.NodeID(c), RateA: ra, RateB: rb})
+		}
+	}
+	return dst
 }
 
 // KnownFraction reports, for diagnostics, the fraction of other nodes the

@@ -1,0 +1,272 @@
+package centrality
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sync/atomic"
+
+	"freshcache/internal/trace"
+)
+
+// RateView is read-only access to pairwise contact-rate knowledge. The
+// converged RateStore implements it, as do the per-node local views of
+// DistributedEstimator — protocols written against RateView work with
+// either perfect or gossip-propagated knowledge.
+type RateView interface {
+	// N returns the number of nodes.
+	N() int
+	// Rate returns the believed contact rate of the pair (a, b) in 1/s
+	// (zero for unknown pairs and a == b).
+	Rate(a, b trace.NodeID) float64
+	// AppendCommonNeighbors appends to dst, in ascending ID order, every
+	// node c with Rate(a, c) > 0 and Rate(c, b) > 0, and returns the
+	// extended slice. These are the only relays through which a two-hop
+	// path from a to b can ever complete.
+	AppendCommonNeighbors(dst []CommonNeighbor, a, b trace.NodeID) []CommonNeighbor
+}
+
+// CommonNeighbor is a node that meets both ends of a pair (a, b): the
+// relay of a two-hop path a → ID → b, with both legs' rates.
+type CommonNeighbor struct {
+	ID    trace.NodeID
+	RateA float64 // Rate(a, ID)
+	RateB float64 // Rate(ID, b)
+}
+
+// Epoched is implemented by rate views whose knowledge is immutable once
+// published, identified by an epoch tag: two reads through the same view
+// with the same epoch are guaranteed to return the same rates. Consumers
+// (e.g. the replication-plan memo in core) use the epoch as a cache key
+// and treat views without the interface — such as the continuously
+// updated per-node views of DistributedEstimator — as uncacheable.
+type Epoched interface {
+	// Epoch returns the view's snapshot identity. Distinct snapshots have
+	// distinct epochs; the value carries no meaning beyond equality.
+	Epoch() uint64
+}
+
+// storeEpochs tags each RateStore with a process-unique epoch at
+// construction. Stores are built, published and then only read (the
+// engine swaps in a whole new store on rebuild), so construction order is
+// a sound snapshot identity.
+var storeEpochs atomic.Uint64
+
+// neighbor is one entry of a node's row: a node it meets and the pair's
+// contact rate.
+type neighbor struct {
+	id   trace.NodeID
+	rate float64
+}
+
+// RateStore is an immutable snapshot of symmetric pairwise contact rates
+// over N nodes. Each node's row lists the nodes it meets, with their
+// nonzero rates, in ascending ID order, so memory and iteration are
+// O(nodes + pairs that meet) at every network size. Pairs that never meet
+// have no entry and read as rate 0.
+//
+// FromTrace, Estimator.Rates, RatesBetweenSnapshots and RatesFromPairs
+// build the one implementation; the unexported method seals the
+// interface, so NCL selection and centrality scores can walk the rows
+// themselves.
+type RateStore interface {
+	RateView
+	Epoched
+	// rows returns every node's row, indexed by node ID.
+	rows() [][]neighbor
+}
+
+// rateTable is the RateStore implementation: all rows are carved from one
+// array, sized before it is filled.
+type rateTable struct {
+	epoch uint64
+	nbr   [][]neighbor
+}
+
+var _ RateStore = (*rateTable)(nil)
+
+// buildRates returns the store over n nodes holding rate(k) for every
+// pair key k in keys, which must be ascending trace.PairKey values. One
+// pass sizes every row, so all rows are carved from a single array; a
+// second pass fills them in key order, which keeps each row ascending: a
+// node's lower-ID neighbors (keys led by the neighbor) all come before its
+// higher-ID ones (keys led by the node), each group in ascending order.
+func buildRates(n int, keys []int, rate func(key int) float64) RateStore {
+	deg := make([]int, n)
+	for _, k := range keys {
+		deg[k/n]++
+		deg[k%n]++
+	}
+	all := make([]neighbor, 2*len(keys))
+	rows := make([][]neighbor, n)
+	off := 0
+	for a, d := range deg {
+		rows[a] = all[off : off : off+d]
+		off += d
+	}
+	for _, k := range keys {
+		a, b, r := trace.NodeID(k/n), trace.NodeID(k%n), rate(k)
+		rows[a] = append(rows[a], neighbor{id: b, rate: r})
+		rows[b] = append(rows[b], neighbor{id: a, rate: r})
+	}
+	return &rateTable{epoch: storeEpochs.Add(1), nbr: rows}
+}
+
+// ratesFromCounts returns the store over n nodes whose rate for each
+// counted pair is its contact count divided by window.
+func ratesFromCounts(n int, counts map[int]int, window float64) RateStore {
+	keys := make([]int, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return buildRates(n, keys, func(k int) float64 { return float64(counts[k]) / window })
+}
+
+// RatesFromPairs builds the store over n nodes from explicit rates of
+// unordered pairs, keyed by either orientation. Zero rates are left out;
+// a pair given twice, a self-pair, a node outside [0, n) and a negative
+// or non-finite rate are errors.
+func RatesFromPairs(n int, pairs map[[2]trace.NodeID]float64) (RateStore, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("centrality: RatesFromPairs: non-positive node count %d", n)
+	}
+	byKey := make(map[int]float64, len(pairs))
+	for p, r := range pairs {
+		a, b := p[0], p[1]
+		switch {
+		case a < 0 || b < 0 || int(a) >= n || int(b) >= n:
+			return nil, fmt.Errorf("centrality: RatesFromPairs: pair (%d,%d) outside %d nodes", a, b, n)
+		case a == b:
+			return nil, fmt.Errorf("centrality: RatesFromPairs: self-pair (%d,%d)", a, b)
+		case r < 0 || math.IsNaN(r) || math.IsInf(r, 0):
+			return nil, fmt.Errorf("centrality: RatesFromPairs: pair (%d,%d) has rate %v", a, b, r)
+		}
+		k := trace.PairKey(a, b, n)
+		if _, dup := byKey[k]; dup {
+			return nil, fmt.Errorf("centrality: RatesFromPairs: pair (%d,%d) given twice", a, b)
+		}
+		byKey[k] = r
+	}
+	keys := make([]int, 0, len(byKey))
+	for k, r := range byKey {
+		if r > 0 {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return buildRates(n, keys, func(k int) float64 { return byKey[k] }), nil
+}
+
+// N returns the number of nodes.
+func (s *rateTable) N() int { return len(s.nbr) }
+
+// Epoch implements Epoched: the store's snapshot identity, assigned at
+// construction.
+func (s *rateTable) Epoch() uint64 { return s.epoch }
+
+func (s *rateTable) rows() [][]neighbor { return s.nbr }
+
+// Rate returns the contact rate of the pair (a, b); zero for pairs that
+// never meet and for a == b.
+func (s *rateTable) Rate(a, b trace.NodeID) float64 {
+	row := s.nbr[a]
+	lo, hi := 0, len(row)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if row[m].id < b {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(row) && row[lo].id == b {
+		return row[lo].rate
+	}
+	return 0
+}
+
+// AppendCommonNeighbors implements RateView by merging the two rows.
+func (s *rateTable) AppendCommonNeighbors(dst []CommonNeighbor, a, b trace.NodeID) []CommonNeighbor {
+	ra, rb := s.nbr[a], s.nbr[b]
+	dst = slices.Grow(dst, min(len(ra), len(rb)))
+	for i, j := 0, 0; i < len(ra) && j < len(rb); {
+		switch {
+		case ra[i].id < rb[j].id:
+			i++
+		case ra[i].id > rb[j].id:
+			j++
+		default:
+			dst = append(dst, CommonNeighbor{ID: ra[i].id, RateA: ra[i].rate, RateB: rb[j].rate})
+			i++
+			j++
+		}
+	}
+	return dst
+}
+
+// emptyView is an allocation-free all-zero RateView. It is deliberately
+// not Epoched: consumers treat it as uncacheable, so a transient fallback
+// never poisons a plan memo.
+type emptyView int
+
+func (v emptyView) N() int                         { return int(v) }
+func (v emptyView) Rate(a, b trace.NodeID) float64 { return 0 }
+func (v emptyView) AppendCommonNeighbors(dst []CommonNeighbor, a, b trace.NodeID) []CommonNeighbor {
+	return dst
+}
+
+// EmptyView returns an allocation-free RateView over n nodes in which no
+// pair ever meets: the knowledge a node has before any observation time
+// has elapsed.
+func EmptyView(n int) RateView { return emptyView(n) }
+
+// CountSnapshot is an immutable copy of an Estimator's pairwise contact
+// counts. Snapshots taken from the same estimator are totally ordered:
+// counts only grow.
+type CountSnapshot struct {
+	n      int
+	counts map[int]int // trace.PairKey(a,b,n) → count
+}
+
+// N returns the node count the snapshot covers (0 for a zero snapshot).
+func (c CountSnapshot) N() int { return c.n }
+
+// RatesBetweenSnapshots computes the rate store from the growth between
+// two count snapshots over an observation window — the recent-history
+// estimate used by periodic hierarchy rebuilds, which must track drift
+// rather than average over all regimes ever seen.
+func RatesBetweenSnapshots(before, after CountSnapshot, window float64) (RateStore, error) {
+	if window <= 0 {
+		return nil, fmt.Errorf("centrality: non-positive window %v", window)
+	}
+	if before.n != after.n {
+		return nil, fmt.Errorf("centrality: snapshot node counts differ (%d vs %d)", before.n, after.n)
+	}
+	n := after.n
+	if n <= 0 {
+		return nil, fmt.Errorf("centrality: snapshot of non-positive node count %d", n)
+	}
+	// Counts only grow: a pair that fell or vanished means the snapshots
+	// are out of order. Report the lowest such pair, so the error does not
+	// depend on map order.
+	bad := -1
+	for k, c := range before.counts {
+		if after.counts[k] < c && (bad < 0 || k < bad) {
+			bad = k
+		}
+	}
+	if bad >= 0 {
+		return nil, fmt.Errorf("centrality: snapshot went backwards at pair (%d,%d)", bad/n, bad%n)
+	}
+	var keys []int
+	for k, c := range after.counts {
+		if c > before.counts[k] {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return buildRates(n, keys, func(k int) float64 {
+		return float64(after.counts[k]-before.counts[k]) / window
+	}), nil
+}

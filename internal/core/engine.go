@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -253,13 +254,6 @@ type Config struct {
 	// identical by construction; the mode exists for the differential
 	// determinism tests and costs the old per-event heap overhead.
 	ReferenceScheduler bool
-	// RateBacking selects the contact-rate representation: BackingAuto
-	// (default) uses the dense n×n matrix for small traces and sorted
-	// per-node neighbor lists above centrality.AutoSparseThreshold nodes.
-	// The sparse path is bit-identical to the dense one (zero-rate pairs
-	// contribute exactly nothing to selection, scores and plans); the
-	// explicit settings exist for the differential tests.
-	RateBacking centrality.Backing
 }
 
 func (c *Config) withDefaults() Config {
@@ -294,18 +288,28 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: non-positive caching node count %d", c.NumCachingNodes)
 	case c.NumCachingNodes >= c.Trace.N:
 		return fmt.Errorf("core: %d caching nodes for %d-node trace", c.NumCachingNodes, c.Trace.N)
-	case c.WarmupFraction <= 0 || c.WarmupFraction >= 1:
+	// Each range test is written so that NaN, which fails every
+	// comparison, fails it too.
+	case !(c.WarmupFraction > 0 && c.WarmupFraction < 1):
 		return fmt.Errorf("core: warmup fraction %v outside (0,1)", c.WarmupFraction)
-	case c.PReq <= 0 || c.PReq > 1:
+	case !(c.PReq > 0 && c.PReq <= 1):
 		return fmt.Errorf("core: pReq %v outside (0,1]", c.PReq)
 	case c.MaxFanout < 0 || c.MaxRelays < 0:
 		return fmt.Errorf("core: negative fanout %d or relays %d", c.MaxFanout, c.MaxRelays)
-	case c.SampleInterval < 0:
-		return fmt.Errorf("core: negative sample interval %v", c.SampleInterval)
+	case !nonNegativeFinite(c.SampleInterval):
+		return fmt.Errorf("core: sample interval %v is not a finite non-negative number", c.SampleInterval)
+	case !nonNegativeFinite(c.MsgTime):
+		return fmt.Errorf("core: message time %v is not a finite non-negative number", c.MsgTime)
+	case !(c.CentralityWindow > 0) || math.IsInf(c.CentralityWindow, 1):
+		return fmt.Errorf("core: centrality window %v is not a finite positive number", c.CentralityWindow)
+	case !(c.DropProb >= 0 && c.DropProb < 1):
+		return fmt.Errorf("core: drop probability %v outside [0,1)", c.DropProb)
 	case c.RelayBufferCap < 0:
 		return fmt.Errorf("core: negative relay buffer cap %d", c.RelayBufferCap)
-	case c.RebuildInterval < 0:
-		return fmt.Errorf("core: negative rebuild interval %v", c.RebuildInterval)
+	case !nonNegativeFinite(c.RebuildInterval):
+		return fmt.Errorf("core: rebuild interval %v is not a finite non-negative number", c.RebuildInterval)
+	case math.IsNaN(c.TimelineTick) || math.IsInf(c.TimelineTick, 0):
+		return fmt.Errorf("core: timeline tick %v is not a finite number", c.TimelineTick)
 	case c.QueryRelays < 0:
 		return fmt.Errorf("core: negative query relay count %d", c.QueryRelays)
 	}
@@ -319,6 +323,9 @@ func (c *Config) validate() error {
 	}
 	return nil
 }
+
+// nonNegativeFinite reports whether x is a finite number ≥ 0.
+func nonNegativeFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Engine runs one scheme over one trace and aggregates metrics.
 type Engine struct {
@@ -420,8 +427,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 func (e *Engine) Run() (metrics.Result, error) {
 	start := time.Now()
 
-	estimator, err := centrality.NewEstimatorBacking(e.cfg.Trace.N, 0, e.cfg.RateBacking)
-	if err != nil {
+	estimator := &e.scratch.est
+	if err := estimator.Reset(e.cfg.Trace.N, 0); err != nil {
 		return metrics.Result{}, err
 	}
 	if e.cfg.Knowledge == KnowledgeDistributed {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"freshcache/internal/cache"
@@ -221,6 +223,30 @@ func TestEngineConfigValidation(t *testing.T) {
 		{"bad preq", func(c *Config) { c.PReq = 2 }},
 		{"negative fanout", func(c *Config) { c.MaxFanout = -1 }},
 		{"negative sample interval", func(c *Config) { c.SampleInterval = -1 }},
+	}
+	// NaN fails every comparison, so each float field must reject it and
+	// both infinities explicitly.
+	floats := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"PReq", func(c *Config, v float64) { c.PReq = v }},
+		{"WarmupFraction", func(c *Config, v float64) { c.WarmupFraction = v }},
+		{"SampleInterval", func(c *Config, v float64) { c.SampleInterval = v }},
+		{"MsgTime", func(c *Config, v float64) { c.MsgTime = v }},
+		{"CentralityWindow", func(c *Config, v float64) { c.CentralityWindow = v }},
+		{"DropProb", func(c *Config, v float64) { c.DropProb = v }},
+		{"RebuildInterval", func(c *Config, v float64) { c.RebuildInterval = v }},
+		{"TimelineTick", func(c *Config, v float64) { c.TimelineTick = v }},
+	}
+	for _, f := range floats {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			f, v := f, v
+			cases = append(cases, struct {
+				name   string
+				mutate func(*Config)
+			}{fmt.Sprintf("%s=%v", f.name, v), func(c *Config) { f.set(c, v) }})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

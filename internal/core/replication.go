@@ -10,8 +10,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"freshcache/internal/centrality"
 	"freshcache/internal/stats"
@@ -66,6 +67,25 @@ type RelayPlan struct {
 // the protocol still does its best.
 func PlanReplication(rates centrality.RateView, holder, dest trace.NodeID, candidates []trace.NodeID,
 	budget, pReq float64, maxRelays int) (RelayPlan, error) {
+	return planReplication(rates, holder, dest, candidates, budget, pReq, maxRelays, new(planBuffers))
+}
+
+// planBuffers is PlanReplication's working memory. A scheme keeps one for
+// its whole run, so each plan allocates only its relay list.
+type planBuffers struct {
+	common []centrality.CommonNeighbor
+	cands  []scoredRelay
+}
+
+// scoredRelay is a relay candidate with its two-hop delivery probability.
+type scoredRelay struct {
+	id trace.NodeID
+	p  float64
+}
+
+// planReplication is PlanReplication with caller-owned working memory.
+func planReplication(rates centrality.RateView, holder, dest trace.NodeID, candidates []trace.NodeID,
+	budget, pReq float64, maxRelays int, buf *planBuffers) (RelayPlan, error) {
 	if holder == dest {
 		return RelayPlan{}, fmt.Errorf("core: holder and destination are both %d", holder)
 	}
@@ -84,25 +104,35 @@ func PlanReplication(rates centrality.RateView, holder, dest trace.NodeID, candi
 		return plan, nil
 	}
 
-	type scored struct {
-		id trace.NodeID
-		p  float64
-	}
-	cands := make([]scored, 0, len(candidates))
-	for _, r := range candidates {
-		if r == holder || r == dest {
+	// TwoHopProb is exactly 0 unless both legs have a nonzero rate, so
+	// only the common neighbors of holder and dest can be useful relays
+	// (neither endpoint is its own neighbor).
+	common := rates.AppendCommonNeighbors(buf.common[:0], holder, dest)
+	cands := slices.Grow(buf.cands[:0], len(common))
+	// Walk the candidates against the ascending common neighbors: sorted
+	// candidates cost one pass over each list, and a candidate below its
+	// predecessor restarts the walk, so any order finds every match.
+	j := 0
+	for i, r := range candidates {
+		if i > 0 && r < candidates[i-1] {
+			j = 0
+		}
+		for j < len(common) && common[j].ID < r {
+			j++
+		}
+		if j == len(common) || common[j].ID != r {
 			continue
 		}
-		p := TwoHopProb(rates.Rate(holder, r), rates.Rate(r, dest), budget)
-		if p > 0 {
-			cands = append(cands, scored{id: r, p: p})
+		if p := TwoHopProb(common[j].RateA, common[j].RateB, budget); p > 0 {
+			cands = append(cands, scoredRelay{id: r, p: p})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].p != cands[j].p {
-			return cands[i].p > cands[j].p
+	buf.common, buf.cands = common, cands
+	slices.SortFunc(cands, func(a, b scoredRelay) int {
+		if a.p != b.p {
+			return cmp.Compare(b.p, a.p)
 		}
-		return cands[i].id < cands[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 
 	miss := 1 - plan.DirectProb

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -29,16 +31,155 @@ func TestTwoHopProbBelowEitherLeg(t *testing.T) {
 	}
 }
 
-// ratesWith builds a rate matrix over n nodes from explicit pairs.
-func ratesWith(n int, pairs map[[2]int]float64) *centrality.RateMatrix {
-	m, err := centrality.NewRateMatrix(n)
+// ratesWith builds a rate store over n nodes from explicit pairs.
+func ratesWith(n int, pairs map[[2]int]float64) centrality.RateStore {
+	byNode := make(map[[2]trace.NodeID]float64, len(pairs))
+	for p, r := range pairs {
+		byNode[[2]trace.NodeID{trace.NodeID(p[0]), trace.NodeID(p[1])}] = r
+	}
+	m, err := centrality.RatesFromPairs(n, byNode)
 	if err != nil {
 		panic(err)
 	}
-	for p, r := range pairs {
-		m.Set(trace.NodeID(p[0]), trace.NodeID(p[1]), r)
-	}
 	return m
+}
+
+// refPlan is the per-candidate definition of PlanReplication: every
+// candidate's two-hop probability read through Rate, ranked by
+// (probability descending, ID ascending), then taken greedily.
+func refPlan(rates centrality.RateView, holder, dest trace.NodeID, candidates []trace.NodeID,
+	budget, pReq float64, maxRelays int) RelayPlan {
+	plan := RelayPlan{Dest: dest}
+	plan.DirectProb = DirectProb(rates.Rate(holder, dest), budget)
+	plan.AchievedProb = plan.DirectProb
+	if plan.AchievedProb >= pReq {
+		plan.Satisfied = true
+		return plan
+	}
+	type scored struct {
+		id trace.NodeID
+		p  float64
+	}
+	var cands []scored
+	for _, r := range candidates {
+		if r == holder || r == dest {
+			continue
+		}
+		if p := TwoHopProb(rates.Rate(holder, r), rates.Rate(r, dest), budget); p > 0 {
+			cands = append(cands, scored{id: r, p: p})
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].p != cands[j].p {
+			return cands[i].p > cands[j].p
+		}
+		return cands[i].id < cands[j].id
+	})
+	miss := 1 - plan.DirectProb
+	for _, c := range cands {
+		if maxRelays > 0 && len(plan.Relays) >= maxRelays {
+			break
+		}
+		plan.Relays = append(plan.Relays, c.id)
+		miss *= 1 - c.p
+		plan.AchievedProb = 1 - miss
+		if plan.AchievedProb >= pReq {
+			plan.Satisfied = true
+			break
+		}
+	}
+	return plan
+}
+
+// TestPlanReplicationMatchesBruteForce: planning from common neighbors must
+// equal the per-candidate definition on random stores and on distributed
+// local views, for every candidate list shape (all nodes, shuffled
+// subsets that include the endpoints, empty, shuffled with every node
+// twice), and with the working memory reused across calls as the schemes
+// reuse it.
+func TestPlanReplicationMatchesBruteForce(t *testing.T) {
+	const n = 40
+	rng := stats.NewRNG(11)
+	var views []centrality.RateView
+	for v := 0; v < 3; v++ {
+		pairs := map[[2]int]float64{}
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if rng.Float64() < 0.3 {
+					pairs[[2]int{a, b}] = stats.Exp(rng, 7200)
+				}
+			}
+		}
+		views = append(views, ratesWith(n, pairs))
+	}
+	d := centrality.NewDistributedEstimator(n, 0)
+	for i := 0; i < 3000; i++ {
+		a, b := trace.NodeID(rng.Intn(n)), trace.NodeID(rng.Intn(n))
+		if a != b {
+			d.Observe(a, b, float64(i))
+		}
+	}
+	for _, owner := range []trace.NodeID{0, 17} {
+		v, err := d.View(owner, 3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, v)
+	}
+
+	all := make([]trace.NodeID, n)
+	for i := range all {
+		all[i] = trace.NodeID(i)
+	}
+	var buf planBuffers
+	withRelays := 0
+	for vi, v := range views {
+		for trial := 0; trial < 40; trial++ {
+			holder, dest := trace.NodeID(rng.Intn(n)), trace.NodeID(rng.Intn(n))
+			if holder == dest {
+				continue
+			}
+			cands := all
+			switch trial % 4 {
+			case 1:
+				cands = nil
+				for _, i := range rng.Perm(n)[:rng.Intn(n)] {
+					cands = append(cands, trace.NodeID(i))
+				}
+			case 2:
+				cands = []trace.NodeID{}
+			case 3:
+				cands = nil
+				for _, i := range rng.Perm(2 * n) {
+					cands = append(cands, trace.NodeID(i%n))
+				}
+			}
+			budget := []float64{600, 3600, 12 * 3600}[trial%3]
+			pReq := []float64{0.5, 0.9, 0.999}[trial%3]
+			maxRelays := trial % 4
+			want := refPlan(v, holder, dest, cands, budget, pReq, maxRelays)
+			got, err := PlanReplication(v, holder, dest, cands, budget, pReq, maxRelays)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("view %d (%d→%d, %d candidates): plan\n%+v\nbrute force\n%+v", vi, holder, dest, len(cands), got, want)
+			}
+			reused, err := planReplication(v, holder, dest, cands, budget, pReq, maxRelays, &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(reused, want) {
+				t.Fatalf("view %d (%d→%d): plan with reused buffers\n%+v\nbrute force\n%+v", vi, holder, dest, reused, want)
+			}
+			if len(want.Relays) > 0 {
+				withRelays++
+			}
+		}
+	}
+	if withRelays < 50 {
+		t.Fatalf("only %d plans chose relays; the comparison is too weak", withRelays)
+	}
 }
 
 func TestPlanReplicationDirectSuffices(t *testing.T) {

@@ -148,6 +148,7 @@ type refreshScheme struct {
 	planCache map[planKey]RelayPlan
 	planEpoch uint64
 	planValid bool
+	planBufs  planBuffers
 
 	// Planner statistics for analysis validation (E7).
 	plansTotal     int
@@ -476,7 +477,7 @@ func (s *refreshScheme) assumeDuty(holder trace.NodeID, it cache.Item, version i
 					}
 					if !hit {
 						var err error
-						plan, err = PlanReplication(rates, holder, trace.NodeID(dest), s.rt.AllNodes(), budget, s.rt.PReq, bound)
+						plan, err = planReplication(rates, holder, trace.NodeID(dest), s.rt.AllNodes(), budget, s.rt.PReq, bound, &s.planBufs)
 						if err != nil {
 							if s.planErr == nil {
 								s.planErr = err

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"freshcache/internal/centrality"
 	"freshcache/internal/metrics"
 	"freshcache/internal/obs"
 )
@@ -119,18 +118,4 @@ func TestDifferentialChurnAgainstReferenceScheduler(t *testing.T) {
 	two := runExports(t, "E11", false)
 	ref := runExports(t, "E11", true)
 	diffExports(t, "E11", two, ref)
-}
-
-// TestDifferentialSparseRateBacking is the oracle for the sparse contact-
-// rate structures: the full quick E2 sweep forced onto SparseRates must be
-// byte-identical — event order, metrics, lineage, timeline, tables — to
-// the same sweep on the dense matrix. (At quick-suite sizes the automatic
-// backing picks dense, so the sparse side must be forced explicitly.)
-func TestDifferentialSparseRateBacking(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the quick E2 sweep twice with unsampled tracing")
-	}
-	sparse := runExportsOpts(t, "E2", func(o *Options) { o.RateBacking = centrality.BackingSparse })
-	dense := runExportsOpts(t, "E2", func(o *Options) { o.RateBacking = centrality.BackingDense })
-	diffExports(t, "E2", sparse, dense)
 }

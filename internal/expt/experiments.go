@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"freshcache/internal/centrality"
 	"freshcache/internal/core"
 	"freshcache/internal/eventsim"
 	"freshcache/internal/metrics"
@@ -64,11 +63,6 @@ type Options struct {
 	// attempts, single-worker alloc deltas, optional CPU profiles) across
 	// every sweep for the cross-run results store.
 	Costs *CellCosts
-	// RateBacking forces the engine's contact-rate representation for
-	// every run (dense matrix vs sorted neighbor lists). The zero value
-	// picks automatically by node count; the explicit settings exist for
-	// the sparse-vs-dense differential tests.
-	RateBacking centrality.Backing
 }
 
 // record folds one run's result into the optional stats accumulator.
@@ -300,7 +294,6 @@ func runSweepCell(opts Options, c Cell, mutate func(sc *Scenario), extract func(
 	}
 	sc.ContactTimeline = tl
 	sc.ReferenceScheduler = opts.ReferenceScheduler
-	sc.RateBacking = opts.RateBacking
 	reuse := getReuse()
 	defer putReuse(reuse)
 	sc.Reuse = reuse

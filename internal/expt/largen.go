@@ -9,9 +9,8 @@ import (
 )
 
 // largeNNodes is the full-size node count of E21; quick mode trims it so
-// the smoke suite stays fast while still exercising the sparse path
-// (both sizes are above centrality.AutoSparseThreshold and
-// mobility's sparse sampling threshold).
+// the smoke suite stays fast while still exercising mobility's sparse
+// pair sampling (both sizes are above its 1024-node threshold).
 const (
 	largeNNodes      = 10000
 	largeNQuickNodes = 2000
@@ -75,7 +74,6 @@ func runE21(opts Options) ([]*Table, error) {
 	// this trace), so the default 4 h freshness window is infeasible at
 	// this scale; a 12 h cycle is the realistic operating point.
 	sc.RefreshInterval = 12 * mobility.Hour
-	sc.RateBacking = opts.RateBacking
 	res, _, err := opts.runScenario(fmt.Sprintf("E21/large-%d", n), sc, core.NewHierarchical(), tr)
 	if err != nil {
 		return nil, err

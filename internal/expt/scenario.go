@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"freshcache/internal/cache"
-	"freshcache/internal/centrality"
 	"freshcache/internal/core"
 	"freshcache/internal/eventsim"
 	"freshcache/internal/metrics"
@@ -49,10 +48,6 @@ type Scenario struct {
 	// ReferenceScheduler forces the single-heap reference event core
 	// (differential determinism tests only).
 	ReferenceScheduler bool
-	// RateBacking selects the engine's contact-rate representation
-	// (dense matrix vs sorted neighbor lists); the zero value picks
-	// automatically by node count.
-	RateBacking centrality.Backing
 }
 
 // defaultScenario is the base point of every sweep, matching the paper
@@ -145,7 +140,6 @@ func (sc Scenario) RunOnTrace(scheme core.Scheme, tr *trace.Trace) (metrics.Resu
 		ContactTimeline:    sc.ContactTimeline,
 		Reuse:              sc.Reuse,
 		ReferenceScheduler: sc.ReferenceScheduler,
-		RateBacking:        sc.RateBacking,
 	}
 	if sc.QueryRate > 0 {
 		cfg.Workload = cache.WorkloadConfig{QueryRate: sc.QueryRate, ZipfExponent: 1.0}

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"freshcache/internal/stats"
@@ -21,11 +22,12 @@ type ChurnConfig struct {
 func (c ChurnConfig) Enabled() bool { return c.MeanUp > 0 || c.MeanDown > 0 }
 
 func (c ChurnConfig) validate() error {
-	if !c.Enabled() {
+	if c == (ChurnConfig{}) {
 		return nil
 	}
-	if c.MeanUp <= 0 || c.MeanDown <= 0 {
-		return fmt.Errorf("network: churn needs positive mean up/down, got %v/%v", c.MeanUp, c.MeanDown)
+	// Written so that NaN, which fails every comparison, fails it too.
+	if !(c.MeanUp > 0 && c.MeanDown > 0) || math.IsInf(c.MeanUp, 1) || math.IsInf(c.MeanDown, 1) {
+		return fmt.Errorf("network: churn needs finite positive mean up/down, got %v/%v", c.MeanUp, c.MeanDown)
 	}
 	return nil
 }

@@ -21,6 +21,13 @@ func TestChurnConfigValidate(t *testing.T) {
 	if _, err := New(eventsim.New(), testTrace(), Config{Churn: ChurnConfig{MeanUp: -1, MeanDown: 5}}); err == nil {
 		t.Fatal("negative churn accepted")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []ChurnConfig{{MeanUp: v, MeanDown: 5}, {MeanUp: 100, MeanDown: v}, {MeanUp: v, MeanDown: v}} {
+			if err := c.validate(); err == nil {
+				t.Errorf("churn %+v accepted", c)
+			}
+		}
+	}
 }
 
 func TestAvailabilityAlternates(t *testing.T) {
@@ -186,6 +193,14 @@ func TestDropProbValidation(t *testing.T) {
 	}
 	if _, err := New(eventsim.New(), testTrace(), Config{DropProb: 1}); err == nil {
 		t.Fatal("certain loss accepted")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := New(eventsim.New(), testTrace(), Config{DropProb: v}); err == nil {
+			t.Errorf("drop probability %v accepted", v)
+		}
+		if _, err := New(eventsim.New(), testTrace(), Config{MsgTime: v}); err == nil {
+			t.Errorf("message time %v accepted", v)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -133,13 +134,12 @@ func New(sim *eventsim.Simulator, tr *trace.Trace, cfg Config) (*Net, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("network: %w", err)
 	}
-	if cfg.MsgTime < 0 {
-		return nil, fmt.Errorf("network: negative message time %v", cfg.MsgTime)
+	// Written so that NaN, which fails every comparison, fails each test.
+	if !(cfg.MsgTime >= 0) || math.IsInf(cfg.MsgTime, 1) {
+		return nil, fmt.Errorf("network: message time %v is not a finite non-negative number", cfg.MsgTime)
 	}
-	if cfg.DropProb < 0 || cfg.DropProb >= 1 {
-		if cfg.DropProb != 0 {
-			return nil, fmt.Errorf("network: drop probability %v outside [0,1)", cfg.DropProb)
-		}
+	if !(cfg.DropProb >= 0 && cfg.DropProb < 1) {
+		return nil, fmt.Errorf("network: drop probability %v outside [0,1)", cfg.DropProb)
 	}
 	if err := cfg.Churn.validate(); err != nil {
 		return nil, err
