@@ -88,6 +88,16 @@ func (s *Store) Get(id ItemID, now float64) (Copy, bool) {
 	return s.copies[id], true
 }
 
+// Touch records n lookups of the item at time now: the same effect on
+// the eviction state as n calls to Get whose copies go unused.
+func (s *Store) Touch(id ItemID, n int, now float64) {
+	if n <= 0 || !s.inRange(id) || !s.present[id] {
+		return
+	}
+	s.lastUsed[id] = now
+	s.useCount[id] += n
+}
+
 // Peek returns the stored copy without touching recency. Used by metrics
 // sampling so observation does not perturb eviction.
 func (s *Store) Peek(id ItemID) (Copy, bool) {

@@ -1,9 +1,10 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"freshcache/internal/stats"
 	"freshcache/internal/trace"
@@ -78,6 +79,9 @@ func GenerateQueries(cfg WorkloadConfig, catalog *Catalog, n int, from, to float
 		t := from + stats.Exp(rng, cfg.QueryRate)
 		for t < to {
 			queries = append(queries, &Query{
+				// The generation index until the renumbering below: the
+				// sort's last key, so its order is the stable sort's.
+				ID:        len(queries),
 				Requester: trace.NodeID(node),
 				Item:      ItemID(pick()),
 				IssuedAt:  t,
@@ -85,11 +89,14 @@ func GenerateQueries(cfg WorkloadConfig, catalog *Catalog, n int, from, to float
 			t += stats.Exp(rng, cfg.QueryRate)
 		}
 	}
-	sort.SliceStable(queries, func(i, j int) bool {
-		if queries[i].IssuedAt != queries[j].IssuedAt {
-			return queries[i].IssuedAt < queries[j].IssuedAt
+	slices.SortFunc(queries, func(a, b *Query) int {
+		if c := cmp.Compare(a.IssuedAt, b.IssuedAt); c != 0 {
+			return c
 		}
-		return queries[i].Requester < queries[j].Requester
+		if c := cmp.Compare(a.Requester, b.Requester); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
 	})
 	for i, q := range queries {
 		q.ID = i
@@ -98,24 +105,37 @@ func GenerateQueries(cfg WorkloadConfig, catalog *Catalog, n int, from, to float
 }
 
 // QueryBook tracks pending queries per requester and the full access log.
+// Alongside each requester's pending list it keeps the list's tally per
+// item, so a contact can tell which items the requester waits for without
+// walking the list.
 type QueryBook struct {
 	timeout float64
-	pending map[trace.NodeID][]*Query
-	all     []*Query
+	items   int
+	// pending[node] is the node's pending list in issue order.
+	pending [][]*Query
+	// counts[node*items+item] is how many entries of pending[node] ask
+	// for item; Issue, Resolve and Pending's timeout pruning keep it
+	// exact.
+	counts []int32
+	all    []*Query
 }
 
-// NewQueryBook creates an empty book with the given timeout
-// (0 = queries never time out).
-func NewQueryBook(timeout float64) *QueryBook {
+// NewQueryBook creates an empty book for queries from nodes [0, n) for
+// items [0, items), with the given timeout (0 = queries never time out).
+func NewQueryBook(n, items int, timeout float64) *QueryBook {
 	return &QueryBook{
 		timeout: timeout,
-		pending: make(map[trace.NodeID][]*Query),
+		items:   items,
+		pending: make([][]*Query, n),
+		counts:  make([]int32, n*items),
 	}
 }
 
-// Issue registers a new pending query.
+// Issue registers a new pending query. Its requester and item must lie
+// within the book's node and item ranges.
 func (b *QueryBook) Issue(q *Query) {
 	b.pending[q.Requester] = append(b.pending[q.Requester], q)
+	b.counts[int(q.Requester)*b.items+int(q.Item)]++
 	b.all = append(b.all, q)
 }
 
@@ -128,12 +148,23 @@ func (b *QueryBook) Pending(node trace.NodeID, now float64) []*Query {
 		for _, q := range qs {
 			if now-q.IssuedAt <= b.timeout {
 				live = append(live, q)
+			} else {
+				b.counts[int(node)*b.items+int(q.Item)]--
 			}
 		}
 		qs = live
 		b.pending[node] = qs
 	}
 	return qs
+}
+
+// PendingCounts returns the node's pending-list tally per item, indexed
+// by ItemID. The slice is the book's own and changes with it; callers
+// must not modify it. Call Pending first for counts that exclude
+// timed-out queries.
+func (b *QueryBook) PendingCounts(node trace.NodeID) []int32 {
+	at := int(node) * b.items
+	return b.counts[at : at+b.items]
 }
 
 // Resolve marks a pending query served by the given copy. epoch is the
@@ -156,6 +187,7 @@ func (b *QueryBook) Resolve(q *Query, it Item, c Copy, epoch, now float64) error
 	for i, p := range qs {
 		if p == q {
 			b.pending[q.Requester] = append(qs[:i], qs[i+1:]...)
+			b.counts[int(q.Requester)*b.items+int(q.Item)]--
 			break
 		}
 	}

@@ -2,7 +2,10 @@ package cache
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"freshcache/internal/trace"
 )
 
 func testWorkload() WorkloadConfig {
@@ -113,7 +116,7 @@ func TestGenerateQueriesErrors(t *testing.T) {
 func TestQueryBookLifecycle(t *testing.T) {
 	cat := testCatalog(t, 2)
 	it, _ := cat.Item(0)
-	b := NewQueryBook(0)
+	b := NewQueryBook(5, 2, 0)
 	q := &Query{ID: 0, Requester: 3, Item: 0, IssuedAt: 10}
 	b.Issue(q)
 	if got := b.Pending(3, 20); len(got) != 1 || got[0] != q {
@@ -148,7 +151,7 @@ func TestQueryBookLifecycle(t *testing.T) {
 func TestQueryBookFreshAndExpired(t *testing.T) {
 	cat := testCatalog(t, 1)
 	it, _ := cat.Item(0)
-	b := NewQueryBook(0)
+	b := NewQueryBook(2, 1, 0)
 
 	fresh := &Query{ID: 0, Requester: 1, Item: 0, IssuedAt: 10}
 	b.Issue(fresh)
@@ -173,7 +176,7 @@ func TestQueryBookFreshAndExpired(t *testing.T) {
 }
 
 func TestQueryBookTimeout(t *testing.T) {
-	b := NewQueryBook(100)
+	b := NewQueryBook(2, 1, 100)
 	q := &Query{ID: 0, Requester: 1, Item: 0, IssuedAt: 10}
 	b.Issue(q)
 	if got := b.Pending(1, 100); len(got) != 1 {
@@ -191,7 +194,7 @@ func TestQueryBookTimeout(t *testing.T) {
 func TestQueryBookResolveErrors(t *testing.T) {
 	cat := testCatalog(t, 2)
 	it, _ := cat.Item(0)
-	b := NewQueryBook(0)
+	b := NewQueryBook(2, 2, 0)
 	q := &Query{ID: 0, Requester: 1, Item: 0, IssuedAt: 10}
 	b.Issue(q)
 	if err := b.Resolve(q, it, Copy{Item: 1}, 0, 50); err == nil {
@@ -219,4 +222,60 @@ func TestQueryRateScalesCount(t *testing.T) {
 	if math.Abs(ratio-4) > 1 {
 		t.Fatalf("rate scaling ratio = %v, want ~4", ratio)
 	}
+}
+
+// FuzzQueryBookCounts drives a book through arbitrary sequences of Issue,
+// Resolve, Pending and clock advances with a timeout, and checks that
+// every (node, item) count equals the tally of the node's pending list
+// after each step, and the tally of Pending(node) at the end.
+func FuzzQueryBookCounts(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 7, 1, 0, 2, 3})
+	f.Add([]byte{0, 1, 0, 9, 0, 17, 3, 40, 0, 1, 3, 30, 2, 1, 1, 1, 1, 0})
+	f.Add([]byte{0, 2, 0, 2, 0, 2, 1, 1, 3, 60, 1, 0, 2, 2, 3, 255, 0, 5})
+	const nodes, items, timeout = 4, 3, 50
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		cat := testCatalog(t, items)
+		b := NewQueryBook(nodes, items, timeout)
+		now := 0.0
+		check := func(node trace.NodeID, qs []*Query) {
+			t.Helper()
+			var tally [items]int32
+			for _, q := range qs {
+				tally[q.Item]++
+			}
+			if got := b.PendingCounts(node); !slices.Equal(got, tally[:]) {
+				t.Fatalf("node %d: counts %v, pending list tallies %v", node, got, tally)
+			}
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			arg := int(ops[i+1])
+			switch ops[i] % 4 {
+			case 0:
+				b.Issue(&Query{
+					ID:        len(b.All()),
+					Requester: trace.NodeID(arg % nodes),
+					Item:      ItemID(arg / nodes % items),
+					IssuedAt:  now,
+				})
+			case 1:
+				if all := b.All(); len(all) > 0 {
+					q := all[arg%len(all)]
+					it, _ := cat.Item(q.Item)
+					// Resolving a query twice is an error that must leave
+					// the counts alone.
+					_ = b.Resolve(q, it, Copy{Item: q.Item}, 0, now)
+				}
+			case 2:
+				b.Pending(trace.NodeID(arg%nodes), now)
+			case 3:
+				now += float64(arg)
+			}
+			for node := range trace.NodeID(nodes) {
+				check(node, b.pending[node])
+			}
+		}
+		for node := range trace.NodeID(nodes) {
+			check(node, b.Pending(node, now))
+		}
+	})
 }

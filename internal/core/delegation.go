@@ -69,13 +69,9 @@ func (e *Engine) processDelegation(c *network.Contact) {
 // handOffQueries lets `requester` delegate its pending queries to `relay`.
 func (e *Engine) handOffQueries(c *network.Contact, requester, relay trace.NodeID) {
 	d := e.delegation
-	pending := e.book.Pending(requester, c.Time)
-	if len(pending) == 0 {
-		return
-	}
-	qs := make([]*cache.Query, len(pending))
-	copy(qs, pending)
-	for _, q := range qs {
+	// Nothing below changes the book, so the live pending list needs no
+	// snapshot.
+	for _, q := range e.book.Pending(requester, c.Time) {
 		if d.handedOut[q.ID] >= d.maxRelays {
 			continue
 		}
@@ -103,8 +99,10 @@ func (e *Engine) handOffQueries(c *network.Contact, requester, relay trace.NodeI
 // fetchResponses lets `relay` pull data for carried queries from a
 // provider it is in contact with.
 func (e *Engine) fetchResponses(c *network.Contact, relay, provider trace.NodeID) {
-	d := e.delegation
-	carried := d.carried[relay]
+	if !e.canServe[provider] {
+		return
+	}
+	carried := e.delegation.carried[relay]
 	if len(carried) == 0 {
 		return
 	}
@@ -179,14 +177,25 @@ func (e *Engine) isProvider(node trace.NodeID, item cache.ItemID) bool {
 	return e.store(node) != nil
 }
 
-// providerCopy returns the copy the provider would serve for the item, if
-// any (the source always serves the current version; caching nodes serve
-// their unexpired stored copy).
+// providerCopy returns the copy the provider serves for the item, if any,
+// and records the lookup as a use of the provider's stored copy: serving a
+// query is a use, and so is finding the copy expired, and the eviction
+// policies (LRU/LFU) must see both. Metrics sampling uses Peek instead.
 func (e *Engine) providerCopy(provider trace.NodeID, item cache.ItemID, now float64) (cache.Copy, bool) {
 	it, err := e.cfg.Catalog.Item(item)
 	if err != nil {
 		return cache.Copy{}, false
 	}
+	if st := e.store(provider); st != nil && provider != it.Source {
+		st.Touch(item, 1, now)
+	}
+	return e.servableCopy(provider, it, now)
+}
+
+// servableCopy returns the copy the provider would serve for the item, if
+// any, without recording a use: the source always serves the current
+// version; caching nodes serve their unexpired stored copy.
+func (e *Engine) servableCopy(provider trace.NodeID, it cache.Item, now float64) (cache.Copy, bool) {
 	if provider == it.Source {
 		v := cache.CurrentVersion(it, e.rt.Epoch, now)
 		if v < 0 {
@@ -198,9 +207,7 @@ func (e *Engine) providerCopy(provider trace.NodeID, item cache.ItemID, now floa
 	if st == nil {
 		return cache.Copy{}, false
 	}
-	// Get, not Peek: serving a query is a use, and the eviction policies
-	// (LRU/LFU) must see it. Metrics sampling keeps using Peek.
-	cp, ok := st.Get(item, now)
+	cp, ok := st.Peek(it.ID)
 	if !ok || cp.Expired(it, now) {
 		return cache.Copy{}, false
 	}

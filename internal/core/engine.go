@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"freshcache/internal/cache"
@@ -350,6 +351,10 @@ type Engine struct {
 	// (Resolve mutates the live list mid-iteration). Contacts are
 	// processed one at a time, so a single buffer serves every call.
 	qscratch []*cache.Query
+	// canServe is indexed by NodeID: whether the node is a caching node
+	// or an item source, the only nodes servableCopy finds a copy at.
+	// Set at the measurement epoch.
+	canServe []bool
 
 	// Observability: obsTrace receives typed events (nil = off); the
 	// metric handles are resolved once at construction and are nil (no-op)
@@ -389,7 +394,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		sim:         scratch.sim,
 		scratch:     scratch,
 		collector:   metrics.New(),
-		book:        cache.NewQueryBook(cfg.Workload.Timeout),
+		book:        cache.NewQueryBook(cfg.Trace.N, cfg.Catalog.Len(), cfg.Workload.Timeout),
 		stores:      make([]*cache.Store, cfg.Trace.N),
 		sources:     make(map[trace.NodeID][]cache.ItemID),
 		obsTrace:    cfg.Obs,
@@ -591,12 +596,17 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 	if err != nil {
 		return fmt.Errorf("core: caching node selection: %w", err)
 	}
+	e.canServe = make([]bool, e.cfg.Trace.N)
 	for _, cn := range caching {
 		st, err := cache.NewStoreWithPolicy(e.cfg.Catalog, e.cfg.CacheCapacity, e.cfg.CachePolicy)
 		if err != nil {
 			return err
 		}
 		e.stores[cn] = st
+		e.canServe[cn] = true
+	}
+	for s := range e.sources {
+		e.canServe[s] = true
 	}
 
 	e.rt = &Runtime{
@@ -729,7 +739,14 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 	for i := range plan {
 		events = append(events, eventsim.StaticEvent{Time: plan[i].time, Arg: int32(i)})
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+	// Arg is the append position: breaking time ties on it gives the
+	// order a stable sort by time gives.
+	slices.SortFunc(events, func(a, b eventsim.StaticEvent) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Arg, b.Arg)
+	})
 	e.scratch.plan, e.scratch.planEvents = plan, events
 	if err := e.sim.AttachTimeline(events, e.runPlanAction); err != nil {
 		return err
@@ -897,8 +914,27 @@ func (e *Engine) resolveQueries(c *network.Contact) {
 }
 
 func (e *Engine) resolveFor(c *network.Contact, requester, provider trace.NodeID) {
+	if !e.canServe[provider] {
+		return
+	}
 	pending := e.book.Pending(requester, c.Time)
 	if len(pending) == 0 {
+		return
+	}
+	// The walk below serves nothing unless the provider has a servable
+	// copy of some pending item. Without one it is skipped, but its
+	// lookups are still recorded: one Touch per item stands for that
+	// item's providerCopy calls, so LRU and LFU eviction see the same
+	// uses.
+	counts := e.book.PendingCounts(requester)
+	if !e.servesAny(provider, counts, c.Time) {
+		if st := e.store(provider); st != nil {
+			for id, n := range counts {
+				if n > 0 && provider != e.cfg.Catalog.View()[id].Source {
+					st.Touch(cache.ItemID(id), int(n), c.Time)
+				}
+			}
+		}
 		return
 	}
 	// Snapshot: Resolve mutates the pending list.
@@ -917,8 +953,21 @@ func (e *Engine) resolveFor(c *network.Contact, requester, provider trace.NodeID
 			continue
 		}
 		if !c.Send(provider, requester, "data") {
-			return // contact budget exhausted
+			return // contact budget exhausted or the message was lost
 		}
 		_ = e.book.Resolve(q, it, cp, e.rt.Epoch, c.Time)
 	}
+}
+
+// servesAny reports whether the provider has a servable copy of any item
+// with a positive count.
+func (e *Engine) servesAny(provider trace.NodeID, counts []int32, now float64) bool {
+	for id, n := range counts {
+		if n > 0 {
+			if _, ok := e.servableCopy(provider, e.cfg.Catalog.View()[id], now); ok {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -5,22 +5,36 @@ import (
 	_ "embed"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
+
+	"freshcache/internal/metrics"
+	"freshcache/internal/obs"
 )
 
-//go:embed testdata/e2_golden.json
-var e2GoldenJSON []byte
+var (
+	//go:embed testdata/e2_golden.json
+	e2GoldenJSON []byte
+	//go:embed testdata/e11_golden.json
+	e11GoldenJSON []byte
+	//go:embed testdata/e16_golden.json
+	e16GoldenJSON []byte
+	//go:embed testdata/e18_golden.json
+	e18GoldenJSON []byte
+)
 
-// TestQuickE2Golden pins the simulated results. The quick E2 sweep's
-// tables and its unsampled event trace, lineage, timeline and OpenMetrics
-// exports must hash to the digests in testdata/e2_golden.json, taken on
-// linux/amd64. A change that moves a simulated result must say so and
-// replace the digests with the ones this test prints.
-func TestQuickE2Golden(t *testing.T) {
+// checkQuickGolden runs one quick experiment with unsampled tracing and
+// compares the SHA-256 digests of its tables and of the named exports
+// with the golden file, taken on linux/amd64. The exports are hashed as
+// they are written, never buffered: quick E11 writes over 100 MB of
+// events. A change that moves a simulated result must say so and replace
+// the digests with the ones this test prints.
+func checkQuickGolden(t *testing.T, id string, golden []byte, exports ...string) {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("runs the quick E2 sweep with unsampled tracing")
+		t.Skipf("runs the quick %s sweep with unsampled tracing", id)
 	}
 	if runtime.GOARCH != "amd64" {
 		// Compilers for other architectures may fuse multiply-adds, which
@@ -28,28 +42,83 @@ func TestQuickE2Golden(t *testing.T) {
 		t.Skipf("digests are taken on amd64, not %s", runtime.GOARCH)
 	}
 	var want map[string]string
-	if err := json.Unmarshal(e2GoldenJSON, &want); err != nil {
+	if err := json.Unmarshal(golden, &want); err != nil {
 		t.Fatal(err)
 	}
-	ex := runExports(t, "E2", false)
-	digest := func(b []byte) string {
-		sum := sha256.Sum256(b)
-		return hex.EncodeToString(sum[:])
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.NewObserver(obs.Config{SampleEvery: 1, Lineage: true, TimelineTick: 6 * 3600})
+	tables, err := e.Run(Options{
+		Seed: 42, Quick: true, Parallel: 4,
+		Stats: metrics.NewRunStats(), Obs: o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv := make([]string, len(tables))
+	for i, tb := range tables {
+		csv[i] = tb.CSV()
+	}
+	digest := func(write func(io.Writer) error) string {
+		h := sha256.New()
+		if err := write(h); err != nil {
+			t.Fatalf("%s export: %v", id, err)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	writers := map[string]func(io.Writer) error{
+		"events":   o.WriteJSONL,
+		"lineage":  o.WriteLineageJSONL,
+		"timeline": o.WriteTimelineCSV,
+		"openmetrics": func(w io.Writer) error {
+			return obs.WriteOpenMetrics(w, o.Registry().Snapshot())
+		},
 	}
 	got := map[string]string{
-		"tables":      digest([]byte(strings.Join(ex.tables, "\n"))),
-		"events":      digest(ex.events),
-		"lineage":     digest(ex.lineage),
-		"timeline":    digest(ex.timeline),
-		"openmetrics": digest(ex.om),
+		"tables": digest(func(w io.Writer) error {
+			_, err := io.WriteString(w, strings.Join(csv, "\n"))
+			return err
+		}),
+	}
+	for _, name := range exports {
+		got[name] = digest(writers[name])
 	}
 	for name, d := range got {
 		if d != want[name] {
 			out, _ := json.MarshalIndent(got, "", "  ")
-			t.Fatalf("%s digest %s, golden %q; the run's digests:\n%s", name, d, want[name], out)
+			t.Fatalf("%s %s digest %s, golden %q; the run's digests:\n%s", id, name, d, want[name], out)
 		}
 	}
 	if len(want) != len(got) {
-		t.Fatalf("golden file has %d digests, the test computes %d", len(want), len(got))
+		t.Fatalf("%s golden file has %d digests, the test computes %d", id, len(want), len(got))
 	}
+}
+
+// TestQuickE2Golden pins the quick E2 sweep's tables and its unsampled
+// event trace, lineage, timeline and OpenMetrics exports.
+func TestQuickE2Golden(t *testing.T) {
+	checkQuickGolden(t, "E2", e2GoldenJSON, "events", "lineage", "timeline", "openmetrics")
+}
+
+// TestQuickE11Golden pins quick E11 (churn and message loss), whose
+// serving order depends on loss draws and on nodes going down mid-run.
+// Its cells record events but no lineage.
+func TestQuickE11Golden(t *testing.T) {
+	checkQuickGolden(t, "E11", e11GoldenJSON, "events")
+}
+
+// TestQuickE16Golden pins quick E16 (LRU and LFU stores under capacity),
+// whose eviction order depends on every lookup a served query makes. E16
+// records no events or lineage, so only its tables are pinned.
+func TestQuickE16Golden(t *testing.T) {
+	checkQuickGolden(t, "E16", e16GoldenJSON)
+}
+
+// TestQuickE18Golden pins quick E18 (query delegation), which shares the
+// contact budget between direct serving and relayed fetches. Its cells
+// record events but no lineage.
+func TestQuickE18Golden(t *testing.T) {
+	checkQuickGolden(t, "E18", e18GoldenJSON, "events")
 }

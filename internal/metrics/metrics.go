@@ -102,10 +102,10 @@ type Result struct {
 	// for — dropped queries used to vanish silently.
 	QueriesDropped int     `json:"queriesDropped,omitempty"`
 	Queries        int     `json:"queries"`
-	Answered     int     `json:"answered"`
-	AnsweredOK   float64 `json:"answeredRatio"`
-	FreshAnswers float64 `json:"freshAnswerRatio"` // fresh / answered
-	ValidAnswers float64 `json:"validAnswerRatio"` // valid / answered
+	Answered       int     `json:"answered"`
+	AnsweredOK     float64 `json:"answeredRatio"`
+	FreshAnswers   float64 `json:"freshAnswerRatio"` // fresh / answered
+	ValidAnswers   float64 `json:"validAnswerRatio"` // valid / answered
 	// FreshAccessRate / ValidAccessRate use ALL issued queries as the
 	// denominator, so unanswered queries count as failures. They are the
 	// headline "validity of data access" quantities: a scheme cannot score
