@@ -1,6 +1,7 @@
 // Command experiments regenerates the paper-reproduction evaluation: every
-// table and figure of the suite (E1…E10, see DESIGN.md), as aligned text
-// on stdout and optionally as CSV files.
+// table and figure of the suite (E1…E21, see DESIGN.md), as aligned text
+// on stdout and optionally as CSV files. Its performance is measured by
+// the repository benchmark in bench/.
 //
 // Usage:
 //
@@ -8,7 +9,6 @@
 //	experiments -run E2,E5      # selected experiments
 //	experiments -quick          # trimmed sweeps (smoke run)
 //	experiments -csv out/       # also write one CSV per table
-//	experiments -benchjson BENCH.json   # benchmark harness, JSON report
 //	experiments -cpuprofile cpu.pb.gz   # pprof CPU profile of the run
 package main
 
@@ -49,7 +49,6 @@ func run(args []string) error {
 		reps   = fs.Int("replicates", 0, "replicates per sweep cell (0 = experiment default; >1 reports mean±stderr)")
 		list   = fs.Bool("list", false, "list the experiment registry and exit")
 
-		benchJSON  = fs.String("benchjson", "", "run the benchmark harness instead of experiments and write a JSON report to this file")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 
@@ -100,49 +99,6 @@ func run(args []string) error {
 				slog.Error("memprofile", "err", err)
 			}
 		}()
-	}
-
-	if *benchJSON != "" {
-		rep, err := expt.RunBench(*seed)
-		if err != nil {
-			return err
-		}
-		if err := expt.WriteBenchJSON(*benchJSON, rep); err != nil {
-			return err
-		}
-		// With -store the bench figures also land in the results store under
-		// their BENCH_*.json field names, so `obsreport trend -metric
-		// e2NsPerOp` plots the harness trajectory across invocations.
-		if *storePath != "" {
-			rec := store.NewRecord("experiments-bench")
-			rec.Command = append([]string{"experiments"}, args...)
-			rec.Seed = *seed
-			rec.ConfigDigest = store.ConfigDigest(map[string]any{"bench": true, "preset": rep.Preset})
-			rec.WallClockSeconds = time.Since(start).Seconds()
-			rec.Metrics = map[string]float64{
-				"contacts":         float64(rep.Contacts),
-				"nsPerContact":     rep.NsPerContact,
-				"allocsPerContact": rep.AllocsPerContact,
-				"bytesPerContact":  rep.BytesPerContact,
-				"e2Cells":          float64(rep.E2Cells),
-				"e2NsPerOp":        rep.E2NsPerOp,
-				"e2AllocsPerOp":    rep.E2AllocsPerOp,
-				"e2BytesPerOp":     rep.E2BytesPerOp,
-				"cellsPerSec":      rep.CellsPerSec,
-
-				"largeNNodes":            float64(rep.LargeNNodes),
-				"largeNContacts":         float64(rep.LargeNContacts),
-				"largeNNsPerContact":     rep.LargeNNsPerContact,
-				"largeNAllocsPerContact": rep.LargeNAllocsPerContact,
-				"largeNBytesPerContact":  rep.LargeNBytesPerContact,
-			}
-			if err := store.Append(*storePath, rec); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("(bench: %.0f ns/contact, %.1f allocs/contact, %.1f cells/s -> %s)\n",
-			rep.NsPerContact, rep.AllocsPerContact, rep.CellsPerSec, *benchJSON)
-		return nil
 	}
 
 	if *list {

@@ -165,31 +165,3 @@ func TestRunProfileSlowestValidation(t *testing.T) {
 		t.Error("negative -profile-slowest accepted")
 	}
 }
-
-// TestRunBenchStore: the bench harness path appends a record under its
-// BENCH_*.json metric names, so `obsreport trend -metric e2NsPerOp` works.
-func TestRunBenchStore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench harness run in -short mode")
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.jsonl")
-	_, err := captureStdout(t, func() error {
-		return run([]string{"-benchjson", filepath.Join(dir, "b.json"), "-store", path})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := store.Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Tool != "experiments-bench" {
-		t.Fatalf("bench store records: %+v", recs)
-	}
-	for _, name := range []string{"e2NsPerOp", "e2AllocsPerOp", "e2BytesPerOp", "nsPerContact", "cellsPerSec"} {
-		if recs[0].Metrics[name] <= 0 {
-			t.Errorf("bench record missing %s: %v", name, recs[0].Metrics)
-		}
-	}
-}

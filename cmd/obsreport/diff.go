@@ -38,8 +38,8 @@ func runDiff(args []string, out io.Writer) error {
 	if fs.NArg() != 2 {
 		return fmt.Errorf("usage: obsreport diff [-tolerance pct] <baseline-dir> <candidate-dir>")
 	}
-	if *tol < 0 {
-		return fmt.Errorf("tolerance must be >= 0, got %g", *tol)
+	if err := checkTolerance(*tol); err != nil {
+		return fmt.Errorf("diff: %w", err)
 	}
 	a, err := loadCosts(fs.Arg(0))
 	if err != nil {
@@ -82,6 +82,16 @@ func runDiff(args []string, out io.Writer) error {
 		return fmt.Errorf("%w: %d metric(s) worsened by more than %.1f%%", errRegression, regressions, *tol)
 	}
 	fmt.Fprintln(out, "ok: within tolerance")
+	return nil
+}
+
+// checkTolerance rejects a tolerance that makes a gate or diff pass
+// whatever it compares: judge never finds |pct| above NaN or +Inf, and a
+// negative percentage has no meaning.
+func checkTolerance(tolPct float64) error {
+	if math.IsNaN(tolPct) || math.IsInf(tolPct, 0) || tolPct < 0 {
+		return fmt.Errorf("tolerance must be a finite percentage >= 0, got %g", tolPct)
+	}
 	return nil
 }
 

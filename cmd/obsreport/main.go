@@ -12,13 +12,15 @@
 // The trend/query/gate subcommands read the persistent cross-run results
 // store (the JSONL appended by `experiments -store` / `freshsim -store`):
 //
-//	obsreport query store.jsonl                    # list stored records
-//	obsreport query -metrics store.jsonl           # list stored metric names
-//	obsreport trend -metric e2NsPerOp store.jsonl  # metric trajectory + sparkline
-//	obsreport gate -metric e2NsPerOp:10,e2AllocsPerOp:5 store.jsonl
+//	obsreport query store.jsonl                          # list stored records
+//	obsreport query -metrics store.jsonl                 # list stored metric names
+//	obsreport trend -metric engine/contacts store.jsonl  # metric trajectory + sparkline
+//	obsreport gate -metric engine/contacts,scheme/hierarchical/tx_per_delivery:2 store.jsonl
 //
 // Exit status: 0 on success (diff/gate: within tolerance), 1 on usage or
 // I/O errors, 2 when diff or gate finds a regression beyond the tolerance.
+// A tolerance must be a finite percentage >= 0; NaN, ±Inf and negative
+// values are usage errors (against NaN or +Inf nothing could regress).
 package main
 
 import (

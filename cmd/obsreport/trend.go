@@ -22,7 +22,7 @@ import (
 func runTrend(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("obsreport trend", flag.ContinueOnError)
 	metric := fs.String("metric", "", "metric name to plot (see `obsreport query -metrics`)")
-	tool := fs.String("tool", "", "restrict to records appended by this tool (e.g. experiments, experiments-bench, freshsim)")
+	tool := fs.String("tool", "", "restrict to records appended by this tool (e.g. experiments, freshsim)")
 	last := fs.Int("last", 0, "plot only the most recent N points (0 = all)")
 	asJSON := fs.Bool("json", false, "emit the series as JSON")
 	if err := fs.Parse(args); err != nil {
@@ -120,6 +120,9 @@ type gateSpec struct {
 // parseGateSpecs parses a comma-separated "-metric" value where each item
 // is "name" (uses the shared default tolerance) or "name:tolPct".
 func parseGateSpecs(s string, defTol float64) ([]gateSpec, error) {
+	if err := checkTolerance(defTol); err != nil {
+		return nil, fmt.Errorf("gate: -tolerance: %w", err)
+	}
 	var specs []gateSpec
 	for _, item := range strings.Split(s, ",") {
 		item = strings.TrimSpace(item)
@@ -131,6 +134,9 @@ func parseGateSpecs(s string, defTol float64) ([]gateSpec, error) {
 			tol, err := strconv.ParseFloat(item[i+1:], 64)
 			if err != nil {
 				return nil, fmt.Errorf("gate: bad tolerance in %q: %w", item, err)
+			}
+			if err := checkTolerance(tol); err != nil {
+				return nil, fmt.Errorf("gate: %q: %w", item, err)
 			}
 			spec.metric, spec.tolPct = item[:i], tol
 		}
@@ -147,8 +153,9 @@ func parseGateSpecs(s string, defTol float64) ([]gateSpec, error) {
 
 // runGate compares the newest stored record's metrics against a baseline
 // drawn from history and fails (exit 2, like diff) when any gated metric
-// worsened past its tolerance. It generalizes scripts/bench_gate.sh from
-// four hard-coded bench metrics to any stored metric.
+// worsened past its tolerance. Any stored metric can be gated; CI's
+// obs-store job gates engine/contacts and
+// scheme/hierarchical/tx_per_delivery.
 func runGate(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("obsreport gate", flag.ContinueOnError)
 	metric := fs.String("metric", "", "comma-separated metrics to gate; each item is name or name:tolerancePct")

@@ -149,3 +149,25 @@ func TestGateNeedsHistory(t *testing.T) {
 		t.Fatal("gate ran with a single record")
 	}
 }
+
+// TestUnboundedToleranceRejected: a NaN, infinite or negative tolerance
+// would let gate and diff pass a 3× regression, so both refuse it as a
+// usage error (exit 1), not as a verdict.
+func TestUnboundedToleranceRejected(t *testing.T) {
+	path := writeStore(t, "engine/contacts", 100, 300)
+	base, cand := t.TempDir(), t.TempDir()
+	writeFixture(t, base, 100, 50, 120)
+	writeFixture(t, cand, 300, 50, 120)
+	for _, tol := range []string{"NaN", "Inf", "+Inf", "-Inf", "-1"} {
+		for _, args := range [][]string{
+			{"gate", "-metric", "engine/contacts:" + tol, path},
+			{"gate", "-metric", "engine/contacts", "-tolerance", tol, path},
+			{"diff", "-tolerance", tol, base, cand},
+		} {
+			err := run(args, &strings.Builder{})
+			if err == nil || errors.Is(err, errRegression) {
+				t.Errorf("%q: err = %v, want a usage error", args, err)
+			}
+		}
+	}
+}

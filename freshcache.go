@@ -682,9 +682,11 @@ func (s *Simulation) FirstDeliveryOnTimeRatio() float64 {
 	return s.eng.Collector().FirstDeliveryOnTimeRatio()
 }
 
-// ContactsDispatched returns how many trace contacts the run dispatched to
-// the protocol stack (after Run) — the unit per-contact benchmarks
-// normalize by.
+// ContactsDispatched returns how many trace contacts the network fired
+// during the run (after Run), warm-up included; contacts suppressed by
+// churn are not counted. Only contacts after warm-up reach the caching
+// scheme and the engine/contacts counter, so this count is the larger
+// one. The timeline's contacts series samples the same count.
 func (s *Simulation) ContactsDispatched() int {
 	return s.eng.ContactsDispatched()
 }

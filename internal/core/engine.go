@@ -574,9 +574,12 @@ func (e *Engine) Run() (metrics.Result, error) {
 // Collector exposes the raw metric log (delay CDFs etc.) after Run.
 func (e *Engine) Collector() *metrics.Collector { return e.collector }
 
-// ContactsDispatched reports how many trace contacts the run dispatched
-// to the protocol stack — the unit the benchmark harness normalizes
-// per-contact cost by.
+// ContactsDispatched reports how many trace contacts the network fired
+// during the run, warm-up included; contacts suppressed by churn are not
+// counted. Only contacts from the epoch on reach the scheme and the
+// engine/contacts counter, so this count is the larger one: 115,200
+// against 80,485 on the reality-like trace at seed 42. The timeline's
+// contacts series samples the same count.
 func (e *Engine) ContactsDispatched() int { return e.net.ContactsDispatched() }
 
 // Runtime exposes the runtime after Run (nil if warmup never completed);

@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 
 	"freshcache/internal/cache"
+	"freshcache/internal/metrics"
 	"freshcache/internal/network"
+	"freshcache/internal/obs"
 	"freshcache/internal/stats"
 	"freshcache/internal/trace"
 )
@@ -99,7 +101,17 @@ func randomScenario(seed int64) (*invariantScenario, error) {
 
 func checkInvariants(t *testing.T, sc *invariantScenario) {
 	t.Helper()
-	eng, err := NewEngine(sc.cfg)
+	// Every other scenario records the run three more ways (event trace,
+	// metric registry, lineage spans) so the views can be reconciled
+	// below; the rest stay obs-off and keep the nil path covered.
+	cfg := sc.cfg
+	observed := sc.seed%2 == 0
+	if observed {
+		cfg.Obs = obs.NewRunTrace("inv", 1, 1<<14)
+		cfg.Metrics = obs.NewRegistry()
+		cfg.Lineage = obs.NewLineage("inv", cfg.Scheme.Name(), 0)
+	}
+	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("seed %d: %v", sc.seed, err)
 	}
@@ -185,6 +197,50 @@ func checkInvariants(t *testing.T, sc *invariantScenario) {
 	}
 	if res.Scheme == "oracle" && res.Transmissions != 0 {
 		t.Fatalf("seed %d: oracle paid transmissions", sc.seed)
+	}
+	if observed {
+		checkRecordingsAgree(t, sc.seed, res, cfg.Obs, cfg.Metrics, cfg.Lineage)
+	}
+}
+
+// checkRecordingsAgree requires the run's recordings to count the same
+// facts alike: the Result, the event trace, the registry counters and the
+// lineage spans. Nothing may have been dropped, or the counts are partial.
+func checkRecordingsAgree(t *testing.T, seed int64, res metrics.Result, tr *obs.RunTrace, reg *obs.Registry, lin *obs.Lineage) {
+	t.Helper()
+	if tr.Dropped() != 0 || lin.Dropped() != 0 {
+		t.Fatalf("seed %d (%s): recordings dropped %d events, %d spans; size them up",
+			seed, res.Scheme, tr.Dropped(), lin.Dropped())
+	}
+	events := map[obs.Kind]int{}
+	for _, ev := range tr.Events() {
+		events[ev.Kind]++
+	}
+	spans := map[obs.SpanKind]int{}
+	for _, sp := range lin.Spans() {
+		spans[sp.Kind]++
+	}
+	counter := func(name string) int { return int(reg.Counter(name).Value()) }
+	for _, fact := range []struct {
+		name   string
+		counts []int
+	}{
+		{"deliveries (result, refresh_delivered, engine/deliveries, delivery spans)",
+			[]int{res.Deliveries, events[obs.KindRefreshDelivered], counter("engine/deliveries"), spans[obs.SpanDelivery]}},
+		{"contacts (engine/contacts, contact_begin, contact_end)",
+			[]int{counter("engine/contacts"), events[obs.KindContactBegin], events[obs.KindContactEnd]}},
+		{"generations (result, generate events, generate spans)",
+			[]int{res.VersionsGenerated, events[obs.KindGenerate], spans[obs.SpanGenerate]}},
+		{"queries (result, query_issued, cache_hit+cache_miss)",
+			[]int{res.Queries, events[obs.KindQueryIssued], events[obs.KindCacheHit] + events[obs.KindCacheMiss]}},
+		{"dropped queries (result, engine/query_drops)",
+			[]int{res.QueriesDropped, counter("engine/query_drops")}},
+	} {
+		for _, c := range fact.counts[1:] {
+			if c != fact.counts[0] {
+				t.Fatalf("seed %d (%s): %s disagree: %v", seed, res.Scheme, fact.name, fact.counts)
+			}
+		}
 	}
 }
 

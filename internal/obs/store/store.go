@@ -65,9 +65,9 @@ type Record struct {
 	WallClockSeconds float64 `json:"wallClockSeconds,omitempty"`
 
 	// Metrics is the flattened, queryable metric snapshot: registry
-	// counters and gauges under their registry names, per-scheme roll-up
-	// ratios under "scheme/<name>/...", bench-harness figures under their
-	// BENCH_*.json names. Trend and gate address metrics by these keys.
+	// counters and gauges under their registry names and per-scheme
+	// roll-up ratios under "scheme/<name>/...". Trend and gate address
+	// metrics by these keys.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Histograms carries the registry's histogram snapshots (bounds,
 	// cumulative counts, exact sum/min/max).

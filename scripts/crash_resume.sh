@@ -1,5 +1,6 @@
 #!/bin/sh
-# Crash-safety acceptance check, runnable locally (CI runs the same flow):
+# Crash-safety acceptance check, runnable locally; CI's crash-resume job
+# runs this script:
 # SIGKILL a checkpointed quick sweep partway through, resume it from the
 # journal, and require the resumed tables to be byte-identical to an
 # uninterrupted run. Timing footers ("(...)" lines) are stripped — they
@@ -27,6 +28,9 @@ else
     echo "run finished before the kill; resume will replay every cell"
 fi
 wait "$pid" 2>/dev/null || true
+# Keep the journal as the kill left it: resume appends to checkpoint.jsonl,
+# and a check of the resume provenance needs the records that survived.
+cp "$dir/checkpoint.jsonl" "$dir/checkpoint.at-kill.jsonl"
 echo "journal: $(wc -l < "$dir/checkpoint.jsonl") record(s) survived the kill"
 
 "$dir/experiments" -quick -run "$exps" -parallel 2 \
