@@ -42,6 +42,9 @@ func run(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: traceinfo [flags] <trace-file>")
 	}
+	if *window <= 0 {
+		return fmt.Errorf("-window must be positive, got %s", *window)
+	}
 	tr, err := trace.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err

@@ -47,4 +47,9 @@ func TestRunInfoErrors(t *testing.T) {
 	if err := run([]string{filepath.Join(t.TempDir(), "missing")}); err == nil {
 		t.Fatal("missing file accepted")
 	}
+	for _, w := range []string{"0s", "-1h"} {
+		if err := run([]string{"-window", w, infoTraceFile(t)}); err == nil {
+			t.Fatalf("-window %s accepted", w)
+		}
+	}
 }

@@ -9,6 +9,7 @@ package centrality
 import (
 	"fmt"
 	"maps"
+	"math"
 	"sort"
 
 	"freshcache/internal/stats"
@@ -145,52 +146,122 @@ func SelectCachingNodes(s RateStore, window float64, k int) ([]trace.NodeID, err
 
 // SelectCachingNodesExcluding is SelectCachingNodes with a set of nodes
 // barred from selection — the engine excludes data sources, which already
-// hold their own items and would waste a caching slot. A pair that never
-// meets adds exactly 0 to a gain and multiplies notCovered by exactly 1,
-// so both loops run over rows only.
+// hold their own items and would waste a caching slot. The window must be
+// a finite positive number.
+//
+// Selection is exact lazy greedy (CELF). A pick only multiplies
+// notCovered by factors in [0,1], so no gain grows between rounds, even in
+// floating point: each term of the sum, taken in the same order, can only
+// shrink. Every eligible candidate is scored once into a heap ordered by
+// gain, then ID; each round takes the top if its gain is from this round,
+// and otherwise rescores it and sifts it down. A fresh top outranks every
+// stale gain, and stale gains bound current ones from above, so the picks
+// are plain greedy's, lowest ID first among equal gains. A picked node's
+// notCovered is exactly 0, so it adds exactly +0 to later gains, and a
+// pair that never meets adds exactly 0 to a gain and multiplies notCovered
+// by exactly 1, so gains and coverage updates run over rows only.
 func SelectCachingNodesExcluding(s RateStore, window float64, k int, exclude map[trace.NodeID]bool) ([]trace.NodeID, error) {
 	n := s.N()
 	if k <= 0 || k > n-len(exclude) {
 		return nil, fmt.Errorf("centrality: cannot select %d caching nodes out of %d (%d excluded)", k, n, len(exclude))
 	}
+	if err := checkWindow(window); err != nil {
+		return nil, err
+	}
+	rows := s.rows()
 	// notCovered[j] = Π over selected s of (1 - p_sj); 1 when nothing
 	// selected yet.
 	notCovered := make([]float64, n)
 	for j := range notCovered {
 		notCovered[j] = 1
 	}
-	selected := make([]trace.NodeID, 0, k)
-	inSet := make([]bool, n)
-	rows := s.rows()
-
-	for len(selected) < k {
-		best := trace.NodeID(-1)
-		bestGain := -1.0
-		for cand, row := range rows {
-			if inSet[cand] || exclude[trace.NodeID(cand)] {
-				continue
-			}
-			// Gain: candidate covers itself fully plus shrinks every other
-			// node's not-covered probability by (1 - p_cand,j).
-			gain := notCovered[cand]
-			for _, nb := range row {
-				if !inSet[nb.id] {
-					gain += notCovered[nb.id] * stats.ExpCDF(nb.rate, window)
-				}
-			}
-			if gain > bestGain {
-				bestGain = gain
-				best = trace.NodeID(cand)
-			}
+	// gain is how much candidate c would add to the expected coverage: it
+	// covers itself fully and shrinks every other node's not-covered
+	// probability by (1 - p_cj).
+	gain := func(c trace.NodeID) float64 {
+		g := notCovered[c]
+		for _, nb := range rows[c] {
+			g += notCovered[nb.id] * stats.ExpCDF(nb.rate, window)
 		}
+		return g
+	}
+	h := make(candidateHeap, 0, n-len(exclude))
+	for c := range rows {
+		if !exclude[trace.NodeID(c)] {
+			h = append(h, candidate{gain: gain(trace.NodeID(c)), id: trace.NodeID(c)})
+		}
+	}
+	h.init()
+	selected := make([]trace.NodeID, 0, k)
+	for len(selected) < k {
+		top := &h[0]
+		if top.round < len(selected) {
+			top.gain, top.round = gain(top.id), len(selected)
+			h.down(0)
+			continue
+		}
+		best := top.id
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		h.down(0)
 		selected = append(selected, best)
-		inSet[best] = true
 		notCovered[best] = 0
 		for _, nb := range rows[best] {
 			notCovered[nb.id] *= 1 - stats.ExpCDF(nb.rate, window)
 		}
 	}
 	return selected, nil
+}
+
+// checkWindow rejects a centrality window that is not a finite positive
+// number: a NaN gain would corrupt the selection heap's order, and a zero
+// or negative window scores every pair 0.
+func checkWindow(window float64) error {
+	if !(window > 0) || math.IsInf(window, 1) {
+		return fmt.Errorf("centrality: window %v is not a finite positive number", window)
+	}
+	return nil
+}
+
+// candidate is one eligible node in lazy greedy selection: its coverage
+// gain as of the given round (the number of nodes selected when it was
+// scored).
+type candidate struct {
+	gain  float64
+	id    trace.NodeID
+	round int
+}
+
+// candidateHeap is a binary max-heap of candidates by gain, lower ID
+// first among equal gains.
+type candidateHeap []candidate
+
+func (h candidateHeap) before(i, j int) bool {
+	return h[i].gain > h[j].gain || (h[i].gain == h[j].gain && h[i].id < h[j].id)
+}
+
+func (h candidateHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down sifts the entry at i down to its place.
+func (h candidateHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h.before(c+1, c) {
+			c++
+		}
+		if !h.before(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Placement selects which nodes become caching nodes.
@@ -223,11 +294,15 @@ func (p Placement) String() string {
 }
 
 // Select picks k caching nodes under the given placement policy,
-// excluding the given nodes (data sources). seed drives PlaceRandom only.
+// excluding the given nodes (data sources). The window must be a finite
+// positive number under every policy. seed drives PlaceRandom only.
 func Select(p Placement, s RateStore, window float64, k int, exclude map[trace.NodeID]bool, seed int64) ([]trace.NodeID, error) {
 	n := s.N()
 	if k <= 0 || k > n-len(exclude) {
 		return nil, fmt.Errorf("centrality: cannot select %d caching nodes out of %d (%d excluded)", k, n, len(exclude))
+	}
+	if err := checkWindow(window); err != nil {
+		return nil, err
 	}
 	switch p {
 	case PlaceGreedyCoverage:

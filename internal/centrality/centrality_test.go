@@ -177,6 +177,26 @@ func TestSelectCachingNodesBounds(t *testing.T) {
 	}
 }
 
+// TestSelectRejectsBadWindow: a window that is not a finite positive
+// number is an error under every entry point and placement, not a panic
+// (NaN gains) or a silent all-zero answer (zero and negative windows).
+func TestSelectRejectsBadWindow(t *testing.T) {
+	m := mustRates(t, 5, star(5))
+	for _, w := range []float64{math.NaN(), 0, -1, math.Inf(1)} {
+		if _, err := SelectCachingNodes(m, w, 2); err == nil {
+			t.Errorf("SelectCachingNodes accepted window %v", w)
+		}
+		if _, err := SelectCachingNodesExcluding(m, w, 2, map[trace.NodeID]bool{0: true}); err == nil {
+			t.Errorf("SelectCachingNodesExcluding accepted window %v", w)
+		}
+		for _, p := range []Placement{PlaceGreedyCoverage, PlaceTopCentrality, PlaceRandom} {
+			if _, err := Select(p, m, w, 2, nil, 1); err == nil {
+				t.Errorf("Select(%v) accepted window %v", p, w)
+			}
+		}
+	}
+}
+
 // Property: selections are distinct, in range, and deterministic.
 func TestSelectCachingNodesProperty(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {

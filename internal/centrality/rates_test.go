@@ -112,10 +112,54 @@ func TestScoresMatchBruteForce(t *testing.T) {
 	}
 }
 
+// tieCase is a store whose candidates tie on gain, so its picks rest on
+// the lowest-ID-first rule, with an exclude set to run it under as well.
+type tieCase struct {
+	name    string
+	s       RateStore
+	exclude map[trace.NodeID]bool
+}
+
+// tieStores returns an equal-rate 12-node ring, a 7-node complete graph,
+// and two equal 4-cliques beside five isolated nodes.
+func tieStores(t *testing.T) []tieCase {
+	const rate = 0.5 / 3600
+	ring := make(map[[2]trace.NodeID]float64)
+	for i := 0; i < 12; i++ {
+		ring[[2]trace.NodeID{trace.NodeID(i), trace.NodeID((i + 1) % 12)}] = rate
+	}
+	clique := func(pairs map[[2]trace.NodeID]float64, ids ...trace.NodeID) map[[2]trace.NodeID]float64 {
+		for i, a := range ids {
+			for _, b := range ids[i+1:] {
+				pairs[[2]trace.NodeID{a, b}] = rate
+			}
+		}
+		return pairs
+	}
+	complete := clique(make(map[[2]trace.NodeID]float64), 0, 1, 2, 3, 4, 5, 6)
+	twoCliques := clique(clique(make(map[[2]trace.NodeID]float64), 2, 3, 4, 5), 7, 8, 9, 10)
+	return []tieCase{
+		{"ring", mustRates(t, 12, ring), map[trace.NodeID]bool{0: true, 6: true}},
+		{"complete", mustRates(t, 7, complete), map[trace.NodeID]bool{0: true, 3: true}},
+		{"two cliques", mustRates(t, 13, twoCliques), map[trace.NodeID]bool{2: true, 11: true}},
+	}
+}
+
 // TestSelectionMatchesBruteForce: greedy selection over rows must pick the
 // same nodes in the same order as the full pairwise gain loop, with and
-// without excluded nodes.
+// without excluded nodes. The tie stores hold the lowest-ID-first rule at
+// every k; the 300-node trace at k=64 leaves most stale gains stale.
 func TestSelectionMatchesBruteForce(t *testing.T) {
+	check := func(name string, s RateStore, k int, exclude map[trace.NodeID]bool) {
+		t.Helper()
+		got, err := SelectCachingNodesExcluding(s, 6*3600, k, exclude)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refSelect(s, 6*3600, k, exclude); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s k=%d exclude %v: selected %v, brute force %v", name, k, exclude, got, want)
+		}
+	}
 	for seed := int64(1); seed <= 4; seed++ {
 		tr := seededTrace(t, 50, seed)
 		s, err := FromTrace(tr, 0, tr.Duration)
@@ -124,16 +168,23 @@ func TestSelectionMatchesBruteForce(t *testing.T) {
 		}
 		for _, exclude := range []map[trace.NodeID]bool{nil, {0: true, 7: true, 31: true}} {
 			for _, k := range []int{1, 4, 8, 20} {
-				got, err := SelectCachingNodesExcluding(s, 6*3600, k, exclude)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := refSelect(s, 6*3600, k, exclude); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d k=%d exclude %v: selected %v, brute force %v", seed, k, exclude, got, want)
-				}
+				check(fmt.Sprintf("seed %d", seed), s, k, exclude)
 			}
 		}
 	}
+	for _, tc := range tieStores(t) {
+		for _, exclude := range []map[trace.NodeID]bool{nil, tc.exclude} {
+			for k := 1; k <= tc.s.N()-len(exclude); k++ {
+				check(tc.name, tc.s, k, exclude)
+			}
+		}
+	}
+	tr := seededTrace(t, 300, 7)
+	s, err := FromTrace(tr, 0, tr.Duration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("300 nodes", s, 64, map[trace.NodeID]bool{0: true, 150: true})
 }
 
 // TestSelectionAllocsIndependentOfSize: selection allocates its three

@@ -48,8 +48,8 @@ func largeNTrace(n int, seed int64) (*trace.Trace, error) {
 // runE21 pushes a large-N community trace through the full refresh/query
 // pipeline — sparse rate estimation, NCL selection, hierarchy building,
 // probabilistic replication and the query workload — end to end. It is
-// the scale smoke test: N is far above the dense ceiling, so it only
-// completes if no n² structure is allocated anywhere on the path.
+// the scale smoke test: at 10,000 nodes it only completes if no n²
+// structure is allocated anywhere on the path.
 func runE21(opts Options) ([]*Table, error) {
 	n := largeNNodes
 	if opts.Quick {
