@@ -10,6 +10,9 @@
 //	experiments -quick          # trimmed sweeps (smoke run)
 //	experiments -csv out/       # also write one CSV per table
 //	experiments -cpuprofile cpu.pb.gz   # pprof CPU profile of the run
+//
+// The observability, store, checkpoint and profiling flags are shared with
+// freshsim (expt.RunFlags).
 package main
 
 import (
@@ -19,7 +22,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"time"
@@ -39,6 +41,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	rf := expt.NewRunFlags(fs)
 	var (
 		only   = fs.String("run", "", "comma-separated experiment IDs (default all)")
 		seed   = fs.Int64("seed", 42, "random seed")
@@ -49,23 +52,12 @@ func run(args []string) error {
 		reps   = fs.Int("replicates", 0, "replicates per sweep cell (0 = experiment default; >1 reports mean±stderr)")
 		list   = fs.Bool("list", false, "list the experiment registry and exit")
 
-		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		keepGoing = fs.Bool("keep-going", false, "finish the whole grid past cell or experiment failures: partial tables get explicit NA holes, the failure roster lands in the manifest, and the exit status is nonzero")
+		retries   = fs.Int("retries", 0, "per-cell retry budget for transient failures (0 = fail on first error)")
 
-		checkpoint = fs.String("checkpoint", "", "per-cell checkpoint journal (JSONL): completed sweep cells are appended and fsynced as they finish, so an interrupted run can be resumed")
-		resume     = fs.Bool("resume", false, "replay completed cells from the -checkpoint journal and execute only the remainder; resumed tables are byte-identical to an uninterrupted run")
-		keepGoing  = fs.Bool("keep-going", false, "finish the whole grid past cell or experiment failures: partial tables get explicit NA holes, the failure roster lands in the manifest, and the exit status is nonzero")
-		retries    = fs.Int("retries", 0, "per-cell retry budget for transient failures (0 = fail on first error)")
+		timings  = fs.Bool("timings", false, "include machine-dependent wall-clock columns in tables that have them (E10)")
+		httpAddr = fs.String("http", "", "serve the live endpoint on this address for the duration of the run: HTML status page at /, sweep progress SSE at /live/progress, OpenMetrics at /live/metrics, pprof at /debug/pprof")
 
-		obsDir       = fs.String("obs", "", "directory for observability output: events.jsonl (per-run event trace), trace.json (Chrome trace-event JSON for Perfetto), metrics.om (OpenMetrics registry snapshot) and manifest.json")
-		obsSample    = fs.Int("obs-sample", 1, "keep 1 in N trace events (1 = all)")
-		obsBuffer    = fs.Int("obs-buffer", obs.DefaultBufferCap, "per-run trace ring-buffer capacity in events")
-		lineage      = fs.Bool("lineage", false, "collect causal refresh-lineage spans (generation → duty → handoff → delivery trees) per run and write lineage.jsonl to the -obs directory (requires -obs)")
-		timelineTick = obs.TimelineTickFlag(fs)
-		timings      = fs.Bool("timings", false, "include machine-dependent wall-clock columns in tables that have them (E10)")
-		httpAddr     = fs.String("http", "", "serve the live endpoint on this address for the duration of the run: HTML status page at /, sweep progress SSE at /live/progress, OpenMetrics at /live/metrics, pprof at /debug/pprof")
-
-		storePath      = fs.String("store", "", "append this run's record (provenance, metric snapshot, per-cell costs, dispositions) to the cross-run results store at this path (JSONL; query with obsreport trend/query/gate)")
 		profileSlowest = fs.Int("profile-slowest", 0, "capture pprof CPU profiles of the N most expensive sweep cells into <obs>/profiles/ (requires -obs and -parallel 1)")
 		verbose        = fs.Bool("v", false, "verbose: log at debug level (per-cell retries and other detail)")
 	)
@@ -73,33 +65,6 @@ func run(args []string) error {
 		return err
 	}
 	initLogging(*verbose)
-	start := time.Now()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				slog.Error("memprofile", "err", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				slog.Error("memprofile", "err", err)
-			}
-		}()
-	}
 
 	if *list {
 		for _, e := range expt.All() {
@@ -132,65 +97,32 @@ func run(args []string) error {
 	if *reps < 0 {
 		return fmt.Errorf("replicates must be >= 0, got %d", *reps)
 	}
-	if *obsSample < 1 {
-		return fmt.Errorf("obs-sample must be >= 1, got %d", *obsSample)
-	}
 	if *retries < 0 {
 		return fmt.Errorf("retries must be >= 0, got %d", *retries)
-	}
-	if *resume && *checkpoint == "" {
-		return fmt.Errorf("-resume requires -checkpoint (the journal to replay)")
-	}
-	if (*lineage || *timelineTick != 0) && *obsDir == "" {
-		return fmt.Errorf("-lineage and -timeline-tick require -obs (the output directory)")
 	}
 	if *profileSlowest < 0 {
 		return fmt.Errorf("profile-slowest must be >= 0, got %d", *profileSlowest)
 	}
-	if *profileSlowest > 0 && *obsDir == "" {
+	if *profileSlowest > 0 && rf.Obs == "" {
 		return fmt.Errorf("-profile-slowest requires -obs (profiles are written to <obs>/profiles/)")
 	}
 	if *profileSlowest > 0 && *par != 1 {
 		return fmt.Errorf("-profile-slowest requires -parallel 1 (the CPU profiler is process-global; a concurrent cell would pollute the capture)")
 	}
 
-	// Crash-safety plumbing: the journal checkpoints completed sweep cells
-	// (and replays them under -resume); the ledger accounts every cell's
-	// disposition and collects the permanent-failure roster.
-	ledger := &expt.Ledger{}
-	var journal *expt.Journal
-	if *checkpoint != "" {
-		j, err := expt.OpenJournal(*checkpoint, *resume)
-		if err != nil {
-			return err
-		}
-		journal = j
-		defer journal.Close()
-		if *resume {
-			slog.Info("resuming from checkpoint journal",
-				"journal", *checkpoint, "completedCells", journal.Len())
-		}
+	// The live endpoint consumes the observer's registry, so -http asks
+	// for one too.
+	defer rf.Stop()
+	if err := rf.Start("experiments", args, *httpAddr != ""); err != nil {
+		return err
 	}
-
-	// The observer exists when anything consumes it: trace output (-obs),
-	// the live endpoint (-http) or the results store (-store). Nil
-	// otherwise, so hot paths stay zero-cost.
-	var observer *obs.Observer
-	if *obsDir != "" || *httpAddr != "" || *storePath != "" {
-		if *obsDir != "" {
-			if err := os.MkdirAll(*obsDir, 0o755); err != nil {
-				return err
-			}
-		}
-		observer = obs.NewObserver(obs.Config{SampleEvery: *obsSample, BufferCap: *obsBuffer,
-			Lineage: *lineage, TimelineTick: *timelineTick})
-	}
+	observer, ledger := rf.Observer, rf.Ledger
 
 	// Per-cell cost attribution for the store and -profile-slowest. Alloc
 	// deltas and profiles are only meaningful when cells run strictly
 	// sequentially, so they're granted only at -parallel 1.
 	var costs *expt.CellCosts
-	if *storePath != "" || *profileSlowest > 0 {
+	if rf.Store != "" || *profileSlowest > 0 {
 		costs = expt.NewCellCosts(*profileSlowest, *par == 1)
 	}
 
@@ -223,7 +155,7 @@ func run(args []string) error {
 			defer func() { <-sem }()
 			opts := expt.Options{Seed: *seed, Quick: *quick, Parallel: *par, Replicates: *reps,
 				Obs: observer, Timings: *timings,
-				Journal: journal, Ledger: ledger, Retries: *retries, KeepGoing: *keepGoing,
+				Journal: rf.Journal, Ledger: ledger, Retries: *retries, KeepGoing: *keepGoing,
 				Costs: costs}
 			results[i] = runOne(e, opts, *charts, *csvDir)
 		}()
@@ -248,88 +180,43 @@ func run(args []string) error {
 		outputs = append(outputs, r.files...)
 	}
 
-	if observer != nil && *obsDir != "" {
-		for _, f := range []struct {
-			name  string
-			write func(*os.File) error
-		}{
-			{"events.jsonl", func(f *os.File) error { return observer.WriteJSONL(f) }},
-			{"trace.json", func(f *os.File) error { return observer.WriteChromeTrace(f) }},
-			{"metrics.om", func(f *os.File) error { return obs.WriteOpenMetrics(f, observer.Metrics.Snapshot()) }},
-			{"lineage.jsonl", func(f *os.File) error { return observer.WriteLineageJSONL(f) }},
-			{"timeline.csv", func(f *os.File) error { return observer.WriteTimelineCSV(f) }},
-		} {
-			if f.name == "lineage.jsonl" && !*lineage {
-				continue
-			}
-			if f.name == "timeline.csv" && *timelineTick == 0 {
-				continue
-			}
-			path := filepath.Join(*obsDir, f.name)
-			out, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := f.write(out); err != nil {
-				out.Close()
-				return fmt.Errorf("obs: %s: %w", f.name, err)
-			}
-			if err := out.Close(); err != nil {
-				return err
-			}
-			outputs = append(outputs, path)
-		}
-	}
-
 	// CPU profiles of the most expensive cells, most expensive first.
 	if *profileSlowest > 0 {
 		if err := costs.ProfileErr(); err != nil {
 			slog.Warn("per-cell profiling disabled", "err", err)
 		}
-		profs, err := writeCellProfiles(filepath.Join(*obsDir, "profiles"), costs.Profiles())
+		profs, err := writeCellProfiles(filepath.Join(rf.Obs, "profiles"), costs.Profiles())
 		if err != nil {
 			return err
 		}
 		outputs = append(outputs, profs...)
 	}
 
-	// A manifest accompanies the run's artifacts: next to the CSVs when
-	// -csv is given, and in the obs directory when -obs is.
-	if *csvDir != "" || observer != nil {
-		m := obs.NewManifest("experiments")
-		m.Command = append([]string{"experiments"}, args...)
-		m.Seed = *seed
-		m.Config = map[string]any{
+	// The manifest goes next to the CSVs when -csv is given, and into the
+	// obs directory when -obs is. The store record appends after all
+	// tables are printed, and also for keep-going runs with failures (the
+	// dispositions are part of the history worth querying). Its digest
+	// covers result-determining configuration only, so runs differing
+	// merely in execution policy (-parallel, -retries, checkpointing)
+	// compare as the same configuration in the store.
+	if err := rf.Finish(expt.RunReport{
+		Seed: *seed,
+		Config: map[string]any{
 			"run": *only, "quick": *quick, "parallel": *par, "replicates": *reps,
-			"timings": *timings, "obsSample": *obsSample, "obsBuffer": *obsBuffer,
-			"lineage": *lineage, "timelineTick": *timelineTick,
-			"checkpoint": *checkpoint, "resume": *resume,
+			"timings": *timings, "obsSample": rf.ObsSample, "obsBuffer": rf.ObsBuffer,
+			"lineage": rf.Lineage, "timelineTick": *rf.TimelineTick,
+			"checkpoint": rf.Checkpoint, "resume": rf.Resume,
 			"keepGoing": *keepGoing, "retries": *retries,
-			"store": *storePath, "profileSlowest": *profileSlowest,
-		}
-		m.Outputs = outputs
-		if observer != nil {
-			snap := observer.Metrics.Snapshot()
-			m.Metrics = &snap
-			st := observer.Stats()
-			m.Events = &st
-			m.SchemeStats = observer.SchemeRollups()
-		}
-		// Crash-safety provenance: the permanent-failure roster and the
-		// checkpoint/resume cell accounting.
-		m.Failures = ledger.Failures()
-		if *checkpoint != "" || len(m.Failures) > 0 {
-			rs := ledger.Summary()
-			rs.Journal = *checkpoint
-			rs.Resumed = *resume
-			m.Resume = &rs
-		}
-		m.FinishResources(start)
-		for _, dir := range manifestDirs(*csvDir, *obsDir) {
-			if err := m.Write(filepath.Join(dir, "manifest.json")); err != nil {
-				return err
-			}
-		}
+			"store": rf.Store, "profileSlowest": *profileSlowest,
+		},
+		Digest: store.ConfigDigest(map[string]any{
+			"run": *only, "quick": *quick, "replicates": *reps, "timings": *timings,
+		}),
+		Outputs:      outputs,
+		Cells:        costs.Cells(),
+		ManifestDirs: manifestDirs(*csvDir, rf.Obs),
+	}); err != nil {
+		return err
 	}
 	// Process-wide memory footer. Parenthesized like the per-experiment
 	// stats lines, so determinism checks that strip timing footers strip
@@ -340,35 +227,6 @@ func run(args []string) error {
 	fmt.Printf("(mem: totalAlloc=%.1fMB mallocs=%d heapInuse=%.1fMB peakHeapSys=%.1fMB gc=%d)\n",
 		float64(m.TotalAlloc)/(1<<20), m.Mallocs, float64(m.HeapInuse)/(1<<20),
 		float64(m.HeapSys)/(1<<20), m.NumGC)
-
-	// Append the run's record to the cross-run results store — after all
-	// stdout, so determinism diffs of the tables see no difference, and
-	// even for keep-going runs with failures (the dispositions are part of
-	// the history worth querying).
-	if *storePath != "" {
-		rec := store.NewRecord("experiments")
-		rec.Command = append([]string{"experiments"}, args...)
-		rec.Seed = *seed
-		// The digest covers result-determining configuration only, so runs
-		// differing merely in execution policy (-parallel, -retries,
-		// checkpointing) compare as the same configuration in the store.
-		rec.ConfigDigest = store.ConfigDigest(map[string]any{
-			"run": *only, "quick": *quick, "replicates": *reps, "timings": *timings,
-		})
-		rec.WallClockSeconds = time.Since(start).Seconds()
-		snap := observer.Metrics.Snapshot()
-		rec.Metrics = store.FlattenMetrics(snap, observer.SchemeRollups())
-		rec.Histograms = snap.Histograms
-		rec.Cells = costs.Cells()
-		rs := ledger.Summary()
-		rs.Journal = *checkpoint
-		rs.Resumed = *resume
-		rec.Resume = &rs
-		if err := store.Append(*storePath, rec); err != nil {
-			return err
-		}
-		slog.Info("run record appended to results store", "store", *storePath)
-	}
 
 	// Degradation mode still fails the invocation: partial tables were
 	// printed and the roster recorded, but the exit status must say the run

@@ -271,6 +271,9 @@ func TestRunObsValidation(t *testing.T) {
 	if err := run([]string{"-run", "E1", "-quick", "-obs", t.TempDir(), "-obs-sample", "0"}); err == nil {
 		t.Fatal("obs-sample=0 accepted")
 	}
+	if err := run([]string{"-run", "E1", "-quick", "-obs", t.TempDir(), "-obs-buffer", "0"}); err == nil {
+		t.Fatal("obs-buffer=0 accepted")
+	}
 }
 
 func TestManifestDirs(t *testing.T) {

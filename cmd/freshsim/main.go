@@ -14,9 +14,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -24,7 +21,6 @@ import (
 	"freshcache/internal/core"
 	"freshcache/internal/expt"
 	"freshcache/internal/obs"
-	"freshcache/internal/obs/store"
 )
 
 func main() {
@@ -36,6 +32,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("freshsim", flag.ContinueOnError)
+	rf := expt.NewRunFlags(fs)
 	var (
 		preset    = fs.String("preset", "reality-like", "built-in trace preset (reality-like, infocom-like)")
 		traceFile = fs.String("trace", "", "external trace file (overrides -preset)")
@@ -61,74 +58,24 @@ func run(args []string) error {
 		asJSON    = fs.Bool("json", false, "emit the result as JSON")
 		compare   = fs.String("compare", "", "comma-separated schemes to run side by side (overrides -scheme)")
 		runs      = fs.Int("runs", 1, "replicate over this many consecutive seeds and report mean ± CI95")
-
-		checkpoint = fs.String("checkpoint", "", "with -runs: journal each completed replicate to this file (JSONL), enabling -resume")
-		resume     = fs.Bool("resume", false, "replay completed replicates from the -checkpoint journal instead of re-running them")
-
-		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-
-		obsDir       = fs.String("obs", "", "directory for observability output: events.jsonl, trace.json (Perfetto), metrics.om (OpenMetrics) and manifest.json")
-		storePath    = fs.String("store", "", "append this run's record (provenance, metric snapshot, dispositions) to the cross-run results store at this path (JSONL; query with obsreport trend/query/gate)")
-		obsSample    = fs.Int("obs-sample", 1, "keep 1 in N trace events (1 = all)")
-		obsBuffer    = fs.Int("obs-buffer", obs.DefaultBufferCap, "per-run trace ring-buffer capacity in events")
-		lineage      = fs.Bool("lineage", false, "collect causal refresh-lineage spans (generation → duty → handoff → delivery trees) and write lineage.jsonl to the -obs directory (requires -obs)")
-		timelineTick = obs.TimelineTickFlag(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	start := time.Now()
-	if *obsSample < 1 {
-		return fmt.Errorf("obs-sample must be >= 1, got %d", *obsSample)
+	if *items < 1 {
+		return fmt.Errorf("items must be >= 1, got %d", *items)
 	}
-	if *resume && *checkpoint == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
+	if *runs < 1 {
+		return fmt.Errorf("runs must be >= 1, got %d", *runs)
 	}
-	if *checkpoint != "" && (*runs <= 1 || *compare != "") {
+	if rf.Checkpoint != "" && (*runs <= 1 || *compare != "") {
 		return fmt.Errorf("-checkpoint applies to replicated runs only (-runs > 1, without -compare)")
 	}
-	if (*lineage || *timelineTick != 0) && *obsDir == "" {
-		return fmt.Errorf("-lineage and -timeline-tick require -obs (the output directory)")
+	defer rf.Stop()
+	if err := rf.Start("freshsim", args, false); err != nil {
+		return err
 	}
-	// The observer exists when anything consumes its registry: trace output
-	// (-obs) or the results store (-store). Nil otherwise.
-	var observer *obs.Observer
-	if *obsDir != "" || *storePath != "" {
-		if *obsDir != "" {
-			if err := os.MkdirAll(*obsDir, 0o755); err != nil {
-				return err
-			}
-		}
-		observer = obs.NewObserver(obs.Config{SampleEvery: *obsSample, BufferCap: *obsBuffer,
-			Lineage: *lineage, TimelineTick: *timelineTick})
-	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "freshsim: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "freshsim: memprofile:", err)
-			}
-		}()
-	}
+	observer := rf.Observer
 
 	specs := make([]freshcache.ItemSpec, *items)
 	for i := range specs {
@@ -148,50 +95,36 @@ func run(args []string) error {
 	} else {
 		baseOpts = append(baseOpts, freshcache.WithPreset(*preset))
 	}
-	// 0 turns queries and loss off; every other value, NaN included, goes
-	// to the option, which rejects what is out of range.
+	// 0 turns a feature off; every other value, NaN and negatives
+	// included, goes to the option, which rejects what is out of range.
 	if *queries != 0 {
 		baseOpts = append(baseOpts, freshcache.WithQueryWorkload(*queries, *zipf))
 	}
-	if *msgTime > 0 {
+	if *msgTime != 0 {
 		baseOpts = append(baseOpts, freshcache.WithBandwidth(*msgTime))
 	}
 	if *loss != 0 {
 		baseOpts = append(baseOpts, freshcache.WithMessageLoss(*loss))
 	}
-	if *churnUp > 0 || *churnDown > 0 {
+	if *churnUp != 0 || *churnDown != 0 {
 		baseOpts = append(baseOpts, freshcache.WithChurn(*churnUp, *churnDown))
 	}
 	if *distKnow {
 		baseOpts = append(baseOpts, freshcache.WithDistributedKnowledge())
 	}
-	if *rebuild > 0 {
+	if *rebuild != 0 {
 		baseOpts = append(baseOpts, freshcache.WithRebuildInterval(*rebuild))
 	}
-	if *relayCap > 0 {
+	if *relayCap != 0 {
 		baseOpts = append(baseOpts, freshcache.WithRelayBufferCap(*relayCap))
 	}
 	opts = append(opts, baseOpts...)
 
-	ledger := &expt.Ledger{}
 	err := func() error {
 		if *compare != "" {
 			return runComparison(*compare, baseOpts, observer)
 		}
 		if *runs > 1 {
-			var journal *expt.Journal
-			if *checkpoint != "" {
-				j, jerr := expt.OpenJournal(*checkpoint, *resume)
-				if jerr != nil {
-					return jerr
-				}
-				defer j.Close()
-				journal = j
-				if *resume {
-					fmt.Fprintf(os.Stderr, "freshsim: resuming from %s (%d journaled replicate(s))\n",
-						*checkpoint, journal.Len())
-				}
-			}
 			traceName := *preset
 			if *traceFile != "" {
 				traceName = "file:" + *traceFile
@@ -202,24 +135,15 @@ func run(args []string) error {
 				scheme:     *scheme,
 				traceName:  traceName,
 				experiment: replicatedExperimentID(fs),
-				journal:    journal,
-				ledger:     ledger,
+				journal:    rf.Journal,
+				ledger:     rf.Ledger,
 			}, baseOpts, observer)
 		}
 
-		obsOpts, commit := obsRun(observer, "freshsim/"+*scheme, *scheme)
-		opts = append(opts, obsOpts...)
-		sim, err := freshcache.New(opts...)
+		sim, res, err := simulate(observer, "freshsim/"+*scheme, *scheme, opts)
 		if err != nil {
 			return err
 		}
-		res, err := sim.Run()
-		if err != nil {
-			return err
-		}
-		commit()
-		observer.RecordRun(res.Scheme, res)
-
 		if *asJSON {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
@@ -243,113 +167,29 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if observer != nil && *obsDir != "" {
-		if err := writeObs(*obsDir, observer, start, args, *seed, ledger, *checkpoint, *resume); err != nil {
-			return err
-		}
-	}
-	// The store record appends last, after all stdout, so report output is
-	// unaffected by -store.
-	if *storePath != "" {
-		rec := store.NewRecord("freshsim")
-		rec.Command = append([]string{"freshsim"}, args...)
-		rec.Seed = *seed
-		// The flag digest already covers exactly the simulation-relevant
-		// configuration (output and checkpointing flags excluded).
-		rec.ConfigDigest = strings.TrimPrefix(replicatedExperimentID(fs), "freshsim-")
-		rec.WallClockSeconds = time.Since(start).Seconds()
-		snap := observer.Metrics.Snapshot()
-		rec.Metrics = store.FlattenMetrics(snap, observer.SchemeRollups())
-		rec.Histograms = snap.Histograms
-		rs := ledger.Summary()
-		rs.Journal = *checkpoint
-		rs.Resumed = *resume
-		rec.Resume = &rs
-		if err := store.Append(*storePath, rec); err != nil {
-			return err
-		}
-	}
-	return nil
+	// The flag digest already covers exactly the simulation-relevant
+	// configuration (output and checkpointing flags excluded).
+	return rf.Finish(expt.RunReport{
+		Seed:         *seed,
+		Digest:       strings.TrimPrefix(replicatedExperimentID(fs), "freshsim-"),
+		ManifestDirs: []string{rf.Obs},
+	})
 }
 
-// obsRun opens the per-run observability collectors for one labelled
-// simulation: the event trace plus, when enabled on the observer, the
-// lineage span tree and the telemetry timeline. It returns the options to
-// attach and a commit func to call after a successful run. Everything is
-// nil-safe, so callers need no -obs conditionals.
-func obsRun(observer *obs.Observer, label, scheme string) ([]freshcache.Option, func()) {
-	rt := observer.Run(label)
-	lin := observer.RunLineage(label, scheme)
-	tl := observer.RunTimeline(label)
-	opts := []freshcache.Option{freshcache.WithObservability(rt, observer.Registry())}
-	if lin != nil {
-		opts = append(opts, freshcache.WithLineage(lin))
+// simulate runs one labelled simulation recording into the observer and
+// commits the recording when the run succeeds.
+func simulate(observer *obs.Observer, label, scheme string, opts []freshcache.Option) (*freshcache.Simulation, freshcache.Result, error) {
+	rec := observer.Open(label, scheme)
+	sim, err := freshcache.New(append([]freshcache.Option{freshcache.WithRecording(rec)}, opts...)...)
+	if err != nil {
+		return nil, freshcache.Result{}, err
 	}
-	if tl != nil {
-		tick := time.Duration(observer.TimelineTick() * float64(time.Second))
-		opts = append(opts, freshcache.WithTimeline(tl, tick))
+	res, err := sim.Run()
+	if err != nil {
+		return nil, res, err
 	}
-	return opts, func() {
-		observer.Commit(rt)
-		observer.CommitLineage(lin)
-		observer.CommitTimeline(tl)
-	}
-}
-
-// obsFile is one observability artifact: its filename and writer.
-type obsFile struct {
-	name  string
-	write func(*os.File) error
-}
-
-// writeObs flushes the observer's trace and a run manifest into dir.
-func writeObs(dir string, observer *obs.Observer, start time.Time, args []string, seed int64,
-	ledger *expt.Ledger, checkpoint string, resumed bool) error {
-	var outputs []string
-	files := []obsFile{
-		{"events.jsonl", func(f *os.File) error { return observer.WriteJSONL(f) }},
-		{"trace.json", func(f *os.File) error { return observer.WriteChromeTrace(f) }},
-		{"metrics.om", func(f *os.File) error { return obs.WriteOpenMetrics(f, observer.Metrics.Snapshot()) }},
-	}
-	if observer.LineageEnabled() {
-		files = append(files, obsFile{"lineage.jsonl", func(f *os.File) error { return observer.WriteLineageJSONL(f) }})
-	}
-	if observer.TimelineTick() != 0 {
-		files = append(files, obsFile{"timeline.csv", func(f *os.File) error { return observer.WriteTimelineCSV(f) }})
-	}
-	for _, f := range files {
-		path := filepath.Join(dir, f.name)
-		out, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := f.write(out); err != nil {
-			out.Close()
-			return fmt.Errorf("obs: %s: %w", f.name, err)
-		}
-		if err := out.Close(); err != nil {
-			return err
-		}
-		outputs = append(outputs, path)
-	}
-	m := obs.NewManifest("freshsim")
-	m.Command = append([]string{"freshsim"}, args...)
-	m.Seed = seed
-	m.Outputs = outputs
-	snap := observer.Metrics.Snapshot()
-	m.Metrics = &snap
-	st := observer.Stats()
-	m.Events = &st
-	m.SchemeStats = observer.SchemeRollups()
-	m.Failures = ledger.Failures()
-	if checkpoint != "" || len(m.Failures) > 0 {
-		rs := ledger.Summary()
-		rs.Journal = checkpoint
-		rs.Resumed = resumed
-		m.Resume = &rs
-	}
-	m.FinishResources(start)
-	return m.Write(filepath.Join(dir, "manifest.json"))
+	observer.Commit(rec, res)
+	return sim, res, nil
 }
 
 // replicatedConfig parameterises one replicated (-runs > 1) invocation.
@@ -367,19 +207,13 @@ type replicatedConfig struct {
 // sweep's experiment ID, so a checkpoint journal written under one
 // configuration can never replay into a run whose flags changed (the
 // journal matches on the sweep fingerprint and per-cell seeds, both of
-// which incorporate the experiment ID). Output and checkpointing flags are
-// excluded: moving the journal or toggling -obs must not invalidate it.
+// which incorporate the experiment ID). Output flags and the shared
+// observability, store, checkpoint and profiling flags are excluded:
+// moving the journal or toggling -obs must not invalidate it.
 func replicatedExperimentID(fs *flag.FlagSet) string {
-	skip := map[string]bool{
-		"json": true, "obs": true, "obs-sample": true, "obs-buffer": true,
-		"lineage": true, "timeline-tick": true,
-		"cpuprofile": true, "memprofile": true,
-		"checkpoint": true, "resume": true, "compare": true,
-		"store": true,
-	}
 	h := fnv.New64a()
 	fs.VisitAll(func(f *flag.Flag) { // lexical order: deterministic
-		if skip[f.Name] {
+		if f.Name == "json" || f.Name == "compare" || expt.IsRunFlag(f.Name) {
 			return
 		}
 		fmt.Fprintf(h, "%s=%s\x1f", f.Name, f.Value.String())
@@ -422,18 +256,10 @@ func runReplicated(cfg replicatedConfig, baseOpts []freshcache.Option, observer 
 		}, baseOpts...)
 		// Applied last so it overrides the base -seed flag.
 		opts = append(opts, freshcache.WithSeed(simSeed))
-		obsOpts, commit := obsRun(observer, fmt.Sprintf("freshsim/%s/seed-%d", cfg.scheme, simSeed), cfg.scheme)
-		opts = append(opts, obsOpts...)
-		sim, err := freshcache.New(opts...)
+		_, res, err := simulate(observer, fmt.Sprintf("freshsim/%s/seed-%d", cfg.scheme, simSeed), cfg.scheme, opts)
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.Run()
-		if err != nil {
-			return nil, err
-		}
-		commit()
-		observer.RecordRun(res.Scheme, res)
 		return []float64{res.FreshnessRatio, res.ValidAccessRate, res.TxPerVersion}, nil
 	})
 	if err != nil {
@@ -461,18 +287,10 @@ func runComparison(schemes string, baseOpts []freshcache.Option, observer *obs.O
 	for _, name := range strings.Split(schemes, ",") {
 		name = strings.TrimSpace(name)
 		opts := append([]freshcache.Option{freshcache.WithScheme(freshcache.SchemeName(name))}, baseOpts...)
-		obsOpts, commit := obsRun(observer, "freshsim/"+name, name)
-		opts = append(opts, obsOpts...)
-		sim, err := freshcache.New(opts...)
+		_, res, err := simulate(observer, "freshsim/"+name, name, opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		res, err := sim.Run()
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		commit()
-		observer.RecordRun(res.Scheme, res)
 		fmt.Printf("%-20s  %-9.4f  %-11.4f  %-10.2f  %-12.3f  %-8.3f\n",
 			name, res.FreshnessRatio, res.ValidAccessRate, res.TxPerVersion,
 			res.SourceTxShare, res.LoadGini)

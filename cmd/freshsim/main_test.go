@@ -101,6 +101,18 @@ func TestRunErrors(t *testing.T) {
 		{"-trace", path, "-preq", "NaN"},
 		{"-trace", path, "-queries", "Inf"},
 		{"-trace", path, "-loss", "NaN"},
+		// Values that crashed or silently meant "off" or "once"; 0 keeps
+		// its meaning where it has one.
+		{"-trace", path, "-items", "-1"},
+		{"-trace", path, "-obs-buffer", "0"},
+		{"-trace", path, "-obs-buffer", "-1"},
+		{"-trace", path, "-runs", "0"},
+		{"-trace", path, "-runs", "-2"},
+		{"-trace", path, "-msgtime", "-1s"},
+		{"-trace", path, "-rebuild", "-1h"},
+		{"-trace", path, "-relaycap", "-1"},
+		{"-trace", path, "-churn-up", "-1h"},
+		{"-trace", path, "-churn-down", "-1h"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -310,4 +322,52 @@ func TestRunStoreKeepsCheckpointID(t *testing.T) {
 	if got := recs[0].Resume.CellsReplayed; got != 2 {
 		t.Errorf("resumed run replayed %d cells, want 2 (did -store change the experiment ID?)", got)
 	}
+}
+
+// TestRunJournalExperimentID pins the experiment ID a replicated run
+// journals under, so journals written by earlier builds still replay, and
+// checks that none of the shared observability, store, checkpoint and
+// profiling flags moves it.
+func TestRunJournalExperimentID(t *testing.T) {
+	const want = "freshsim-7b94e154734f37f1"
+	dir := t.TempDir()
+	base := []string{"-preset", "infocom-like", "-items", "2", "-queries", "0", "-runs", "2"}
+	experiments := func(args ...string) []string {
+		t.Helper()
+		ckpt := filepath.Join(dir, "ckpt.jsonl")
+		if _, err := captureStdout(t, func() error {
+			return run(append(append(append([]string{}, base...), "-checkpoint", ckpt), args...))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+			var rec struct {
+				Experiment string `json:"experiment"`
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("journal line %q: %v", line, err)
+			}
+			ids = append(ids, rec.Experiment)
+		}
+		return ids
+	}
+	check := func(what string, ids []string) {
+		t.Helper()
+		if len(ids) != 2 || ids[0] != want || ids[1] != want {
+			t.Fatalf("%s: journal experiment IDs %v, want two of %s", what, ids, want)
+		}
+	}
+	check("plain run", experiments())
+	if err := os.Remove(filepath.Join(dir, "ckpt.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	check("every shared flag", experiments("-resume",
+		"-obs", filepath.Join(dir, "obs"), "-obs-sample", "2", "-obs-buffer", "1000",
+		"-lineage", "-timeline-tick", "1h", "-store", filepath.Join(dir, "store.jsonl"),
+		"-cpuprofile", filepath.Join(dir, "cpu.pprof"), "-memprofile", filepath.Join(dir, "mem.pprof")))
 }

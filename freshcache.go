@@ -145,11 +145,7 @@ type options struct {
 	sprayCopies     int
 	queryRelays     int
 	rebuildInterval float64
-	obsTrace        *obs.RunTrace
-	obsMetrics      *obs.Registry
-	obsLineage      *obs.Lineage
-	obsTimeline     *obs.Timeline
-	timelineTick    float64
+	rec             obs.Recording
 	reuse           *core.Reuse
 }
 
@@ -438,42 +434,20 @@ func WithRebuildInterval(interval time.Duration) Option {
 	}
 }
 
-// WithObservability attaches a per-run event trace and metric registry
-// (package internal/obs) to the simulation: the engine and scheme emit
+// WithRecording attaches one run's observability collectors (package
+// internal/obs, handed out by Observer.Open): the engine and scheme emit
 // typed events (contact begin/end, refresh scheduled/delivered,
-// replication planned, cache hit/miss, …) into tr and count hot-path
-// totals in reg. Either argument may be nil. The option exists for the
+// replication planned, cache hit/miss, …) into its trace, count hot-path
+// totals in its registry, extend a causal span tree for every generated
+// version in its lineage, and sample freshness, cumulative counts and
+// copy ages into its timeline every tick of simulated time. Any collector
+// may be nil. A timeline schedules extra simulator events, so
+// Result.SimulatedEventCount grows with it. The option exists for the
 // module's own commands; callers outside the module observe runs through
 // Result instead.
-func WithObservability(tr *obs.RunTrace, reg *obs.Registry) Option {
+func WithRecording(rec obs.Recording) Option {
 	return func(o *options) error {
-		o.obsTrace = tr
-		o.obsMetrics = reg
-		return nil
-	}
-}
-
-// WithLineage attaches a causal lineage collector: every generated version
-// gets a root span, extended at each duty assumption, relay handoff and
-// delivery, so the full generation→hop→…→delivery tree of each refresh can
-// be reconstructed afterwards. Nil is allowed (lineage off). Like
-// WithObservability, this option exists for the module's own commands.
-func WithLineage(l *obs.Lineage) Option {
-	return func(o *options) error {
-		o.obsLineage = l
-		return nil
-	}
-}
-
-// WithTimeline attaches a simulated-time telemetry sampler that snapshots
-// the freshness ratio, cumulative contact/delivery/transmission counts and
-// per-(caching node, item) copy age every tick of simulated time (tick <= 0
-// selects the engine default, measurement phase / 240). Enabling it
-// schedules extra simulator events, so Result.SimulatedEventCount grows.
-func WithTimeline(tl *obs.Timeline, tick time.Duration) Option {
-	return func(o *options) error {
-		o.obsTimeline = tl
-		o.timelineTick = tick.Seconds()
+		o.rec = rec
 		return nil
 	}
 }
@@ -594,11 +568,11 @@ func New(opts ...Option) (*Simulation, error) {
 		RebuildInterval: o.rebuildInterval,
 		QueryRelays:     o.queryRelays,
 		Churn:           network.ChurnConfig{MeanUp: o.churnUp, MeanDown: o.churnDown},
-		Obs:             o.obsTrace,
-		Metrics:         o.obsMetrics,
-		Lineage:         o.obsLineage,
-		Timeline:        o.obsTimeline,
-		TimelineTick:    o.timelineTick,
+		Obs:             o.rec.Trace,
+		Metrics:         o.rec.Metrics,
+		Lineage:         o.rec.Lineage,
+		Timeline:        o.rec.Timeline,
+		TimelineTick:    o.rec.TimelineTick,
 		Reuse:           o.reuse,
 	}
 	if o.distributed {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"freshcache/internal/obs"
 )
 
 func quickOpts(extra ...Option) []Option {
@@ -49,6 +51,29 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	if r := sim.FirstDeliveryOnTimeRatio(); r <= 0 || r > 1 {
 		t.Fatalf("on-time ratio = %v", r)
+	}
+}
+
+// TestWithRecording: every collector of an Observer's Recording reaches
+// the engine, and committing the run hands them back for export.
+func TestWithRecording(t *testing.T) {
+	o := obs.NewObserver(obs.Config{Lineage: true, TimelineTick: 3600})
+	rec := o.Open("api", "hierarchical")
+	sim, err := New(quickOpts(WithRecording(rec))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Commit(rec, res)
+	st := o.Stats()
+	if st.Runs != 1 || st.Seen == 0 || st.Spans == 0 || st.TimelinePoints == 0 {
+		t.Fatalf("recording incomplete: %+v", st)
+	}
+	if o.Registry().Counter("engine/contacts").Value() == 0 {
+		t.Fatal("registry never counted a contact")
 	}
 }
 

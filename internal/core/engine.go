@@ -250,11 +250,6 @@ type Config struct {
 	// same worker. The previous run must be fully finished — results
 	// extracted — before its Reuse is handed to a new engine.
 	Reuse *Reuse
-	// ReferenceScheduler routes pre-planned events through the dynamic
-	// heap instead of compiled static timelines. Dispatch order is
-	// identical by construction; the mode exists for the differential
-	// determinism tests and costs the old per-event heap overhead.
-	ReferenceScheduler bool
 }
 
 func (c *Config) withDefaults() Config {
@@ -403,9 +398,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cContacts:   cfg.Metrics.Counter("engine/contacts"),
 		cDeliveries: cfg.Metrics.Counter("engine/deliveries"),
 		cQueryDrops: cfg.Metrics.Counter("engine/query_drops"),
-	}
-	if cfg.ReferenceScheduler {
-		e.sim.SetHeapOnly(true)
 	}
 	e.epoch = cfg.Trace.Duration * cfg.WarmupFraction
 	e.horizon = cfg.Trace.Duration

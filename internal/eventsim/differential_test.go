@@ -63,7 +63,6 @@ func TestPendingCountsStaticRemains(t *testing.T) {
 
 func TestResetClearsEverything(t *testing.T) {
 	s := New()
-	s.SetHeapOnly(true)
 	s.SetProcessedHook(func(uint64, int) {})
 	mustSchedule(t, s, 1, func(float64) {})
 	mustSchedule(t, s, 9, func(float64) {})
@@ -75,8 +74,7 @@ func TestResetClearsEverything(t *testing.T) {
 		t.Fatalf("after Reset: now=%v pending=%d scheduled=%d processed=%d",
 			s.Now(), s.Pending(), s.Scheduled(), s.Processed())
 	}
-	// Reset also cleared heapOnly, so a fresh attach installs a real
-	// cursor stream rather than falling back to per-event heap entries.
+	// A fresh attach installs a cursor stream, not per-event heap entries.
 	var got []string
 	if err := s.AttachTimeline([]StaticEvent{{Time: 2, Arg: 7}}, func(arg int32, now float64) {
 		got = append(got, record("tl", now, arg))
@@ -94,22 +92,11 @@ func TestResetClearsEverything(t *testing.T) {
 	}
 }
 
-func TestHeapOnlyAfterAttachPanics(t *testing.T) {
-	s := New()
-	if err := s.AttachTimeline([]StaticEvent{{Time: 1}}, func(int32, float64) {}); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetHeapOnly after AttachTimeline did not panic")
-		}
-	}()
-	s.SetHeapOnly(true)
-}
-
 // buildMixed replays one fuzz-derived schedule of timeline appends,
-// timeline attaches and dynamic events against a simulator in either
-// two-stream or heap-only mode, and returns the dispatch order.
+// timeline attaches and dynamic events against a simulator and returns the
+// dispatch order. With reference set, each timeline is not attached but
+// fed to the heap through one ScheduleAt per event at the attach point:
+// the single-heap order the two-stream scheduler must reproduce.
 //
 // Byte decoding (per op byte b): kind = b%4, time = float64((b/4)%8).
 //   - kind 0/1: append an event at `time` (clamped non-decreasing) to the
@@ -124,10 +111,9 @@ func TestHeapOnlyAfterAttachPanics(t *testing.T) {
 // Any builders left over are attached at the end, then the run happens in
 // two legs (horizon 4.0, then 100) to cross the horizon with live
 // cursors.
-func buildMixed(t *testing.T, data []byte, heapOnly bool) (order []string, pendingAtHorizon int, processed uint64) {
+func buildMixed(t *testing.T, data []byte, reference bool) (order []string, pendingAtHorizon int, processed uint64) {
 	t.Helper()
 	s := New()
-	s.SetHeapOnly(heapOnly)
 	dispatchFor := func(label string) Dispatch {
 		return func(arg int32, now float64) {
 			order = append(order, record(label, now, arg))
@@ -139,8 +125,17 @@ func buildMixed(t *testing.T, data []byte, heapOnly bool) (order []string, pendi
 		if len(events) == 0 {
 			return
 		}
-		if err := s.AttachTimeline(events, dispatchFor(label)); err != nil {
-			t.Fatalf("attach %s: %v", label, err)
+		dispatch := dispatchFor(label)
+		if !reference {
+			if err := s.AttachTimeline(events, dispatch); err != nil {
+				t.Fatalf("attach %s: %v", label, err)
+			}
+			return
+		}
+		for _, ev := range events {
+			if _, err := s.ScheduleAt(ev.Time, func(now float64) { dispatch(ev.Arg, now) }); err != nil {
+				t.Fatalf("schedule %s: %v", label, err)
+			}
 		}
 	}
 	clampAppend := func(bld []StaticEvent, tm float64, arg int32) []StaticEvent {
@@ -195,7 +190,7 @@ func buildMixed(t *testing.T, data []byte, heapOnly bool) (order []string, pendi
 // FuzzStaticDynamicTieBreak is the differential oracle for the two-stream
 // scheduler: any interleaving of timeline attaches and dynamic events —
 // with heavy equal-time collisions by construction (times live in 0..7) —
-// must dispatch in exactly the order the single-heap reference mode
+// must dispatch in exactly the order buildMixed's single-heap reference
 // produces, with identical horizon-pending counts and processed totals.
 func FuzzStaticDynamicTieBreak(f *testing.F) {
 	f.Add([]byte{})

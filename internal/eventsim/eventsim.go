@@ -125,10 +125,6 @@ type Simulator struct {
 	nextSeq uint64
 	running bool
 	stopped bool
-	// heapOnly forces AttachTimeline to fall back to per-event ScheduleAt,
-	// turning the simulator into the single-heap reference implementation
-	// the differential determinism tests compare against.
-	heapOnly bool
 	// free holds recycled event structs for reuse by ScheduleAt.
 	free []*event
 	// processed counts events executed, for diagnostics and scalability
@@ -152,18 +148,6 @@ func (s *Simulator) SetProcessedHook(f func(processed uint64, pending int)) {
 // list.
 func New() *Simulator {
 	return &Simulator{}
-}
-
-// SetHeapOnly switches the simulator into single-heap reference mode:
-// AttachTimeline schedules every static event through ScheduleAt instead
-// of installing a cursor stream. Dispatch order is identical by
-// construction; the mode exists so differential tests can assert that.
-// Must be called before any timeline is attached.
-func (s *Simulator) SetHeapOnly(v bool) {
-	if len(s.streams) > 0 {
-		panic("eventsim: SetHeapOnly after AttachTimeline")
-	}
-	s.heapOnly = v
 }
 
 // Now returns the current simulated time. During an event handler this is
@@ -223,23 +207,6 @@ func (s *Simulator) AttachTimeline(events []StaticEvent, dispatch Dispatch) erro
 			return fmt.Errorf("%w: events[%d]=%v after events[%d]=%v",
 				ErrUnsorted, i-1, events[i-1].Time, i, events[i].Time)
 		}
-	}
-	if s.heapOnly {
-		// Reference mode: feed the heap one event at a time. Events fire
-		// in (time, seq) = slice order, so a single cursor closure
-		// suffices and Arg delivery matches the streamed path.
-		cursor := 0
-		h := func(now float64) {
-			arg := events[cursor].Arg
-			cursor++
-			dispatch(arg, now)
-		}
-		for i := range events {
-			if _, err := s.ScheduleAt(events[i].Time, h); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	s.streams = append(s.streams, timeline{
 		events:   events,
@@ -348,7 +315,6 @@ func (s *Simulator) Reset() {
 	s.nextSeq = 0
 	s.processed = 0
 	s.stopped = false
-	s.heapOnly = false
 	s.onProcessed = nil
 }
 

@@ -55,10 +55,6 @@ type Options struct {
 	// KeepGoing runs sweeps in degradation mode: cell failures no longer
 	// abort the grid; failed cells become explicit NA table holes.
 	KeepGoing bool
-	// ReferenceScheduler runs every cell on the single-heap reference
-	// event core instead of the two-stream scheduler. Differential
-	// determinism tests only — it is strictly slower.
-	ReferenceScheduler bool
 	// Costs, when non-nil, collects per-cell cost attribution (wall time,
 	// attempts, single-worker alloc deltas, optional CPU profiles) across
 	// every sweep for the cross-run results store.
@@ -100,28 +96,20 @@ func cellLabel(c Cell) string {
 }
 
 // runScenario runs one labelled scenario with the options' observability
-// attached: the run gets its own event trace, lineage, timeline and the
-// shared registry, and a successful result is folded into Stats and the
-// per-scheme roll-ups. Failed runs commit nothing, so exports only carry
+// attached: the run records into its own Recording and the shared
+// registry, and a successful result is folded into Stats and committed
+// with the recording. Failed runs commit nothing, so exports only carry
 // completed cells.
 func (o Options) runScenario(label string, sc Scenario, scheme core.Scheme, tr *trace.Trace) (metrics.Result, *core.Engine, error) {
-	rt := o.Obs.Run(label)
-	lin := o.Obs.RunLineage(label, scheme.Name())
-	tl := o.Obs.RunTimeline(label)
-	sc.Obs = rt
-	sc.Metrics = o.Obs.Registry()
-	sc.Lineage = lin
-	sc.Timeline = tl
-	sc.TimelineTick = o.Obs.TimelineTick()
+	rec := o.Obs.Open(label, scheme.Name())
+	sc.Obs, sc.Metrics = rec.Trace, rec.Metrics
+	sc.Lineage, sc.Timeline, sc.TimelineTick = rec.Lineage, rec.Timeline, rec.TimelineTick
 	res, eng, err := sc.RunOnTrace(scheme, tr)
 	if err != nil {
 		return res, eng, err
 	}
 	o.record(res)
-	o.Obs.Commit(rt)
-	o.Obs.CommitLineage(lin)
-	o.Obs.CommitTimeline(tl)
-	o.Obs.RecordRun(res.Scheme, res)
+	o.Obs.Commit(rec, res)
 	return res, eng, nil
 }
 
@@ -293,7 +281,6 @@ func runSweepCell(opts Options, c Cell, mutate func(sc *Scenario), extract func(
 		return nil, err
 	}
 	sc.ContactTimeline = tl
-	sc.ReferenceScheduler = opts.ReferenceScheduler
 	reuse := getReuse()
 	defer putReuse(reuse)
 	sc.Reuse = reuse

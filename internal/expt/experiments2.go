@@ -121,11 +121,10 @@ func runExtCell(opts Options, c Cell, mutate func(*core.Config)) (metrics.Result
 	if err != nil {
 		return metrics.Result{}, err
 	}
-	rt := opts.Obs.Run(cellLabel(c))
+	rec := opts.Obs.Open(cellLabel(c), c.Scheme)
 	res, err := runExtOn(tr, c.Seed, c.Scheme, func(cfg *core.Config) {
-		cfg.Obs = rt
-		cfg.Metrics = opts.Obs.Registry()
-		cfg.ReferenceScheduler = opts.ReferenceScheduler
+		cfg.Obs, cfg.Metrics = rec.Trace, rec.Metrics
+		cfg.Lineage, cfg.Timeline, cfg.TimelineTick = rec.Lineage, rec.Timeline, rec.TimelineTick
 		if mutate != nil {
 			mutate(cfg)
 		}
@@ -134,8 +133,7 @@ func runExtCell(opts Options, c Cell, mutate func(*core.Config)) (metrics.Result
 		return metrics.Result{}, err
 	}
 	opts.record(res)
-	opts.Obs.Commit(rt)
-	opts.Obs.RecordRun(res.Scheme, res)
+	opts.Obs.Commit(rec, res)
 	return res, nil
 }
 

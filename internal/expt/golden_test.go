@@ -103,22 +103,23 @@ func TestQuickE2Golden(t *testing.T) {
 }
 
 // TestQuickE11Golden pins quick E11 (churn and message loss), whose
-// serving order depends on loss draws and on nodes going down mid-run.
-// Its cells record events but no lineage.
+// serving order depends on loss draws and on nodes going down mid-run:
+// its tables and every export, as for E2.
 func TestQuickE11Golden(t *testing.T) {
-	checkQuickGolden(t, "E11", e11GoldenJSON, "events")
+	checkQuickGolden(t, "E11", e11GoldenJSON, "events", "lineage", "timeline", "openmetrics")
 }
 
 // TestQuickE16Golden pins quick E16 (LRU and LFU stores under capacity),
 // whose eviction order depends on every lookup a served query makes. E16
-// records no events or lineage, so only its tables are pinned.
+// builds its engines outside the sweep and records nothing, so only its
+// tables are pinned.
 func TestQuickE16Golden(t *testing.T) {
 	checkQuickGolden(t, "E16", e16GoldenJSON)
 }
 
 // TestQuickE18Golden pins quick E18 (query delegation), which shares the
-// contact budget between direct serving and relayed fetches. Its cells
-// record events but no lineage.
+// contact budget between direct serving and relayed fetches: its tables
+// and every export, as for E2.
 func TestQuickE18Golden(t *testing.T) {
-	checkQuickGolden(t, "E18", e18GoldenJSON, "events")
+	checkQuickGolden(t, "E18", e18GoldenJSON, "events", "lineage", "timeline", "openmetrics")
 }

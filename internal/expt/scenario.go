@@ -45,9 +45,6 @@ type Scenario struct {
 	// (see core.Reuse). Only set when the engine is not inspected after
 	// the run's results have been extracted.
 	Reuse *core.Reuse
-	// ReferenceScheduler forces the single-heap reference event core
-	// (differential determinism tests only).
-	ReferenceScheduler bool
 }
 
 // defaultScenario is the base point of every sweep, matching the paper
@@ -137,9 +134,8 @@ func (sc Scenario) RunOnTrace(scheme core.Scheme, tr *trace.Trace) (metrics.Resu
 		Timeline:        sc.Timeline,
 		TimelineTick:    sc.TimelineTick,
 
-		ContactTimeline:    sc.ContactTimeline,
-		Reuse:              sc.Reuse,
-		ReferenceScheduler: sc.ReferenceScheduler,
+		ContactTimeline: sc.ContactTimeline,
+		Reuse:           sc.Reuse,
 	}
 	if sc.QueryRate > 0 {
 		cfg.Workload = cache.WorkloadConfig{QueryRate: sc.QueryRate, ZipfExponent: 1.0}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"freshcache/internal/metrics"
 )
 
 // TestLineageNilSafety: every method must no-op (and hand back the "no
@@ -170,27 +172,24 @@ func TestTimelineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestObserverLineageTimelineGating: collectors exist only when configured,
-// and flushes order committed runs by label.
+// TestObserverLineageTimelineGating: a run's lineage and timeline exist
+// only when configured, and flushes order committed runs by label.
 func TestObserverLineageTimelineGating(t *testing.T) {
-	off := NewObserver(Config{})
-	if off.RunLineage("a", "s") != nil || off.RunTimeline("a") != nil {
-		t.Fatal("collectors handed out while disabled")
-	}
-	if off.LineageEnabled() || off.TimelineTick() != 0 {
-		t.Fatal("off observer reports enabled")
+	off := NewObserver(Config{}).Open("a", "s")
+	if off.Trace == nil || off.Lineage != nil || off.Timeline != nil || off.TimelineTick != 0 {
+		t.Fatalf("off observer opened %+v", off)
 	}
 
 	on := NewObserver(Config{Lineage: true, TimelineTick: -1})
-	if !on.LineageEnabled() || on.TimelineTick() != -1 {
-		t.Fatal("on observer reports disabled")
+	rb := on.Open("b", "s2")
+	ra := on.Open("a", "s1")
+	if rb.Lineage == nil || rb.Timeline == nil || rb.TimelineTick != -1 {
+		t.Fatalf("on observer opened %+v", rb)
 	}
-	lb := on.RunLineage("b", "s2")
-	la := on.RunLineage("a", "s1")
-	lb.Generate(0, 1, 1, 0)
-	la.Generate(0, 2, 1, 0)
-	on.CommitLineage(lb)
-	on.CommitLineage(la)
+	rb.Lineage.Generate(0, 1, 1, 0)
+	ra.Lineage.Generate(0, 2, 1, 0)
+	on.Commit(rb, metrics.Result{Scheme: "s2"})
+	on.Commit(ra, metrics.Result{Scheme: "s1"})
 	var buf bytes.Buffer
 	if err := on.WriteLineageJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -201,7 +200,7 @@ func TestObserverLineageTimelineGating(t *testing.T) {
 	}
 
 	st := on.Stats()
-	if st.Spans != 2 {
-		t.Fatalf("stats spans = %d, want 2", st.Spans)
+	if st.Runs != 2 || st.Spans != 2 {
+		t.Fatalf("stats runs = %d, spans = %d, want 2 and 2", st.Runs, st.Spans)
 	}
 }

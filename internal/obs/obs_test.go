@@ -46,16 +46,15 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var o *Observer
-	if o.Registry() != nil || o.Run("x") != nil {
+	if o.Registry() != nil || o.Open("x", "s") != (Recording{}) {
 		t.Fatal("nil observer handed out state")
 	}
-	o.Commit(nil)
+	o.Commit(Recording{}, metrics.Result{})
 	o.CellQueued(3)
 	o.CellDone()
 	o.CellFailed()
 	o.CellSkipped()
 	o.CellReplayed()
-	o.RecordRun("s", metrics.Result{})
 	if err := o.WriteJSONL(&buf); err != nil {
 		t.Fatalf("nil observer JSONL: %v", err)
 	}
@@ -205,15 +204,15 @@ func TestKindRoundTrip(t *testing.T) {
 func TestObserverFlushOrderAndDeterminism(t *testing.T) {
 	build := func(commitOrder []string) ([]byte, []byte) {
 		o := NewObserver(Config{})
-		byLabel := make(map[string]*RunTrace)
+		byLabel := make(map[string]Recording)
 		for _, label := range []string{"a", "b", "c"} {
-			tr := o.Run(label)
-			tr.Emit(Event{T: 1, Kind: KindContactBegin, A: 0, B: 1, Item: -1, Ver: -1, Val: 10})
-			tr.Emit(Event{T: 11, Kind: KindContactEnd, A: 0, B: 1, Item: -1, Ver: -1})
-			byLabel[label] = tr
+			rec := o.Open(label, "s")
+			rec.Trace.Emit(Event{T: 1, Kind: KindContactBegin, A: 0, B: 1, Item: -1, Ver: -1, Val: 10})
+			rec.Trace.Emit(Event{T: 11, Kind: KindContactEnd, A: 0, B: 1, Item: -1, Ver: -1})
+			byLabel[label] = rec
 		}
 		for _, label := range commitOrder {
-			o.Commit(byLabel[label])
+			o.Commit(byLabel[label], metrics.Result{})
 		}
 		var jl, ct bytes.Buffer
 		if err := o.WriteJSONL(&jl); err != nil {
@@ -244,14 +243,13 @@ func TestObserverConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr := o.Run(string(rune('a' + i)))
+			rec := o.Open(string(rune('a'+i)), "scheme")
 			for j := 0; j < 100; j++ {
-				tr.Emit(Event{T: float64(j), Kind: KindGenerate, A: -1, B: -1, Item: -1, Ver: -1})
+				rec.Trace.Emit(Event{T: float64(j), Kind: KindGenerate, A: -1, B: -1, Item: -1, Ver: -1})
 			}
-			o.Commit(tr)
 			h := metrics.NewHist(metrics.DelayBuckets())
 			h.Observe(float64(i))
-			o.RecordRun("scheme", metrics.Result{DeliveryDelayHist: h, RefreshAgeHist: h.Clone()})
+			o.Commit(rec, metrics.Result{Scheme: "scheme", DeliveryDelayHist: h, RefreshAgeHist: h.Clone()})
 			o.CellDone()
 		}()
 	}
@@ -316,12 +314,13 @@ type chromeEvent struct {
 
 func TestChromeTraceSchema(t *testing.T) {
 	o := NewObserver(Config{})
-	tr := o.Run("E2/x/p00/hier/r0")
+	rec := o.Open("E2/x/p00/hier/r0", "hierarchical")
+	tr := rec.Trace
 	tr.Emit(Event{T: 5, Kind: KindContactBegin, A: 1, B: 2, Item: -1, Ver: -1, Val: 30})
 	tr.Emit(Event{T: 6, Kind: KindRefreshDelivered, A: 1, B: 4, Item: 0, Ver: 2, Val: 12})
 	tr.Emit(Event{T: 35, Kind: KindContactEnd, A: 1, B: 2, Item: -1, Ver: -1})
 	tr.Emit(Event{T: 40, Kind: KindCacheHit, A: 9, B: 4, Item: 0, Ver: 2, Val: 7})
-	o.Commit(tr)
+	o.Commit(rec, metrics.Result{})
 
 	var buf bytes.Buffer
 	if err := o.WriteChromeTrace(&buf); err != nil {

@@ -15,39 +15,36 @@ type Config struct {
 	SampleEvery int
 	// BufferCap bounds the per-run ring buffer (DefaultBufferCap if 0).
 	BufferCap int
-	// Lineage enables causal span collection for each run; RunLineage
-	// returns nil when it is false.
+	// Lineage gives each run a causal span collector.
 	Lineage bool
 	// LineageCap bounds per-run span storage (DefaultLineageCap if 0).
 	LineageCap int
-	// TimelineTick enables simulated-time telemetry sampling on the given
-	// sim-time period in seconds; 0 disables (RunTimeline returns nil) and
-	// a negative value asks the engine to pick a default tick.
+	// TimelineTick gives each run a simulated-time telemetry sampler on the
+	// given sim-time period in seconds; 0 disables it and a negative value
+	// asks the engine to pick a default tick.
 	TimelineTick float64
 	// TimelineCap bounds per-run point storage (DefaultTimelineCap if 0).
 	TimelineCap int
 }
 
-// Observer is the sweep/experiment-level sink: it hands out per-run
-// traces, collects the committed ones, rolls per-scheme result histograms
+// Observer is the sweep/experiment-level sink: it hands out one Recording
+// per run, collects the committed ones, rolls per-scheme result histograms
 // up, and tracks sweep progress. All methods are safe for concurrent use
 // and no-ops on a nil receiver, so `-obs` off means passing nil around.
 //
-// Determinism contract: each run writes only to its own RunTrace (no
-// cross-run interleaving), and flushes order committed traces by label
-// with run order inside each label preserved. Output bytes therefore do
-// not depend on how many sweep workers ran, only on the set of runs.
+// Determinism contract: each run writes only to its own Recording (no
+// cross-run interleaving), and flushes order committed runs by label with
+// commit order inside one label preserved. Output bytes therefore do not
+// depend on how many sweep workers ran, only on the set of runs.
 type Observer struct {
 	cfg Config
 	// Metrics is the process-wide registry backing the observer's
 	// counters; exported so CLIs can snapshot it into manifests/expvar.
 	Metrics *Registry
 
-	mu        sync.Mutex
-	traces    []*RunTrace
-	lineages  []*Lineage
-	timelines []*Timeline
-	scheme    map[string]*schemeRollup
+	mu     sync.Mutex
+	runs   []Recording
+	scheme map[string]*schemeRollup
 
 	cellsQueued   *Counter
 	cellsDone     *Counter
@@ -55,6 +52,21 @@ type Observer struct {
 	cellsSkipped  *Counter
 	cellsReplayed *Counter
 	queueDepth    *Gauge
+}
+
+// Recording is one run's collectors, handed out by Observer.Open and
+// handed back through Observer.Commit. Lineage and Timeline are nil unless
+// the observer's Config asks for them, and every field is zero for a nil
+// observer; the engine treats nil collectors as off.
+type Recording struct {
+	Label    string
+	Trace    *RunTrace
+	Metrics  *Registry
+	Lineage  *Lineage
+	Timeline *Timeline
+	// TimelineTick is Timeline's sampling period in simulated seconds
+	// (negative = engine default).
+	TimelineTick float64
 }
 
 type schemeRollup struct {
@@ -98,75 +110,51 @@ func (o *Observer) Registry() *Registry {
 	return o.Metrics
 }
 
-// Run returns a fresh trace for one labelled run. The caller owns it until
-// Commit.
-func (o *Observer) Run(label string) *RunTrace {
+// Open returns fresh collectors for one labelled run of the named scheme.
+// The caller owns them until Commit.
+func (o *Observer) Open(label, scheme string) Recording {
 	if o == nil {
-		return nil
+		return Recording{}
 	}
-	return NewRunTrace(label, o.cfg.SampleEvery, o.cfg.BufferCap)
-}
-
-// Commit hands a finished run's trace back to the observer.
-func (o *Observer) Commit(t *RunTrace) {
-	if o == nil || t == nil {
-		return
+	rec := Recording{
+		Label:   label,
+		Trace:   NewRunTrace(label, o.cfg.SampleEvery, o.cfg.BufferCap),
+		Metrics: o.Metrics,
 	}
-	o.mu.Lock()
-	o.traces = append(o.traces, t)
-	o.mu.Unlock()
-}
-
-// RunLineage returns a fresh lineage collector for one labelled run, or
-// nil when lineage is off — scheme instrumentation is nil-safe either way.
-func (o *Observer) RunLineage(label, scheme string) *Lineage {
-	if o == nil || !o.cfg.Lineage {
-		return nil
+	if o.cfg.Lineage {
+		rec.Lineage = NewLineage(label, scheme, o.cfg.LineageCap)
 	}
-	return NewLineage(label, scheme, o.cfg.LineageCap)
-}
-
-// CommitLineage hands a finished run's lineage back to the observer.
-func (o *Observer) CommitLineage(l *Lineage) {
-	if o == nil || l == nil {
-		return
+	if o.cfg.TimelineTick != 0 {
+		rec.Timeline = NewTimeline(label, o.cfg.TimelineCap)
+		rec.TimelineTick = o.cfg.TimelineTick
 	}
-	o.mu.Lock()
-	o.lineages = append(o.lineages, l)
-	o.mu.Unlock()
+	return rec
 }
 
-// RunTimeline returns a fresh timeline for one labelled run, or nil when
-// timeline sampling is off (TimelineTick == 0).
-func (o *Observer) RunTimeline(label string) *Timeline {
-	if o == nil || o.cfg.TimelineTick == 0 {
-		return nil
-	}
-	return NewTimeline(label, o.cfg.TimelineCap)
-}
-
-// LineageEnabled reports whether lineage collection is on.
-func (o *Observer) LineageEnabled() bool {
-	return o != nil && o.cfg.Lineage
-}
-
-// TimelineTick returns the configured sim-time sampling period (0 = off,
-// negative = engine default).
-func (o *Observer) TimelineTick() float64 {
+// Commit hands a finished run back to the observer: its collectors join
+// the exports and its result joins its scheme's roll-up. Failed runs are
+// not committed, so exports carry completed runs only.
+func (o *Observer) Commit(rec Recording, r metrics.Result) {
 	if o == nil {
-		return 0
-	}
-	return o.cfg.TimelineTick
-}
-
-// CommitTimeline hands a finished run's timeline back to the observer.
-func (o *Observer) CommitTimeline(tl *Timeline) {
-	if o == nil || tl == nil {
 		return
 	}
 	o.mu.Lock()
-	o.timelines = append(o.timelines, tl)
-	o.mu.Unlock()
+	defer o.mu.Unlock()
+	o.runs = append(o.runs, rec)
+	ru := o.scheme[r.Scheme]
+	if ru == nil {
+		ru = &schemeRollup{
+			delayHist: metrics.NewHist(metrics.DelayBuckets()),
+			ageHist:   metrics.NewHist(metrics.DelayBuckets()),
+		}
+		o.scheme[r.Scheme] = ru
+	}
+	ru.runs++
+	ru.transmissions += r.Transmissions
+	ru.deliveries += r.Deliveries
+	ru.generated += r.VersionsGenerated
+	ru.delayHist.Merge(r.DeliveryDelayHist)
+	ru.ageHist.Merge(r.RefreshAgeHist)
 }
 
 // CellQueued notes that n sweep cells were enqueued.
@@ -227,30 +215,6 @@ func (o *Observer) updateQueueDepth() {
 	o.queueDepth.Set(float64(o.cellsQueued.Value() - settled))
 }
 
-// RecordRun folds one run's aggregated result into the per-scheme
-// roll-ups.
-func (o *Observer) RecordRun(scheme string, r metrics.Result) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	ru := o.scheme[scheme]
-	if ru == nil {
-		ru = &schemeRollup{
-			delayHist: metrics.NewHist(metrics.DelayBuckets()),
-			ageHist:   metrics.NewHist(metrics.DelayBuckets()),
-		}
-		o.scheme[scheme] = ru
-	}
-	ru.runs++
-	ru.transmissions += r.Transmissions
-	ru.deliveries += r.Deliveries
-	ru.generated += r.VersionsGenerated
-	ru.delayHist.Merge(r.DeliveryDelayHist)
-	ru.ageHist.Merge(r.RefreshAgeHist)
-}
-
 // SchemeRollup is the published per-scheme roll-up: merged result
 // histograms plus the cost/benefit totals reports need (transmissions per
 // delivered refresh, per generated version).
@@ -287,16 +251,16 @@ func (o *Observer) SchemeRollups() []SchemeRollup {
 	return out
 }
 
-// sortedTraces returns the committed traces ordered by label (stable, so
-// multiple commits under one label keep commit order — only meaningful
-// when labels are unique, which the expt layer guarantees).
-func (o *Observer) sortedTraces() []*RunTrace {
+// sortedRuns returns the committed runs ordered by label (stable, so
+// several commits under one label keep commit order; labels are unique
+// within a sweep, where they are the cell's grid coordinates).
+func (o *Observer) sortedRuns() []Recording {
 	o.mu.Lock()
-	ts := make([]*RunTrace, len(o.traces))
-	copy(ts, o.traces)
+	runs := make([]Recording, len(o.runs))
+	copy(runs, o.runs)
 	o.mu.Unlock()
-	sort.SliceStable(ts, func(i, j int) bool { return ts[i].Label < ts[j].Label })
-	return ts
+	sort.SliceStable(runs, func(i, j int) bool { return runs[i].Label < runs[j].Label })
+	return runs
 }
 
 // EventStats sums trace, lineage and timeline volume across committed
@@ -322,19 +286,15 @@ func (o *Observer) Stats() EventStats {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for _, t := range o.traces {
+	for _, r := range o.runs {
 		s.Runs++
-		s.Seen += t.Seen()
-		s.Buffered += uint64(t.Len())
-		s.Dropped += t.Dropped()
-	}
-	for _, l := range o.lineages {
-		s.Spans += uint64(l.Len())
-		s.SpansDropped += l.Dropped()
-	}
-	for _, tl := range o.timelines {
-		s.TimelinePoints += uint64(tl.Len())
-		s.TimelineDropped += tl.Dropped()
+		s.Seen += r.Trace.Seen()
+		s.Buffered += uint64(r.Trace.Len())
+		s.Dropped += r.Trace.Dropped()
+		s.Spans += uint64(r.Lineage.Len())
+		s.SpansDropped += r.Lineage.Dropped()
+		s.TimelinePoints += uint64(r.Timeline.Len())
+		s.TimelineDropped += r.Timeline.Dropped()
 	}
 	return s
 }
@@ -345,8 +305,8 @@ func (o *Observer) WriteJSONL(w io.Writer) error {
 	if o == nil {
 		return nil
 	}
-	for _, t := range o.sortedTraces() {
-		if err := t.WriteJSONL(w); err != nil {
+	for _, r := range o.sortedRuns() {
+		if err := r.Trace.WriteJSONL(w); err != nil {
 			return err
 		}
 	}
@@ -359,17 +319,12 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	if o == nil {
 		return writeChromeTraces(w, nil)
 	}
-	return writeChromeTraces(w, o.sortedTraces())
-}
-
-// sortedLineages returns the committed lineages ordered by label.
-func (o *Observer) sortedLineages() []*Lineage {
-	o.mu.Lock()
-	ls := make([]*Lineage, len(o.lineages))
-	copy(ls, o.lineages)
-	o.mu.Unlock()
-	sort.SliceStable(ls, func(i, j int) bool { return ls[i].Label < ls[j].Label })
-	return ls
+	runs := o.sortedRuns()
+	traces := make([]*RunTrace, len(runs))
+	for i, r := range runs {
+		traces[i] = r.Trace
+	}
+	return writeChromeTraces(w, traces)
 }
 
 // WriteLineageJSONL flushes every committed lineage as JSON Lines, runs in
@@ -379,8 +334,8 @@ func (o *Observer) WriteLineageJSONL(w io.Writer) error {
 	if o == nil {
 		return nil
 	}
-	for _, l := range o.sortedLineages() {
-		if err := l.WriteJSONL(w); err != nil {
+	for _, r := range o.sortedRuns() {
+		if err := r.Lineage.WriteJSONL(w); err != nil {
 			return err
 		}
 	}
@@ -397,13 +352,8 @@ func (o *Observer) WriteTimelineCSV(w io.Writer) error {
 	if _, err := io.WriteString(w, TimelineCSVHeader+"\n"); err != nil {
 		return err
 	}
-	o.mu.Lock()
-	tls := make([]*Timeline, len(o.timelines))
-	copy(tls, o.timelines)
-	o.mu.Unlock()
-	sort.SliceStable(tls, func(i, j int) bool { return tls[i].Label < tls[j].Label })
-	for _, tl := range tls {
-		if err := tl.WriteCSV(w); err != nil {
+	for _, r := range o.sortedRuns() {
+		if err := r.Timeline.WriteCSV(w); err != nil {
 			return err
 		}
 	}
