@@ -29,7 +29,6 @@ import (
 	"freshcache/internal/expt"
 	"freshcache/internal/metrics"
 	"freshcache/internal/obs"
-	"freshcache/internal/obs/store"
 )
 
 func main() {
@@ -118,9 +117,10 @@ func run(args []string) error {
 	}
 	observer, ledger := rf.Observer, rf.Ledger
 
-	// Per-cell cost attribution for the store and -profile-slowest. Alloc
-	// deltas and profiles are only meaningful when cells run strictly
-	// sequentially, so they're granted only at -parallel 1.
+	// Per-cell cost attribution for the stored manifest and
+	// -profile-slowest. Alloc deltas and profiles are only meaningful when
+	// cells run strictly sequentially, so they're granted only at
+	// -parallel 1.
 	var costs *expt.CellCosts
 	if rf.Store != "" || *profileSlowest > 0 {
 		costs = expt.NewCellCosts(*profileSlowest, *par == 1)
@@ -192,13 +192,13 @@ func run(args []string) error {
 		outputs = append(outputs, profs...)
 	}
 
-	// The manifest goes next to the CSVs when -csv is given, and into the
-	// obs directory when -obs is. The store record appends after all
-	// tables are printed, and also for keep-going runs with failures (the
-	// dispositions are part of the history worth querying). Its digest
-	// covers result-determining configuration only, so runs differing
-	// merely in execution policy (-parallel, -retries, checkpointing)
-	// compare as the same configuration in the store.
+	// The manifest goes next to the CSVs when -csv is given, into the obs
+	// directory when -obs is, and onto the store when -store is. It is
+	// written after all tables are printed, and also for keep-going runs
+	// with failures (the dispositions are part of the history worth
+	// querying). Its digest covers result-determining configuration only,
+	// so runs differing merely in execution policy (-parallel, -retries,
+	// checkpointing) compare as the same configuration in the store.
 	if err := rf.Finish(expt.RunReport{
 		Seed: *seed,
 		Config: map[string]any{
@@ -209,7 +209,7 @@ func run(args []string) error {
 			"keepGoing": *keepGoing, "retries": *retries,
 			"store": rf.Store, "profileSlowest": *profileSlowest,
 		},
-		Digest: store.ConfigDigest(map[string]any{
+		Digest: obs.ConfigDigest(map[string]any{
 			"run": *only, "quick": *quick, "replicates": *reps, "timings": *timings,
 		}),
 		Outputs:      outputs,

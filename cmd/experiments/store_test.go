@@ -7,32 +7,41 @@ import (
 	"reflect"
 	"testing"
 
-	"freshcache/internal/obs/store"
+	"freshcache/internal/obs"
 )
 
-// TestRunStoreAppendsRecord: every -store invocation appends one record
-// joining provenance with the metric snapshot, per-cell costs and ledger
-// dispositions; repeated same-seed runs append records whose
-// result-carrying fields are identical.
+// TestRunStoreAppendsRecord: every -store invocation appends its manifest,
+// with the metric snapshot, per-cell costs and ledger dispositions, as one
+// line, equal to the manifest.json it writes; repeated same-seed runs
+// append records whose result-carrying fields are identical.
 func TestRunStoreAppendsRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.jsonl")
-	for i := 0; i < 2; i++ {
-		if err := run([]string{"-run", "E2", "-quick", "-store", path}); err != nil {
-			t.Fatal(err)
-		}
+	dir := t.TempDir()
+	path, obsDir := filepath.Join(dir, "store.jsonl"), filepath.Join(dir, "obs")
+	if err := run([]string{"-run", "E2", "-quick", "-store", path}); err != nil {
+		t.Fatal(err)
 	}
-	recs, err := store.Read(path)
+	if err := run([]string{"-run", "E2", "-quick", "-obs", obsDir, "-store", path}); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 {
 		t.Fatalf("store holds %d records, want 2", len(recs))
 	}
+	written, err := obs.ReadManifest(filepath.Join(obsDir, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(recs[1], *written) {
+		t.Errorf("store record differs from manifest.json:\n%+v\n%+v", recs[1], *written)
+	}
 	r := recs[0]
 	if r.Tool != "experiments" || r.Seed != 42 || r.ConfigDigest == "" {
 		t.Fatalf("record provenance: %+v", r)
 	}
-	if r.Metrics["engine/contacts"] <= 0 {
+	if r.Metrics == nil || r.Metrics.Counters["engine/contacts"] <= 0 {
 		t.Errorf("record metrics missing engine/contacts: %v", r.Metrics)
 	}
 	if len(r.Cells) == 0 {
@@ -50,14 +59,14 @@ func TestRunStoreAppendsRecord(t *testing.T) {
 		t.Errorf("record resume summary: %+v", r.Resume)
 	}
 
-	// Determinism modulo provenance/timing: metrics, histogram totals,
+	// Determinism modulo provenance/timing: metrics, roll-ups,
 	// dispositions and digest match across same-seed runs.
 	a, b := recs[0], recs[1]
 	if !reflect.DeepEqual(a.Metrics, b.Metrics) {
 		t.Errorf("metrics differ across same-seed runs:\n%v\n%v", a.Metrics, b.Metrics)
 	}
-	if !reflect.DeepEqual(a.Histograms, b.Histograms) {
-		t.Error("histograms differ across same-seed runs")
+	if !reflect.DeepEqual(a.SchemeStats, b.SchemeStats) {
+		t.Error("scheme roll-ups differ across same-seed runs")
 	}
 	if a.ConfigDigest != b.ConfigDigest || *a.Resume != *b.Resume || len(a.Cells) != len(b.Cells) {
 		t.Errorf("records not comparable: %+v vs %+v", a, b)
@@ -85,19 +94,22 @@ func TestRunStoreDeterministicAcrossParallel(t *testing.T) {
 	if out1 != out8 {
 		t.Errorf("tables differ between -parallel 1 and 8 with -store:\n%s\n---\n%s", out1, out8)
 	}
-	r1, err := store.Read(p1)
+	r1, err := obs.ReadStore(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := store.Read(p8)
+	r8, err := obs.ReadStore(p8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r1[0].Metrics, r8[0].Metrics) {
 		t.Error("store metrics differ between -parallel 1 and 8")
 	}
-	if !reflect.DeepEqual(r1[0].Histograms, r8[0].Histograms) {
-		t.Error("store histograms differ between -parallel 1 and 8")
+	if !reflect.DeepEqual(r1[0].SchemeStats, r8[0].SchemeStats) {
+		t.Error("store scheme roll-ups differ between -parallel 1 and 8")
+	}
+	if r1[0].ConfigDigest != r8[0].ConfigDigest {
+		t.Error("-parallel moved the config digest")
 	}
 	// Cell identity (grid order) is deterministic either way.
 	if len(r1[0].Cells) != len(r8[0].Cells) {

@@ -5,12 +5,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"freshcache/internal/mobility"
 	"freshcache/internal/obs"
-	"freshcache/internal/obs/store"
 	"freshcache/internal/trace"
 )
 
@@ -261,8 +261,8 @@ func TestRunTimelineTickForms(t *testing.T) {
 	}
 }
 
-// TestRunStore: -store appends a freshsim record with the run's metrics,
-// and leaves the report byte-identical.
+// TestRunStore: -store appends the run's manifest, metrics included, equal
+// to the manifest.json -obs writes, and leaves the report byte-identical.
 func TestRunStore(t *testing.T) {
 	path := smallTraceFile(t)
 	base := []string{"-trace", path, "-items", "2", "-caching", "4", "-refresh", "4h"}
@@ -270,9 +270,10 @@ func TestRunStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := filepath.Join(t.TempDir(), "store.jsonl")
+	dir := t.TempDir()
+	sp, od := filepath.Join(dir, "store.jsonl"), filepath.Join(dir, "obs")
 	stored, err := captureStdout(t, func() error {
-		return run(append(append([]string{}, base...), "-store", sp))
+		return run(append(append([]string{}, base...), "-store", sp, "-obs", od))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +281,7 @@ func TestRunStore(t *testing.T) {
 	if stored != clean {
 		t.Fatalf("-store changed the report:\n%q\nvs\n%q", stored, clean)
 	}
-	recs, err := store.Read(sp)
+	recs, err := obs.ReadStore(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +292,15 @@ func TestRunStore(t *testing.T) {
 	if r.Tool != "freshsim" || r.ConfigDigest == "" || r.Seed != 1 {
 		t.Fatalf("record provenance: %+v", r)
 	}
-	if r.Metrics["engine/contacts"] <= 0 {
+	if r.Metrics == nil || r.Metrics.Counters["engine/contacts"] <= 0 {
 		t.Errorf("record metrics missing engine/contacts: %v", r.Metrics)
+	}
+	written, err := obs.ReadManifest(filepath.Join(od, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r, *written) {
+		t.Errorf("store record differs from manifest.json:\n%+v\n%+v", r, *written)
 	}
 }
 
@@ -312,7 +320,7 @@ func TestRunStoreKeepsCheckpointID(t *testing.T) {
 	if err := run(append(append([]string{}, base...), "-resume", "-store", sp)); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := store.Read(sp)
+	recs, err := obs.ReadStore(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

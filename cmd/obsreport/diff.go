@@ -85,8 +85,8 @@ func runDiff(args []string, out io.Writer) error {
 	return nil
 }
 
-// checkTolerance rejects a tolerance that makes a gate or diff pass
-// whatever it compares: judge never finds |pct| above NaN or +Inf, and a
+// checkTolerance rejects a tolerance that makes a diff pass whatever it
+// compares: judge never finds |pct| above NaN or +Inf, and a
 // negative percentage has no meaning.
 func checkTolerance(tolPct float64) error {
 	if math.IsNaN(tolPct) || math.IsInf(tolPct, 0) || tolPct < 0 {

@@ -1,6 +1,7 @@
 // Command obsreport turns the observability artifacts of a run (lineage
 // spans, telemetry timelines, the manifest) into a human-readable report,
-// and diffs two runs against regression thresholds.
+// diffs two runs against regression thresholds, and reads the cross-run
+// results store.
 //
 // Usage:
 //
@@ -9,17 +10,17 @@
 //	obsreport diff out/a out/b             # compare manifests, exit 2 on regression
 //	obsreport diff -tolerance 2 out/a out/b
 //
-// The trend/query/gate subcommands read the persistent cross-run results
-// store (the JSONL appended by `experiments -store` / `freshsim -store`):
+// The trend and query subcommands read the cross-run results store: the
+// JSONL to which `experiments -store` and `freshsim -store` append each
+// run's manifest, one line per run:
 //
 //	obsreport query store.jsonl                          # list stored records
 //	obsreport query -metrics store.jsonl                 # list stored metric names
 //	obsreport trend -metric engine/contacts store.jsonl  # metric trajectory + sparkline
-//	obsreport gate -metric engine/contacts,scheme/hierarchical/tx_per_delivery:2 store.jsonl
 //
-// Exit status: 0 on success (diff/gate: within tolerance), 1 on usage or
-// I/O errors, 2 when diff or gate finds a regression beyond the tolerance.
-// A tolerance must be a finite percentage >= 0; NaN, ±Inf and negative
+// Exit status: 0 on success (diff: within tolerance), 1 on usage or I/O
+// errors, 2 when diff finds a regression beyond the tolerance. A
+// tolerance must be a finite percentage >= 0; NaN, ±Inf and negative
 // values are usage errors (against NaN or +Inf nothing could regress).
 package main
 
@@ -46,7 +47,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return errors.New("usage: obsreport <report|diff|trend|query|gate> [flags] <dir|store> [<dir>]")
+		return errors.New("usage: obsreport <report|diff|trend|query> [flags] <dir|store> [<dir>]")
 	}
 	switch args[0] {
 	case "report":
@@ -57,9 +58,7 @@ func run(args []string, out io.Writer) error {
 		return runTrend(args[1:], out)
 	case "query":
 		return runQuery(args[1:], out)
-	case "gate":
-		return runGate(args[1:], out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want report, diff, trend, query or gate)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want report, diff, trend or query)", args[0])
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -161,5 +162,29 @@ func TestDiffErrors(t *testing.T) {
 	}
 	if err := run(nil, &strings.Builder{}); err == nil {
 		t.Error("missing subcommand should fail")
+	}
+}
+
+// TestDistPercentilesInterpolate: report percentiles interpolate linearly
+// between order statistics, so 1…7 has p90 6.4 and p99 6.94 (rounding to
+// a rank would give 6 and 7).
+func TestDistPercentilesInterpolate(t *testing.T) {
+	d := newDist([]float64{7, 3, 1, 5, 2, 6, 4})
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"mean", d.Mean, 4}, {"min", d.Min, 1}, {"max", d.Max, 7},
+		{"p50", d.P50, 4}, {"p90", d.P90, 6.4}, {"p99", d.P99, 6.94},
+	} {
+		if math.Abs(c.got-c.want) > 1e-9 {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	if d.Count != 7 {
+		t.Errorf("count = %d, want 7", d.Count)
+	}
+	if newDist(nil) != nil {
+		t.Error("empty sample gave a distribution")
 	}
 }

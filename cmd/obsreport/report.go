@@ -11,9 +11,11 @@ import (
 	"strings"
 
 	"freshcache/internal/obs"
+	"freshcache/internal/stats"
 )
 
-// Dist summarizes one empirical distribution (nearest-rank percentiles).
+// Dist summarizes one empirical distribution. Its percentiles interpolate
+// linearly between order statistics (stats.Summarize).
 type Dist struct {
 	Count int     `json:"count"`
 	Mean  float64 `json:"mean"`
@@ -28,31 +30,9 @@ func newDist(vals []float64) *Dist {
 	if len(vals) == 0 {
 		return nil
 	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	sum := 0.0
-	for _, v := range sorted {
-		sum += v
-	}
-	q := func(p float64) float64 {
-		i := int(p*float64(len(sorted))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
-	return &Dist{
-		Count: len(sorted),
-		Mean:  sum / float64(len(sorted)),
-		Min:   sorted[0],
-		Max:   sorted[len(sorted)-1],
-		P50:   q(0.50),
-		P90:   q(0.90),
-		P99:   q(0.99),
-	}
+	s := stats.Summarize(vals)
+	return &Dist{Count: s.Count, Mean: s.Mean, Min: s.Min, Max: s.Max,
+		P50: s.Median, P90: s.P90, P99: s.P99}
 }
 
 // CurvePoint is one tick of the age-over-time curve.

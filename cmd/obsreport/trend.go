@@ -7,16 +7,100 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 
-	"freshcache/internal/obs/store"
+	"freshcache/internal/obs"
 )
 
-// This file is the cross-run side of obsreport: trend/query/gate read the
-// persistent results store (freshcache-store/1 JSONL appended by
-// `experiments -store` / `freshsim -store`) instead of a single run's obs
-// directory, so history can be plotted and gated without re-running
-// anything.
+// This file is the cross-run side of obsreport: trend and query read the
+// results store instead of a single run's obs directory, so history can
+// be plotted without re-running anything. Each record in the store is the
+// manifest of one `experiments -store` or `freshsim -store` run, on one
+// JSON line.
+
+// readStore reads the store at path, keeping the records the named tool
+// appended ("" keeps them all).
+func readStore(path, tool string) ([]obs.Manifest, error) {
+	ms, err := obs.ReadStore(path)
+	if err != nil || tool == "" {
+		return ms, err
+	}
+	var out []obs.Manifest
+	for _, m := range ms {
+		if m.Tool == tool {
+			out = append(out, m)
+		}
+	}
+	return out, nil
+}
+
+// flatten names a manifest's metrics the way trend and query address
+// them: registry counters and gauges under their registry names, and
+// per-scheme roll-up figures under "scheme/<name>/...".
+func flatten(m obs.Manifest) map[string]float64 {
+	out := make(map[string]float64)
+	if m.Metrics != nil {
+		for k, v := range m.Metrics.Counters {
+			out[k] = float64(v)
+		}
+		for k, v := range m.Metrics.Gauges {
+			out[k] = v
+		}
+	}
+	for _, r := range m.SchemeStats {
+		c, p := costFromRollup(r), "scheme/"+r.Scheme+"/"
+		out[p+"transmissions"] = float64(c.Transmissions)
+		out[p+"deliveries"] = float64(c.Deliveries)
+		out[p+"versions_generated"] = float64(c.VersionsGenerated)
+		if c.Deliveries > 0 {
+			out[p+"tx_per_delivery"] = c.TxPerDelivery
+		}
+		if r.DeliveryDelayHist != nil {
+			out[p+"mean_delay_s"] = c.MeanDelay
+		}
+		if r.RefreshAgeHist != nil {
+			out[p+"mean_age_s"] = c.MeanAge
+		}
+	}
+	return out
+}
+
+// point is one run's value of a metric.
+type point struct {
+	Index       int // record index in the (tool-filtered) store
+	CreatedAt   string
+	Tool        string
+	GitRevision string
+	Value       float64
+}
+
+// series extracts one metric's trajectory: one point per record that
+// carries the metric, in append order.
+func series(ms []obs.Manifest, metric string) []point {
+	var out []point
+	for i, m := range ms {
+		if v, ok := flatten(m)[metric]; ok {
+			out = append(out, point{Index: i, CreatedAt: m.CreatedAt, Tool: m.Tool,
+				GitRevision: m.GitRevision, Value: v})
+		}
+	}
+	return out
+}
+
+// metricNames returns the sorted union of metric names across the records.
+func metricNames(ms []obs.Manifest) []string {
+	seen := make(map[string]bool)
+	for _, m := range ms {
+		for name := range flatten(m) {
+			seen[name] = true
+		}
+	}
+	names := make([]string, 0, len(seen))
+	for name := range seen {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
 
 // runTrend plots one stored metric's trajectory across the store.
 func runTrend(args []string, out io.Writer) error {
@@ -34,11 +118,11 @@ func runTrend(args []string, out io.Writer) error {
 	if *metric == "" {
 		return fmt.Errorf("trend: -metric is required")
 	}
-	recs, err := store.Read(fs.Arg(0))
+	ms, err := readStore(fs.Arg(0), *tool)
 	if err != nil {
 		return err
 	}
-	pts := store.Series(store.Filter(recs, *tool), *metric)
+	pts := series(ms, *metric)
 	if len(pts) == 0 {
 		return fmt.Errorf("trend: no stored record carries metric %q (try `obsreport query -metrics %s`)",
 			*metric, fs.Arg(0))
@@ -83,13 +167,12 @@ func runQuery(args []string, out io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: obsreport query [-tool t] [-metrics] <store.jsonl>")
 	}
-	recs, err := store.Read(fs.Arg(0))
+	ms, err := readStore(fs.Arg(0), *tool)
 	if err != nil {
 		return err
 	}
-	recs = store.Filter(recs, *tool)
 	if *names {
-		for _, n := range store.MetricNames(recs) {
+		for _, n := range metricNames(ms) {
 			fmt.Fprintln(out, n)
 		}
 		return nil
@@ -97,157 +180,17 @@ func runQuery(args []string, out io.Writer) error {
 	if *asJSON {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		return enc.Encode(recs)
+		return enc.Encode(ms)
 	}
-	fmt.Fprintf(out, "# store %s (%d record(s))\n", fs.Arg(0), len(recs))
+	fmt.Fprintf(out, "# store %s (%d record(s))\n", fs.Arg(0), len(ms))
 	fmt.Fprintf(out, "  %-5s %-20s %-18s %-10s %-8s %-18s %8s %8s %7s\n",
 		"idx", "createdAt", "tool", "revision", "seed", "configDigest", "metrics", "cells", "wall")
-	for i, r := range recs {
+	for i, m := range ms {
 		fmt.Fprintf(out, "  %-5d %-20s %-18s %-10s %-8d %-18s %8d %8d %6.1fs\n",
-			i, r.CreatedAt, r.Tool, shortRev(r.GitRevision), r.Seed, r.ConfigDigest,
-			len(r.Metrics), len(r.Cells), r.WallClockSeconds)
+			i, m.CreatedAt, m.Tool, shortRev(m.GitRevision), m.Seed, m.ConfigDigest,
+			len(flatten(m)), len(m.Cells), m.WallClockSeconds)
 	}
 	return nil
-}
-
-// gateSpec is one gated metric: its name and the tolerance (percent) its
-// worse direction may move before the gate fails.
-type gateSpec struct {
-	metric string
-	tolPct float64
-}
-
-// parseGateSpecs parses a comma-separated "-metric" value where each item
-// is "name" (uses the shared default tolerance) or "name:tolPct".
-func parseGateSpecs(s string, defTol float64) ([]gateSpec, error) {
-	if err := checkTolerance(defTol); err != nil {
-		return nil, fmt.Errorf("gate: -tolerance: %w", err)
-	}
-	var specs []gateSpec
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		spec := gateSpec{metric: item, tolPct: defTol}
-		if i := strings.LastIndexByte(item, ':'); i >= 0 {
-			tol, err := strconv.ParseFloat(item[i+1:], 64)
-			if err != nil {
-				return nil, fmt.Errorf("gate: bad tolerance in %q: %w", item, err)
-			}
-			if err := checkTolerance(tol); err != nil {
-				return nil, fmt.Errorf("gate: %q: %w", item, err)
-			}
-			spec.metric, spec.tolPct = item[:i], tol
-		}
-		if spec.metric == "" {
-			return nil, fmt.Errorf("gate: empty metric name in %q", s)
-		}
-		specs = append(specs, spec)
-	}
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("gate: -metric is required (comma-separated, optional per-metric :tolerance)")
-	}
-	return specs, nil
-}
-
-// runGate compares the newest stored record's metrics against a baseline
-// drawn from history and fails (exit 2, like diff) when any gated metric
-// worsened past its tolerance. Any stored metric can be gated; CI's
-// obs-store job gates engine/contacts and
-// scheme/hierarchical/tx_per_delivery.
-func runGate(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("obsreport gate", flag.ContinueOnError)
-	metric := fs.String("metric", "", "comma-separated metrics to gate; each item is name or name:tolerancePct")
-	tool := fs.String("tool", "", "restrict to records appended by this tool")
-	baseline := fs.String("baseline", "prev", "baseline to compare the newest record against: prev (previous record), best (best historical value), median (historical median)")
-	tol := fs.Float64("tolerance", 5, "default allowed worsening in percent")
-	lowerBad := fs.Bool("lower-bad", false, "a lower value is worse (throughput-style metrics; default: higher is worse, cost-style)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: obsreport gate -metric <name[:tol],...> [-baseline prev|best|median] [-tolerance pct] [-lower-bad] <store.jsonl>")
-	}
-	specs, err := parseGateSpecs(*metric, *tol)
-	if err != nil {
-		return err
-	}
-	recs, err := store.Read(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	recs = store.Filter(recs, *tool)
-	if len(recs) < 2 {
-		return fmt.Errorf("gate: need at least 2 stored records to compare (have %d)", len(recs))
-	}
-	newest, history := recs[len(recs)-1], recs[:len(recs)-1]
-	higherBad := !*lowerBad
-
-	fmt.Fprintf(out, "# gate: newest record (idx %d, %s) vs %s of %d record(s)\n",
-		len(recs)-1, newest.CreatedAt, *baseline, len(history))
-	fmt.Fprintf(out, "  %-28s %14s %14s %9s %8s  %s\n", "metric", "baseline", "newest", "delta", "tol", "verdict")
-	regressions := 0
-	for _, spec := range specs {
-		nv, ok := newest.Metrics[spec.metric]
-		if !ok {
-			return fmt.Errorf("gate: newest record has no metric %q", spec.metric)
-		}
-		base, _, err := baselineValue(history, spec.metric, *baseline, higherBad)
-		if err != nil {
-			return err
-		}
-		pct, verdict := judge(base, nv, higherBad, spec.tolPct)
-		if verdict == "REGRESSION" {
-			regressions++
-		}
-		fmt.Fprintf(out, "  %-28s %14s %14s %+8.2f%% %7.1f%%  %s\n",
-			spec.metric, formatValue(base), formatValue(nv), pct, spec.tolPct, verdict)
-	}
-	if regressions > 0 {
-		return fmt.Errorf("%w: %d metric(s) worsened past tolerance vs %s baseline",
-			errRegression, regressions, *baseline)
-	}
-	fmt.Fprintln(out, "ok: within tolerance")
-	return nil
-}
-
-// baselineValue draws the comparison value for one metric from the
-// historical records (everything except the newest), under the chosen
-// baseline policy. Returns the value and how many historical records
-// carried the metric.
-func baselineValue(history []store.Record, metric, policy string, higherBad bool) (float64, int, error) {
-	vals := make([]float64, 0, len(history))
-	for _, r := range history {
-		if v, ok := r.Metrics[metric]; ok {
-			vals = append(vals, v)
-		}
-	}
-	if len(vals) == 0 {
-		return 0, 0, fmt.Errorf("gate: no historical record carries metric %q", metric)
-	}
-	switch policy {
-	case "prev":
-		return vals[len(vals)-1], len(vals), nil
-	case "best":
-		best := vals[0]
-		for _, v := range vals[1:] {
-			if (higherBad && v < best) || (!higherBad && v > best) {
-				best = v
-			}
-		}
-		return best, len(vals), nil
-	case "median":
-		s := append([]float64(nil), vals...)
-		sort.Float64s(s)
-		mid := len(s) / 2
-		if len(s)%2 == 0 {
-			return (s[mid-1] + s[mid]) / 2, len(vals), nil
-		}
-		return s[mid], len(vals), nil
-	default:
-		return 0, 0, fmt.Errorf("gate: unknown baseline %q (want prev, best or median)", policy)
-	}
 }
 
 // formatValue renders a stored metric value compactly: integers plainly,

@@ -4,27 +4,36 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
-	"freshcache/internal/obs/store"
+	"freshcache/internal/metrics"
+	"freshcache/internal/obs"
 )
+
+// appendRecord appends one manifest carrying the given gauges to the store
+// at path.
+func appendRecord(t *testing.T, path, tool string, day int, gauges map[string]float64) {
+	t.Helper()
+	m := &obs.Manifest{
+		Schema:    obs.ManifestSchema,
+		Tool:      tool,
+		CreatedAt: fmt.Sprintf("2026-01-%02dT00:00:00Z", day),
+		Seed:      42,
+		Metrics:   &obs.RegistrySnapshot{Gauges: gauges},
+	}
+	if err := m.Append(path); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // writeStore appends records carrying one metric with the given values.
 func writeStore(t *testing.T, metric string, vals ...float64) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	for i, v := range vals {
-		rec := &store.Record{
-			Schema:    store.Schema,
-			Tool:      "experiments",
-			CreatedAt: fmt.Sprintf("2026-01-%02dT00:00:00Z", i+1),
-			Seed:      42,
-			Metrics:   map[string]float64{metric: v, "other": float64(i)},
-		}
-		if err := store.Append(path, rec); err != nil {
-			t.Fatal(err)
-		}
+		appendRecord(t, path, "experiments", i+1, map[string]float64{metric: v, "other": float64(i)})
 	}
 	return path
 }
@@ -68,106 +77,75 @@ func TestQueryListsRecordsAndMetrics(t *testing.T) {
 	}
 }
 
-func TestGatePassesWithinTolerance(t *testing.T) {
-	path := writeStore(t, "e2NsPerOp", 100, 103)
-	var b strings.Builder
-	if err := run([]string{"gate", "-metric", "e2NsPerOp", "-tolerance", "5", path}, &b); err != nil {
-		t.Fatalf("gate failed within tolerance: %v\n%s", err, b.String())
-	}
-	if !strings.Contains(b.String(), "ok: within tolerance") {
-		t.Errorf("gate output: %s", b.String())
-	}
-}
-
-func TestGateFailsOnRegression(t *testing.T) {
-	path := writeStore(t, "e2NsPerOp", 100, 120)
-	var b strings.Builder
-	err := run([]string{"gate", "-metric", "e2NsPerOp", "-tolerance", "5", path}, &b)
-	if !errors.Is(err, errRegression) {
-		t.Fatalf("gate err = %v, want errRegression", err)
-	}
-	if !strings.Contains(b.String(), "REGRESSION") {
-		t.Errorf("gate output: %s", b.String())
-	}
-}
-
-func TestGateLowerBad(t *testing.T) {
-	// Throughput-style metric: dropping from 100 to 80 is the regression.
-	path := writeStore(t, "cellsPerSec", 100, 80)
-	err := run([]string{"gate", "-metric", "cellsPerSec", "-tolerance", "5", "-lower-bad", path}, &strings.Builder{})
-	if !errors.Is(err, errRegression) {
-		t.Fatalf("gate -lower-bad err = %v, want errRegression", err)
-	}
-	// And rising is an improvement, not a regression.
-	path = writeStore(t, "cellsPerSec", 80, 100)
-	if err := run([]string{"gate", "-metric", "cellsPerSec", "-tolerance", "5", "-lower-bad", path}, &strings.Builder{}); err != nil {
-		t.Fatalf("gate flagged an improvement: %v", err)
-	}
-}
-
-func TestGatePerMetricTolerance(t *testing.T) {
+// TestReadStoreFiltersByTool: -tool keeps the records one tool appended,
+// and an empty tool keeps them all.
+func TestReadStoreFiltersByTool(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
-	for _, m := range []map[string]float64{
-		{"a": 100, "b": 100},
-		{"a": 108, "b": 108}, // +8% on both
-	} {
-		if err := store.Append(path, &store.Record{Schema: store.Schema, Tool: "experiments", CreatedAt: "t", Metrics: m}); err != nil {
+	for i, tool := range []string{"a", "b", "a"} {
+		appendRecord(t, path, tool, i+1, map[string]float64{"m": float64(i)})
+	}
+	for tool, want := range map[string]int{"a": 2, "b": 1, "": 3} {
+		ms, err := readStore(path, tool)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// a tolerates 10% (passes), b tolerates 5% (fails).
-	err := run([]string{"gate", "-metric", "a:10,b:5", path}, &strings.Builder{})
-	if !errors.Is(err, errRegression) {
-		t.Fatalf("per-metric tolerance err = %v, want errRegression", err)
-	}
-	if err := run([]string{"gate", "-metric", "a:10,b:10", path}, &strings.Builder{}); err != nil {
-		t.Fatalf("both within per-metric tolerance: %v", err)
-	}
-}
-
-func TestGateBaselines(t *testing.T) {
-	// History 100, 90, 95; newest 96. prev=95 (+1.05% ok at 5%),
-	// best=90 (+6.7% regression at 5%), median=95 (ok).
-	path := writeStore(t, "m", 100, 90, 95, 96)
-	if err := run([]string{"gate", "-metric", "m", "-baseline", "prev", path}, &strings.Builder{}); err != nil {
-		t.Fatalf("prev baseline: %v", err)
-	}
-	if err := run([]string{"gate", "-metric", "m", "-baseline", "best", path}, &strings.Builder{}); !errors.Is(err, errRegression) {
-		t.Fatalf("best baseline err = %v, want errRegression", err)
-	}
-	if err := run([]string{"gate", "-metric", "m", "-baseline", "median", path}, &strings.Builder{}); err != nil {
-		t.Fatalf("median baseline: %v", err)
-	}
-	if err := run([]string{"gate", "-metric", "m", "-baseline", "nope", path}, &strings.Builder{}); err == nil {
-		t.Fatal("unknown baseline accepted")
+		if len(ms) != want {
+			t.Errorf("readStore(%q) = %d records, want %d", tool, len(ms), want)
+		}
+		// Indices count within the filtered records.
+		if pts := series(ms, "m"); tool == "a" && (len(pts) != 2 || pts[1].Index != 1 || pts[1].Value != 2) {
+			t.Errorf("series over tool a = %+v", pts)
+		}
 	}
 }
 
-func TestGateNeedsHistory(t *testing.T) {
-	path := writeStore(t, "m", 100)
-	if err := run([]string{"gate", "-metric", "m", path}, &strings.Builder{}); err == nil {
-		t.Fatal("gate ran with a single record")
+// TestFlattenNames: counters and gauges keep their registry names, and
+// each scheme roll-up adds its figures under "scheme/<name>/".
+func TestFlattenNames(t *testing.T) {
+	delay := metrics.NewHist(metrics.DelayBuckets())
+	delay.Observe(30)
+	delay.Observe(90)
+	m := obs.Manifest{
+		Metrics: &obs.RegistrySnapshot{
+			Counters: map[string]int64{"engine/contacts": 12},
+			Gauges:   map[string]float64{"sweep/queue_depth": 0},
+		},
+		SchemeStats: []obs.SchemeRollup{
+			{Scheme: "hierarchical", Transmissions: 9, Deliveries: 4, VersionsGenerated: 2,
+				DeliveryDelayHist: delay, RefreshAgeHist: delay},
+			{Scheme: "direct", Transmissions: 3},
+		},
+	}
+	want := map[string]float64{
+		"engine/contacts":                        12,
+		"sweep/queue_depth":                      0,
+		"scheme/hierarchical/transmissions":      9,
+		"scheme/hierarchical/deliveries":         4,
+		"scheme/hierarchical/versions_generated": 2,
+		"scheme/hierarchical/tx_per_delivery":    2.25,
+		"scheme/hierarchical/mean_delay_s":       60,
+		"scheme/hierarchical/mean_age_s":         60,
+		"scheme/direct/transmissions":            3,
+		"scheme/direct/deliveries":               0,
+		"scheme/direct/versions_generated":       0,
+	}
+	if got := flatten(m); !reflect.DeepEqual(got, want) {
+		t.Errorf("flatten =\n%v\nwant\n%v", got, want)
 	}
 }
 
 // TestUnboundedToleranceRejected: a NaN, infinite or negative tolerance
-// would let gate and diff pass a 3× regression, so both refuse it as a
-// usage error (exit 1), not as a verdict.
+// would let diff pass a 3× regression, so it refuses one as a usage error
+// (exit 1), not as a verdict.
 func TestUnboundedToleranceRejected(t *testing.T) {
-	path := writeStore(t, "engine/contacts", 100, 300)
 	base, cand := t.TempDir(), t.TempDir()
 	writeFixture(t, base, 100, 50, 120)
 	writeFixture(t, cand, 300, 50, 120)
 	for _, tol := range []string{"NaN", "Inf", "+Inf", "-Inf", "-1"} {
-		for _, args := range [][]string{
-			{"gate", "-metric", "engine/contacts:" + tol, path},
-			{"gate", "-metric", "engine/contacts", "-tolerance", tol, path},
-			{"diff", "-tolerance", tol, base, cand},
-		} {
-			err := run(args, &strings.Builder{})
-			if err == nil || errors.Is(err, errRegression) {
-				t.Errorf("%q: err = %v, want a usage error", args, err)
-			}
+		args := []string{"diff", "-tolerance", tol, base, cand}
+		err := run(args, &strings.Builder{})
+		if err == nil || errors.Is(err, errRegression) {
+			t.Errorf("%q: err = %v, want a usage error", args, err)
 		}
 	}
 }

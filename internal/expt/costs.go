@@ -108,7 +108,7 @@ func (cc *CellCosts) add(cost obs.CellCost, profile []byte) {
 
 // Cells returns every recorded cost in deterministic grid order
 // (experiment, preset, point, scheme, replicate) — workers may finish out
-// of order, the store record must not. Nil-safe.
+// of order, the manifest must not. Nil-safe.
 func (cc *CellCosts) Cells() []obs.CellCost {
 	if cc == nil {
 		return nil

@@ -70,6 +70,7 @@ func checkQuickGolden(t *testing.T, id string, golden []byte, exports ...string)
 	}
 	writers := map[string]func(io.Writer) error{
 		"events":   o.WriteJSONL,
+		"chrome":   o.WriteChromeTrace,
 		"lineage":  o.WriteLineageJSONL,
 		"timeline": o.WriteTimelineCSV,
 		"openmetrics": func(w io.Writer) error {
@@ -97,16 +98,16 @@ func checkQuickGolden(t *testing.T, id string, golden []byte, exports ...string)
 }
 
 // TestQuickE2Golden pins the quick E2 sweep's tables and its unsampled
-// event trace, lineage, timeline and OpenMetrics exports.
+// event trace, Chrome trace, lineage, timeline and OpenMetrics exports.
 func TestQuickE2Golden(t *testing.T) {
-	checkQuickGolden(t, "E2", e2GoldenJSON, "events", "lineage", "timeline", "openmetrics")
+	checkQuickGolden(t, "E2", e2GoldenJSON, "events", "chrome", "lineage", "timeline", "openmetrics")
 }
 
 // TestQuickE11Golden pins quick E11 (churn and message loss), whose
 // serving order depends on loss draws and on nodes going down mid-run:
 // its tables and every export, as for E2.
 func TestQuickE11Golden(t *testing.T) {
-	checkQuickGolden(t, "E11", e11GoldenJSON, "events", "lineage", "timeline", "openmetrics")
+	checkQuickGolden(t, "E11", e11GoldenJSON, "events", "chrome", "lineage", "timeline", "openmetrics")
 }
 
 // TestQuickE16Golden pins quick E16 (LRU and LFU stores under capacity),
@@ -121,5 +122,5 @@ func TestQuickE16Golden(t *testing.T) {
 // contact budget between direct serving and relayed fetches: its tables
 // and every export, as for E2.
 func TestQuickE18Golden(t *testing.T) {
-	checkQuickGolden(t, "E18", e18GoldenJSON, "events", "lineage", "timeline", "openmetrics")
+	checkQuickGolden(t, "E18", e18GoldenJSON, "events", "chrome", "lineage", "timeline", "openmetrics")
 }

@@ -13,14 +13,13 @@ import (
 	"time"
 
 	"freshcache/internal/obs"
-	"freshcache/internal/obs/store"
 )
 
 // RunFlags is the flag surface cmd/experiments and cmd/freshsim share:
 // observability output, the cross-run results store, checkpointing and
 // profiling. NewRunFlags defines the flags; after parsing, Start checks
-// them and opens what they ask for, Finish writes the run's exports,
-// manifest and store record, and Stop releases the rest.
+// them and opens what they ask for, Finish writes the run's exports and
+// its manifest, and Stop releases the rest.
 type RunFlags struct {
 	Obs          string
 	ObsSample    int
@@ -53,7 +52,7 @@ func NewRunFlags(fs *flag.FlagSet) *RunFlags {
 	fs.IntVar(&f.ObsBuffer, "obs-buffer", obs.DefaultBufferCap, "per-run trace ring-buffer capacity in events (>= 1)")
 	fs.BoolVar(&f.Lineage, "lineage", false, "collect causal refresh-lineage spans (generation → duty → handoff → delivery trees) per run and write lineage.jsonl to the -obs directory (requires -obs)")
 	f.TimelineTick = obs.TimelineTickFlag(fs)
-	fs.StringVar(&f.Store, "store", "", "append this run's record (provenance, metric snapshot, cell dispositions and costs) to the cross-run results store at this path (JSONL; query with obsreport trend/query/gate)")
+	fs.StringVar(&f.Store, "store", "", "append this run's manifest (provenance, metric snapshot, cell dispositions and costs) as one line to the cross-run results store at this path (JSONL; query with obsreport trend/query)")
 	fs.StringVar(&f.Checkpoint, "checkpoint", "", "checkpoint journal (JSONL): each completed sweep cell or replicate is appended and fsynced as it finishes, so an interrupted run can be resumed")
 	fs.BoolVar(&f.Resume, "resume", false, "replay completed cells from the -checkpoint journal and execute only the remainder; the output is byte-identical to an uninterrupted run")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -86,7 +85,7 @@ func (f *RunFlags) check() error {
 // Start checks the flags, then starts the CPU profile, opens the
 // checkpoint journal, and creates the -obs directory and the observer.
 // The observer exists when -obs, -store or forceObserver asks for one.
-// tool and args name the invocation in the manifest and store record.
+// tool and args name the invocation in the manifest.
 // Defer Stop before calling Start: it releases whatever Start opened.
 func (f *RunFlags) Start(tool string, args []string, forceObserver bool) error {
 	if err := f.check(); err != nil {
@@ -163,13 +162,12 @@ func writeHeapProfile(path string) error {
 type RunReport struct {
 	Seed int64
 	// Config is the manifest's configuration (nil leaves it out), and
-	// Digest the store record's digest of the configuration that
-	// determines results.
+	// Digest its digest of the configuration that determines results.
 	Config map[string]any
 	Digest string
 	// Outputs lists the files the command wrote; Finish adds the exports.
 	Outputs []string
-	// Cells is the per-cell cost attribution for the store record.
+	// Cells is the per-cell cost attribution.
 	Cells []obs.CellCost
 	// ManifestDirs are the directories that get a manifest.json; empty
 	// entries are skipped.
@@ -177,8 +175,8 @@ type RunReport struct {
 }
 
 // Finish writes the run's artifacts: the observer's exports into the
-// -obs directory, a manifest into each of r.ManifestDirs, and the run's
-// record appended to the -store file.
+// -obs directory, and one manifest, written into each of r.ManifestDirs
+// and appended as one line to the -store file.
 func (f *RunFlags) Finish(r RunReport) error {
 	outputs := r.Outputs
 	if f.Obs != "" {
@@ -192,7 +190,9 @@ func (f *RunFlags) Finish(r RunReport) error {
 	m.Command = append([]string{f.tool}, f.args...)
 	m.Seed = r.Seed
 	m.Config = r.Config
+	m.ConfigDigest = r.Digest
 	m.Outputs = outputs
+	m.Cells = r.Cells
 	if f.Observer != nil {
 		snap := f.Observer.Metrics.Snapshot()
 		m.Metrics = &snap
@@ -201,7 +201,7 @@ func (f *RunFlags) Finish(r RunReport) error {
 		m.SchemeStats = f.Observer.SchemeRollups()
 	}
 	m.Failures = f.Ledger.Failures()
-	if f.Checkpoint != "" || len(m.Failures) > 0 {
+	if f.Checkpoint != "" || f.Store != "" || len(m.Failures) > 0 {
 		m.Resume = f.resumeSummary()
 	}
 	m.FinishResources(f.start)
@@ -216,20 +216,10 @@ func (f *RunFlags) Finish(r RunReport) error {
 	if f.Store == "" {
 		return nil
 	}
-	rec := store.NewRecord(f.tool)
-	rec.Command = m.Command
-	rec.Seed = r.Seed
-	rec.ConfigDigest = r.Digest
-	rec.WallClockSeconds = time.Since(f.start).Seconds()
-	snap := f.Observer.Metrics.Snapshot()
-	rec.Metrics = store.FlattenMetrics(snap, f.Observer.SchemeRollups())
-	rec.Histograms = snap.Histograms
-	rec.Cells = r.Cells
-	rec.Resume = f.resumeSummary()
-	if err := store.Append(f.Store, rec); err != nil {
+	if err := m.Append(f.Store); err != nil {
 		return err
 	}
-	slog.Info("run record appended to results store", "store", f.Store)
+	slog.Info("run manifest appended to results store", "store", f.Store)
 	return nil
 }
 

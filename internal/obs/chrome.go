@@ -28,15 +28,15 @@ func appendChromeCommon(dst []byte, name string, ph byte, tsMicros float64, pid,
 	return dst
 }
 
-func appendChromeEvent(dst []byte, ev Event, pid int, first bool) []byte {
+// appendChromeEvent appends one event, preceded by the separator from
+// the record before it (the run's process_name record at least).
+func appendChromeEvent(dst []byte, ev Event, pid int) []byte {
 	if ev.Kind == KindContactEnd {
 		// The matching contact_begin carries the duration; a separate end
 		// slice would double-draw the contact.
 		return dst
 	}
-	if !first {
-		dst = append(dst, ',', '\n')
-	}
+	dst = append(dst, ',', '\n')
 	tid := 0
 	if ev.A >= 0 {
 		tid = int(ev.A)
@@ -84,31 +84,33 @@ func appendChromeEvent(dst []byte, ev Event, pid int, first bool) []byte {
 }
 
 // writeChromeTraces serializes the given run traces (already in the
-// desired pid order) as one Chrome trace-event JSON document.
+// desired pid order) as one Chrome trace-event JSON document, writing each
+// event as soon as it is formatted and walking each ring in place.
 func writeChromeTraces(w io.Writer, traces []*RunTrace) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
 		return err
 	}
 	var buf []byte
-	first := true
 	for pid, t := range traces {
 		// Name the process after the run so Perfetto's track labels carry
 		// the experiment/preset/scheme identity.
 		buf = buf[:0]
-		if !first {
+		if pid > 0 {
 			buf = append(buf, ',', '\n')
 		}
-		first = false
 		buf = appendChromeCommon(buf, "process_name", 'M', 0, pid, 0)
 		buf = append(buf, `,"args":{"name":`...)
 		buf = strconv.AppendQuote(buf, t.Label)
 		buf = append(buf, `}}`...)
-		for _, ev := range t.Events() {
-			buf = appendChromeEvent(buf, ev, pid, false)
-		}
 		if _, err := bw.Write(buf); err != nil {
 			return err
+		}
+		for i := 0; i < t.count; i++ {
+			buf = appendChromeEvent(buf[:0], t.buf[(t.start+i)%len(t.buf)], pid)
+			if _, err := bw.Write(buf); err != nil {
+				return err
+			}
 		}
 	}
 	if _, err := bw.WriteString("\n]}\n"); err != nil {

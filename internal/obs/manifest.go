@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,7 +16,8 @@ import (
 // Manifest records everything needed to reproduce a results file: the
 // exact command and configuration, the seeds, the toolchain and source
 // revision, and the run's resource usage. One is written next to each
-// run's CSVs as manifest.json.
+// run's CSVs as manifest.json, and the same value is the line a run
+// appends to the cross-run results store (Append, ReadStore).
 type Manifest struct {
 	Schema    string `json:"schema"` // "freshcache-manifest/1"
 	Tool      string `json:"tool"`   // "experiments" | "freshsim"
@@ -30,6 +34,10 @@ type Manifest struct {
 
 	Seed   int64          `json:"seed"`
 	Config map[string]any `json:"config,omitempty"`
+	// ConfigDigest hashes the configuration that determines results (see
+	// ConfigDigest), so runs differing only in execution policy compare
+	// as the same configuration.
+	ConfigDigest string `json:"configDigest,omitempty"`
 
 	Outputs []string `json:"outputs,omitempty"`
 
@@ -48,6 +56,9 @@ type Manifest struct {
 	// Resume records checkpoint/resume provenance: which journal the run
 	// wrote (or replayed), and how many cells were replayed vs executed.
 	Resume *ResumeSummary `json:"resume,omitempty"`
+	// Cells is the per-cell cost attribution in grid order; its wall and
+	// alloc values are machine-dependent.
+	Cells []CellCost `json:"cells,omitempty"`
 }
 
 // CellFailure identifies one sweep cell that failed permanently, by its
@@ -65,8 +76,7 @@ type CellFailure struct {
 // CellCost attributes one sweep cell's execution cost: wall time always,
 // allocation deltas (runtime.ReadMemStats before/after the cell) only when
 // the sweep ran on a single worker — cross-worker interference would make
-// them noise otherwise — and the attempts the retry policy spent. Cost
-// records live in the cross-run results store, not the manifest.
+// them noise otherwise — and the attempts the retry policy spent.
 type CellCost struct {
 	Experiment  string  `json:"experiment"`
 	Preset      string  `json:"preset"`
@@ -135,6 +145,99 @@ func (m *Manifest) Write(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
+}
+
+// Append durably appends the manifest as one JSON line to the cross-run
+// results store at path, creating the file and its directory if needed.
+// The line is a single O_APPEND write synced before Append returns, so
+// concurrent appenders interleave whole lines and a crash can tear at
+// most the trailing one, which ReadStore tolerates. A manifest under
+// another schema is refused: ReadStore would refuse the whole store.
+func (m *Manifest) Append(path string) error {
+	if m.Schema != ManifestSchema {
+		return fmt.Errorf("store: manifest schema %q, want %q", m.Schema, ManifestSchema)
+	}
+	b, err := json.Marshal(m)
+	if err != nil {
+		return fmt.Errorf("store: marshal manifest: %w", err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	_, err = f.Write(append(b, '\n'))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
+
+// ReadStore loads every manifest of a results store in append order. A
+// malformed trailing line, the torn write of a crashed appender, is
+// dropped. A malformed line anywhere else, or a line whose schema is not
+// ManifestSchema (the retired freshcache-store/1 records among them), is
+// an error: whole-line appends mean mid-file damage is real, and a
+// foreign schema must be refused rather than misread.
+func ReadStore(path string) ([]Manifest, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+	var ms []Manifest
+	lineNo, tornLine := 0, 0
+	var tornErr error
+	for sc.Scan() {
+		lineNo++
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		if tornErr != nil {
+			// The malformed line was not trailing after all.
+			return nil, fmt.Errorf("store: %s:%d: %w", path, tornLine, tornErr)
+		}
+		var m Manifest
+		if err := json.Unmarshal(line, &m); err != nil {
+			tornErr, tornLine = err, lineNo
+			continue
+		}
+		if m.Schema != ManifestSchema {
+			return nil, fmt.Errorf("store: %s:%d: unsupported schema %q (want %q)",
+				path, lineNo, m.Schema, ManifestSchema)
+		}
+		ms = append(ms, m)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("store: %s: %w", path, err)
+	}
+	return ms, nil
+}
+
+// ConfigDigest hashes a configuration map into a stable hex digest
+// (json.Marshal sorts map keys, so equal maps always digest equally). CLIs
+// should digest result-determining configuration only, so runs differing
+// merely in execution policy compare as the same configuration.
+func ConfigDigest(cfg map[string]any) string {
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		return ""
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // WriteToolManifest writes the minimal provenance manifest the auxiliary

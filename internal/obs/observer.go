@@ -15,16 +15,14 @@ type Config struct {
 	SampleEvery int
 	// BufferCap bounds the per-run ring buffer (DefaultBufferCap if 0).
 	BufferCap int
-	// Lineage gives each run a causal span collector.
+	// Lineage gives each run a causal span collector, holding up to
+	// DefaultLineageCap spans.
 	Lineage bool
-	// LineageCap bounds per-run span storage (DefaultLineageCap if 0).
-	LineageCap int
 	// TimelineTick gives each run a simulated-time telemetry sampler on the
 	// given sim-time period in seconds; 0 disables it and a negative value
-	// asks the engine to pick a default tick.
+	// asks the engine to pick a default tick. The sampler holds up to
+	// DefaultTimelineCap points.
 	TimelineTick float64
-	// TimelineCap bounds per-run point storage (DefaultTimelineCap if 0).
-	TimelineCap int
 }
 
 // Observer is the sweep/experiment-level sink: it hands out one Recording
@@ -122,10 +120,10 @@ func (o *Observer) Open(label, scheme string) Recording {
 		Metrics: o.Metrics,
 	}
 	if o.cfg.Lineage {
-		rec.Lineage = NewLineage(label, scheme, o.cfg.LineageCap)
+		rec.Lineage = NewLineage(label, scheme, 0)
 	}
 	if o.cfg.TimelineTick != 0 {
-		rec.Timeline = NewTimeline(label, o.cfg.TimelineCap)
+		rec.Timeline = NewTimeline(label, 0)
 		rec.TimelineTick = o.cfg.TimelineTick
 	}
 	return rec

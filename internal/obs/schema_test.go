@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -106,27 +107,26 @@ func TestRegistrySnapshotSchema(t *testing.T) {
 	checkGolden(t, "registry_snapshot.schema", jsonSchema(t, fullRegistrySnapshot()))
 }
 
-// TestManifestSchema pins the serialized shape of manifest.json with every
-// optional section populated. obsreport diff, the CI obs job and external
-// consumers all read this file; field renames are breaking changes.
-func TestManifestSchema(t *testing.T) {
+// fullManifest returns a manifest with every optional section populated.
+func fullManifest() Manifest {
 	hist := metrics.NewHist(metrics.DelayBuckets())
 	hist.Observe(120)
 	snap := fullRegistrySnapshot()
-	m := Manifest{
-		Schema:      ManifestSchema,
-		Tool:        "experiments",
-		CreatedAt:   "2026-01-01T00:00:00Z",
-		Command:     []string{"experiments", "-quick"},
-		GoVersion:   "go0.0.0",
-		GitRevision: "deadbeef",
-		GitModified: true,
-		OS:          "linux",
-		Arch:        "amd64",
-		GOMAXPROCS:  1,
-		Seed:        42,
-		Config:      map[string]any{"example": true},
-		Outputs:     []string{"out/table.csv"},
+	return Manifest{
+		Schema:       ManifestSchema,
+		Tool:         "experiments",
+		CreatedAt:    "2026-01-01T00:00:00Z",
+		Command:      []string{"experiments", "-quick"},
+		GoVersion:    "go0.0.0",
+		GitRevision:  "deadbeef",
+		GitModified:  true,
+		OS:           "linux",
+		Arch:         "amd64",
+		GOMAXPROCS:   1,
+		Seed:         42,
+		Config:       map[string]any{"example": true},
+		ConfigDigest: "deadbeefdeadbeef",
+		Outputs:      []string{"out/table.csv"},
 
 		WallClockSeconds: 1,
 		CPUSeconds:       1,
@@ -143,11 +143,23 @@ func TestManifestSchema(t *testing.T) {
 			Point: 0, Scheme: "direct", Replicate: 0, Error: "boom", Attempts: 2}},
 		Resume: &ResumeSummary{Journal: "ckpt.jsonl", Resumed: true,
 			CellsReplayed: 1, CellsExecuted: 1, CellsFailed: 1, CellsSkipped: 1},
+		Cells: []CellCost{{Experiment: "E2", Preset: "infocom-like", Point: 0,
+			Scheme: "direct", Replicate: 0, WallSeconds: 0.25, Mallocs: 1000,
+			AllocBytes: 65536, Attempts: 1}},
 	}
+}
+
+// TestManifestSchema pins the serialized shape of manifest.json with every
+// optional section populated. obsreport, the CI obs jobs and external
+// consumers all read this file, and the results store holds the same
+// value one line per run; field renames are breaking changes.
+func TestManifestSchema(t *testing.T) {
+	m := fullManifest()
 	checkGolden(t, "manifest.schema", jsonSchema(t, m))
 
-	// The fixture must round-trip through ReadManifest: the golden proves
-	// the shape, this proves the reader accepts it.
+	// The fixture must round-trip through ReadManifest and through the
+	// store: the golden proves the shape, this proves both readers accept
+	// it unchanged.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "manifest.json")
 	if err := m.Write(path); err != nil {
@@ -162,6 +174,17 @@ func TestManifestSchema(t *testing.T) {
 	}
 	if got := jsonSchema(t, back); got != jsonSchema(t, m) {
 		t.Error("manifest schema changed across a Write/ReadManifest round-trip")
+	}
+	storePath := filepath.Join(dir, "store.jsonl")
+	if err := m.Append(storePath); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := ReadStore(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stored) != 1 || !reflect.DeepEqual(stored[0], *back) {
+		t.Errorf("the store line differs from manifest.json:\n%+v\n%+v", stored, *back)
 	}
 }
 

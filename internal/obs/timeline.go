@@ -74,16 +74,6 @@ func (tl *Timeline) Dropped() uint64 {
 	return tl.dropped
 }
 
-// Points returns the stored points in sampling order.
-func (tl *Timeline) Points() []TimelinePoint {
-	if tl == nil {
-		return nil
-	}
-	out := make([]TimelinePoint, len(tl.points))
-	copy(out, tl.points)
-	return out
-}
-
 // TimelineCSVHeader is the first line of every timeline CSV export.
 const TimelineCSVHeader = "run,t,series,node,item,value"
 
