@@ -145,3 +145,15 @@ func TestLargeNTraceScalesLinearly(t *testing.T) {
 		t.Fatalf("contact growth ratio %v for 2× nodes; want ≈2 (linear)", ratio)
 	}
 }
+
+// BenchmarkLargeNTraceGeneration measures the generation layer of the
+// largen-5k benchmark workload: the E21 community trace at 5000 nodes
+// (about 1.2M contacts), drawn and normalized.
+func BenchmarkLargeNTraceGeneration(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := largeNTrace(5000, 42); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

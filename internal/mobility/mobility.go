@@ -9,11 +9,12 @@
 package mobility
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"freshcache/internal/stats"
 	"freshcache/internal/trace"
@@ -81,7 +82,7 @@ func samplePairIndices(rng *rand.Rand, total int64, p float64) []int64 {
 		chosen[c] = struct{}{}
 		idx = append(idx, c)
 	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
+	slices.Sort(idx)
 	return idx
 }
 
@@ -364,7 +365,7 @@ func (g *Community) generateSparse(rng *rand.Rand, comm []int, boost []float64, 
 				chosen[c] = struct{}{}
 				idx = append(idx, c)
 			}
-			sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
+			slices.Sort(idx)
 			for _, c := range idx {
 				a, b := pairFromIndex(c, g.N)
 				pairs = append(pairs, activePair{a: a, b: b, mean: g.InterRate})
@@ -372,11 +373,8 @@ func (g *Community) generateSparse(rng *rand.Rand, comm []int, boost []float64, 
 		}
 	}
 
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
+	slices.SortFunc(pairs, func(x, y activePair) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
 	})
 	for _, p := range pairs {
 		rate := stats.Gamma(rng, g.RateShape, p.mean/g.RateShape)
@@ -524,7 +522,7 @@ func (g *RandomWaypoint) Generate(seed int64) (*trace.Trace, error) {
 				toClose = append(toClose, key)
 			}
 		}
-		sort.Ints(toClose)
+		slices.Sort(toClose)
 		for _, key := range toClose {
 			start := inContact[key]
 			if now > start {

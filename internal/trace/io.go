@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -80,8 +81,8 @@ func Read(r io.Reader) (*Trace, error) {
 		}
 		a, err1 := strconv.Atoi(fields[0])
 		b, err2 := strconv.Atoi(fields[1])
-		start, err3 := strconv.ParseFloat(fields[2], 64)
-		end, err4 := strconv.ParseFloat(fields[3], 64)
+		start, err3 := parseTime(fields[2])
+		end, err4 := parseTime(fields[3])
 		if err := firstErr(err1, err2, err3, err4); err != nil {
 			return nil, fmt.Errorf("%w: line %d: %v", ErrFormat, lineNo, err)
 		}
@@ -145,13 +146,23 @@ func parseHeader(t *Trace, line string) error {
 		}
 		t.N = n
 	case "duration":
-		d, err := strconv.ParseFloat(val, 64)
+		d, err := parseTime(val)
 		if err != nil {
 			return fmt.Errorf("duration: %w", err)
 		}
 		t.Duration = d
 	}
 	return nil
+}
+
+// parseTime parses a time field, which must be a finite number:
+// strconv.ParseFloat also accepts "NaN" and "Inf".
+func parseTime(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, fmt.Errorf("time %q is not a finite number", s)
+	}
+	return v, err
 }
 
 func firstErr(errs ...error) error {

@@ -78,6 +78,21 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(strings.NewReader("0 1 1\n")); !errors.Is(err, ErrFormat) {
 		t.Error("short line not wrapped as ErrFormat")
 	}
+	// Non-finite times are malformed fields: ErrFormat, naming the line.
+	nonFinite := map[string]string{
+		"0 1 NaN 10\n":                    "line 1",
+		"0 1 5 Inf\n":                     "line 1",
+		"0 1 -Inf 10\n":                   "line 1",
+		"# duration: NaN\n0 1 1 2\n":      "line 1",
+		"# duration: +Inf\n0 1 1 2\n":     "line 1",
+		"0 1 5 10\n0 2 NaN 12\n0 3 1 2\n": "line 2",
+	}
+	for in, line := range nonFinite {
+		_, err := Read(strings.NewReader(in))
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), line+":") {
+			t.Errorf("Read(%q) = %v, want ErrFormat at %s", in, err, line)
+		}
+	}
 }
 
 func TestReadWriteFile(t *testing.T) {

@@ -39,7 +39,7 @@ func ReadONE(r io.Reader) (*Trace, error) {
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("%w: line %d: too few fields", ErrFormat, lineNo)
 		}
-		ts, err := strconv.ParseFloat(fields[0], 64)
+		ts, err := parseTime(fields[0])
 		if err != nil {
 			return nil, fmt.Errorf("%w: line %d: bad time %q", ErrFormat, lineNo, fields[0])
 		}

@@ -81,6 +81,18 @@ func TestReadONERejectsGarbage(t *testing.T) {
 	if _, err := ReadONE(strings.NewReader("10 CONN 0 1\n")); !errors.Is(err, ErrFormat) {
 		t.Error("missing state not wrapped as ErrFormat")
 	}
+	// Non-finite times are malformed fields: ErrFormat, naming the line.
+	nonFinite := map[string]string{
+		"10 CONN 0 1 up\nInf CONN 0 2 up\n":   "line 2",
+		"NaN CONN 0 1 up\n20 CONN 0 1 down\n": "line 1",
+		"10 CONN 0 1 up\n-Inf MSG 0 1 x\n":    "line 2",
+	}
+	for in, line := range nonFinite {
+		_, err := ReadONE(strings.NewReader(in))
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), line+":") {
+			t.Errorf("ReadONE(%q) = %v, want ErrFormat at %s", in, err, line)
+		}
+	}
 }
 
 func TestParseONENode(t *testing.T) {

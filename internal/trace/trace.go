@@ -10,7 +10,7 @@ package trace
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 )
 
 // NodeID identifies a node within a trace. IDs are dense in [0, N).
@@ -39,19 +39,24 @@ type Trace struct {
 // Validation errors.
 var (
 	ErrNoNodes        = errors.New("trace: no nodes")
+	ErrBadDuration    = errors.New("trace: invalid duration")
 	ErrBadContact     = errors.New("trace: invalid contact")
 	ErrUnsorted       = errors.New("trace: contacts not sorted by start time")
 	ErrBeyondDuration = errors.New("trace: contact beyond trace duration")
 )
 
-// Validate checks the structural invariants documented on Trace. It does
-// not modify the trace; call Normalize first on freshly built traces.
+// Validate checks the structural invariants documented on Trace, and that
+// every time is a finite number. It does not modify the trace; call
+// Normalize first on freshly built traces.
 func (t *Trace) Validate() error {
 	if t.N <= 0 {
 		return ErrNoNodes
 	}
-	if t.Duration <= 0 {
-		return fmt.Errorf("trace: non-positive duration %v", t.Duration)
+	// Each range test is written so that NaN, which fails every
+	// comparison, fails it too. A finite duration bounds every end, and
+	// every end bounds its start, so all times are then finite.
+	if !(t.Duration > 0 && t.Duration <= math.MaxFloat64) {
+		return fmt.Errorf("%w %v", ErrBadDuration, t.Duration)
 	}
 	prev := -1.0
 	for i, c := range t.Contacts {
@@ -62,11 +67,11 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("%w #%d: node out of range (%d,%d) with N=%d", ErrBadContact, i, c.A, c.B, t.N)
 		case c.A > c.B:
 			return fmt.Errorf("%w #%d: not normalized (A=%d > B=%d)", ErrBadContact, i, c.A, c.B)
-		case c.End <= c.Start || c.Start < 0:
+		case !(c.Start >= 0 && c.End > c.Start):
 			return fmt.Errorf("%w #%d: interval [%v,%v)", ErrBadContact, i, c.Start, c.End)
 		case c.Start < prev:
 			return fmt.Errorf("%w: contact #%d starts at %v after %v", ErrUnsorted, i, c.Start, prev)
-		case c.End > t.Duration:
+		case !(c.End <= t.Duration):
 			return fmt.Errorf("%w: contact #%d ends at %v > %v", ErrBeyondDuration, i, c.End, t.Duration)
 		}
 		prev = c.Start
@@ -75,26 +80,15 @@ func (t *Trace) Validate() error {
 }
 
 // Normalize orders each contact's endpoints (A < B) and sorts contacts by
-// (Start, A, B, End). Generators call this before returning a trace.
+// (Start, A, B, End) in place (see sortContacts). Generators call this
+// before returning a trace.
 func (t *Trace) Normalize() {
 	for i := range t.Contacts {
 		if t.Contacts[i].A > t.Contacts[i].B {
 			t.Contacts[i].A, t.Contacts[i].B = t.Contacts[i].B, t.Contacts[i].A
 		}
 	}
-	sort.Slice(t.Contacts, func(i, j int) bool {
-		a, b := t.Contacts[i], t.Contacts[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		if a.B != b.B {
-			return a.B < b.B
-		}
-		return a.End < b.End
-	})
+	sortContacts(t.Contacts)
 }
 
 // Slice returns a copy of the trace restricted to contacts that start in

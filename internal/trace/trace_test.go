@@ -35,6 +35,10 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		want   error
 	}{
 		{"no nodes", func(tr *Trace) { tr.N = 0 }, ErrNoNodes},
+		{"NaN duration", func(tr *Trace) { tr.Duration = math.NaN() }, ErrBadDuration},
+		{"infinite duration", func(tr *Trace) { tr.Duration = math.Inf(1) }, ErrBadDuration},
+		{"NaN start", func(tr *Trace) { tr.Contacts[1].Start = math.NaN() }, ErrBadContact},
+		{"NaN end", func(tr *Trace) { tr.Contacts[1].End = math.NaN() }, ErrBadContact},
 		{"self contact", func(tr *Trace) { tr.Contacts[0].B = 0 }, ErrBadContact},
 		{"node out of range", func(tr *Trace) { tr.Contacts[0].B = 9 }, ErrBadContact},
 		{"unordered pair", func(tr *Trace) { tr.Contacts[0].A, tr.Contacts[0].B = 1, 0 }, ErrBadContact},
@@ -69,13 +73,13 @@ func TestNormalize(t *testing.T) {
 }
 
 // Property: Normalize always yields a Validate-clean trace from arbitrary
-// well-typed contact soup.
+// well-typed contact soup, of sizes that reach both bucket passes.
 func TestNormalizeProperty(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
+	f := func(seed int64, nRaw uint8, sizeRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + int(nRaw%20)
 		tr := &Trace{N: n, Duration: 1000}
-		for i := 0; i < 50; i++ {
+		for i := 0; i < int(sizeRaw%4096); i++ {
 			a := NodeID(rng.Intn(n))
 			b := NodeID(rng.Intn(n))
 			if a == b {
