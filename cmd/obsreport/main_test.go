@@ -19,16 +19,16 @@ import (
 // manifest with one scheme roll-up.
 func writeFixture(t *testing.T, dir string, tx, deliveries int, delay float64) {
 	t.Helper()
-	lin := obs.NewLineage("run-a", "hierarchical", 0)
-	root := lin.Generate(0, 1, 3, 0)
-	duty := lin.Duty(10, root, 0, 1, 3)
-	hop := lin.Handoff(20, duty, 0, 5, 1, 3)
-	lin.Delivered(30, hop, 5, 9, 1, 3, 30)
+	rec := obs.Recording{Lineage: obs.NewLineage("run-a", "hierarchical", 0)}
+	root := rec.Generate(0, 0, 1, 3)
+	duty := rec.Duty(10, root, 0, 1, 3, 1)
+	hop := rec.Handoff(20, duty, 0, 5, 1, 3)
+	rec.Delivered(30, hop, 5, 9, 1, 3, 30)
 	f, err := os.Create(filepath.Join(dir, "lineage.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lin.WriteJSONL(f); err != nil {
+	if err := rec.Lineage.WriteJSONL(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

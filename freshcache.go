@@ -568,11 +568,7 @@ func New(opts ...Option) (*Simulation, error) {
 		RebuildInterval: o.rebuildInterval,
 		QueryRelays:     o.queryRelays,
 		Churn:           network.ChurnConfig{MeanUp: o.churnUp, MeanDown: o.churnDown},
-		Obs:             o.rec.Trace,
-		Metrics:         o.rec.Metrics,
-		Lineage:         o.rec.Lineage,
-		Timeline:        o.rec.Timeline,
-		TimelineTick:    o.rec.TimelineTick,
+		Recording:       o.rec,
 		Reuse:           o.reuse,
 	}
 	if o.distributed {

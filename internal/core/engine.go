@@ -59,13 +59,10 @@ type Runtime struct {
 	RelayBufferCap int
 	// Seed lets schemes derive their own deterministic randomness.
 	Seed int64
-	// Obs is the run's event trace (nil when tracing is off). Emit is
-	// nil-safe, so schemes record unconditionally.
-	Obs *obs.RunTrace
-	// Lin is the run's causal lineage (nil when lineage is off). All its
-	// methods are nil-safe and return SpanID 0 when off, so schemes parent
-	// spans unconditionally.
-	Lin *obs.Lineage
+	// Rec is the run's recording. Schemes record each refresh fact through
+	// its fact methods unconditionally: collectors that are off skip it,
+	// and span IDs are 0 without lineage.
+	Rec *obs.Recording
 
 	eng *Engine
 	// isCaching is indexed by NodeID — the per-contact membership test is
@@ -117,14 +114,26 @@ func (rt *Runtime) CachedCopy(node trace.NodeID, item cache.ItemID) (cache.Copy,
 	return st.Peek(item)
 }
 
-// DeliverToCache stores the copy at the caching node, recording the
-// delivery metric when the store accepts it (i.e. the copy is newer than
-// what the node had). It returns false for non-caching nodes and for
-// stale copies. Transmission accounting is the caller's job (Contact.Send)
-// — delivery and transfer cost are deliberately separate so the Oracle
+// DeliverToCache stores the copy from node `from` at the caching node,
+// recording the delivery metric and the delivery fact, under the parent
+// span, when the store accepts it (i.e. the copy is newer than what the
+// node had). It returns the delivery span (0 without lineage) and whether
+// the store accepted the copy: false for non-caching nodes and for stale
+// copies. Transmission accounting is the caller's job (Contact.Send) —
+// delivery and transfer cost are deliberately separate so the Oracle
 // bound can deliver for free.
-func (rt *Runtime) DeliverToCache(node trace.NodeID, c cache.Copy, now float64) bool {
-	return rt.eng.deliverToCache(node, c, now)
+func (rt *Runtime) DeliverToCache(from, node trace.NodeID, c cache.Copy, now float64, parent obs.SpanID) (obs.SpanID, bool) {
+	return rt.eng.deliverToCache(from, node, c, now, parent)
+}
+
+// CopySpan returns the delivery span under which the caching node's
+// current copy of the item arrived (0 without lineage, for non-caching
+// nodes, or when no copy arrived yet).
+func (rt *Runtime) CopySpan(node trace.NodeID, item cache.ItemID) obs.SpanID {
+	if rt.eng.copySpan == nil || rt.eng.copySpan[node] == nil {
+		return 0
+	}
+	return rt.eng.copySpan[node][item]
 }
 
 // AllNodes returns the node IDs 0..N-1; the candidate set for relay
@@ -220,26 +229,17 @@ type Config struct {
 	// Placement selects the caching-node placement policy (default:
 	// greedy contact coverage, the paper family's NCL selection).
 	Placement centrality.Placement
-	// Obs, when non-nil, receives the run's typed event trace (contacts,
-	// refresh deliveries, replication plans, query outcomes, ...).
-	Obs *obs.RunTrace
-	// Metrics, when non-nil, receives the run's registry metrics (contact
-	// and delivery counters, event-queue depth). Both stay nil in
-	// benchmarks: the disabled path is a handful of nil checks.
-	Metrics *obs.Registry
-	// Lineage, when non-nil, receives the run's causal span tree: one root
-	// per generated version, extended at every duty assumption, relay
-	// handoff, delivery and duty reassignment. Like Obs it is nil-safe
-	// throughout, so the lineage-off hot path costs one branch per site.
-	Lineage *obs.Lineage
-	// Timeline, when non-nil, receives simulated-time telemetry samples
-	// (freshness ratio, cumulative counts, per-node/per-item copy age)
-	// every TimelineTick simulated seconds. Enabling it schedules extra
+	// Recording receives what the run records; each of its collectors is
+	// off when nil, and the zero value records nothing. Trace takes the
+	// typed events (contacts, refresh facts, query outcomes, ...), Metrics
+	// the registry counters and the event-queue depth, and Lineage the
+	// causal span tree: one root per generated version, extended at every
+	// duty assumption, relay handoff, delivery and duty reassignment.
+	// Timeline takes simulated-time telemetry (freshness ratio, cumulative
+	// counts, per-node/per-item copy age) every TimelineTick simulated
+	// seconds (<= 0: measurement phase / 240); its ticks are extra
 	// simulator events, so Result.SimulatedEventCount grows with it on.
-	Timeline *obs.Timeline
-	// TimelineTick is the sampling period in simulated seconds; <= 0
-	// selects the freshness-sampling default (measurement phase / 240).
-	TimelineTick float64
+	Recording obs.Recording
 	// ContactTimeline, when non-nil, is the pre-compiled contact timeline
 	// for Trace (network.CompileTimeline). Sweeps compile it once per
 	// trace and share it read-only across replicates and cells; nil
@@ -304,8 +304,8 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: negative relay buffer cap %d", c.RelayBufferCap)
 	case !nonNegativeFinite(c.RebuildInterval):
 		return fmt.Errorf("core: rebuild interval %v is not a finite non-negative number", c.RebuildInterval)
-	case math.IsNaN(c.TimelineTick) || math.IsInf(c.TimelineTick, 0):
-		return fmt.Errorf("core: timeline tick %v is not a finite number", c.TimelineTick)
+	case math.IsNaN(c.Recording.TimelineTick) || math.IsInf(c.Recording.TimelineTick, 0):
+		return fmt.Errorf("core: timeline tick %v is not a finite number", c.Recording.TimelineTick)
 	case c.QueryRelays < 0:
 		return fmt.Errorf("core: negative query relay count %d", c.QueryRelays)
 	}
@@ -351,13 +351,14 @@ type Engine struct {
 	// Set at the measurement epoch.
 	canServe []bool
 
-	// Observability: obsTrace receives typed events (nil = off); the
-	// metric handles are resolved once at construction and are nil (no-op)
-	// when cfg.Metrics is nil. lineage and timeline are the run's causal
-	// span tree and telemetry sampler (both nil = off, nil-safe).
-	obsTrace    *obs.RunTrace
-	lineage     *obs.Lineage
-	timeline    *obs.Timeline
+	// Observability: rec is cfg.Recording, the one path every fact is
+	// recorded through; the metric handles are resolved once at
+	// construction and are nil (no-op) when its registry is nil.
+	// copySpan[node][item] is the delivery span of a caching node's
+	// current copy, the parent of onward syncs; its rows exist only for
+	// caching nodes and only with lineage on.
+	rec         *obs.Recording
+	copySpan    [][]obs.SpanID
 	cContacts   *obs.Counter
 	cDeliveries *obs.Counter
 	cQueryDrops *obs.Counter
@@ -392,13 +393,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 		book:        cache.NewQueryBook(cfg.Trace.N, cfg.Catalog.Len(), cfg.Workload.Timeout),
 		stores:      make([]*cache.Store, cfg.Trace.N),
 		sources:     make(map[trace.NodeID][]cache.ItemID),
-		obsTrace:    cfg.Obs,
-		lineage:     cfg.Lineage,
-		timeline:    cfg.Timeline,
-		cContacts:   cfg.Metrics.Counter("engine/contacts"),
-		cDeliveries: cfg.Metrics.Counter("engine/deliveries"),
-		cQueryDrops: cfg.Metrics.Counter("engine/query_drops"),
+		cContacts:   cfg.Recording.Metrics.Counter("engine/contacts"),
+		cDeliveries: cfg.Recording.Metrics.Counter("engine/deliveries"),
+		cQueryDrops: cfg.Recording.Metrics.Counter("engine/query_drops"),
 	}
+	e.rec = &e.cfg.Recording
 	e.epoch = cfg.Trace.Duration * cfg.WarmupFraction
 	e.horizon = cfg.Trace.Duration
 	if cfg.QueryRelays > 0 {
@@ -454,8 +453,8 @@ func (e *Engine) Run() (metrics.Result, error) {
 			return
 		}
 		e.cContacts.Inc()
-		if e.obsTrace != nil {
-			e.obsTrace.Emit(obs.Event{
+		if e.rec.Trace != nil {
+			e.rec.Trace.Emit(obs.Event{
 				T: c.Time, Kind: obs.KindContactBegin,
 				A: int32(c.A), B: int32(c.B), Item: -1, Ver: -1, Val: c.Duration,
 			})
@@ -463,18 +462,18 @@ func (e *Engine) Run() (metrics.Result, error) {
 		e.cfg.Scheme.OnContact(c)
 		e.resolveQueries(c)
 		e.processDelegation(c)
-		if e.obsTrace != nil {
-			e.obsTrace.Emit(obs.Event{
+		if e.rec.Trace != nil {
+			e.rec.Trace.Emit(obs.Event{
 				T: c.Time + c.Duration, Kind: obs.KindContactEnd,
 				A: int32(c.A), B: int32(c.B), Item: -1, Ver: -1,
 			})
 		}
 	}))
-	if e.cfg.Metrics != nil {
+	if e.rec.Metrics != nil {
 		// Sample event-queue depth every few hundred processed events: the
 		// histogram shows how deep the future-event list runs without
 		// touching per-event cost in unobserved runs (the hook stays nil).
-		depth := e.cfg.Metrics.Histogram("eventsim/queue_depth", obs.DepthBuckets())
+		depth := e.rec.Metrics.Histogram("eventsim/queue_depth", obs.DepthBuckets())
 		e.sim.SetProcessedHook(func(processed uint64, pending int) {
 			if processed%256 == 0 {
 				depth.Observe(float64(pending))
@@ -503,7 +502,7 @@ func (e *Engine) Run() (metrics.Result, error) {
 		return metrics.Result{}, e.initErr
 	}
 
-	if e.obsTrace != nil {
+	if e.rec.Trace != nil {
 		// Query outcomes settle only once the run ends (a pending query may
 		// yet be served), so hits and misses are emitted here, in the
 		// deterministic issue order of the query book.
@@ -518,7 +517,7 @@ func (e *Engine) Run() (metrics.Result, error) {
 			default:
 				ev.T, ev.Kind = e.horizon, obs.KindCacheMiss
 			}
-			e.obsTrace.Emit(ev)
+			e.rec.Trace.Emit(ev)
 		}
 	}
 
@@ -592,6 +591,9 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 		return fmt.Errorf("core: caching node selection: %w", err)
 	}
 	e.canServe = make([]bool, e.cfg.Trace.N)
+	if e.rec.Lineage != nil {
+		e.copySpan = make([][]obs.SpanID, e.cfg.Trace.N)
+	}
 	for _, cn := range caching {
 		st, err := cache.NewStoreWithPolicy(e.cfg.Catalog, e.cfg.CacheCapacity, e.cfg.CachePolicy)
 		if err != nil {
@@ -599,6 +601,9 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 		}
 		e.stores[cn] = st
 		e.canServe[cn] = true
+		if e.copySpan != nil {
+			e.copySpan[cn] = make([]obs.SpanID, e.cfg.Catalog.Len())
+		}
 	}
 	for s := range e.sources {
 		e.canServe[s] = true
@@ -616,8 +621,7 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 		MaxRelays:      e.cfg.MaxRelays,
 		RelayBufferCap: e.cfg.RelayBufferCap,
 		Seed:           e.cfg.Seed,
-		Obs:            e.obsTrace,
-		Lin:            e.lineage,
+		Rec:            e.rec,
 		eng:            e,
 		isCaching:      make([]bool, e.cfg.Trace.N),
 	}
@@ -649,24 +653,11 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 						e.sim.Stop()
 						return
 					}
-					if e.obsTrace != nil {
-						// Responsibility for future versions now follows the
-						// rebuilt trees; one event per item, rooted at its
-						// source.
-						for _, it := range e.cfg.Catalog.View() {
-							e.obsTrace.Emit(obs.Event{
-								T: tnow, Kind: obs.KindDutyReassigned,
-								A: int32(it.Source), B: -1, Item: int32(it.ID), Ver: -1,
-							})
-						}
-					}
-					if e.lineage != nil {
-						// One reassign span per item, parented on the newest
-						// generation so the tree shows which version's duty
-						// chain the rebuild interrupted.
-						for _, it := range e.cfg.Catalog.View() {
-							e.lineage.Reassign(tnow, e.lineage.LatestRoot(int32(it.ID)), int32(it.Source), int32(it.ID))
-						}
+					// Responsibility for future versions now follows the
+					// rebuilt trees; one reassignment per item, rooted at
+					// its source.
+					for _, it := range e.cfg.Catalog.View() {
+						e.rec.Reassign(tnow, int32(it.Source), int32(it.ID))
 					}
 				}); err != nil {
 					return err
@@ -708,8 +699,8 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 	// Telemetry timeline: planned only when a sampler is attached, so the
 	// timeline-off event count (and thus determinism baselines) are
 	// untouched.
-	if e.timeline != nil {
-		tick := e.cfg.TimelineTick
+	if e.rec.Timeline != nil {
+		tick := e.rec.TimelineTick
 		if tick <= 0 {
 			tick = (e.horizon - e.rt.Epoch) / 240
 		}
@@ -756,16 +747,9 @@ func (e *Engine) runPlanAction(arg int32, now float64) {
 	case opGenerate:
 		it := e.cfg.Catalog.View()[a.item]
 		e.collector.RecordGeneration()
-		if e.obsTrace != nil {
-			e.obsTrace.Emit(obs.Event{
-				T: now, Kind: obs.KindGenerate,
-				A: int32(it.Source), B: -1, Item: int32(it.ID), Ver: a.ver,
-			})
-		}
 		// The root span exists before the scheme sees the version, so
-		// every duty/handoff the scheme records can parent on it via
-		// Lin.Root.
-		e.lineage.Generate(now, int32(it.ID), a.ver, int32(it.Source))
+		// every fact the scheme records can parent on it via Rec.Root.
+		e.rec.Generate(now, int32(it.Source), int32(it.ID), a.ver)
 		e.cfg.Scheme.OnGenerate(it, int(a.ver), now)
 	case opSample:
 		e.collector.RecordSample(now, e.freshnessRatio(now))
@@ -785,18 +769,18 @@ func (e *Engine) store(node trace.NodeID) *cache.Store {
 	return e.stores[node]
 }
 
-func (e *Engine) deliverToCache(node trace.NodeID, c cache.Copy, now float64) bool {
+func (e *Engine) deliverToCache(from, node trace.NodeID, c cache.Copy, now float64, parent obs.SpanID) (obs.SpanID, bool) {
 	st := e.store(node)
 	if st == nil {
-		return false
+		return 0, false
 	}
 	it, err := e.cfg.Catalog.Item(c.Item)
 	if err != nil {
-		return false
+		return 0, false
 	}
 	accepted, err := st.Put(c, now)
 	if err != nil || !accepted {
-		return false
+		return 0, false
 	}
 	e.collector.RecordDelivery(metrics.Delivery{
 		Item:        c.Item,
@@ -807,14 +791,11 @@ func (e *Engine) deliverToCache(node trace.NodeID, c cache.Copy, now float64) bo
 		OnTime:      now-c.GeneratedAt <= it.FreshnessWindow,
 	})
 	e.cDeliveries.Inc()
-	if e.obsTrace != nil {
-		e.obsTrace.Emit(obs.Event{
-			T: now, Kind: obs.KindRefreshDelivered,
-			A: -1, B: int32(node), Item: int32(c.Item), Ver: int32(c.Version),
-			Val: now - c.GeneratedAt,
-		})
+	sp := e.rec.Delivered(now, parent, int32(from), int32(node), int32(c.Item), int32(c.Version), now-c.GeneratedAt)
+	if e.copySpan != nil {
+		e.copySpan[node][c.Item] = sp
 	}
-	return true
+	return sp, true
 }
 
 // sampleTimeline records one telemetry tick: run-level aggregates first,
@@ -823,7 +804,7 @@ func (e *Engine) deliverToCache(node trace.NodeID, c cache.Copy, now float64) bo
 // registry — under a parallel sweep the registry mixes concurrent runs, so
 // sampling it here would make the export depend on worker scheduling.
 func (e *Engine) sampleTimeline(now float64) {
-	tl := e.timeline
+	tl := e.rec.Timeline
 	tl.Sample(now, "freshness_ratio", -1, -1, e.freshnessRatio(now))
 	tl.Sample(now, "contacts", -1, -1, float64(e.net.ContactsDispatched()))
 	tl.Sample(now, "deliveries", -1, -1, float64(e.collector.DeliveryCount()))
@@ -875,8 +856,8 @@ func (e *Engine) issueQuery(q *cache.Query, now float64) {
 		return
 	}
 	e.book.Issue(q)
-	if e.obsTrace != nil {
-		e.obsTrace.Emit(obs.Event{
+	if e.rec.Trace != nil {
+		e.rec.Trace.Emit(obs.Event{
 			T: now, Kind: obs.KindQueryIssued,
 			A: int32(q.Requester), B: -1, Item: int32(q.Item), Ver: -1,
 		})

@@ -72,7 +72,7 @@ func TestQueryDropCounted(t *testing.T) {
 		Catalog:         testScenarioCatalog(t, 4*mobility.Hour),
 		Scheme:          NewDirect(),
 		NumCachingNodes: 6,
-		Metrics:         reg,
+		Recording:       obs.Recording{Metrics: reg},
 		Seed:            1,
 	})
 	if err != nil {
@@ -237,7 +237,7 @@ func TestEngineConfigValidation(t *testing.T) {
 		{"CentralityWindow", func(c *Config, v float64) { c.CentralityWindow = v }},
 		{"DropProb", func(c *Config, v float64) { c.DropProb = v }},
 		{"RebuildInterval", func(c *Config, v float64) { c.RebuildInterval = v }},
-		{"TimelineTick", func(c *Config, v float64) { c.TimelineTick = v }},
+		{"TimelineTick", func(c *Config, v float64) { c.Recording.TimelineTick = v }},
 	}
 	for _, f := range floats {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

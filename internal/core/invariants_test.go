@@ -107,9 +107,11 @@ func checkInvariants(t *testing.T, sc *invariantScenario) {
 	cfg := sc.cfg
 	observed := sc.seed%2 == 0
 	if observed {
-		cfg.Obs = obs.NewRunTrace("inv", 1, 1<<14)
-		cfg.Metrics = obs.NewRegistry()
-		cfg.Lineage = obs.NewLineage("inv", cfg.Scheme.Name(), 0)
+		cfg.Recording = obs.Recording{
+			Trace:   obs.NewRunTrace("inv", 1, 1<<14),
+			Metrics: obs.NewRegistry(),
+			Lineage: obs.NewLineage("inv", cfg.Scheme.Name(), 0),
+		}
 	}
 	eng, err := NewEngine(cfg)
 	if err != nil {
@@ -199,15 +201,16 @@ func checkInvariants(t *testing.T, sc *invariantScenario) {
 		t.Fatalf("seed %d: oracle paid transmissions", sc.seed)
 	}
 	if observed {
-		checkRecordingsAgree(t, sc.seed, res, cfg.Obs, cfg.Metrics, cfg.Lineage)
+		checkRecordingsAgree(t, sc.seed, res, cfg.Recording)
 	}
 }
 
 // checkRecordingsAgree requires the run's recordings to count the same
 // facts alike: the Result, the event trace, the registry counters and the
 // lineage spans. Nothing may have been dropped, or the counts are partial.
-func checkRecordingsAgree(t *testing.T, seed int64, res metrics.Result, tr *obs.RunTrace, reg *obs.Registry, lin *obs.Lineage) {
+func checkRecordingsAgree(t *testing.T, seed int64, res metrics.Result, rec obs.Recording) {
 	t.Helper()
+	tr, reg, lin := rec.Trace, rec.Metrics, rec.Lineage
 	if tr.Dropped() != 0 || lin.Dropped() != 0 {
 		t.Fatalf("seed %d (%s): recordings dropped %d events, %d spans; size them up",
 			seed, res.Scheme, tr.Dropped(), lin.Dropped())
@@ -231,6 +234,12 @@ func checkRecordingsAgree(t *testing.T, seed int64, res metrics.Result, tr *obs.
 			[]int{counter("engine/contacts"), events[obs.KindContactBegin], events[obs.KindContactEnd]}},
 		{"generations (result, generate events, generate spans)",
 			[]int{res.VersionsGenerated, events[obs.KindGenerate], spans[obs.SpanGenerate]}},
+		{"handoffs (relay_handoff, handoff spans)",
+			[]int{events[obs.KindRelayHandoff], spans[obs.SpanHandoff]}},
+		{"duties (refresh_scheduled, duty spans)",
+			[]int{events[obs.KindRefreshScheduled], spans[obs.SpanDuty]}},
+		{"reassignments (duty_reassigned, reassign spans)",
+			[]int{events[obs.KindDutyReassigned], spans[obs.SpanReassign]}},
 		{"queries (result, query_issued, cache_hit+cache_miss)",
 			[]int{res.Queries, events[obs.KindQueryIssued], events[obs.KindCacheHit] + events[obs.KindCacheMiss]}},
 		{"dropped queries (result, engine/query_drops)",

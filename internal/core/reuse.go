@@ -156,45 +156,19 @@ const (
 	opQuery
 )
 
-// Scheme-facing scratch helpers. They fall back to plain allocation when
-// the Runtime was built without an engine (unit tests).
+// Scheme-facing scratch helpers.
 
 // newSet returns an empty run-scoped bit set over [0, rt.N).
-func (rt *Runtime) newSet() *bitset.Set {
-	if rt.eng == nil {
-		return bitset.New(rt.N)
-	}
-	return rt.eng.scratch.bits.New(rt.N)
-}
+func (rt *Runtime) newSet() *bitset.Set { return rt.eng.scratch.bits.New(rt.N) }
 
 // newDuty returns a zeroed run-scoped duty.
-func (rt *Runtime) newDuty() *duty {
-	if rt.eng == nil {
-		return new(duty)
-	}
-	return rt.eng.scratch.duties.get()
-}
+func (rt *Runtime) newDuty() *duty { return rt.eng.scratch.duties.get() }
 
 // newRelayEntry returns a zeroed run-scoped relay buffer entry.
-func (rt *Runtime) newRelayEntry() *relayEntry {
-	if rt.eng == nil {
-		return new(relayEntry)
-	}
-	return rt.eng.scratch.relayEntries.get()
-}
+func (rt *Runtime) newRelayEntry() *relayEntry { return rt.eng.scratch.relayEntries.get() }
 
 // setRow returns a zeroed length-rt.N row of set pointers.
-func (rt *Runtime) setRow() []*bitset.Set {
-	if rt.eng == nil {
-		return make([]*bitset.Set, rt.N)
-	}
-	return rt.eng.scratch.setRows.row(rt.N)
-}
+func (rt *Runtime) setRow() []*bitset.Set { return rt.eng.scratch.setRows.row(rt.N) }
 
 // dutyRow returns a zeroed length-items row of duty pointers.
-func (rt *Runtime) dutyRow(items int) []*duty {
-	if rt.eng == nil {
-		return make([]*duty, items)
-	}
-	return rt.eng.scratch.dutyRows.row(items)
-}
+func (rt *Runtime) dutyRow(items int) []*duty { return rt.eng.scratch.dutyRows.row(items) }

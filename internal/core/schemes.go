@@ -130,12 +130,6 @@ type refreshScheme struct {
 	// sorted by (item, version) — the order actAsRelay previously
 	// re-derived with a per-contact sort.
 	relays [][]*relayEntry
-	// lin is the run's lineage (nil = off, all methods nil-safe);
-	// copySpan[node][item] is the delivery span under which the node's
-	// current copy arrived — the parent for onward syncs. The matrix is
-	// allocated only when lineage is on.
-	lin      *obs.Lineage
-	copySpan [][]obs.SpanID
 	// scratch is reused by the relay hand-off path for the live
 	// destination intersection, keeping OnContact allocation-free.
 	scratch *bitset.Set
@@ -240,14 +234,6 @@ func (s *refreshScheme) Init(rt *Runtime) error {
 	s.dutyCount = make([]int, s.n)
 	s.relays = make([][]*relayEntry, s.n)
 	s.scratch = rt.newSet()
-	s.lin = rt.Lin
-	s.copySpan = nil
-	if s.lin != nil {
-		s.copySpan = make([][]obs.SpanID, s.n)
-		for i := range s.copySpan {
-			s.copySpan[i] = make([]obs.SpanID, len(s.items))
-		}
-	}
 	s.planCache = nil
 	s.planValid = false
 	if s.randomRelays {
@@ -333,7 +319,7 @@ func (s *refreshScheme) OnGenerate(it cache.Item, version int, now float64) {
 	if s.adaptive {
 		s.adjustBudget(it)
 	}
-	s.assumeDuty(it.Source, it, version, now, now, s.lin.Root(int32(it.ID), int32(version)))
+	s.assumeDuty(it.Source, it, version, now, now, s.rt.Rec.Root(int32(it.ID), int32(version)))
 }
 
 // adjustBudget is the per-item feedback controller: compare the on-time
@@ -400,23 +386,6 @@ func (s *refreshScheme) planMemo(rates centrality.RateView) map[planKey]RelayPla
 	return s.planCache
 }
 
-// copySpanAt returns the lineage span the node's current copy of the item
-// arrived under (0 when lineage is off or the copy predates tracking).
-func (s *refreshScheme) copySpanAt(node trace.NodeID, item cache.ItemID) obs.SpanID {
-	if s.copySpan == nil {
-		return 0
-	}
-	return s.copySpan[node][item]
-}
-
-// setCopySpan records the delivery span of the node's current copy.
-func (s *refreshScheme) setCopySpan(node trace.NodeID, item cache.ItemID, id obs.SpanID) {
-	if s.copySpan == nil {
-		return
-	}
-	s.copySpan[node][item] = id
-}
-
 // assumeDuty makes `holder` responsible for refreshing its children in the
 // item's tree with the given version. genAt is the version's generation
 // time; now the moment responsibility starts (later than genAt for caching
@@ -456,8 +425,6 @@ func (s *refreshScheme) assumeDuty(holder trace.NodeID, it cache.Item, version i
 	if ndests == 0 {
 		return
 	}
-	// Nil-safe: Duty returns 0 when lineage is off.
-	d.span = s.lin.Duty(now, parent, int32(holder), int32(it.ID), int32(version))
 
 	if s.replicate {
 		budget := d.genAt + d.window - now
@@ -494,13 +461,7 @@ func (s *refreshScheme) assumeDuty(holder trace.NodeID, it cache.Item, version i
 					s.plansSatisfied++
 				}
 				s.sumAchieved += plan.AchievedProb
-				if s.rt.Obs != nil {
-					s.rt.Obs.Emit(obs.Event{
-						T: now, Kind: obs.KindReplicationPlanned,
-						A: int32(holder), B: int32(dest), Item: int32(it.ID), Ver: int32(version),
-						Val: plan.AchievedProb,
-					})
-				}
+				s.rt.Rec.Planned(now, int32(holder), int32(dest), int32(it.ID), int32(version), plan.AchievedProb)
 				if len(plan.Relays) > 0 {
 					if d.relayFor == nil {
 						d.relayFor = s.rt.setRow()
@@ -526,13 +487,7 @@ func (s *refreshScheme) assumeDuty(holder trace.NodeID, it cache.Item, version i
 		s.dutyCount[holder]++
 	}
 	row[it.ID] = d // replaces any older-version duty
-	if s.rt.Obs != nil {
-		s.rt.Obs.Emit(obs.Event{
-			T: now, Kind: obs.KindRefreshScheduled,
-			A: int32(holder), B: -1, Item: int32(it.ID), Ver: int32(version),
-			Val: float64(ndests),
-		})
-	}
+	d.span = s.rt.Rec.Duty(now, parent, int32(holder), int32(it.ID), int32(version), ndests)
 }
 
 // randomPlan draws MaxRelays distinct random relays (excluding holder and
@@ -598,16 +553,14 @@ func (s *refreshScheme) syncPeers(c *network.Contact, from, to trace.NodeID) {
 			return
 		}
 		cp.ReceivedAt = c.Time
-		if s.rt.DeliverToCache(to, cp, c.Time) {
-			// Parent on the span the giver's copy arrived under; copies
-			// held since before lineage tracking fall back to the
-			// generation root.
-			parent := s.copySpanAt(from, it.ID)
-			if parent == 0 {
-				parent = s.lin.Root(int32(it.ID), int32(cp.Version))
-			}
-			sp := s.lin.Delivered(c.Time, parent, int32(from), int32(to), int32(it.ID), int32(cp.Version), c.Time-cp.GeneratedAt)
-			s.setCopySpan(to, it.ID, sp)
+		// Parent on the span the giver's copy arrived under; a copy whose
+		// delivery span was dropped at the lineage cap falls back to the
+		// generation root.
+		parent := s.rt.CopySpan(from, it.ID)
+		if parent == 0 {
+			parent = s.rt.Rec.Root(int32(it.ID), int32(cp.Version))
+		}
+		if sp, ok := s.rt.DeliverToCache(from, to, cp, c.Time, parent); ok {
 			s.observeDelivery(it.ID, cp.GeneratedAt, it.FreshnessWindow, c.Time)
 			s.assumeDuty(to, it, cp.Version, cp.GeneratedAt, c.Time, sp)
 		}
@@ -648,9 +601,7 @@ func (s *refreshScheme) actAsResponsible(c *network.Contact, holder, peer trace.
 				return // contact budget exhausted; try next contact
 			}
 			cp := cache.Copy{Item: itemID, Version: d.key.version, GeneratedAt: d.genAt, ReceivedAt: c.Time}
-			if s.rt.DeliverToCache(peer, cp, c.Time) {
-				sp := s.lin.Delivered(c.Time, d.span, int32(holder), int32(peer), int32(itemID), int32(d.key.version), c.Time-d.genAt)
-				s.setCopySpan(peer, itemID, sp)
+			if sp, ok := s.rt.DeliverToCache(holder, peer, cp, c.Time, d.span); ok {
 				s.observeDelivery(itemID, d.genAt, d.window, c.Time)
 				s.assumeDuty(peer, it, d.key.version, d.genAt, c.Time, sp)
 			}
@@ -699,16 +650,10 @@ func (s *refreshScheme) giveToRelay(c *network.Contact, holder, relay trace.Node
 		// no refresh.
 		expire: d.genAt + d.ttl,
 		dests:  s.rt.newSet(),
-		span:   s.lin.Handoff(c.Time, d.span, int32(holder), int32(relay), int32(d.key.item), int32(d.key.version)),
+		span:   s.rt.Rec.Handoff(c.Time, d.span, int32(holder), int32(relay), int32(d.key.item), int32(d.key.version)),
 	}
 	entry.dests.Or(live)
 	s.relays[relay] = insertRelayEntry(buf, entry)
-	if s.rt.Obs != nil {
-		s.rt.Obs.Emit(obs.Event{
-			T: c.Time, Kind: obs.KindRelayHandoff,
-			A: int32(holder), B: int32(relay), Item: int32(d.key.item), Ver: int32(d.key.version),
-		})
-	}
 	return true
 }
 
@@ -754,9 +699,7 @@ func (s *refreshScheme) actAsRelay(c *network.Contact, relay, peer trace.NodeID)
 			return
 		}
 		cp := cache.Copy{Item: entry.key.item, Version: entry.key.version, GeneratedAt: entry.genAt, ReceivedAt: c.Time}
-		if s.rt.DeliverToCache(peer, cp, c.Time) {
-			sp := s.lin.Delivered(c.Time, entry.span, int32(relay), int32(peer), int32(entry.key.item), int32(entry.key.version), c.Time-entry.genAt)
-			s.setCopySpan(peer, entry.key.item, sp)
+		if sp, ok := s.rt.DeliverToCache(relay, peer, cp, c.Time, entry.span); ok {
 			if it, err := s.rt.Catalog.Item(entry.key.item); err == nil {
 				s.observeDelivery(entry.key.item, entry.genAt, it.FreshnessWindow, c.Time)
 				s.assumeDuty(peer, it, entry.key.version, entry.genAt, c.Time, sp)
@@ -867,10 +810,8 @@ type epidemicScheme struct {
 	// relays, not just caching nodes); Version < 0 marks no copy. Rows
 	// are allocated on a node's first copy.
 	known [][]cache.Copy
-	// lin is the run's lineage (nil = off); spans[node][item] mirrors
-	// known with the span the node's copy arrived under, allocated only
-	// when lineage is on.
-	lin   *obs.Lineage
+	// spans[node][item] mirrors known with the span the node's copy
+	// arrived under, allocated only when lineage is on.
 	spans [][]obs.SpanID
 }
 
@@ -887,9 +828,8 @@ func (s *epidemicScheme) Init(rt *Runtime) error {
 	s.rt = rt
 	s.items = rt.Items()
 	s.known = make([][]cache.Copy, rt.N)
-	s.lin = rt.Lin
 	s.spans = nil
-	if s.lin != nil {
+	if rt.Rec.Lineage != nil {
 		s.spans = make([][]obs.SpanID, rt.N)
 		for i := range s.spans {
 			s.spans[i] = make([]obs.SpanID, len(s.items))
@@ -903,7 +843,7 @@ func (s *epidemicScheme) OnGenerate(it cache.Item, version int, now float64) {
 	s.setKnown(it.Source, cache.Copy{Item: it.ID, Version: version, GeneratedAt: now, ReceivedAt: now})
 	if s.spans != nil {
 		// The source's copy descends straight from the generation root.
-		s.spans[it.Source][it.ID] = s.lin.Root(int32(it.ID), int32(version))
+		s.spans[it.Source][it.ID] = s.rt.Rec.Root(int32(it.ID), int32(version))
 	}
 }
 
@@ -952,19 +892,20 @@ func (s *epidemicScheme) push(c *network.Contact, from, to trace.NodeID) {
 		cp.ReceivedAt = c.Time
 		s.setKnown(to, cp)
 		dst = s.known[to] // row may have just been allocated
-		delivered := false
+		var parent obs.SpanID
+		if s.spans != nil {
+			parent = s.spans[from][it.ID]
+		}
+		sp, delivered := obs.SpanID(0), false
 		if s.rt.IsCachingNode(to) {
-			delivered = s.rt.DeliverToCache(to, cp, c.Time)
+			sp, delivered = s.rt.DeliverToCache(from, to, cp, c.Time, parent)
+		}
+		if !delivered {
+			// A transfer no cache accepts is an epidemic carry.
+			sp = s.rt.Rec.Handoff(c.Time, parent, int32(from), int32(to), int32(it.ID), int32(cp.Version))
 		}
 		if s.spans != nil {
-			// A cache acceptance ends a branch with a delivery span; any
-			// other transfer is an epidemic carry (handoff).
-			parent := s.spans[from][it.ID]
-			if delivered {
-				s.spans[to][it.ID] = s.lin.Delivered(c.Time, parent, int32(from), int32(to), int32(it.ID), int32(cp.Version), c.Time-cp.GeneratedAt)
-			} else {
-				s.spans[to][it.ID] = s.lin.Handoff(c.Time, parent, int32(from), int32(to), int32(it.ID), int32(cp.Version))
-			}
+			s.spans[to][it.ID] = sp
 		}
 	}
 }
@@ -991,13 +932,11 @@ func (s *oracleScheme) Init(rt *Runtime) error {
 
 // OnGenerate implements Scheme.
 func (s *oracleScheme) OnGenerate(it cache.Item, version int, now float64) {
-	root := s.rt.Lin.Root(int32(it.ID), int32(version))
+	// Instantaneous delivery: one zero-age delivery per caching node,
+	// parented directly on the generation root.
+	root := s.rt.Rec.Root(int32(it.ID), int32(version))
 	for _, cn := range s.rt.CachingNodes {
-		if s.rt.DeliverToCache(cn, cache.Copy{Item: it.ID, Version: version, GeneratedAt: now, ReceivedAt: now}, now) {
-			// Instantaneous delivery: one zero-age span per caching node,
-			// parented directly on the generation root.
-			s.rt.Lin.Delivered(now, root, int32(it.Source), int32(cn), int32(it.ID), int32(version), 0)
-		}
+		s.rt.DeliverToCache(it.Source, cn, cache.Copy{Item: it.ID, Version: version, GeneratedAt: now, ReceivedAt: now}, now, root)
 	}
 }
 

@@ -24,10 +24,8 @@ type sprayScheme struct {
 	tokens map[trace.NodeID]map[copyKey]int
 	// meta[key] records the version's generation time and expiry.
 	meta map[copyKey]sprayMeta
-	// lin is the run's lineage (nil = off); spanOf[node][key] is the span
-	// the node's tokens for the version arrived under, allocated only when
-	// lineage is on.
-	lin    *obs.Lineage
+	// spanOf[node][key] is the span the node's tokens for the version
+	// arrived under, allocated only when lineage is on.
 	spanOf map[trace.NodeID]map[copyKey]obs.SpanID
 }
 
@@ -59,9 +57,8 @@ func (s *sprayScheme) Init(rt *Runtime) error {
 	s.rt = rt
 	s.tokens = make(map[trace.NodeID]map[copyKey]int, rt.N)
 	s.meta = make(map[copyKey]sprayMeta)
-	s.lin = rt.Lin
 	s.spanOf = nil
-	if s.lin != nil {
+	if rt.Rec.Lineage != nil {
 		s.spanOf = make(map[trace.NodeID]map[copyKey]obs.SpanID, rt.N)
 	}
 	return nil
@@ -100,7 +97,7 @@ func (s *sprayScheme) OnGenerate(it cache.Item, version int, now float64) {
 	}
 	delete(src, copyKey{item: it.ID, version: version - 1})
 	src[key] = s.l
-	s.setTokenSpan(it.Source, key, s.lin.Root(int32(it.ID), int32(version)))
+	s.setTokenSpan(it.Source, key, s.rt.Rec.Root(int32(it.ID), int32(version)))
 }
 
 // OnContact implements Scheme.
@@ -136,9 +133,7 @@ func (s *sprayScheme) act(c *network.Contact, holder, peer trace.NodeID) {
 					return
 				}
 				cp := cache.Copy{Item: key.item, Version: key.version, GeneratedAt: m.genAt, ReceivedAt: c.Time}
-				if s.rt.DeliverToCache(peer, cp, c.Time) {
-					s.lin.Delivered(c.Time, s.tokenSpan(holder, key), int32(holder), int32(peer), int32(key.item), int32(key.version), c.Time-m.genAt)
-				}
+				s.rt.DeliverToCache(holder, peer, cp, c.Time, s.tokenSpan(holder, key))
 			}
 			continue
 		}
@@ -161,9 +156,7 @@ func (s *sprayScheme) act(c *network.Contact, holder, peer trace.NodeID) {
 			s.tokens[peer] = dst
 		}
 		dst[key] = give
-		if s.spanOf != nil {
-			s.setTokenSpan(peer, key, s.lin.Handoff(c.Time, s.tokenSpan(holder, key), int32(holder), int32(peer), int32(key.item), int32(key.version)))
-		}
+		s.setTokenSpan(peer, key, s.rt.Rec.Handoff(c.Time, s.tokenSpan(holder, key), int32(holder), int32(peer), int32(key.item), int32(key.version)))
 	}
 }
 

@@ -113,6 +113,24 @@ func (o Options) runScenario(label string, sc Scenario, scheme core.Scheme, tr *
 	return res, eng, nil
 }
 
+// runConfig runs one labelled engine configuration with the options'
+// observability attached, as runScenario does for a Scenario.
+func (o Options) runConfig(label string, cfg core.Config) (metrics.Result, *core.Engine, error) {
+	rec := o.Obs.Open(label, cfg.Scheme.Name())
+	cfg.Recording = rec
+	eng, err := core.NewEngine(cfg)
+	if err != nil {
+		return metrics.Result{}, nil, err
+	}
+	res, err := eng.Run()
+	if err != nil {
+		return metrics.Result{}, nil, err
+	}
+	o.record(res)
+	o.Obs.Commit(rec, res)
+	return res, eng, nil
+}
+
 // Experiment is one reproducible unit of the evaluation: it regenerates
 // the data behind one table or figure.
 type Experiment struct {

@@ -17,7 +17,8 @@ import (
 // They run each point over several seeds and report mean ± 95% CI, since
 // failure injection adds variance. The sweep-shaped ones run their cell
 // grids on the worker-pool runner (sweep.go); E14 and E16, which drive
-// custom engines, stay on the sequential meanCI helper.
+// custom engines, stay on the sequential meanCI helper and record each
+// run like a sweep cell.
 
 // replicas is the number of seeds per point in the extension experiments,
 // unless overridden by Options.Replicates.
@@ -81,15 +82,22 @@ func extScenario(seed int64) Scenario {
 	}
 }
 
-// runExtOn runs the extension scenario on the given trace with config
-// tweaks; seed drives the protocol and workload randomness.
-func runExtOn(tr *trace.Trace, seed int64, schemeName string, mutate func(*core.Config)) (metrics.Result, error) {
-	sc := extScenario(seed).withDefaults()
+// runExtCell is the sweep-cell body of the ported extension experiments:
+// the mid-size community scenario with config tweaks, on the trace from
+// the shared cache keyed by the cell's TraceSeed (so all cells of one
+// replicate are paired on a common trace), the protocol and workload
+// randomness from the cell's derived Seed.
+func runExtCell(opts Options, c Cell, mutate func(*core.Config)) (metrics.Result, error) {
+	tr, err := extTrace(c.TraceSeed)
+	if err != nil {
+		return metrics.Result{}, err
+	}
+	sc := extScenario(c.Seed).withDefaults()
 	cat, err := sc.buildCatalog()
 	if err != nil {
 		return metrics.Result{}, err
 	}
-	scheme, err := core.SchemeByName(schemeName)
+	scheme, err := core.SchemeByName(c.Scheme)
 	if err != nil {
 		return metrics.Result{}, err
 	}
@@ -99,42 +107,14 @@ func runExtOn(tr *trace.Trace, seed int64, schemeName string, mutate func(*core.
 		Scheme:          scheme,
 		NumCachingNodes: sc.NumCachingNodes,
 		PReq:            sc.PReq,
-		Seed:            seed,
+		Seed:            c.Seed,
 		Workload:        cache.WorkloadConfig{QueryRate: sc.QueryRate, ZipfExponent: 1.0},
 	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	eng, err := core.NewEngine(cfg)
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	return eng.Run()
-}
-
-// runExtCell is the sweep-cell body of the ported extension experiments:
-// the trace comes from the shared cache keyed by the cell's TraceSeed (so
-// all cells of one replicate are paired on a common trace), the protocol
-// and workload randomness from the cell's derived Seed.
-func runExtCell(opts Options, c Cell, mutate func(*core.Config)) (metrics.Result, error) {
-	tr, err := extTrace(c.TraceSeed)
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	rec := opts.Obs.Open(cellLabel(c), c.Scheme)
-	res, err := runExtOn(tr, c.Seed, c.Scheme, func(cfg *core.Config) {
-		cfg.Obs, cfg.Metrics = rec.Trace, rec.Metrics
-		cfg.Lineage, cfg.Timeline, cfg.TimelineTick = rec.Lineage, rec.Timeline, rec.TimelineTick
-		if mutate != nil {
-			mutate(cfg)
-		}
-	})
-	if err != nil {
-		return metrics.Result{}, err
-	}
-	opts.record(res)
-	opts.Obs.Commit(rec, res)
-	return res, nil
+	res, _, err := opts.runConfig(cellLabel(c), cfg)
+	return res, err
 }
 
 func runE11(opts Options) ([]*Table, error) {
@@ -279,8 +259,7 @@ func runE14(opts Options) ([]*Table, error) {
 	if opts.Quick {
 		intervals = intervals[:2]
 	}
-	for _, days := range intervals {
-		days := days
+	for pi, days := range intervals {
 		var txSum float64
 		mean, ci, err := meanCI(n, opts.Seed, func(rep int, seed int64) (float64, error) {
 			tr, err := sharedTraces.GetFunc("drift-community", TraceSeedFor(opts.Seed, rep),
@@ -293,7 +272,7 @@ func runE14(opts Options) ([]*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			eng, err := core.NewEngine(core.Config{
+			res, _, err := opts.runConfig(cellLabel(Cell{Experiment: "E14", Preset: "drift-community", Point: pi, Scheme: "hierarchical", Replicate: rep}), core.Config{
 				Trace:           tr,
 				Catalog:         cat,
 				Scheme:          core.NewHierarchical(),
@@ -305,11 +284,6 @@ func runE14(opts Options) ([]*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			res, err := eng.Run()
-			if err != nil {
-				return 0, err
-			}
-			opts.record(res)
 			txSum += res.TxPerVersion
 			return res.FreshnessRatio, nil
 		})
@@ -360,10 +334,10 @@ func runE16(opts Options) ([]*Table, error) {
 	if opts.Quick {
 		caps = caps[:2]
 	}
-	for _, capacity := range caps {
-		for _, policy := range []cache.Policy{cache.EvictLRU, cache.EvictLFU} {
-			capacity := capacity
-			policy := policy
+	policies := []cache.Policy{cache.EvictLRU, cache.EvictLFU}
+	for ci, capacity := range caps {
+		for pi, policy := range policies {
+			point := ci*len(policies) + pi
 			var validSum, answeredSum float64
 			mean, _, err := meanCI(n, opts.Seed, func(rep int, seed int64) (float64, error) {
 				tr, err := extTrace(TraceSeedFor(opts.Seed, rep))
@@ -377,7 +351,7 @@ func runE16(opts Options) ([]*Table, error) {
 				if err != nil {
 					return 0, err
 				}
-				eng, err := core.NewEngine(core.Config{
+				res, _, err := opts.runConfig(cellLabel(Cell{Experiment: "E16", Preset: "ext-community", Point: point, Scheme: "hierarchical", Replicate: rep}), core.Config{
 					Trace:           tr,
 					Catalog:         cat,
 					Scheme:          core.NewHierarchical(),
@@ -390,11 +364,6 @@ func runE16(opts Options) ([]*Table, error) {
 				if err != nil {
 					return 0, err
 				}
-				res, err := eng.Run()
-				if err != nil {
-					return 0, err
-				}
-				opts.record(res)
 				validSum += res.ValidAccessRate
 				answeredSum += res.AnsweredOK
 				return res.FreshnessRatio, nil
@@ -430,7 +399,7 @@ func runE17(opts Options) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng, err := core.NewEngine(core.Config{
+		_, eng, err := opts.runConfig(cellLabel(Cell{Experiment: "E17", Preset: preset, Scheme: "hierarchical-bare"}), core.Config{
 			Trace:           tr,
 			Catalog:         cat,
 			Scheme:          core.NewHierarchicalBare(),
@@ -438,9 +407,6 @@ func runE17(opts Options) ([]*Table, error) {
 			Seed:            opts.Seed,
 		})
 		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.Run(); err != nil {
 			return nil, err
 		}
 		rt := eng.Runtime()

@@ -111,11 +111,10 @@ func TestQuickE11Golden(t *testing.T) {
 }
 
 // TestQuickE16Golden pins quick E16 (LRU and LFU stores under capacity),
-// whose eviction order depends on every lookup a served query makes. E16
-// builds its engines outside the sweep and records nothing, so only its
-// tables are pinned.
+// whose eviction order depends on every lookup a served query makes: its
+// tables and every export, as for E2.
 func TestQuickE16Golden(t *testing.T) {
-	checkQuickGolden(t, "E16", e16GoldenJSON)
+	checkQuickGolden(t, "E16", e16GoldenJSON, "events", "chrome", "lineage", "timeline", "openmetrics")
 }
 
 // TestQuickE18Golden pins quick E18 (query delegation), which shares the

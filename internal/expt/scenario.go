@@ -30,7 +30,8 @@ type Scenario struct {
 	// nil when -obs is off). Lineage and Timeline are the causal span tree
 	// and the simulated-time telemetry sampler (nil when -lineage /
 	// -timeline-tick are off); TimelineTick is the sampling period in
-	// simulated seconds (<= 0 = engine default).
+	// simulated seconds (<= 0 = engine default). RunOnTrace hands the
+	// five to the engine as one obs.Recording.
 	Obs          *obs.RunTrace
 	Metrics      *obs.Registry
 	Lineage      *obs.Lineage
@@ -128,12 +129,10 @@ func (sc Scenario) RunOnTrace(scheme core.Scheme, tr *trace.Trace) (metrics.Resu
 		NumCachingNodes: sc.NumCachingNodes,
 		PReq:            sc.PReq,
 		Seed:            sc.Seed,
-		Obs:             sc.Obs,
-		Metrics:         sc.Metrics,
-		Lineage:         sc.Lineage,
-		Timeline:        sc.Timeline,
-		TimelineTick:    sc.TimelineTick,
-
+		Recording: obs.Recording{
+			Trace: sc.Obs, Metrics: sc.Metrics, Lineage: sc.Lineage,
+			Timeline: sc.Timeline, TimelineTick: sc.TimelineTick,
+		},
 		ContactTimeline: sc.ContactTimeline,
 		Reuse:           sc.Reuse,
 	}

@@ -20,15 +20,16 @@ const (
 	// destinations planned.
 	KindRefreshScheduled
 	// KindRefreshDelivered marks a fresh copy of Item version Ver arriving
-	// at caching node B from node A; Val carries the delivery delay in
-	// seconds since generation.
+	// at caching node B; Val carries the delivery delay in seconds since
+	// generation. A is always -1: the delivery span names the giver.
 	KindRefreshDelivered
 	// KindReplicationPlanned marks planner output: node A is tasked to
 	// carry Item toward destination B; Val carries the achieved delivery
 	// probability.
 	KindReplicationPlanned
-	// KindRelayHandoff marks responsible node A handing a copy of Item to
-	// relay B.
+	// KindRelayHandoff marks carrier A handing a copy of Item version Ver
+	// to carrier B without reaching a cache: a responsible node's handoff
+	// to a planned relay, an epidemic carry or a spray token split.
 	KindRelayHandoff
 	// KindDutyReassigned marks node A taking responsibility for Item after
 	// a rebuild (Ver is unused).

@@ -3,6 +3,8 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -24,8 +26,9 @@ const (
 	// SpanDuty marks a node assuming refreshing duty for an item-version
 	// (becoming part of the distributed duty tree).
 	SpanDuty
-	// SpanHandoff marks a refresh message being handed to a relay for
-	// forwarding (the message is in flight, not yet applied at a cache).
+	// SpanHandoff marks a refresh message being handed to a carrier for
+	// forwarding: a planned relay, an epidemic carrier or a spray token
+	// holder (the message is in flight, not yet applied at a cache).
 	SpanHandoff
 	// SpanDelivery marks a version arriving at a caching node's store.
 	SpanDelivery
@@ -70,10 +73,11 @@ type Span struct {
 	Age    float64
 }
 
-// Lineage collects the causal span tree of one run. Like RunTrace it is
-// single-goroutine and nil-safe: every method no-ops (returning SpanID 0
-// where applicable) on a nil receiver, so instrumentation sites need no
-// guards and the lineage-off hot path costs one branch.
+// Lineage collects the causal span tree of one run. Spans are written
+// only through a Recording's fact methods, together with their events.
+// Like RunTrace it is single-goroutine and nil-safe: every method no-ops
+// (returning SpanID 0 where applicable) on a nil receiver, so the
+// lineage-off path costs one branch.
 //
 // Capacity: at most cap spans are kept. Once full, new spans are counted
 // in Dropped but not stored — drop-new (rather than ring-overwrite)
@@ -87,7 +91,7 @@ type Lineage struct {
 	dropped uint64
 
 	// roots maps (item, version) to the generate span, so scheme code can
-	// parent duty/delivery spans without threading IDs through every call.
+	// parent its spans without threading IDs through every call.
 	roots map[rootKey]SpanID
 	// latest maps item to the generate span of its newest version.
 	latest map[int32]SpanID
@@ -116,8 +120,12 @@ func NewLineage(label, scheme string, capSpans int) *Lineage {
 	}
 }
 
-// add stores a span and returns its ID, or 0 if the cap is reached.
+// add stores a span and returns its ID, or 0 on a nil lineage or once
+// the cap is reached.
 func (l *Lineage) add(s Span) SpanID {
+	if l == nil {
+		return 0
+	}
 	if len(l.spans) >= l.cap {
 		l.dropped++
 		return 0
@@ -127,12 +135,9 @@ func (l *Lineage) add(s Span) SpanID {
 	return s.ID
 }
 
-// Generate records the root span of a new (item, version) tree: source
+// generate records the root span of a new (item, version) tree: source
 // generated version ver of item at time t.
-func (l *Lineage) Generate(t float64, item, ver int32, source int32) SpanID {
-	if l == nil {
-		return 0
-	}
+func (l *Lineage) generate(t float64, item, ver int32, source int32) SpanID {
 	id := l.add(Span{Kind: SpanGenerate, T: t, From: source, To: -1, Item: item, Ver: ver})
 	if id != 0 {
 		l.roots[rootKey{item, ver}] = id
@@ -141,55 +146,20 @@ func (l *Lineage) Generate(t float64, item, ver int32, source int32) SpanID {
 	return id
 }
 
-// Root returns the generate span of (item, ver), or 0 if none was recorded.
-func (l *Lineage) Root(item, ver int32) SpanID {
+// root returns the generate span of (item, ver), or 0 if none was recorded.
+func (l *Lineage) root(item, ver int32) SpanID {
 	if l == nil {
 		return 0
 	}
 	return l.roots[rootKey{item, ver}]
 }
 
-// LatestRoot returns the generate span of item's newest recorded version.
-func (l *Lineage) LatestRoot(item int32) SpanID {
+// latestRoot returns the generate span of item's newest recorded version.
+func (l *Lineage) latestRoot(item int32) SpanID {
 	if l == nil {
 		return 0
 	}
 	return l.latest[item]
-}
-
-// Duty records node assuming refreshing duty for (item, ver) under parent.
-func (l *Lineage) Duty(t float64, parent SpanID, node, item, ver int32) SpanID {
-	if l == nil {
-		return 0
-	}
-	return l.add(Span{Parent: parent, Kind: SpanDuty, T: t, From: node, To: -1, Item: item, Ver: ver})
-}
-
-// Handoff records a refresh message moving from node `from` to relay `to`.
-func (l *Lineage) Handoff(t float64, parent SpanID, from, to, item, ver int32) SpanID {
-	if l == nil {
-		return 0
-	}
-	return l.add(Span{Parent: parent, Kind: SpanHandoff, T: t, From: from, To: to, Item: item, Ver: ver})
-}
-
-// Delivered records version ver of item arriving at caching node `to` from
-// `from`; age is the version age at arrival (t minus generation time).
-func (l *Lineage) Delivered(t float64, parent SpanID, from, to, item, ver int32, age float64) SpanID {
-	if l == nil {
-		return 0
-	}
-	return l.add(Span{Parent: parent, Kind: SpanDelivery, T: t, From: from, To: to, Item: item, Ver: ver, Age: age})
-}
-
-// Reassign records refreshing duty for item being (re)assigned to node by
-// the periodic responsible-set rebuild. Ver is -1: reassignment concerns
-// the item's duty, not one version in flight.
-func (l *Lineage) Reassign(t float64, parent SpanID, node, item int32) SpanID {
-	if l == nil {
-		return 0
-	}
-	return l.add(Span{Parent: parent, Kind: SpanReassign, T: t, From: node, To: -1, Item: item, Ver: -1})
 }
 
 // Len returns the number of stored spans.
@@ -284,9 +254,27 @@ type SpanRecord struct {
 	Span
 }
 
-// ReadSpansJSONL parses a lineage JSONL stream written by WriteJSONL.
-// It is a strict reader for the writer above, not a general JSON parser:
-// unknown fields fail.
+// spanLine is the wire form of one lineage line.
+type spanLine struct {
+	Run    string  `json:"run"`
+	Scheme string  `json:"scheme"`
+	Span   SpanID  `json:"span"`
+	Parent SpanID  `json:"parent"`
+	Kind   string  `json:"kind"`
+	T      float64 `json:"t"`
+	From   int32   `json:"from"`
+	To     int32   `json:"to"`
+	Item   int32   `json:"item"`
+	Ver    int32   `json:"ver"`
+	Age    float64 `json:"age"`
+}
+
+// ReadSpansJSONL parses a lineage JSONL stream written by WriteJSONL. It
+// is strict: each non-empty line must hold exactly one JSON object with no
+// unknown field, a known span kind and a span id above 0, so JSON's own
+// grammar rejects NaN, infinities and Go-only number forms. Keys match
+// without regard to case, as encoding/json matches them: "Run" reads as
+// "run".
 func ReadSpansJSONL(r io.Reader) ([]SpanRecord, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -310,159 +298,48 @@ func ReadSpansJSONL(r io.Reader) ([]SpanRecord, error) {
 	return out, nil
 }
 
-// parseSpanLine decodes one span record emitted by appendSpanJSONL.
+// parseSpanLine decodes one span record emitted by appendSpanJSONL. The
+// writer omits a zero parent or age and a negative node, item or version,
+// so those fields start at their omitted values.
 func parseSpanLine(line []byte) (SpanRecord, error) {
-	rec := SpanRecord{Span: Span{From: -1, To: -1, Item: -1, Ver: -1}}
-	fields, err := splitFlatJSON(line)
-	if err != nil {
-		return rec, err
+	w := spanLine{From: -1, To: -1, Item: -1, Ver: -1}
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
+		return SpanRecord{}, err
 	}
-	for _, f := range fields {
-		switch f.key {
-		case "run":
-			s, err := strconv.Unquote(f.val)
-			if err != nil {
-				return rec, fmt.Errorf("run: %w", err)
-			}
-			rec.Run = s
-		case "scheme":
-			s, err := strconv.Unquote(f.val)
-			if err != nil {
-				return rec, fmt.Errorf("scheme: %w", err)
-			}
-			rec.Scheme = s
-		case "span":
-			v, err := strconv.ParseUint(f.val, 10, 32)
-			if err != nil {
-				return rec, fmt.Errorf("span: %w", err)
-			}
-			rec.ID = SpanID(v)
-		case "parent":
-			v, err := strconv.ParseUint(f.val, 10, 32)
-			if err != nil {
-				return rec, fmt.Errorf("parent: %w", err)
-			}
-			rec.Parent = SpanID(v)
-		case "kind":
-			s, err := strconv.Unquote(f.val)
-			if err != nil {
-				return rec, fmt.Errorf("kind: %w", err)
-			}
-			k, ok := SpanKindFromString(s)
-			if !ok {
-				return rec, fmt.Errorf("unknown span kind %q", s)
-			}
-			rec.Kind = k
-		case "t":
-			v, err := strconv.ParseFloat(f.val, 64)
-			if err != nil {
-				return rec, fmt.Errorf("t: %w", err)
-			}
-			rec.T = v
-		case "from":
-			v, err := strconv.ParseInt(f.val, 10, 32)
-			if err != nil {
-				return rec, fmt.Errorf("from: %w", err)
-			}
-			rec.From = int32(v)
-		case "to":
-			v, err := strconv.ParseInt(f.val, 10, 32)
-			if err != nil {
-				return rec, fmt.Errorf("to: %w", err)
-			}
-			rec.To = int32(v)
-		case "item":
-			v, err := strconv.ParseInt(f.val, 10, 32)
-			if err != nil {
-				return rec, fmt.Errorf("item: %w", err)
-			}
-			rec.Item = int32(v)
-		case "ver":
-			v, err := strconv.ParseInt(f.val, 10, 32)
-			if err != nil {
-				return rec, fmt.Errorf("ver: %w", err)
-			}
-			rec.Ver = int32(v)
-		case "age":
-			v, err := strconv.ParseFloat(f.val, 64)
-			if err != nil {
-				return rec, fmt.Errorf("age: %w", err)
-			}
-			rec.Age = v
-		default:
-			return rec, fmt.Errorf("unknown field %q", f.key)
-		}
+	if _, err := dec.Token(); err != io.EOF {
+		return SpanRecord{}, errors.New("more than one JSON value")
 	}
-	if rec.ID == 0 {
-		return rec, fmt.Errorf("missing span id")
+	kind, ok := SpanKindFromString(w.Kind)
+	switch {
+	case !ok:
+		return SpanRecord{}, fmt.Errorf("unknown span kind %q", w.Kind)
+	case w.Span == 0:
+		return SpanRecord{}, errors.New("missing span id")
+	case min(w.From, w.To, w.Item, w.Ver) < -1:
+		return SpanRecord{}, errors.New("node, item or version below -1")
+	case !quotesAsJSON(w.Run) || !quotesAsJSON(w.Scheme):
+		return SpanRecord{}, errors.New("run or scheme holds an unprintable character")
 	}
-	return rec, nil
+	if w.Age == 0 {
+		w.Age = 0 // a -0 age is written as no age, which reads back as 0
+	}
+	return SpanRecord{Run: w.Run, Scheme: w.Scheme, Span: Span{
+		ID: w.Span, Parent: w.Parent, Kind: kind, T: w.T,
+		From: w.From, To: w.To, Item: w.Item, Ver: w.Ver, Age: w.Age,
+	}}, nil
 }
 
-// flatField is one key/value pair of a single-level JSON object; val keeps
-// the raw token (quoted for strings).
-type flatField struct {
-	key string
-	val string
-}
-
-// splitFlatJSON tokenizes a one-level JSON object with string or numeric
-// values (the only shapes our JSONL writers emit).
-func splitFlatJSON(line []byte) ([]flatField, error) {
-	if len(line) < 2 || line[0] != '{' || line[len(line)-1] != '}' {
-		return nil, fmt.Errorf("not a flat JSON object")
+// quotesAsJSON reports whether strconv.Quote, which the writers use, gives
+// s valid JSON: it escapes an unprintable character in Go syntax.
+func quotesAsJSON(s string) bool {
+	for _, r := range s {
+		if !strconv.IsPrint(r) {
+			return false
+		}
 	}
-	body := line[1 : len(line)-1]
-	var out []flatField
-	i := 0
-	for i < len(body) {
-		if body[i] != '"' {
-			return nil, fmt.Errorf("expected key quote at byte %d", i)
-		}
-		j := i + 1
-		for j < len(body) && body[j] != '"' {
-			if body[j] == '\\' {
-				j++
-			}
-			j++
-		}
-		if j >= len(body) {
-			return nil, fmt.Errorf("unterminated key")
-		}
-		key := string(body[i+1 : j])
-		j++
-		if j >= len(body) || body[j] != ':' {
-			return nil, fmt.Errorf("expected ':' after key %q", key)
-		}
-		j++
-		start := j
-		if j < len(body) && body[j] == '"' {
-			j++
-			for j < len(body) && body[j] != '"' {
-				if body[j] == '\\' {
-					j++
-				}
-				j++
-			}
-			if j >= len(body) {
-				return nil, fmt.Errorf("unterminated string value for %q", key)
-			}
-			j++
-		} else {
-			for j < len(body) && body[j] != ',' {
-				j++
-			}
-		}
-		out = append(out, flatField{key: key, val: string(body[start:j])})
-		if j < len(body) {
-			if body[j] != ',' {
-				return nil, fmt.Errorf("expected ',' after value of %q", key)
-			}
-			j++
-		}
-		i = j
-	}
-	return out, nil
+	return true
 }
 
 // SpanTree indexes one run's spans for traversal: children in creation

@@ -2,33 +2,33 @@ package obs
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"freshcache/internal/metrics"
 )
 
-// TestLineageNilSafety: every method must no-op (and hand back the "no
-// span" ID) on a nil collector, so scheme instrumentation needs no guards.
+// TestLineageNilSafety: a zero Recording records nothing, and every fact
+// hands back the "no span" ID, so scheme code needs no guards.
 func TestLineageNilSafety(t *testing.T) {
-	var lin *Lineage
-	if id := lin.Generate(0, 1, 1, 0); id != 0 {
-		t.Errorf("nil Generate = %d, want 0", id)
+	var rec Recording
+	rec.Planned(0, 1, 2, 1, 1, 0.5)
+	for name, id := range map[string]SpanID{
+		"Generate":  rec.Generate(0, 0, 1, 1),
+		"Duty":      rec.Duty(0, 1, 2, 1, 1, 3),
+		"Handoff":   rec.Handoff(0, 1, 2, 3, 1, 1),
+		"Delivered": rec.Delivered(0, 1, 2, 3, 1, 1, 0),
+		"Reassign":  rec.Reassign(0, 2, 1),
+		"Root":      rec.Root(1, 1),
+	} {
+		if id != 0 {
+			t.Errorf("off %s = %d, want 0", name, id)
+		}
 	}
-	if id := lin.Duty(0, 1, 2, 1, 1); id != 0 {
-		t.Errorf("nil Duty = %d, want 0", id)
-	}
-	if id := lin.Handoff(0, 1, 2, 3, 1, 1); id != 0 {
-		t.Errorf("nil Handoff = %d, want 0", id)
-	}
-	if id := lin.Delivered(0, 1, 2, 3, 1, 1, 0); id != 0 {
-		t.Errorf("nil Delivered = %d, want 0", id)
-	}
-	if id := lin.Reassign(0, 1, 2, 1); id != 0 {
-		t.Errorf("nil Reassign = %d, want 0", id)
-	}
-	if lin.Root(1, 1) != 0 || lin.LatestRoot(1) != 0 || lin.Len() != 0 || lin.Dropped() != 0 {
-		t.Error("nil lookups should return zero values")
+	if rec.Lineage.Len() != 0 || rec.Lineage.Dropped() != 0 || rec.Trace.Len() != 0 {
+		t.Error("nil collectors should stay empty")
 	}
 	var tl *Timeline
 	tl.Sample(0, "x", -1, -1, 1)
@@ -37,50 +37,56 @@ func TestLineageNilSafety(t *testing.T) {
 	}
 }
 
-// TestLineageChainAndRoots builds a generation → duty → handoff → delivery
-// chain and checks parenting, root lookup and version supersession.
+// TestLineageChainAndRoots builds a generation → duty → handoff →
+// delivery chain and checks parenting, root lookup and version
+// supersession, and that each fact writes its event and its span in one
+// call, with the fields each view has always carried.
 func TestLineageChainAndRoots(t *testing.T) {
-	lin := NewLineage("run", "hierarchical", 0)
-	g1 := lin.Generate(100, 7, 1, 3)
-	if lin.Root(7, 1) != g1 || lin.LatestRoot(7) != g1 {
+	rec := Recording{Trace: NewRunTrace("run", 1, 0), Lineage: NewLineage("run", "hierarchical", 0)}
+	g1 := rec.Generate(100, 3, 7, 1)
+	if rec.Root(7, 1) != g1 {
 		t.Fatal("root lookup after generate failed")
 	}
-	g2 := lin.Generate(200, 7, 2, 3)
-	if lin.Root(7, 1) != g1 || lin.Root(7, 2) != g2 {
+	g2 := rec.Generate(200, 3, 7, 2)
+	if rec.Root(7, 1) != g1 || rec.Root(7, 2) != g2 {
 		t.Fatal("per-version roots must coexist")
 	}
-	if lin.LatestRoot(7) != g2 {
-		t.Fatal("LatestRoot must follow the newest version")
+	rec.Planned(210, 4, 6, 7, 2, 0.75)
+	d := rec.Duty(210, g2, 4, 7, 2, 2)
+	h := rec.Handoff(220, d, 4, 5, 7, 2)
+	del := rec.Delivered(230, h, 5, 6, 7, 2, 30)
+	re := rec.Reassign(240, 3, 7)
+
+	wantEvents := []Event{
+		{T: 100, Kind: KindGenerate, A: 3, B: -1, Item: 7, Ver: 1},
+		{T: 200, Kind: KindGenerate, A: 3, B: -1, Item: 7, Ver: 2},
+		{T: 210, Kind: KindReplicationPlanned, A: 4, B: 6, Item: 7, Ver: 2, Val: 0.75},
+		{T: 210, Kind: KindRefreshScheduled, A: 4, B: -1, Item: 7, Ver: 2, Val: 2},
+		{T: 220, Kind: KindRelayHandoff, A: 4, B: 5, Item: 7, Ver: 2},
+		{T: 230, Kind: KindRefreshDelivered, A: -1, B: 6, Item: 7, Ver: 2, Val: 30},
+		{T: 240, Kind: KindDutyReassigned, A: 3, B: -1, Item: 7, Ver: -1},
 	}
-	d := lin.Duty(210, g2, 4, 7, 2)
-	h := lin.Handoff(220, d, 4, 5, 7, 2)
-	del := lin.Delivered(230, h, 5, 6, 7, 2, 30)
-	re := lin.Reassign(240, g2, 3, 7)
-	spans := lin.Spans()
-	if len(spans) != 6 {
-		t.Fatalf("got %d spans, want 6", len(spans))
+	if got := rec.Trace.Events(); !slices.Equal(got, wantEvents) {
+		t.Fatalf("events:\n%+v\nwant\n%+v", got, wantEvents)
 	}
-	byID := map[SpanID]Span{}
-	for _, s := range spans {
-		byID[s.ID] = s
+	wantSpans := []Span{
+		{ID: g1, Kind: SpanGenerate, T: 100, From: 3, To: -1, Item: 7, Ver: 1},
+		{ID: g2, Kind: SpanGenerate, T: 200, From: 3, To: -1, Item: 7, Ver: 2},
+		{ID: d, Parent: g2, Kind: SpanDuty, T: 210, From: 4, To: -1, Item: 7, Ver: 2},
+		{ID: h, Parent: d, Kind: SpanHandoff, T: 220, From: 4, To: 5, Item: 7, Ver: 2},
+		{ID: del, Parent: h, Kind: SpanDelivery, T: 230, From: 5, To: 6, Item: 7, Ver: 2, Age: 30},
+		// A reassignment parents on the item's newest generation.
+		{ID: re, Parent: g2, Kind: SpanReassign, T: 240, From: 3, To: -1, Item: 7, Ver: -1},
 	}
-	if byID[del].Parent != h || byID[h].Parent != d || byID[d].Parent != g2 {
-		t.Fatal("parent chain broken")
-	}
-	if byID[del].Age != 30 {
-		t.Fatalf("delivery age = %v, want 30", byID[del].Age)
-	}
-	if byID[re].Ver != -1 {
-		t.Fatalf("reassign version = %d, want -1 (not version-specific)", byID[re].Ver)
+	if got := rec.Lineage.Spans(); !slices.Equal(got, wantSpans) {
+		t.Fatalf("spans:\n%+v\nwant\n%+v", got, wantSpans)
 	}
 
-	tree := BuildSpanTree([]SpanRecord{
-		{Run: "run", Scheme: "hierarchical", Span: byID[g2]},
-		{Run: "run", Scheme: "hierarchical", Span: byID[d]},
-		{Run: "run", Scheme: "hierarchical", Span: byID[h]},
-		{Run: "run", Scheme: "hierarchical", Span: byID[del]},
-	})
-	if got := tree.Depth(del); got != 3 {
+	var records []SpanRecord
+	for _, sp := range wantSpans[1:5] {
+		records = append(records, SpanRecord{Run: "run", Scheme: "hierarchical", Span: sp})
+	}
+	if got := BuildSpanTree(records).Depth(del); got != 3 {
 		t.Fatalf("delivery depth = %d, want 3", got)
 	}
 }
@@ -88,18 +94,18 @@ func TestLineageChainAndRoots(t *testing.T) {
 // TestLineageCapDropsNew: past the cap new spans are dropped (not ring-
 // overwritten), so every stored span's parent is stored too.
 func TestLineageCapDropsNew(t *testing.T) {
-	lin := NewLineage("run", "s", 2)
-	a := lin.Generate(0, 1, 1, 0)
-	b := lin.Duty(1, a, 2, 1, 1)
-	c := lin.Handoff(2, b, 2, 3, 1, 1)
+	rec := Recording{Lineage: NewLineage("run", "s", 2)}
+	a := rec.Generate(0, 0, 1, 1)
+	b := rec.Duty(1, a, 2, 1, 1, 1)
+	c := rec.Handoff(2, b, 2, 3, 1, 1)
 	if c != 0 {
 		t.Fatalf("over-cap span got ID %d, want 0", c)
 	}
-	if lin.Len() != 2 || lin.Dropped() != 1 {
-		t.Fatalf("len=%d dropped=%d, want 2/1", lin.Len(), lin.Dropped())
+	if rec.Lineage.Len() != 2 || rec.Lineage.Dropped() != 1 {
+		t.Fatalf("len=%d dropped=%d, want 2/1", rec.Lineage.Len(), rec.Lineage.Dropped())
 	}
 	// A child of a dropped span records parent 0 — never a dangling ID.
-	if d := lin.Delivered(3, c, 2, 3, 1, 1, 0); d != 0 {
+	if d := rec.Delivered(3, c, 2, 3, 1, 1, 0); d != 0 {
 		t.Fatalf("children past the cap must be dropped too, got %d", d)
 	}
 }
@@ -107,16 +113,16 @@ func TestLineageCapDropsNew(t *testing.T) {
 // TestLineageJSONLRoundTrip: the writer's bytes parse back into the exact
 // span set, and writing twice yields identical bytes.
 func TestLineageJSONLRoundTrip(t *testing.T) {
-	lin := NewLineage("E2/p00/r0", "epidemic", 0)
-	g := lin.Generate(10.5, 3, 2, 1)
-	h := lin.Handoff(20.25, g, 1, 4, 3, 2)
-	lin.Delivered(30.125, h, 4, 9, 3, 2, 19.625)
+	rec := Recording{Lineage: NewLineage("E2/p00/r0", "epidemic", 0)}
+	g := rec.Generate(10.5, 1, 3, 2)
+	h := rec.Handoff(20.25, g, 1, 4, 3, 2)
+	rec.Delivered(30.125, h, 4, 9, 3, 2, 19.625)
 
 	var b1, b2 bytes.Buffer
-	if err := lin.WriteJSONL(&b1); err != nil {
+	if err := rec.Lineage.WriteJSONL(&b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := lin.WriteJSONL(&b2); err != nil {
+	if err := rec.Lineage.WriteJSONL(&b2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
@@ -129,16 +135,34 @@ func TestLineageJSONLRoundTrip(t *testing.T) {
 	if len(records) != 3 {
 		t.Fatalf("round-trip got %d records, want 3", len(records))
 	}
-	for i, want := range lin.Spans() {
+	for i, want := range rec.Lineage.Spans() {
 		got := records[i]
 		if got.Run != "E2/p00/r0" || got.Scheme != "epidemic" || got.Span != want {
 			t.Fatalf("record %d = %+v, want %+v", i, got, want)
 		}
 	}
+}
 
-	// Strict reader: unknown fields are an error, not silently dropped.
-	if _, err := ReadSpansJSONL(strings.NewReader(`{"run":"r","scheme":"s","span":1,"kind":"generate","t":0,"bogus":1}` + "\n")); err == nil {
-		t.Error("reader accepted an unknown field")
+// rejectedSpanLines are lineage lines the writer never produces, each of
+// which ReadSpansJSONL must refuse.
+var rejectedSpanLines = map[string]string{
+	"unknown field":       `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0,"bogus":1}`,
+	"NaN time":            `{"run":"r","scheme":"s","span":1,"kind":"generate","t":NaN}`,
+	"+Inf time":           `{"run":"r","scheme":"s","span":1,"kind":"generate","t":+Inf}`,
+	"-Inf age":            `{"run":"r","scheme":"s","span":1,"kind":"delivery","t":0,"age":-Inf}`,
+	"hex float time":      `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0x1p-2}`,
+	"underscored time":    `{"run":"r","scheme":"s","span":1,"kind":"generate","t":1_0}`,
+	"trailing comma":      `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0,}`,
+	"two values":          `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0}{"span":2}`,
+	"node below -1":       `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0,"from":-5}`,
+	"control char in run": `{"run":"r\u0001","scheme":"s","span":1,"kind":"generate","t":0}`,
+}
+
+func TestReadSpansJSONLRejects(t *testing.T) {
+	for name, line := range rejectedSpanLines {
+		if recs, err := ReadSpansJSONL(strings.NewReader(line + "\n")); err == nil {
+			t.Errorf("%s: accepted %s as %+v", name, line, recs)
+		}
 	}
 }
 
@@ -172,6 +196,132 @@ func TestTimelineRoundTrip(t *testing.T) {
 	}
 }
 
+// rejectedTimelineLines are timeline rows the writer never produces, each
+// of which ReadTimelineCSV must refuse, naming the line.
+var rejectedTimelineLines = map[string]string{
+	"NaN time":      "r,NaN,freshness_ratio,,,0.5",
+	"+Inf value":    "r,100,copy_age,3,1,+Inf",
+	"-Inf value":    "r,100,copy_age,3,1,-Inf",
+	"negative node": "r,100,copy_age,-5,1,360",
+}
+
+func TestReadTimelineCSVRejects(t *testing.T) {
+	for name, line := range rejectedTimelineLines {
+		recs, err := ReadTimelineCSV(strings.NewReader(TimelineCSVHeader + "\n" + line + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("%s: %s read as %+v, error %v", name, line, recs, err)
+		}
+	}
+}
+
+// sameBits reports whether a and b are the same float64, bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// FuzzReadSpansJSONL feeds arbitrary bytes to the lineage reader. It must
+// not panic, and every span it accepts must be finite and survive the
+// writer and the reader again unchanged, floats bit for bit. The seed
+// corpus runs with the normal test suite; `go test -fuzz=FuzzReadSpansJSONL
+// ./internal/obs` explores further.
+func FuzzReadSpansJSONL(f *testing.F) {
+	rec := Recording{Lineage: NewLineage("E2/infocom-like/p00/hierarchical/r0", "hierarchical", 0)}
+	g := rec.Generate(112320, 2, 2, 2)
+	d := rec.Duty(112320, g, 2, 2, 2, 3)
+	h := rec.Handoff(115466, d, 2, 20, 2, 2)
+	rec.Delivered(116305.25, h, 20, 22, 2, 2, 3985.25)
+	rec.Reassign(120000, 2, 2)
+	var buf bytes.Buffer
+	if err := rec.Lineage.WriteJSONL(&buf); err != nil {
+		f.Fatal(err)
+	}
+	whole := buf.String()
+	f.Add(whole)
+	f.Add(whole[:len(whole)-12]) // torn last line
+	f.Add("\n")
+	for _, line := range rejectedSpanLines {
+		f.Add(whole + line + "\n")
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		recs, err := ReadSpansJSONL(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out []byte
+		for _, r := range recs {
+			if !finite(r.T) || !finite(r.Age) {
+				t.Fatalf("accepted a non-finite span %+v", r)
+			}
+			out = appendSpanJSONL(out, r.Run, r.Scheme, r.Span)
+		}
+		back, err := ReadSpansJSONL(bytes.NewReader(out))
+		if err != nil || len(back) != len(recs) {
+			t.Fatalf("%d accepted spans read back as %d, error %v:\n%s", len(recs), len(back), err, out)
+		}
+		for i, a := range recs {
+			b := back[i]
+			if !sameBits(a.T, b.T) || !sameBits(a.Age, b.Age) {
+				t.Fatalf("span %d floats changed across a round trip: %+v vs %+v", i, a, b)
+			}
+			a.T, a.Age, b.T, b.Age = 0, 0, 0, 0
+			if a != b {
+				t.Fatalf("span %d changed across a round trip: %+v vs %+v", i, a, b)
+			}
+		}
+	})
+}
+
+// FuzzReadTimelineCSV is FuzzReadSpansJSONL for the timeline reader and
+// its writer.
+func FuzzReadTimelineCSV(f *testing.F) {
+	tl := NewTimeline("E2/infocom-like/p00/hierarchical/r0", 0)
+	tl.Sample(3600, "freshness_ratio", -1, -1, 0.625)
+	tl.Sample(3600, "copy_age", 22, 2, 3985.25)
+	tl.Sample(7200, "deliveries", -1, -1, 17)
+	buf := bytes.NewBufferString(TimelineCSVHeader + "\n")
+	if err := tl.WriteCSV(buf); err != nil {
+		f.Fatal(err)
+	}
+	whole := buf.String()
+	f.Add(whole)
+	f.Add(whole[:len(whole)-6]) // torn last line
+	f.Add("\n")
+	for _, line := range rejectedTimelineLines {
+		f.Add(whole + line + "\n")
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		recs, err := ReadTimelineCSV(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		out := bytes.NewBufferString(TimelineCSVHeader + "\n")
+		for _, r := range recs {
+			if !finite(r.T) || !finite(r.Val) {
+				t.Fatalf("accepted a non-finite point %+v", r)
+			}
+			one := NewTimeline(r.Run, 1)
+			one.Sample(r.T, r.Series, r.Node, r.Item, r.Val)
+			if err := one.WriteCSV(out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		back, err := ReadTimelineCSV(out)
+		if err != nil || len(back) != len(recs) {
+			t.Fatalf("%d accepted points read back as %d, error %v", len(recs), len(back), err)
+		}
+		for i, a := range recs {
+			b := back[i]
+			if !sameBits(a.T, b.T) || !sameBits(a.Val, b.Val) {
+				t.Fatalf("point %d floats changed across a round trip: %+v vs %+v", i, a, b)
+			}
+			a.T, a.Val, b.T, b.Val = 0, 0, 0, 0
+			if a != b {
+				t.Fatalf("point %d changed across a round trip: %+v vs %+v", i, a, b)
+			}
+		}
+	})
+}
+
 // TestObserverLineageTimelineGating: a run's lineage and timeline exist
 // only when configured, and flushes order committed runs by label.
 func TestObserverLineageTimelineGating(t *testing.T) {
@@ -186,8 +336,8 @@ func TestObserverLineageTimelineGating(t *testing.T) {
 	if rb.Lineage == nil || rb.Timeline == nil || rb.TimelineTick != -1 {
 		t.Fatalf("on observer opened %+v", rb)
 	}
-	rb.Lineage.Generate(0, 1, 1, 0)
-	ra.Lineage.Generate(0, 2, 1, 0)
+	rb.Generate(0, 0, 1, 1)
+	ra.Generate(0, 0, 2, 1)
 	on.Commit(rb, metrics.Result{Scheme: "s2"})
 	on.Commit(ra, metrics.Result{Scheme: "s1"})
 	var buf bytes.Buffer

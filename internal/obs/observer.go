@@ -67,6 +67,75 @@ type Recording struct {
 	TimelineTick float64
 }
 
+// The refresh facts. Each method records one fact of the protocol, its
+// event into Trace and its span into Lineage, so the two views count the
+// same facts; a nil collector skips its half, and a span method returns 0
+// when Lineage is nil or full. A new fact gets a method here, never a
+// second call site.
+
+// Generate records source generating version ver of item: a generate
+// event and the version's root span, which Root returns from then on.
+func (r *Recording) Generate(t float64, source, item, ver int32) SpanID {
+	if r.Trace != nil {
+		r.Trace.Emit(Event{T: t, Kind: KindGenerate, A: source, B: -1, Item: item, Ver: ver})
+	}
+	return r.Lineage.generate(t, item, ver, source)
+}
+
+// Duty records node taking refreshing duty for version ver of item toward
+// dests children: a refresh_scheduled event and a duty span.
+func (r *Recording) Duty(t float64, parent SpanID, node, item, ver int32, dests int) SpanID {
+	if r.Trace != nil {
+		r.Trace.Emit(Event{T: t, Kind: KindRefreshScheduled, A: node, B: -1, Item: item, Ver: ver, Val: float64(dests)})
+	}
+	return r.Lineage.add(Span{Parent: parent, Kind: SpanDuty, T: t, From: node, To: -1, Item: item, Ver: ver})
+}
+
+// Planned records the replication planner tasking holder to carry version
+// ver of item toward dest with the achieved probability prob: a
+// replication_planned event, and no span.
+func (r *Recording) Planned(t float64, holder, dest, item, ver int32, prob float64) {
+	if r.Trace != nil {
+		r.Trace.Emit(Event{T: t, Kind: KindReplicationPlanned, A: holder, B: dest, Item: item, Ver: ver, Val: prob})
+	}
+}
+
+// Handoff records a copy of version ver of item moving from carrier from
+// to carrier to without reaching a cache: a relay_handoff event and a
+// handoff span.
+func (r *Recording) Handoff(t float64, parent SpanID, from, to, item, ver int32) SpanID {
+	if r.Trace != nil {
+		r.Trace.Emit(Event{T: t, Kind: KindRelayHandoff, A: from, B: to, Item: item, Ver: ver})
+	}
+	return r.Lineage.add(Span{Parent: parent, Kind: SpanHandoff, T: t, From: from, To: to, Item: item, Ver: ver})
+}
+
+// Delivered records a caching node's store accepting version ver of item
+// from node from, age seconds after its generation: a refresh_delivered
+// event, which names no giver, and a delivery span, which does.
+func (r *Recording) Delivered(t float64, parent SpanID, from, to, item, ver int32, age float64) SpanID {
+	if r.Trace != nil {
+		r.Trace.Emit(Event{T: t, Kind: KindRefreshDelivered, A: -1, B: to, Item: item, Ver: ver, Val: age})
+	}
+	return r.Lineage.add(Span{Parent: parent, Kind: SpanDelivery, T: t, From: from, To: to, Item: item, Ver: ver, Age: age})
+}
+
+// Reassign records a rebuild handing refreshing duty for item to node: a
+// duty_reassigned event and a reassign span under the item's newest
+// generation, which shows whose duty chain the rebuild interrupted. It
+// concerns the item's duty, not one version, so both carry version -1.
+func (r *Recording) Reassign(t float64, node, item int32) SpanID {
+	if r.Trace != nil {
+		r.Trace.Emit(Event{T: t, Kind: KindDutyReassigned, A: node, B: -1, Item: item, Ver: -1})
+	}
+	return r.Lineage.add(Span{Parent: r.Lineage.latestRoot(item), Kind: SpanReassign, T: t, From: node, To: -1, Item: item, Ver: -1})
+}
+
+// Root returns the generate span of version ver of item (0 if none was
+// recorded), the parent a scheme gives the spans it records for that
+// version.
+func (r *Recording) Root(item, ver int32) SpanID { return r.Lineage.root(item, ver) }
+
 type schemeRollup struct {
 	runs          int
 	transmissions int

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -145,36 +146,46 @@ func ReadTimelineCSV(r io.Reader) ([]TimelineRecord, error) {
 		if len(parts) != 6 {
 			return nil, fmt.Errorf("timeline line %d: want 6 fields, got %d", lineNo, len(parts))
 		}
-		rec := TimelineRecord{Run: string(parts[0]), TimelinePoint: TimelinePoint{Node: -1, Item: -1}}
-		t, err := strconv.ParseFloat(string(parts[1]), 64)
-		if err != nil {
+		rec := TimelineRecord{Run: string(parts[0]), TimelinePoint: TimelinePoint{Series: string(parts[2])}}
+		var err error
+		if rec.T, err = finiteField(parts[1]); err != nil {
 			return nil, fmt.Errorf("timeline line %d t: %w", lineNo, err)
 		}
-		rec.T = t
-		rec.Series = string(parts[2])
-		if len(parts[3]) > 0 {
-			v, err := strconv.ParseInt(string(parts[3]), 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("timeline line %d node: %w", lineNo, err)
-			}
-			rec.Node = int32(v)
+		if rec.Node, err = idField(parts[3]); err != nil {
+			return nil, fmt.Errorf("timeline line %d node: %w", lineNo, err)
 		}
-		if len(parts[4]) > 0 {
-			v, err := strconv.ParseInt(string(parts[4]), 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("timeline line %d item: %w", lineNo, err)
-			}
-			rec.Item = int32(v)
+		if rec.Item, err = idField(parts[4]); err != nil {
+			return nil, fmt.Errorf("timeline line %d item: %w", lineNo, err)
 		}
-		val, err := strconv.ParseFloat(string(parts[5]), 64)
-		if err != nil {
+		if rec.Val, err = finiteField(parts[5]); err != nil {
 			return nil, fmt.Errorf("timeline line %d value: %w", lineNo, err)
 		}
-		rec.Val = val
 		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// finiteField parses a float column. The writer never writes NaN or ±Inf.
+func finiteField(b []byte) (float64, error) {
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%q is not finite", b)
+	}
+	return v, err
+}
+
+// idField parses a node or item column. The writer leaves a negative id
+// empty, which reads as -1, so a negative number is an error.
+func idField(b []byte) (int32, error) {
+	if len(b) == 0 {
+		return -1, nil
+	}
+	v, err := strconv.ParseInt(string(b), 10, 32)
+	if err == nil && v < 0 {
+		err = fmt.Errorf("negative id %d", v)
+	}
+	return int32(v), err
 }
