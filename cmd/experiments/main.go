@@ -52,18 +52,14 @@ func run(args []string) error {
 		list   = fs.Bool("list", false, "list the experiment registry and exit")
 
 		keepGoing = fs.Bool("keep-going", false, "finish the whole grid past cell or experiment failures: partial tables get explicit NA holes, the failure roster lands in the manifest, and the exit status is nonzero")
-		retries   = fs.Int("retries", 0, "per-cell retry budget for transient failures (0 = fail on first error)")
-
-		timings  = fs.Bool("timings", false, "include machine-dependent wall-clock columns in tables that have them (E10)")
-		httpAddr = fs.String("http", "", "serve the live endpoint on this address for the duration of the run: HTML status page at /, sweep progress SSE at /live/progress, OpenMetrics at /live/metrics, pprof at /debug/pprof")
+		timings   = fs.Bool("timings", false, "include machine-dependent wall-clock columns in tables that have them (E10)")
 
 		profileSlowest = fs.Int("profile-slowest", 0, "capture pprof CPU profiles of the N most expensive sweep cells into <obs>/profiles/ (requires -obs and -parallel 1)")
-		verbose        = fs.Bool("v", false, "verbose: log at debug level (per-cell retries and other detail)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	initLogging(*verbose)
+	initLogging()
 
 	if *list {
 		for _, e := range expt.All() {
@@ -96,9 +92,6 @@ func run(args []string) error {
 	if *reps < 0 {
 		return fmt.Errorf("replicates must be >= 0, got %d", *reps)
 	}
-	if *retries < 0 {
-		return fmt.Errorf("retries must be >= 0, got %d", *retries)
-	}
 	if *profileSlowest < 0 {
 		return fmt.Errorf("profile-slowest must be >= 0, got %d", *profileSlowest)
 	}
@@ -109,10 +102,8 @@ func run(args []string) error {
 		return fmt.Errorf("-profile-slowest requires -parallel 1 (the CPU profiler is process-global; a concurrent cell would pollute the capture)")
 	}
 
-	// The live endpoint consumes the observer's registry, so -http asks
-	// for one too.
 	defer rf.Stop()
-	if err := rf.Start("experiments", args, *httpAddr != ""); err != nil {
+	if err := rf.Start("experiments", args); err != nil {
 		return err
 	}
 	observer, ledger := rf.Observer, rf.Ledger
@@ -124,18 +115,6 @@ func run(args []string) error {
 	var costs *expt.CellCosts
 	if rf.Store != "" || *profileSlowest > 0 {
 		costs = expt.NewCellCosts(*profileSlowest, *par == 1)
-	}
-
-	// The live endpoint owns its mux and listener (the old expvar-based
-	// serveDebug registered pprof on the default mux and leaked its listener
-	// across run() calls); Close on return drains it.
-	if *httpAddr != "" {
-		live, err := obs.ServeLive(*httpAddr, observer.Registry(), ledger.Snapshot)
-		if err != nil {
-			return fmt.Errorf("http: %w", err)
-		}
-		defer live.Close()
-		slog.Info("live endpoint serving", "url", "http://"+live.Addr()+"/")
 	}
 
 	// Experiments run concurrently up to the -parallel bound; each one's
@@ -155,7 +134,7 @@ func run(args []string) error {
 			defer func() { <-sem }()
 			opts := expt.Options{Seed: *seed, Quick: *quick, Parallel: *par, Replicates: *reps,
 				Obs: observer, Timings: *timings,
-				Journal: rf.Journal, Ledger: ledger, Retries: *retries, KeepGoing: *keepGoing,
+				Journal: rf.Journal, Ledger: ledger, KeepGoing: *keepGoing,
 				Costs: costs}
 			results[i] = runOne(e, opts, *charts, *csvDir)
 		}()
@@ -197,7 +176,7 @@ func run(args []string) error {
 	// written after all tables are printed, and also for keep-going runs
 	// with failures (the dispositions are part of the history worth
 	// querying). Its digest covers result-determining configuration only,
-	// so runs differing merely in execution policy (-parallel, -retries,
+	// so runs differing merely in execution policy (-parallel,
 	// checkpointing) compare as the same configuration in the store.
 	if err := rf.Finish(expt.RunReport{
 		Seed: *seed,
@@ -205,8 +184,7 @@ func run(args []string) error {
 			"run": *only, "quick": *quick, "parallel": *par, "replicates": *reps,
 			"timings": *timings, "obsSample": rf.ObsSample, "obsBuffer": rf.ObsBuffer,
 			"lineage": rf.Lineage, "timelineTick": *rf.TimelineTick,
-			"checkpoint": rf.Checkpoint, "resume": rf.Resume,
-			"keepGoing": *keepGoing, "retries": *retries,
+			"checkpoint": rf.Checkpoint, "resume": rf.Resume, "keepGoing": *keepGoing,
 			"store": rf.Store, "profileSlowest": *profileSlowest,
 		},
 		Digest: obs.ConfigDigest(map[string]any{
@@ -235,8 +213,7 @@ func run(args []string) error {
 		for _, f := range failures {
 			slog.Error("failed cell",
 				"experiment", f.Experiment, "preset", f.Preset, "point", f.Point,
-				"scheme", f.Scheme, "replicate", f.Replicate, "attempts", f.Attempts,
-				"err", firstLine(f.Error))
+				"scheme", f.Scheme, "replicate", f.Replicate, "err", firstLine(f.Error))
 		}
 		return fmt.Errorf("completed with %d failed cell(s) and %d failed experiment(s); partial tables contain NA holes",
 			len(failures), len(expErrors))
@@ -278,13 +255,9 @@ func manifestDirs(dirs ...string) []string {
 
 // initLogging routes progress and warning output through a text slog
 // handler on stderr — stdout stays reserved for tables, so determinism
-// diffs are unaffected. -v lowers the level to debug.
-func initLogging(verbose bool) {
-	level := slog.LevelInfo
-	if verbose {
-		level = slog.LevelDebug
-	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
+// diffs are unaffected.
+func initLogging() {
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 }
 
 // writeCellProfiles writes the retained per-cell CPU profiles into dir,

@@ -242,8 +242,18 @@ func TestRunCheckpointValidation(t *testing.T) {
 	if err := run([]string{"-run", "E1", "-quick", "-resume"}); err == nil {
 		t.Fatal("-resume without -checkpoint accepted")
 	}
-	if err := run([]string{"-run", "E1", "-quick", "-retries", "-1"}); err == nil {
-		t.Fatal("negative -retries accepted")
+}
+
+// TestRunRemovedFlags: -retries, -http and -v are gone. A cell is a pure
+// function of its seeds, so a retry fails the same way; the manifest and
+// metrics.om report what the live endpoint served; and the program logs
+// nothing at debug level.
+func TestRunRemovedFlags(t *testing.T) {
+	for _, args := range [][]string{{"-retries", "1"}, {"-http", ":0"}, {"-v"}} {
+		err := run(append([]string{"-run", "E1", "-quick"}, args...))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: err = %v, want an undefined-flag error", args, err)
+		}
 	}
 }
 
@@ -257,7 +267,7 @@ func TestRunKeepGoingClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	kg, err := captureStdout(t, func() error {
-		return run([]string{"-run", "E1", "-quick", "-keep-going", "-retries", "1"})
+		return run([]string{"-run", "E1", "-quick", "-keep-going"})
 	})
 	if err != nil {
 		t.Fatal(err)

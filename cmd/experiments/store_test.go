@@ -1,7 +1,6 @@
 package main
 
 import (
-	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -48,7 +47,7 @@ func TestRunStoreAppendsRecord(t *testing.T) {
 		t.Error("record has no per-cell costs")
 	}
 	for _, c := range r.Cells {
-		if c.Experiment != "E2" || c.Attempts != 1 || c.WallSeconds < 0 {
+		if c.Experiment != "E2" || c.WallSeconds < 0 {
 			t.Errorf("cell cost: %+v", c)
 		}
 		if c.Mallocs == 0 {
@@ -120,23 +119,6 @@ func TestRunStoreDeterministicAcrossParallel(t *testing.T) {
 		if a.Experiment != b.Experiment || a.Preset != b.Preset || a.Point != b.Point ||
 			a.Scheme != b.Scheme || a.Replicate != b.Replicate {
 			t.Fatalf("cell %d identity differs: %+v vs %+v", i, a, b)
-		}
-	}
-}
-
-// TestRunLiveEndpointReleased: the -http listener is closed when run()
-// returns — the old serveDebug leaked it, so a second run() on the same
-// address failed to bind.
-func TestRunLiveEndpointReleased(t *testing.T) {
-	ln, err := net.Listen("tcp", "localhost:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	for i := 0; i < 2; i++ {
-		if err := run([]string{"-run", "E1", "-quick", "-http", addr}); err != nil {
-			t.Fatalf("run %d with -http %s: %v", i, addr, err)
 		}
 	}
 }

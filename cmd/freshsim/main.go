@@ -72,7 +72,7 @@ func run(args []string) error {
 		return fmt.Errorf("-checkpoint applies to replicated runs only (-runs > 1, without -compare)")
 	}
 	defer rf.Stop()
-	if err := rf.Start("freshsim", args, false); err != nil {
+	if err := rf.Start("freshsim", args); err != nil {
 		return err
 	}
 	observer := rf.Observer

@@ -72,7 +72,7 @@ func TestWithRecording(t *testing.T) {
 	if st.Runs != 1 || st.Seen == 0 || st.Spans == 0 || st.TimelinePoints == 0 {
 		t.Fatalf("recording incomplete: %+v", st)
 	}
-	if o.Registry().Counter("engine/contacts").Value() == 0 {
+	if o.Metrics.Counter("engine/contacts").Value() == 0 {
 		t.Fatal("registry never counted a contact")
 	}
 }

@@ -25,9 +25,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// Universe returns the universe size the set was created with.
-func (s *Set) Universe() int { return s.n }
-
 // Add inserts i into the set. Out-of-universe indices panic, matching the
 // slice-indexing semantics of the dense state the set replaces.
 func (s *Set) Add(i int) {
@@ -67,20 +64,6 @@ func (s *Set) Empty() bool {
 	return true
 }
 
-// Clear removes every element, keeping the universe.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() *Set {
-	out := &Set{words: make([]uint64, len(s.words)), n: s.n}
-	copy(out.words, s.words)
-	return out
-}
-
 // Or adds every element of t to s. The universes must match in word
 // count; s keeps its own universe size.
 func (s *Set) Or(t *Set) {
@@ -100,21 +83,6 @@ func (s *Set) IntersectInto(t, dst *Set) int {
 		total += bits.OnesCount64(w)
 	}
 	return total
-}
-
-// ForEach calls fn for every element in ascending order. fn returning
-// false stops the iteration. Elements added or removed by fn during the
-// walk are observed only if they live in words not yet visited.
-func (s *Set) ForEach(fn func(i int) bool) {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			if !fn(wi*wordBits + b) {
-				return
-			}
-			w &^= 1 << uint(b)
-		}
-	}
 }
 
 // Next returns the smallest element >= from, or -1 when none exists. It

@@ -26,10 +26,6 @@ func TestBasicOps(t *testing.T) {
 	if s.Contains(-1) || s.Contains(130) {
 		t.Fatal("out-of-universe Contains must be false")
 	}
-	s.Clear()
-	if !s.Empty() {
-		t.Fatal("Clear left elements")
-	}
 }
 
 func TestAddOutOfUniversePanics(t *testing.T) {
@@ -49,16 +45,6 @@ func TestIterationAscending(t *testing.T) {
 		s.Add(i)
 	}
 	var got []int
-	s.ForEach(func(i int) bool { got = append(got, i); return true })
-	if len(got) != len(want) {
-		t.Fatalf("ForEach yielded %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ForEach yielded %v, want %v", got, want)
-		}
-	}
-	got = got[:0]
 	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
 		got = append(got, i)
 	}
@@ -69,32 +55,6 @@ func TestIterationAscending(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Next walk yielded %v, want %v", got, want)
 		}
-	}
-}
-
-func TestForEachEarlyStop(t *testing.T) {
-	s := New(64)
-	s.Add(1)
-	s.Add(2)
-	s.Add(3)
-	seen := 0
-	s.ForEach(func(int) bool { seen++; return seen < 2 })
-	if seen != 2 {
-		t.Fatalf("early stop saw %d elements, want 2", seen)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	s := New(70)
-	s.Add(5)
-	s.Add(69)
-	c := s.Clone()
-	c.Remove(5)
-	if !s.Contains(5) {
-		t.Fatal("Clone shares storage with original")
-	}
-	if !c.Contains(69) || c.Contains(5) {
-		t.Fatal("Clone content wrong")
 	}
 }
 
@@ -146,13 +106,12 @@ func TestAgainstMapModel(t *testing.T) {
 		}
 	}
 	prev := -1
-	s.ForEach(func(i int) bool {
+	for i := s.Next(0); i >= 0; i = s.Next(i + 1) {
 		if i <= prev {
 			t.Fatalf("iteration not ascending: %d after %d", i, prev)
 		}
 		prev = i
-		return true
-	})
+	}
 }
 
 func TestNextEdgeCases(t *testing.T) {

@@ -232,42 +232,6 @@ func TestStoreOversizedItem(t *testing.T) {
 	}
 }
 
-func TestStoreDrop(t *testing.T) {
-	cat := testCatalog(t, 2)
-	s, err := NewStore(cat, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put(Copy{Item: 0}, 1); err != nil {
-		t.Fatal(err)
-	}
-	s.Drop(0)
-	if s.Len() != 0 || s.Used() != 0 {
-		t.Fatalf("after drop: len=%d used=%d", s.Len(), s.Used())
-	}
-	s.Drop(1) // dropping absent item is a no-op
-}
-
-func TestStoreItemsSorted(t *testing.T) {
-	cat := testCatalog(t, 5)
-	s, err := NewStore(cat, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []ItemID{3, 0, 4} {
-		if _, err := s.Put(Copy{Item: id}, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids := s.Items()
-	want := []ItemID{0, 3, 4}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("items = %v, want %v", ids, want)
-		}
-	}
-}
-
 func TestStoreConstructorValidation(t *testing.T) {
 	if _, err := NewStore(nil, 0); err == nil {
 		t.Fatal("nil catalog accepted")

@@ -191,18 +191,6 @@ func (s *Store) remove(id ItemID, size int) {
 	s.count--
 }
 
-// Drop removes the copy of an item if present (e.g. expired data purge).
-func (s *Store) Drop(id ItemID) {
-	if !s.inRange(id) || !s.present[id] {
-		return
-	}
-	size := 0
-	if it, err := s.catalog.Item(id); err == nil {
-		size = it.Size
-	}
-	s.remove(id, size)
-}
-
 // Len returns the number of cached items.
 func (s *Store) Len() int { return s.count }
 
@@ -211,14 +199,3 @@ func (s *Store) Used() int { return s.used }
 
 // Evictions returns the number of LRU evictions performed.
 func (s *Store) Evictions() int { return s.evictions }
-
-// Items returns the stored item IDs in ascending order.
-func (s *Store) Items() []ItemID {
-	ids := make([]ItemID, 0, s.count)
-	for id := range s.present {
-		if s.present[id] {
-			ids = append(ids, ItemID(id))
-		}
-	}
-	return ids
-}

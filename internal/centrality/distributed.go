@@ -166,21 +166,3 @@ func (v *localView) AppendCommonNeighbors(dst []CommonNeighbor, a, b trace.NodeI
 	}
 	return dst
 }
-
-// KnownFraction reports, for diagnostics, the fraction of other nodes the
-// owner has (directly or transitively) heard about by now.
-func (d *DistributedEstimator) KnownFraction(owner trace.NodeID) float64 {
-	if d.n <= 1 {
-		return 1
-	}
-	known := 0
-	for j := 0; j < d.n; j++ {
-		if trace.NodeID(j) == owner {
-			continue
-		}
-		if d.carried[owner][j] != nil || d.own[owner][j] > 0 {
-			known++
-		}
-	}
-	return float64(known) / float64(d.n-1)
-}

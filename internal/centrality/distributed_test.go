@@ -125,17 +125,6 @@ func TestDistributedViewValidation(t *testing.T) {
 	}
 }
 
-func TestDistributedKnownFraction(t *testing.T) {
-	d := NewDistributedEstimator(4, 0)
-	if got := d.KnownFraction(0); got != 0 {
-		t.Fatalf("initial known = %v", got)
-	}
-	d.Observe(0, 1, 10)
-	if got := d.KnownFraction(0); math.Abs(got-1.0/3.0) > 1e-12 {
-		t.Fatalf("after one contact known = %v", got)
-	}
-}
-
 // On a dense trace, every node's local view must converge toward the
 // oracle estimator for well-observed pairs.
 func TestDistributedConvergesToOracle(t *testing.T) {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"freshcache/internal/cache"
 	"freshcache/internal/network"
 	"freshcache/internal/trace"
@@ -212,22 +210,4 @@ func (e *Engine) servableCopy(provider trace.NodeID, it cache.Item, now float64)
 		return cache.Copy{}, false
 	}
 	return cp, true
-}
-
-// DelegationLoad reports, for diagnostics, how many query copies each
-// relay currently carries (sorted by node ID).
-func (e *Engine) DelegationLoad() []int {
-	if e.delegation == nil {
-		return nil
-	}
-	ids := make([]int, 0, len(e.delegation.carried))
-	for n := range e.delegation.carried {
-		ids = append(ids, int(n))
-	}
-	sort.Ints(ids)
-	out := make([]int, 0, len(ids))
-	for _, n := range ids {
-		out = append(out, len(e.delegation.carried[trace.NodeID(n)]))
-	}
-	return out
 }

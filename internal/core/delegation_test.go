@@ -200,26 +200,3 @@ func TestDelegationValidation(t *testing.T) {
 		t.Fatal("negative query relays accepted")
 	}
 }
-
-func TestDelegationLoadDiagnostic(t *testing.T) {
-	eng := delegationEngine(t, 2, delegationContacts(), 0)
-	if n := len(eng.DelegationLoad()); n != 0 {
-		t.Fatalf("load non-empty before run: %d", n)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range eng.DelegationLoad() {
-		if n < 0 {
-			t.Fatalf("negative carried count %d", n)
-		}
-	}
-	// Disabled delegation reports nil.
-	off := delegationEngine(t, 0, delegationContacts(), 0)
-	if _, err := off.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if off.DelegationLoad() != nil {
-		t.Fatal("load reported with delegation off")
-	}
-}

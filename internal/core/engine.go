@@ -486,7 +486,7 @@ func (e *Engine) Run() (metrics.Result, error) {
 
 	// The epoch event finalizes rates, selects caching nodes, initializes
 	// the scheme and schedules the measurement-phase machinery.
-	if _, err := e.sim.ScheduleAt(e.epoch, func(now float64) {
+	if err := e.sim.ScheduleAt(e.epoch, func(now float64) {
 		if err := e.startMeasurement(estimator, now); err != nil {
 			e.initErr = err
 			e.sim.Stop()
@@ -640,7 +640,7 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 			lastCounts := est.Snapshot()
 			lastTime := now
 			for t := now + e.cfg.RebuildInterval; t < e.horizon; t += e.cfg.RebuildInterval {
-				if _, err := e.sim.ScheduleAt(t, func(tnow float64) {
+				if err := e.sim.ScheduleAt(t, func(tnow float64) {
 					cur := est.Snapshot()
 					fresh, err := centrality.RatesBetweenSnapshots(lastCounts, cur, tnow-lastTime)
 					if err != nil {

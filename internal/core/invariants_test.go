@@ -2,11 +2,13 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"freshcache/internal/cache"
 	"freshcache/internal/metrics"
+	"freshcache/internal/mobility"
 	"freshcache/internal/network"
 	"freshcache/internal/obs"
 	"freshcache/internal/stats"
@@ -281,5 +283,94 @@ func TestEngineInvariantsFixedSeeds(t *testing.T) {
 			continue
 		}
 		checkInvariants(t, sc)
+	}
+}
+
+// TestTimeScalingMetamorphic: stretching every time by c = 2 changes
+// nothing the protocols can observe. Contact times and the trace
+// duration, each item's refresh interval, phase, freshness window and
+// lifetime, and CentralityWindow (the one absolute time among Config's
+// defaults) all double, and the per-node query rate halves. Rates then
+// halve and every rate × time product is unchanged; a power of two keeps
+// each float product exact, so the results must be equal, not close.
+func TestTimeScalingMetamorphic(t *testing.T) {
+	const c = 2.0
+	scaleTrace := func(tr *trace.Trace) *trace.Trace {
+		out := &trace.Trace{Name: tr.Name, N: tr.N, Duration: tr.Duration * c,
+			Contacts: make([]trace.Contact, len(tr.Contacts))}
+		for i, ct := range tr.Contacts {
+			ct.Start, ct.End = ct.Start*c, ct.End*c
+			out.Contacts[i] = ct
+		}
+		return out
+	}
+	catalog := func(scale float64) *cache.Catalog {
+		const r = 6 * mobility.Hour
+		items := make([]cache.Item, 3)
+		for i := range items {
+			items[i] = cache.Item{
+				ID: cache.ItemID(i), Source: trace.NodeID(i), Size: 1,
+				RefreshInterval: r * scale,
+				Phase:           float64(i) * r / 3 * scale,
+				FreshnessWindow: r * 0.75 * scale,
+				Lifetime:        r * 2 * scale,
+			}
+		}
+		cat, err := cache.NewCatalog(items)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cat
+	}
+	run := func(tr *trace.Trace, cat *cache.Catalog, scheme string, scale, queryRate float64) metrics.Result {
+		s, err := SchemeByName(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Trace: tr, Catalog: cat, Scheme: s, NumCachingNodes: 8, Seed: 7,
+			CentralityWindow: 6 * mobility.Hour * scale}
+		if queryRate > 0 {
+			cfg.Workload = cache.WorkloadConfig{QueryRate: queryRate / scale, ZipfExponent: 1.1}
+		}
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, seed := range []int64{1, 2} {
+		g := &mobility.Community{
+			TraceName: "scale", N: 40, Duration: 20 * mobility.Day, Communities: 4,
+			IntraRate: 6.0 / mobility.Day, InterRate: 0.5 / mobility.Day, RateShape: 0.8,
+			InterPairFraction: 0.5, HubFraction: 0.1, HubBoost: 3, MeanContactDur: 120,
+		}
+		tr, err := g.Generate(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scaled := scaleTrace(tr)
+		for _, scheme := range []string{"direct", "hierarchical", "epidemic"} {
+			for _, queryRate := range []float64{0, 1 / (4 * mobility.Hour)} {
+				a := run(tr, catalog(1), scheme, 1, queryRate)
+				b := run(scaled, catalog(c), scheme, c, queryRate)
+				if a.Deliveries == 0 || (queryRate > 0 && a.Queries == 0) {
+					t.Fatalf("seed %d %s: degenerate run %+v", seed, scheme, a)
+				}
+				if a.FreshnessRatio != b.FreshnessRatio || a.Deliveries != b.Deliveries ||
+					a.Transmissions != b.Transmissions || a.Queries != b.Queries ||
+					a.Answered != b.Answered || !reflect.DeepEqual(a.SchemeStats, b.SchemeStats) {
+					t.Errorf("seed %d %s queryRate %v: scaling time by %v moved the result\n"+
+						"freshness %v → %v, deliveries %d → %d, transmissions %d → %d, "+
+						"queries %d → %d, answered %d → %d\nscheme stats %v → %v",
+						seed, scheme, queryRate, c, a.FreshnessRatio, b.FreshnessRatio,
+						a.Deliveries, b.Deliveries, a.Transmissions, b.Transmissions,
+						a.Queries, b.Queries, a.Answered, b.Answered, a.SchemeStats, b.SchemeStats)
+				}
+			}
+		}
 	}
 }

@@ -28,11 +28,6 @@ func NewReuse() *Reuse {
 	return &Reuse{s: runScratch{sim: eventsim.New()}}
 }
 
-// Reset rewinds all recycled state, invalidating everything handed out to
-// the previous run. NewEngine calls it automatically; it is exported so
-// long-lived holders can drop run state eagerly.
-func (r *Reuse) Reset() { r.s.reset() }
-
 // acquire resets and returns the bundled scratch. A nil Reuse yields a
 // fresh transient scratch, so the engine has one allocation path either
 // way.

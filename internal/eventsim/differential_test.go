@@ -70,6 +70,7 @@ func TestResetClearsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Reset()
+	noFreeHandlers(t, s)
 	if s.Now() != 0 || s.Pending() != 0 || s.Scheduled() != 0 || s.Processed() != 0 {
 		t.Fatalf("after Reset: now=%v pending=%d scheduled=%d processed=%d",
 			s.Now(), s.Pending(), s.Scheduled(), s.Processed())
@@ -133,7 +134,7 @@ func buildMixed(t *testing.T, data []byte, reference bool) (order []string, pend
 			return
 		}
 		for _, ev := range events {
-			if _, err := s.ScheduleAt(ev.Time, func(now float64) { dispatch(ev.Arg, now) }); err != nil {
+			if err := s.ScheduleAt(ev.Time, func(now float64) { dispatch(ev.Arg, now) }); err != nil {
 				t.Fatalf("schedule %s: %v", label, err)
 			}
 		}
@@ -157,10 +158,10 @@ func buildMixed(t *testing.T, data []byte, reference bool) (order []string, pend
 			bldB = clampAppend(bldB, tm, arg)
 		case 2:
 			odd := int(tm)%2 == 1
-			if _, err := s.ScheduleAt(tm, func(now float64) {
+			if err := s.ScheduleAt(tm, func(now float64) {
 				order = append(order, record("dyn", now, arg))
 				if odd {
-					if _, err := s.ScheduleAt(now, func(now float64) {
+					if err := s.ScheduleAt(now, func(now float64) {
 						order = append(order, record("dyn+", now, arg))
 					}); err != nil {
 						t.Errorf("in-run reschedule: %v", err)

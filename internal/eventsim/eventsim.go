@@ -58,25 +58,12 @@ type timeline struct {
 }
 
 // event is a single dynamic future-event-list entry. Events are pooled:
-// once popped or canceled, the struct is recycled for a later ScheduleAt,
-// so a long run allocates O(peak pending) events rather than O(processed).
+// once popped, the struct is recycled for a later ScheduleAt, so a long
+// run allocates O(peak pending) events rather than O(processed).
 type event struct {
 	time    float64
 	seq     uint64 // insertion order; breaks time ties deterministically
 	handler Handler
-	index   int // heap index, -1 once popped or canceled
-	// gen increments each time the struct is recycled, so an EventID held
-	// across the event's execution cannot cancel the struct's next life.
-	gen uint64
-}
-
-// EventID identifies a scheduled event so it can be canceled. It is valid
-// only for the scheduling it came from: once the event runs or is
-// canceled, the ID goes stale (Cancel returns false) even if the
-// simulator reuses the underlying storage.
-type EventID struct {
-	ev  *event
-	gen uint64
 }
 
 // eventQueue is a min-heap over (time, seq).
@@ -91,18 +78,13 @@ func (q eventQueue) Less(i, j int) bool {
 	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
 func (q *eventQueue) Push(x any) {
 	ev, ok := x.(*event)
 	if !ok {
 		panic("eventsim: pushed non-event")
 	}
-	ev.index = len(*q)
 	*q = append(*q, ev)
 }
 
@@ -111,7 +93,6 @@ func (q *eventQueue) Pop() any {
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
 	*q = old[:n-1]
 	return ev
 }
@@ -159,10 +140,10 @@ func (s *Simulator) Now() float64 { return s.now }
 // per-run simulated-event count.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
-// Scheduled reports how many events have ever been scheduled (executed,
-// still pending, or canceled), counting every static-timeline entry at
-// its attach point. Together with Processed it bounds how much scheduled
-// work a run abandoned at the horizon.
+// Scheduled reports how many events have ever been scheduled (executed or
+// still pending), counting every static-timeline entry at its attach
+// point. Together with Processed it bounds how much scheduled work a run
+// abandoned at the horizon.
 func (s *Simulator) Scheduled() uint64 { return s.nextSeq }
 
 // Pending reports how many events are currently scheduled: the dynamic
@@ -241,51 +222,29 @@ func (s *Simulator) alloc(t float64, h Handler) *event {
 }
 
 // recycle retires an event struct that left the queue. The handler
-// reference is dropped immediately — a popped or canceled event must not
-// pin its closure (and everything the closure captures) until the struct
-// happens to be reused.
+// reference is dropped immediately — a popped event must not pin its
+// closure (and everything the closure captures) until the struct happens
+// to be reused.
 func (s *Simulator) recycle(ev *event) {
 	ev.handler = nil
-	ev.gen++
 	s.free = append(s.free, ev)
 }
 
 // ScheduleAt schedules h to run at absolute simulated time t. Events at
 // equal times run in scheduling order. Scheduling at the current time is
 // allowed (the event runs after the current handler returns).
-func (s *Simulator) ScheduleAt(t float64, h Handler) (EventID, error) {
+func (s *Simulator) ScheduleAt(t float64, h Handler) error {
 	if t < s.now {
-		return EventID{}, fmt.Errorf("%w: t=%v now=%v", ErrPastEvent, t, s.now)
+		return fmt.Errorf("%w: t=%v now=%v", ErrPastEvent, t, s.now)
 	}
 	if h == nil {
-		return EventID{}, errors.New("eventsim: nil handler")
+		return errors.New("eventsim: nil handler")
 	}
 	ev := s.alloc(t, h)
 	ev.seq = s.nextSeq
 	s.nextSeq++
 	heap.Push(&s.queue, ev)
-	return EventID{ev: ev, gen: ev.gen}, nil
-}
-
-// ScheduleAfter schedules h to run delay seconds from now.
-func (s *Simulator) ScheduleAfter(delay float64, h Handler) (EventID, error) {
-	if delay < 0 {
-		return EventID{}, fmt.Errorf("%w: negative delay %v", ErrPastEvent, delay)
-	}
-	return s.ScheduleAt(s.now+delay, h)
-}
-
-// Cancel removes a scheduled dynamic event. Canceling an already-executed
-// or already-canceled event is a no-op and returns false. Static-timeline
-// events cannot be canceled.
-func (s *Simulator) Cancel(id EventID) bool {
-	if id.ev == nil || id.ev.gen != id.gen || id.ev.index < 0 {
-		return false
-	}
-	heap.Remove(&s.queue, id.ev.index)
-	id.ev.index = -1
-	s.recycle(id.ev)
-	return true
+	return nil
 }
 
 // Stop makes Run return after the current handler completes. It is meant
@@ -303,7 +262,6 @@ func (s *Simulator) Reset() {
 		panic("eventsim: Reset during Run")
 	}
 	for _, ev := range s.queue {
-		ev.index = -1
 		s.recycle(ev)
 	}
 	s.queue = s.queue[:0]

@@ -2,19 +2,16 @@ package eventsim
 
 import (
 	"errors"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
-func mustSchedule(t *testing.T, s *Simulator, at float64, h Handler) EventID {
+func mustSchedule(t *testing.T, s *Simulator, at float64, h Handler) {
 	t.Helper()
-	id, err := s.ScheduleAt(at, h)
-	if err != nil {
+	if err := s.ScheduleAt(at, h); err != nil {
 		t.Fatalf("ScheduleAt(%v): %v", at, err)
 	}
-	return id
 }
 
 func TestRunsInTimeOrder(t *testing.T) {
@@ -84,7 +81,7 @@ func TestScheduleFromHandler(t *testing.T) {
 	var seq []float64
 	mustSchedule(t, s, 1, func(now float64) {
 		seq = append(seq, now)
-		if _, err := s.ScheduleAfter(2, func(now float64) { seq = append(seq, now) }); err != nil {
+		if err := s.ScheduleAt(now+2, func(now float64) { seq = append(seq, now) }); err != nil {
 			t.Errorf("nested schedule: %v", err)
 		}
 	})
@@ -101,7 +98,7 @@ func TestScheduleAtCurrentTimeFromHandler(t *testing.T) {
 	var order []string
 	mustSchedule(t, s, 2, func(now float64) {
 		order = append(order, "a")
-		if _, err := s.ScheduleAt(now, func(float64) { order = append(order, "b") }); err != nil {
+		if err := s.ScheduleAt(now, func(float64) { order = append(order, "b") }); err != nil {
 			t.Errorf("same-time schedule: %v", err)
 		}
 	})
@@ -121,43 +118,15 @@ func TestPastSchedulingRejected(t *testing.T) {
 	if _, err := s.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ScheduleAt(3, func(float64) {}); !errors.Is(err, ErrPastEvent) {
-		t.Fatalf("err = %v, want ErrPastEvent", err)
-	}
-	if _, err := s.ScheduleAfter(-1, func(float64) {}); !errors.Is(err, ErrPastEvent) {
+	if err := s.ScheduleAt(3, func(float64) {}); !errors.Is(err, ErrPastEvent) {
 		t.Fatalf("err = %v, want ErrPastEvent", err)
 	}
 }
 
 func TestNilHandlerRejected(t *testing.T) {
 	s := New()
-	if _, err := s.ScheduleAt(1, nil); err == nil {
+	if err := s.ScheduleAt(1, nil); err == nil {
 		t.Fatal("nil handler accepted")
-	}
-}
-
-func TestCancel(t *testing.T) {
-	s := New()
-	ran := false
-	id := mustSchedule(t, s, 5, func(float64) { ran = true })
-	if !s.Cancel(id) {
-		t.Fatal("first cancel returned false")
-	}
-	if s.Cancel(id) {
-		t.Fatal("second cancel returned true")
-	}
-	if _, err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Fatal("canceled event ran")
-	}
-}
-
-func TestCancelZeroValue(t *testing.T) {
-	s := New()
-	if s.Cancel(EventID{}) {
-		t.Fatal("zero EventID cancel returned true")
 	}
 }
 
@@ -208,7 +177,7 @@ func TestExecutionOrderProperty(t *testing.T) {
 		for i, r := range raw {
 			times[i] = float64(r)
 			at := times[i]
-			if _, err := s.ScheduleAt(at, func(now float64) { got = append(got, now) }); err != nil {
+			if err := s.ScheduleAt(at, func(now float64) { got = append(got, now) }); err != nil {
 				return false
 			}
 		}
@@ -231,42 +200,6 @@ func TestExecutionOrderProperty(t *testing.T) {
 	}
 }
 
-// Property: canceling a random subset leaves exactly the others to run.
-func TestCancelSubsetProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 50; trial++ {
-		s := New()
-		const n = 40
-		ran := make([]bool, n)
-		ids := make([]EventID, n)
-		for i := 0; i < n; i++ {
-			i := i
-			var err error
-			ids[i], err = s.ScheduleAt(rng.Float64()*100, func(float64) { ran[i] = true })
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		canceled := make([]bool, n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				canceled[i] = s.Cancel(ids[i])
-				if !canceled[i] {
-					t.Fatal("cancel of pending event failed")
-				}
-			}
-		}
-		if _, err := s.Run(1000); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if ran[i] == canceled[i] {
-				t.Fatalf("trial %d event %d: ran=%v canceled=%v", trial, i, ran[i], canceled[i])
-			}
-		}
-	}
-}
-
 func TestReentrantRunRejected(t *testing.T) {
 	s := New()
 	var nested error
@@ -283,18 +216,14 @@ func TestReentrantRunRejected(t *testing.T) {
 
 func TestScheduledAndProcessedCounters(t *testing.T) {
 	s := New()
-	var ids []EventID
 	for i := 0; i < 5; i++ {
-		id := mustSchedule(t, s, float64(i+1), func(float64) {})
-		ids = append(ids, id)
+		mustSchedule(t, s, float64(i+1), func(float64) {})
 	}
 	if s.Scheduled() != 5 {
 		t.Fatalf("scheduled = %d, want 5", s.Scheduled())
 	}
-	if !s.Cancel(ids[4]) {
-		t.Fatal("cancel failed")
-	}
-	if _, err := s.Run(100); err != nil {
+	// The fifth event lies beyond the horizon: scheduled, never processed.
+	if _, err := s.Run(4.5); err != nil {
 		t.Fatal(err)
 	}
 	if s.Processed() != 4 {

@@ -2,10 +2,9 @@ package eventsim
 
 import "testing"
 
-// The pooling regression suite: popped and canceled events must release
-// their handler closures immediately (not when the pool entry is next
-// reused), recycled structs must be reused, and stale EventIDs must not
-// cancel a recycled event's next life.
+// The pooling regression suite: popped events must release their handler
+// closures immediately (not when the pool entry is next reused), and
+// recycled structs must be reused.
 
 // noFreeHandlers fails the test if any pooled event still references a
 // handler closure — the leak the pool explicitly guards against.
@@ -28,58 +27,16 @@ func TestPoppedEventReleasesHandler(t *testing.T) {
 	noFreeHandlers(t, s)
 }
 
-func TestCanceledEventReleasesHandler(t *testing.T) {
-	s := New()
-	id := mustSchedule(t, s, 1, func(float64) {})
-	if !s.Cancel(id) {
-		t.Fatal("Cancel returned false for a pending event")
-	}
-	noFreeHandlers(t, s)
-}
-
 func TestRecycledEventIsReused(t *testing.T) {
 	s := New()
-	id := mustSchedule(t, s, 1, func(float64) {})
-	s.Cancel(id)
-	id2 := mustSchedule(t, s, 2, func(float64) {})
-	if id.ev != id2.ev {
-		t.Fatal("recycled event struct was not reused")
-	}
-}
-
-func TestStaleIDCannotCancelRecycledEvent(t *testing.T) {
-	s := New()
-	stale := mustSchedule(t, s, 1, func(float64) {})
-	s.Cancel(stale)
-	// The struct is recycled into a new scheduling; the old ID must not
-	// reach it.
-	fresh := mustSchedule(t, s, 2, func(float64) {})
-	if stale.ev != fresh.ev {
-		t.Fatal("test premise: struct not reused")
-	}
-	if s.Cancel(stale) {
-		t.Fatal("stale EventID canceled a recycled event")
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1 (fresh event must survive)", s.Pending())
-	}
-	if !s.Cancel(fresh) {
-		t.Fatal("fresh EventID failed to cancel its own event")
-	}
-}
-
-func TestStaleIDAfterExecution(t *testing.T) {
-	s := New()
-	ran := false
-	id := mustSchedule(t, s, 1, func(float64) { ran = true })
+	mustSchedule(t, s, 1, func(float64) {})
 	if _, err := s.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	if !ran {
-		t.Fatal("event did not run")
-	}
-	if s.Cancel(id) {
-		t.Fatal("Cancel returned true for an already-executed event")
+	popped := s.free[len(s.free)-1]
+	mustSchedule(t, s, 20, func(float64) {})
+	if s.queue[0] != popped {
+		t.Fatal("recycled event struct was not reused")
 	}
 }
 
@@ -94,7 +51,7 @@ func TestHandlerMayScheduleDuringExecution(t *testing.T) {
 	chain = func(now float64) {
 		order = append(order, now)
 		if now < 5 {
-			if _, err := s.ScheduleAt(now+1, chain); err != nil {
+			if err := s.ScheduleAt(now+1, chain); err != nil {
 				t.Errorf("reschedule at %v: %v", now+1, err)
 			}
 		}

@@ -12,10 +12,10 @@ import (
 )
 
 // This file is the per-cell cost-attribution layer of the sweep runner:
-// wall time, retry attempts and (at a single worker) allocation deltas for
-// every executed cell, plus optional CPU profiles of the most expensive
-// cells. All measurement happens at cell boundaries — the simulation hot
-// path is untouched, so the PR8 alloc gates are unaffected.
+// wall time and (at a single worker) allocation deltas for every executed
+// cell, plus optional CPU profiles of the most expensive cells. All
+// measurement happens at cell boundaries — the simulation hot path is
+// untouched, so the PR8 alloc gates are unaffected.
 
 // CellProfile pairs one cell's cost record with its captured CPU profile
 // (pprof binary format).
@@ -25,11 +25,11 @@ type CellProfile struct {
 }
 
 // CellCosts collects per-cell execution costs across a run's sweeps for
-// the cross-run results store. Wall time and attempts are recorded for
-// every executed cell; allocation deltas and CPU profiles only when the
-// collector was built with trackAllocs (which the CLI grants only at an
-// effective single worker — ReadMemStats deltas and the process-global CPU
-// profiler are both meaningless under concurrency). Methods are nil-safe.
+// the cross-run results store. Wall time is recorded for every executed
+// cell; allocation deltas and CPU profiles only when the collector was
+// built with trackAllocs (which the CLI grants only at an effective
+// single worker — ReadMemStats deltas and the process-global CPU profiler
+// are both meaningless under concurrency). Methods are nil-safe.
 type CellCosts struct {
 	mu          sync.Mutex
 	costs       []obs.CellCost
@@ -152,7 +152,7 @@ func (cc *CellCosts) Profiles() []CellProfile {
 // measureCell runs one cell under the collector's measurement policy and
 // returns the result plus the filled cost record and optional profile. The
 // caller guarantees single-worker execution when alloc tracking is on.
-func (cc *CellCosts) measureCell(s Sweep, fn CellFunc, c Cell, single bool) ([]float64, error, int) {
+func (cc *CellCosts) measureCell(fn CellFunc, c Cell, single bool) ([]float64, error) {
 	allocs := single && cc.measureAllocs()
 	profile := allocs && cc.profileEnabled()
 
@@ -168,7 +168,7 @@ func (cc *CellCosts) measureCell(s Sweep, fn CellFunc, c Cell, single bool) ([]f
 		runtime.ReadMemStats(&before)
 	}
 	start := time.Now()
-	v, err, attempts := s.runCell(fn, c)
+	v, err := callCell(fn, c)
 	wall := time.Since(start)
 	cost := obs.CellCost{
 		Experiment:  c.Experiment,
@@ -177,7 +177,6 @@ func (cc *CellCosts) measureCell(s Sweep, fn CellFunc, c Cell, single bool) ([]f
 		Scheme:      c.Scheme,
 		Replicate:   c.Replicate,
 		WallSeconds: wall.Seconds(),
-		Attempts:    attempts,
 	}
 	if allocs {
 		var after runtime.MemStats
@@ -193,5 +192,5 @@ func (cc *CellCosts) measureCell(s Sweep, fn CellFunc, c Cell, single bool) ([]f
 	if err == nil {
 		cc.add(cost, prof)
 	}
-	return v, err, attempts
+	return v, err
 }

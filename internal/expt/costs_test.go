@@ -9,7 +9,7 @@ import (
 )
 
 // TestCellCostsRecorded: every executed cell lands in the collector with
-// wall time and attempts; order out of the workers is irrelevant because
+// its wall time; order out of the workers is irrelevant because
 // Cells() sorts into grid order.
 func TestCellCostsRecorded(t *testing.T) {
 	costs := NewCellCosts(0, true)
@@ -32,7 +32,7 @@ func TestCellCostsRecorded(t *testing.T) {
 		t.Fatalf("recorded %d cells, want 4", len(cells))
 	}
 	for i, c := range cells {
-		if c.WallSeconds < 0 || c.Attempts != 1 {
+		if c.WallSeconds < 0 {
 			t.Errorf("cell %d: %+v", i, c)
 		}
 		if c.Mallocs == 0 {
@@ -66,40 +66,6 @@ func TestCellCostsParallelNoAllocs(t *testing.T) {
 		if c.Mallocs != 0 || c.AllocBytes != 0 {
 			t.Errorf("alloc delta recorded without trackAllocs: %+v", c)
 		}
-	}
-}
-
-// TestCellCostsRetryAttempts: the attempts a retried cell consumed are
-// attributed in its cost record and the ledger's retried counter.
-func TestCellCostsRetryAttempts(t *testing.T) {
-	costs := NewCellCosts(0, false)
-	ledger := &Ledger{}
-	fails := map[int]int{0: 2} // point 0 fails twice before succeeding
-	s := Sweep{
-		Experiment: "cost-retry",
-		Presets:    []string{"a"},
-		Points:     2,
-		Parallel:   1,
-		BaseSeed:   1,
-		Retries:    2,
-		Costs:      costs,
-		Ledger:     ledger,
-	}
-	if _, err := s.Run(func(c Cell) ([]float64, error) {
-		if fails[c.Point] > 0 {
-			fails[c.Point]--
-			return nil, errors.New("transient")
-		}
-		return []float64{1}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cells := costs.Cells()
-	if len(cells) != 2 || cells[0].Attempts != 3 || cells[1].Attempts != 1 {
-		t.Fatalf("attempts not attributed: %+v", cells)
-	}
-	if snap := ledger.Snapshot(); snap.Retried != 2 {
-		t.Errorf("ledger retried = %d, want 2", snap.Retried)
 	}
 }
 
@@ -152,39 +118,29 @@ func TestCellCostsNilSafe(t *testing.T) {
 	cc.add(obs.CellCost{}, nil)
 }
 
-// TestLedgerSnapshot: the snapshot reflects every disposition atomically
-// and the ETA inputs (queued, executed-only rate base, start time).
+// TestLedgerSnapshot: the ledger's summary reflects every disposition,
+// and a nil ledger reports zeros.
 func TestLedgerSnapshot(t *testing.T) {
 	var l *Ledger
-	if snap := l.Snapshot(); snap != (obs.Progress{}) {
-		t.Fatalf("nil ledger snapshot = %+v", snap)
+	if sum := l.Summary(); sum != (obs.ResumeSummary{}) {
+		t.Fatalf("nil ledger summary = %+v", sum)
 	}
 
 	ledger := &Ledger{}
-	ledger.addQueued(10)
 	ledger.addReplayed(3)
-	ledger.addExecuted(1)
-	ledger.addExecuted(3) // 2 retries
+	ledger.addExecuted()
+	ledger.addExecuted()
 	ledger.addSkipped()
-	ledger.addFailure(Cell{Experiment: "x"}, errors.New("boom"), 2) // 1 retry
-	snap := ledger.Snapshot()
-	if snap.Queued != 10 || snap.Executed != 2 || snap.Replayed != 3 ||
-		snap.Skipped != 1 || snap.Failed != 1 || snap.Retried != 3 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap.Start.IsZero() {
-		t.Fatal("snapshot missing start time")
-	}
-
-	// Replayed cells are settled but must not count as executable work:
-	// remaining = queued - settled = 10 - 7 = 3.
-	if got := snap.Queued - (snap.Executed + snap.Replayed + snap.Failed + snap.Skipped); got != 3 {
-		t.Fatalf("remaining = %d, want 3", got)
+	ledger.addFailure(Cell{Experiment: "x"}, errors.New("boom"))
+	sum := ledger.Summary()
+	if sum.CellsExecuted != 2 || sum.CellsReplayed != 3 ||
+		sum.CellsSkipped != 1 || sum.CellsFailed != 1 {
+		t.Fatalf("summary = %+v", sum)
 	}
 }
 
-// TestLedgerSnapshotDuringSweep exercises Snapshot concurrently with a
-// running sweep (the live endpoint's access pattern) — run with -race.
+// TestLedgerSnapshotDuringSweep reads the ledger's summary concurrently
+// with a running sweep — run with -race.
 func TestLedgerSnapshotDuringSweep(t *testing.T) {
 	ledger := &Ledger{}
 	s := Sweep{
@@ -199,9 +155,9 @@ func TestLedgerSnapshotDuringSweep(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			snap := ledger.Snapshot()
-			if settled := snap.Executed + snap.Replayed + snap.Failed + snap.Skipped; settled > snap.Queued {
-				t.Errorf("settled %d > queued %d", settled, snap.Queued)
+			sum := ledger.Summary()
+			if settled := sum.CellsExecuted + sum.CellsReplayed + sum.CellsFailed + sum.CellsSkipped; settled > 8 {
+				t.Errorf("settled %d > 8 grid cells", settled)
 				return
 			}
 		}
@@ -212,7 +168,7 @@ func TestLedgerSnapshotDuringSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
-	if snap := ledger.Snapshot(); snap.Executed != 8 || snap.Queued != 8 {
-		t.Fatalf("final snapshot = %+v", snap)
+	if sum := ledger.Summary(); sum.CellsExecuted != 8 {
+		t.Fatalf("final summary = %+v", sum)
 	}
 }

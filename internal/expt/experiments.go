@@ -47,17 +47,15 @@ type Options struct {
 	// sweeps append completed cells and replay matching ones on resume.
 	Journal *Journal
 	// Ledger, when non-nil, accounts cell dispositions and collects the
-	// permanent-failure roster across the run (manifest provenance and
+	// failure roster across the run (manifest provenance and
 	// the CLI's exit status are built from it).
 	Ledger *Ledger
-	// Retries is the per-cell retry budget for transient failures.
-	Retries int
 	// KeepGoing runs sweeps in degradation mode: cell failures no longer
 	// abort the grid; failed cells become explicit NA table holes.
 	KeepGoing bool
 	// Costs, when non-nil, collects per-cell cost attribution (wall time,
-	// attempts, single-worker alloc deltas, optional CPU profiles) across
-	// every sweep for the cross-run results store.
+	// single-worker alloc deltas, optional CPU profiles) across every
+	// sweep for the cross-run results store.
 	Costs *CellCosts
 }
 
@@ -82,7 +80,6 @@ func (o Options) sweep(id string, presets []string, points int, schemes []string
 		Obs:        o.Obs,
 		Journal:    o.Journal,
 		Ledger:     o.Ledger,
-		Retries:    o.Retries,
 		KeepGoing:  o.KeepGoing,
 		Costs:      o.Costs,
 	}

@@ -74,7 +74,7 @@ func checkQuickGolden(t *testing.T, id string, golden []byte, exports ...string)
 		"lineage":  o.WriteLineageJSONL,
 		"timeline": o.WriteTimelineCSV,
 		"openmetrics": func(w io.Writer) error {
-			return obs.WriteOpenMetrics(w, o.Registry().Snapshot())
+			return obs.WriteOpenMetrics(w, o.Metrics.Snapshot())
 		},
 	}
 	got := map[string]string{

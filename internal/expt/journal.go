@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"freshcache/internal/obs"
 )
@@ -206,32 +205,15 @@ func (j *Journal) Close() error {
 }
 
 // Ledger accounts every sweep cell's disposition across a run and collects
-// the permanent-failure roster for the run manifest. One ledger is shared
-// by all sweeps of a CLI invocation; all methods are nil-safe and safe for
+// the failure roster for the run manifest. One ledger is shared by all
+// sweeps of a CLI invocation; all methods are nil-safe and safe for
 // concurrent use.
 type Ledger struct {
 	mu       sync.Mutex
 	failures []obs.CellFailure
-	queued   int
 	replayed int
 	executed int
 	skipped  int
-	retried  int
-	start    time.Time
-}
-
-// addQueued grows the total cell count and stamps the run's start time on
-// first use, so progress rates are measured from when work actually began.
-func (l *Ledger) addQueued(n int) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.queued += n
-	if l.start.IsZero() {
-		l.start = time.Now()
-	}
-	l.mu.Unlock()
 }
 
 func (l *Ledger) addReplayed(n int) {
@@ -243,17 +225,12 @@ func (l *Ledger) addReplayed(n int) {
 	l.mu.Unlock()
 }
 
-// addExecuted records a successful cell and the retry attempts it consumed
-// beyond the first.
-func (l *Ledger) addExecuted(attempts int) {
+func (l *Ledger) addExecuted() {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
 	l.executed++
-	if attempts > 1 {
-		l.retried += attempts - 1
-	}
 	l.mu.Unlock()
 }
 
@@ -266,14 +243,11 @@ func (l *Ledger) addSkipped() {
 	l.mu.Unlock()
 }
 
-func (l *Ledger) addFailure(c Cell, err error, attempts int) {
+func (l *Ledger) addFailure(c Cell, err error) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	if attempts > 1 {
-		l.retried += attempts - 1
-	}
 	l.failures = append(l.failures, obs.CellFailure{
 		Experiment: c.Experiment,
 		Preset:     c.Preset,
@@ -281,13 +255,12 @@ func (l *Ledger) addFailure(c Cell, err error, attempts int) {
 		Scheme:     c.Scheme,
 		Replicate:  c.Replicate,
 		Error:      err.Error(),
-		Attempts:   attempts,
 	})
 	l.mu.Unlock()
 }
 
-// Failures returns the permanent-failure roster in deterministic grid
-// order (experiment, preset, point, scheme, replicate).
+// Failures returns the failure roster in deterministic grid order
+// (experiment, preset, point, scheme, replicate).
 func (l *Ledger) Failures() []obs.CellFailure {
 	if l == nil {
 		return nil
@@ -328,28 +301,6 @@ func (l *Ledger) Summary() obs.ResumeSummary {
 		CellsExecuted: l.executed,
 		CellsFailed:   len(l.failures),
 		CellsSkipped:  l.skipped,
-	}
-}
-
-// Snapshot returns an atomic progress snapshot for live reporting: every
-// disposition count plus the queued total and start time, taken under the
-// ledger lock so it never reads a half-updated state mid-sweep. Nil-safe
-// (a nil ledger reports zeros), so it can serve as the live endpoint's
-// progress source unconditionally.
-func (l *Ledger) Snapshot() obs.Progress {
-	if l == nil {
-		return obs.Progress{}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return obs.Progress{
-		Queued:   l.queued,
-		Executed: l.executed,
-		Failed:   len(l.failures),
-		Skipped:  l.skipped,
-		Replayed: l.replayed,
-		Retried:  l.retried,
-		Start:    l.start,
 	}
 }
 

@@ -339,56 +339,30 @@ func TestSweepPanicRecovered(t *testing.T) {
 	}
 }
 
+// TestSweepRetryPolicy: a cell is a pure function of its seeds, so a
+// failed cell would fail the same way again and the sweep never retries
+// it. A failing or panicking cell runs once and lands in the roster.
 func TestSweepRetryPolicy(t *testing.T) {
-	// Two transient failures, then success: within the retry budget.
-	var calls atomic.Int32
-	s := Sweep{Experiment: "R", Presets: []string{"a"}, Points: 1, Parallel: 1, BaseSeed: 1, Retries: 2}
-	res, err := s.Run(func(c Cell) ([]float64, error) {
-		if calls.Add(1) <= 2 {
-			return nil, errors.New("transient")
+	for _, fail := range []func() ([]float64, error){
+		func() ([]float64, error) { return nil, errors.New("permanent") },
+		func() ([]float64, error) { panic("permanent") },
+	} {
+		ledger := &Ledger{}
+		s := Sweep{Experiment: "R", Presets: []string{"a"}, Points: 1, Parallel: 1, BaseSeed: 1, Ledger: ledger}
+		var calls atomic.Int32
+		_, err := s.Run(func(c Cell) ([]float64, error) {
+			calls.Add(1)
+			return fail()
+		})
+		if err == nil || !strings.Contains(err.Error(), "permanent") {
+			t.Fatalf("err = %v", err)
 		}
-		return []float64{42}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("cell ran %d times, want 3", calls.Load())
-	}
-	if v := res.Mean(0, 0, 0, 0); v != 42 {
-		t.Fatalf("mean = %v", v)
-	}
-
-	// Budget exhausted: the failure is permanent and reports its attempts.
-	ledger := &Ledger{}
-	s2 := Sweep{Experiment: "R", Presets: []string{"a"}, Points: 1, Parallel: 1, BaseSeed: 1,
-		Retries: 1, Ledger: ledger}
-	var calls2 atomic.Int32
-	_, err = s2.Run(func(c Cell) ([]float64, error) {
-		calls2.Add(1)
-		return nil, errors.New("permanent")
-	})
-	if err == nil || !strings.Contains(err.Error(), "permanent") {
-		t.Fatalf("err = %v", err)
-	}
-	if calls2.Load() != 2 {
-		t.Fatalf("cell ran %d times, want 2 (1 + 1 retry)", calls2.Load())
-	}
-	fails := ledger.Failures()
-	if len(fails) != 1 || fails[0].Attempts != 2 {
-		t.Fatalf("failures = %+v", fails)
-	}
-	// Retries also cover panics.
-	var calls3 atomic.Int32
-	s3 := Sweep{Experiment: "R", Presets: []string{"a"}, Points: 1, Parallel: 1, BaseSeed: 1, Retries: 3}
-	res3, err := s3.Run(func(c Cell) ([]float64, error) {
-		if calls3.Add(1) == 1 {
-			panic("flaky")
+		if calls.Load() != 1 {
+			t.Fatalf("cell ran %d times, want 1", calls.Load())
 		}
-		return []float64{7}, nil
-	})
-	if err != nil || res3.Mean(0, 0, 0, 0) != 7 {
-		t.Fatalf("panic retry: err=%v", err)
+		if fails := ledger.Failures(); len(fails) != 1 {
+			t.Fatalf("failures = %+v", fails)
+		}
 	}
 }
 
@@ -419,16 +393,12 @@ func TestSweepKeepGoingNAHoles(t *testing.T) {
 	if v := res.Value(0, 3, 1, 0).(float64); v != 31 {
 		t.Fatalf("cell after the failure = %v (grid did not finish?)", v)
 	}
-	failed := res.FailedCells()
-	if len(failed) != 1 || failed[0].Point != 1 || failed[0].Scheme != "y" {
-		t.Fatalf("failed cells = %+v", failed)
-	}
 	sum := ledger.Summary()
 	if sum.CellsFailed != 1 || sum.CellsExecuted != 7 || sum.CellsSkipped != 0 {
 		t.Fatalf("ledger summary = %+v", sum)
 	}
 	roster := ledger.Failures()
-	if len(roster) != 1 || roster[0].Error != "doomed cell" || roster[0].Attempts != 1 {
+	if len(roster) != 1 || roster[0].Error != "doomed cell" || roster[0].Point != 1 || roster[0].Scheme != "y" {
 		t.Fatalf("roster = %+v", roster)
 	}
 

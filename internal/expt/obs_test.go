@@ -192,7 +192,7 @@ func TestObsRollupsPopulated(t *testing.T) {
 	if _, err := e.Run(Options{Seed: 42, Quick: true, Parallel: 4, Stats: metrics.NewRunStats(), Obs: o}); err != nil {
 		t.Fatal(err)
 	}
-	reg := o.Registry()
+	reg := o.Metrics
 	queued := reg.Counter("sweep/cells_queued").Value()
 	done := reg.Counter("sweep/cells_done").Value()
 	if queued == 0 || queued != done {

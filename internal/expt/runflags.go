@@ -84,10 +84,10 @@ func (f *RunFlags) check() error {
 
 // Start checks the flags, then starts the CPU profile, opens the
 // checkpoint journal, and creates the -obs directory and the observer.
-// The observer exists when -obs, -store or forceObserver asks for one.
-// tool and args name the invocation in the manifest.
+// The observer exists when -obs or -store asks for one. tool and args
+// name the invocation in the manifest.
 // Defer Stop before calling Start: it releases whatever Start opened.
-func (f *RunFlags) Start(tool string, args []string, forceObserver bool) error {
+func (f *RunFlags) Start(tool string, args []string) error {
 	if err := f.check(); err != nil {
 		return err
 	}
@@ -119,7 +119,7 @@ func (f *RunFlags) Start(tool string, args []string, forceObserver bool) error {
 			return err
 		}
 	}
-	if f.Obs != "" || f.Store != "" || forceObserver {
+	if f.Obs != "" || f.Store != "" {
 		f.Observer = obs.NewObserver(obs.Config{SampleEvery: f.ObsSample, BufferCap: f.ObsBuffer,
 			Lineage: f.Lineage, TimelineTick: *f.TimelineTick})
 	}

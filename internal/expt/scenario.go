@@ -16,7 +16,7 @@ import (
 // over: one trace preset, a catalog of periodically refreshed items, the
 // caching-node budget and the query workload.
 type Scenario struct {
-	TracePreset     string // "reality-like" or "infocom-like"
+	TracePreset     string // names the trace; RunOnTrace is handed the trace itself
 	NumItems        int
 	RefreshInterval float64
 	FreshnessWindow float64 // defaults to RefreshInterval
@@ -99,23 +99,10 @@ func (sc Scenario) buildCatalog() (*cache.Catalog, error) {
 	return cache.NewCatalog(items)
 }
 
-// Run executes the scenario with the given scheme, returning the result
-// and the engine (for raw collector access).
-func (sc Scenario) Run(scheme core.Scheme) (metrics.Result, *core.Engine, error) {
-	sc = sc.withDefaults()
-	gen, err := mobility.Preset(sc.TracePreset)
-	if err != nil {
-		return metrics.Result{}, nil, err
-	}
-	tr, err := gen.Generate(sc.Seed)
-	if err != nil {
-		return metrics.Result{}, nil, err
-	}
-	return sc.RunOnTrace(scheme, tr)
-}
-
-// RunOnTrace is Run with a pre-generated trace (so sweeps over non-trace
-// parameters reuse one trace, matching trace-driven methodology).
+// RunOnTrace executes the scenario with the given scheme on a
+// pre-generated trace (so sweeps over non-trace parameters reuse one
+// trace, matching trace-driven methodology), returning the result and the
+// engine (for raw collector access).
 func (sc Scenario) RunOnTrace(scheme core.Scheme, tr *trace.Trace) (metrics.Result, *core.Engine, error) {
 	sc = sc.withDefaults()
 	cat, err := sc.buildCatalog()

@@ -2,7 +2,6 @@ package expt
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -96,19 +95,15 @@ type Sweep struct {
 	// replayed, failed, skipped) and collects the failure roster across
 	// the run's sweeps.
 	Ledger *Ledger
-	// Retries is the bounded per-cell retry budget: a failing cell
-	// (error or recovered panic) is re-attempted up to Retries more
-	// times before it counts as a permanent failure.
-	Retries int
 	// KeepGoing switches the runner from fail-fast to degradation mode:
-	// permanent cell failures no longer abort the sweep — the rest of the
-	// grid still runs, failed cells leave explicit NA holes in the
-	// assembled tables, and the failures land in the Ledger's roster.
+	// cell failures no longer abort the sweep — the rest of the grid
+	// still runs, failed cells leave explicit NA holes in the assembled
+	// tables, and the failures land in the Ledger's roster.
 	KeepGoing bool
-	// Costs, when non-nil, records each executed cell's wall time and
-	// attempts (plus alloc deltas and optional CPU profiles at a single
-	// worker) for the cross-run results store. Measurement happens at cell
-	// boundaries only; the simulation hot path is untouched.
+	// Costs, when non-nil, records each executed cell's wall time (plus
+	// alloc deltas and optional CPU profiles at a single worker) for the
+	// cross-run results store. Measurement happens at cell boundaries
+	// only; the simulation hot path is untouched.
 	Costs *CellCosts
 }
 
@@ -179,16 +174,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("cell panicked: %v\n%s", e.Value, e.Stack)
 }
 
-// cellStatus is one grid cell's terminal disposition.
-type cellStatus uint8
-
-const (
-	cellExecuted cellStatus = iota // ran to completion in this process
-	cellReplayed                   // result replayed from the checkpoint journal
-	cellFailed                     // failed permanently (after retries)
-	cellSkipped                    // drained without running after a fail-fast failure
-)
-
 // callCell invokes fn for one cell with panics recovered into a
 // *PanicError, so a crashing cell body can never take down the process.
 func callCell(fn CellFunc, c Cell) (v []float64, err error) {
@@ -200,32 +185,6 @@ func callCell(fn CellFunc, c Cell) (v []float64, err error) {
 	return fn(c)
 }
 
-// runCell evaluates one cell under the sweep's retry policy and returns
-// the result, the final error (nil on success) and the attempts made.
-func (s Sweep) runCell(fn CellFunc, c Cell) ([]float64, error, int) {
-	attempts := 1 + s.Retries
-	if attempts < 1 {
-		attempts = 1
-	}
-	var (
-		v   []float64
-		err error
-	)
-	for a := 1; a <= attempts; a++ {
-		v, err = callCell(fn, c)
-		if err == nil {
-			return v, nil, a
-		}
-		if a < attempts {
-			slog.Debug("retrying sweep cell",
-				"experiment", c.Experiment, "preset", c.Preset, "point", c.Point,
-				"scheme", c.Scheme, "replicate", c.Replicate,
-				"attempt", a, "budget", attempts, "err", err)
-		}
-	}
-	return nil, err, attempts
-}
-
 // cellErr wraps a cell failure with its grid coordinates.
 func cellErr(c Cell, err error) error {
 	return fmt.Errorf("expt: %s preset=%s point=%d scheme=%q replicate=%d: %w",
@@ -235,10 +194,10 @@ func cellErr(c Cell, err error) error {
 // Run evaluates every cell of the grid on the worker pool and returns the
 // assembled result.
 //
-// Failure policy: a cell that panics is recovered into a typed error and a
-// failing cell is retried up to Retries times. By default the sweep is
-// fail-fast — the first permanently failing cell (in grid order)
-// determines the returned error and remaining cells are drained as
+// Failure policy: a cell that panics is recovered into a typed error. A
+// cell is a pure function of its seeds, so a failed cell is not retried.
+// By default the sweep is fail-fast — the first failing cell (in grid
+// order) determines the returned error and remaining cells are drained as
 // skipped. With KeepGoing the whole grid still runs: failed cells leave NA
 // holes in the result, the failures are recorded in the Ledger, and the
 // returned error is nil (degradation is the caller's policy decision).
@@ -258,9 +217,7 @@ func (s Sweep) Run(fn CellFunc) (*SweepResult, error) {
 	fp := s.Fingerprint()
 	runs := make([][]float64, len(cells))
 	errs := make([]error, len(cells))
-	status := make([]cellStatus, len(cells))
 	s.Obs.CellQueued(len(cells))
-	s.Ledger.addQueued(len(cells))
 
 	// Replay journaled cells first: they cost nothing, and the worker pool
 	// then only sees the remainder.
@@ -269,7 +226,6 @@ func (s Sweep) Run(fn CellFunc) (*SweepResult, error) {
 	for i, c := range cells {
 		if v, ok := s.Journal.Lookup(c, fp); ok {
 			runs[i] = v
-			status[i] = cellReplayed
 			replayed++
 			s.Obs.CellReplayed()
 			continue
@@ -278,7 +234,7 @@ func (s Sweep) Run(fn CellFunc) (*SweepResult, error) {
 	}
 	s.Ledger.addReplayed(replayed)
 
-	var failed atomic.Bool // a cell failed permanently (fail-fast drain signal)
+	var failed atomic.Bool // a cell failed (fail-fast drain signal)
 	var (
 		jmu        sync.Mutex
 		journalErr error // first checkpoint-append failure, if any
@@ -295,32 +251,28 @@ func (s Sweep) Run(fn CellFunc) (*SweepResult, error) {
 			defer wg.Done()
 			for i := range idx {
 				if !s.KeepGoing && failed.Load() {
-					status[i] = cellSkipped
 					s.Ledger.addSkipped()
 					s.Obs.CellSkipped()
 					continue // drain: a cell already failed
 				}
 				var (
-					v        []float64
-					err      error
-					attempts int
+					v   []float64
+					err error
 				)
 				if s.Costs != nil {
-					v, err, attempts = s.Costs.measureCell(s, fn, cells[i], single)
+					v, err = s.Costs.measureCell(fn, cells[i], single)
 				} else {
-					v, err, attempts = s.runCell(fn, cells[i])
+					v, err = callCell(fn, cells[i])
 				}
 				if err != nil {
 					errs[i] = err
-					status[i] = cellFailed
 					failed.Store(true)
-					s.Ledger.addFailure(cells[i], err, attempts)
+					s.Ledger.addFailure(cells[i], err)
 					s.Obs.CellFailed()
 					continue
 				}
 				runs[i] = v
-				status[i] = cellExecuted
-				s.Ledger.addExecuted(attempts)
+				s.Ledger.addExecuted()
 				if jerr := s.Journal.Record(cells[i], fp, v); jerr != nil {
 					// A broken checkpoint must not pass silently: the run
 					// finishes, but Run reports the journal failure.
@@ -364,7 +316,7 @@ func (s Sweep) Run(fn CellFunc) (*SweepResult, error) {
 	if journalErr != nil {
 		return nil, journalErr
 	}
-	res := &SweepResult{sweep: s, reps: s.replicates(), width: width, runs: runs, status: status, cells: cells}
+	res := &SweepResult{sweep: s, reps: s.replicates(), width: width, runs: runs, replayed: replayed}
 	return res, nil
 }
 
@@ -374,12 +326,11 @@ func (s Sweep) Run(fn CellFunc) (*SweepResult, error) {
 // over the surviving replicates, and a cell with none renders as an
 // explicit "NA" hole.
 type SweepResult struct {
-	sweep  Sweep
-	reps   int
-	width  int
-	runs   [][]float64 // grid order, replicate innermost; nil = failed/skipped
-	status []cellStatus
-	cells  []Cell
+	sweep    Sweep
+	reps     int
+	width    int
+	runs     [][]float64 // grid order, replicate innermost; nil = failed/skipped
+	replayed int         // cells replayed from the checkpoint journal
 }
 
 // Replicates returns the number of runs per cell.
@@ -464,29 +415,9 @@ func (r *SweepResult) Value(preset, point, scheme, metric int) any {
 		CellValue(r.Stderr(preset, point, scheme, metric)))
 }
 
-// FailedCells returns the grid cells that failed permanently, in grid
-// order (empty for a fully successful sweep).
-func (r *SweepResult) FailedCells() []Cell {
-	var out []Cell
-	for i, st := range r.status {
-		if st == cellFailed {
-			out = append(out, r.cells[i])
-		}
-	}
-	return out
-}
-
 // ReplayedCells reports how many cells were replayed from the checkpoint
 // journal instead of executing.
-func (r *SweepResult) ReplayedCells() int {
-	n := 0
-	for _, st := range r.status {
-		if st == cellReplayed {
-			n++
-		}
-	}
-	return n
-}
+func (r *SweepResult) ReplayedCells() int { return r.replayed }
 
 // TraceCache memoizes generated traces by (name, seed) so a sweep's cells
 // — and successive experiments over the same preset — share one immutable
@@ -588,13 +519,6 @@ func (c *TraceCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Purge drops every cached trace.
-func (c *TraceCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[traceKey]*traceEntry)
 }
 
 // sharedTraces is the process-wide cache the experiment suite runs on.

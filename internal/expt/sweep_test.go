@@ -235,10 +235,6 @@ func TestTraceCacheSingleFlight(t *testing.T) {
 	if gens.Load() != 2 || c.Len() != 2 {
 		t.Fatalf("gens=%d len=%d", gens.Load(), c.Len())
 	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("len after purge = %d", c.Len())
-	}
 }
 
 func TestTraceCacheErrorCached(t *testing.T) {

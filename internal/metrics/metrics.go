@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 
 	"freshcache/internal/cache"
 	"freshcache/internal/stats"
@@ -69,15 +68,12 @@ func (c *Collector) Samples() []Sample {
 }
 
 // Deliveries returns a copy of the raw delivery log. Callers may reorder it
-// (e.g. via SortDeliveries) without corrupting the collector.
+// without corrupting the collector.
 func (c *Collector) Deliveries() []Delivery {
 	out := make([]Delivery, len(c.deliveries))
 	copy(out, c.deliveries)
 	return out
 }
-
-// Generated returns the number of versions generated.
-func (c *Collector) Generated() int { return c.generated }
 
 // DeliveryCount returns how many deliveries were recorded, without the
 // defensive copy Deliveries makes — cheap enough for per-tick sampling.
@@ -277,22 +273,4 @@ func (c *Collector) FirstDeliveryOnTimeRatio() float64 {
 func (r Result) String() string {
 	return fmt.Sprintf("%s/%s: freshness=%.3f validAccess=%.3f freshAccess=%.3f answered=%.3f tx/ver=%.1f delay(mean)=%.0fs",
 		r.Scheme, r.Trace, r.FreshnessRatio, r.ValidAnswers, r.FreshAnswers, r.AnsweredOK, r.TxPerVersion, r.MeanRefreshDelay)
-}
-
-// SortDeliveries orders the delivery log by (time, item, version, node)
-// for deterministic output.
-func SortDeliveries(ds []Delivery) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := ds[i], ds[j]
-		if a.DeliveredAt != b.DeliveredAt {
-			return a.DeliveredAt < b.DeliveredAt
-		}
-		if a.Item != b.Item {
-			return a.Item < b.Item
-		}
-		if a.Version != b.Version {
-			return a.Version < b.Version
-		}
-		return a.Node < b.Node
-	})
 }

@@ -117,25 +117,6 @@ func TestFirstDeliveryPicksEarliestRegardlessOfLogOrder(t *testing.T) {
 	}
 }
 
-func TestSortDeliveries(t *testing.T) {
-	ds := []Delivery{
-		{DeliveredAt: 10, Item: 1, Version: 0, Node: 2},
-		{DeliveredAt: 5, Item: 0, Version: 0, Node: 0},
-		{DeliveredAt: 10, Item: 0, Version: 2, Node: 1},
-		{DeliveredAt: 10, Item: 0, Version: 2, Node: 0},
-	}
-	SortDeliveries(ds)
-	if ds[0].DeliveredAt != 5 {
-		t.Fatalf("order: %+v", ds)
-	}
-	if ds[1].Item != 0 || ds[1].Node != 0 {
-		t.Fatalf("tie-break wrong: %+v", ds[1])
-	}
-	if ds[2].Node != 1 || ds[3].Item != 1 {
-		t.Fatalf("order: %+v", ds)
-	}
-}
-
 // Samples and Deliveries hand out defensive copies: sorting or mutating
 // what they return must not corrupt the collector's internal logs.
 func TestAccessorsReturnCopies(t *testing.T) {
@@ -152,7 +133,7 @@ func TestAccessorsReturnCopies(t *testing.T) {
 	}
 
 	ds := c.Deliveries()
-	SortDeliveries(ds) // reorders the copy: delivery 2 sorts first
+	ds[0], ds[1] = ds[1], ds[0] // reorders the copy
 	ds[0].Item = 99
 	fresh := c.Deliveries()
 	if fresh[0].Item != 1 || fresh[0].DeliveredAt != 50 {
@@ -169,19 +150,8 @@ func TestRunStatsAccumulates(t *testing.T) {
 	if s.Runs() != 2 || s.Events() != 150 || s.Transmissions() != 7 {
 		t.Fatalf("totals: runs=%d events=%d tx=%d", s.Runs(), s.Events(), s.Transmissions())
 	}
-	if math.Abs(s.RunSeconds()-0.75) > 1e-12 {
-		t.Fatalf("run seconds = %v", s.RunSeconds())
-	}
-	byKind := s.TxByKind()
-	if byKind["refresh"] != 5 || byKind["relay"] != 2 {
-		t.Fatalf("by kind: %v", byKind)
-	}
-	byKind["refresh"] = 0 // copy: must not write through
-	if s.TxByKind()["refresh"] != 5 {
-		t.Fatal("TxByKind returned internal map")
-	}
 	sum := s.Summary(0.5)
-	for _, want := range []string{"cells=2", "events=150", "tx=7", "refresh 5", "relay 2", "cells/s"} {
+	for _, want := range []string{"cells=2", "events=150", "tx=7", "refresh 5", "relay 2", "cells/s", "simWall=0.75s"} {
 		if !strings.Contains(sum, want) {
 			t.Fatalf("summary %q missing %q", sum, want)
 		}

@@ -74,51 +74,6 @@ func (s *RunStats) Transmissions() int {
 	return s.tx
 }
 
-// KindCount is one (transmission kind, total) pair.
-type KindCount struct {
-	Kind  string
-	Count int
-}
-
-// KindCounts returns the per-kind transmission totals in ascending kind
-// order. All renderings of the per-kind breakdown go through this accessor
-// so footers and manifests never depend on map-iteration order.
-func (s *RunStats) KindCounts() []KindCount {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.kindCountsLocked()
-}
-
-func (s *RunStats) kindCountsLocked() []KindCount {
-	out := make([]KindCount, 0, len(s.txKind))
-	for k, v := range s.txKind {
-		out = append(out, KindCount{Kind: k, Count: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
-	return out
-}
-
-// TxByKind returns a copy of the per-kind transmission totals. Prefer
-// KindCounts when rendering: map iteration order is deliberately random.
-func (s *RunStats) TxByKind() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.txKind))
-	for k, v := range s.txKind {
-		out[k] = v
-	}
-	return out
-}
-
-// RunSeconds reports the summed per-run wall time. Under a parallel sweep
-// this exceeds the sweep's elapsed time — the ratio is the effective
-// speedup.
-func (s *RunStats) RunSeconds() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seconds
-}
-
 // DeliveryDelayHist returns a copy of the merged delivery-delay histogram
 // (nil when no run recorded one).
 func (s *RunStats) DeliveryDelayHist() *Hist {
@@ -147,10 +102,16 @@ func (s *RunStats) Summary(wallSeconds float64) string {
 	}
 	fmt.Fprintf(&b, " events=%d tx=%d", s.events, s.tx)
 	if len(s.txKind) > 0 {
-		kcs := s.kindCountsLocked()
-		parts := make([]string, len(kcs))
-		for i, kc := range kcs {
-			parts[i] = fmt.Sprintf("%s %d", kc.Kind, kc.Count)
+		// Kinds in ascending order, so the footer never depends on
+		// map-iteration order.
+		kinds := make([]string, 0, len(s.txKind))
+		for k := range s.txKind {
+			kinds = append(kinds, k)
+		}
+		sort.Strings(kinds)
+		parts := make([]string, len(kinds))
+		for i, k := range kinds {
+			parts[i] = fmt.Sprintf("%s %d", k, s.txKind[k])
 		}
 		fmt.Fprintf(&b, " [%s]", strings.Join(parts, ", "))
 	}

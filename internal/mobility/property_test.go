@@ -37,7 +37,7 @@ func propertyGenerators() map[string]Generator {
 			TraceName: "prop-rwp", N: 30, Duration: 4 * Hour, Field: 1000, Range: 50,
 			SpeedMin: 0.5, SpeedMax: 2.0, PauseMean: 60, Step: 5,
 		},
-		"workingday":        OfficeLike(3),
+		"workingday":        officeLike(3),
 		"drifting":          DriftingCommunity(40, Day),
 		"diurnal-community": RealityLike(),
 	}

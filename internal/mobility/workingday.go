@@ -179,25 +179,3 @@ func jitter(rng *rand.Rand, j float64) float64 {
 	}
 	return (rng.Float64()*2 - 1) * j
 }
-
-// OfficeLike returns a ready-made working-day scenario: 60 commuters, 6
-// offices, 9-to-5 with half-hour jitter, and evening venues mixing a
-// third of the population.
-func OfficeLike(days int) Generator {
-	return &WorkingDay{
-		TraceName:      "office-like",
-		N:              60,
-		Days:           days,
-		Offices:        6,
-		OfficeRate:     6.0 / (8 * Hour), // ~6 contacts per colleague-pair per workday
-		WorkStart:      9 * Hour,
-		WorkEnd:        17 * Hour,
-		Jitter:         30 * 60,
-		EveningVenues:  3,
-		EveningProb:    0.33,
-		EveningStart:   19 * Hour,
-		EveningLen:     2 * Hour,
-		EveningRate:    4.0 / (2 * Hour),
-		MeanContactDur: 10 * 60,
-	}
-}

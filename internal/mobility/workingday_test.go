@@ -8,7 +8,7 @@ import (
 )
 
 func TestWorkingDayGenerates(t *testing.T) {
-	tr, err := OfficeLike(5).Generate(3)
+	tr, err := officeLike(5).Generate(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestWorkingDayOfficeCliques(t *testing.T) {
 }
 
 func TestWorkingDayEveningMixes(t *testing.T) {
-	g := OfficeLike(10)
+	g := officeLike(10)
 	tr, err := g.Generate(2)
 	if err != nil {
 		t.Fatal(err)
@@ -99,11 +99,11 @@ func TestWorkingDayEveningMixes(t *testing.T) {
 }
 
 func TestWorkingDayDeterministic(t *testing.T) {
-	a, err := OfficeLike(3).Generate(9)
+	a, err := officeLike(3).Generate(9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := OfficeLike(3).Generate(9)
+	b, err := officeLike(3).Generate(9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestWorkingDayValidation(t *testing.T) {
 func TestWorkingDayDrivesSimulation(t *testing.T) {
 	// The generator must produce traces the engine can consume end to
 	// end (centrality, selection, refreshing).
-	tr, err := OfficeLike(8).Generate(11)
+	tr, err := officeLike(8).Generate(11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,4 +180,26 @@ func TestWorkingDayDrivesSimulation(t *testing.T) {
 // centrality dependency in tests.
 func traceRates(tr *trace.Trace) ([]float64, error) {
 	return tr.PairRates(0, tr.Duration)
+}
+
+// officeLike returns a ready-made working-day scenario: 60 commuters, 6
+// offices, 9-to-5 with half-hour jitter, and evening venues mixing a
+// third of the population.
+func officeLike(days int) Generator {
+	return &WorkingDay{
+		TraceName:      "office-like",
+		N:              60,
+		Days:           days,
+		Offices:        6,
+		OfficeRate:     6.0 / (8 * Hour), // ~6 contacts per colleague-pair per workday
+		WorkStart:      9 * Hour,
+		WorkEnd:        17 * Hour,
+		Jitter:         30 * 60,
+		EveningVenues:  3,
+		EveningProb:    0.33,
+		EveningStart:   19 * Hour,
+		EveningLen:     2 * Hour,
+		EveningRate:    4.0 / (2 * Hour),
+		MeanContactDur: 10 * 60,
+	}
 }

@@ -203,13 +203,3 @@ func TestDropProbValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestNodeUpWithoutChurn(t *testing.T) {
-	net, err := New(eventsim.New(), testTrace(), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !net.NodeUp(0, 50) {
-		t.Fatal("node down without churn")
-	}
-}

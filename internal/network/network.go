@@ -279,15 +279,6 @@ func (n *Net) Lost() int { return n.lost }
 // endpoint was down (churn).
 func (n *Net) ContactsSuppressed() int { return n.contactsSuppressed }
 
-// NodeUp reports whether a node is up at time t (always true without
-// churn).
-func (n *Net) NodeUp(node trace.NodeID, t float64) bool {
-	if n.avail == nil {
-		return true
-	}
-	return n.avail.isUp(node, t)
-}
-
 // ContactsDispatched reports how many contacts have fired so far.
 func (n *Net) ContactsDispatched() int { return n.contactsDispatched }
 

@@ -16,7 +16,7 @@ import (
 
 func appendChromeCommon(dst []byte, name string, ph byte, tsMicros float64, pid, tid int) []byte {
 	dst = append(dst, `{"name":`...)
-	dst = strconv.AppendQuote(dst, name)
+	dst = appendJSONString(dst, name)
 	dst = append(dst, `,"ph":"`...)
 	dst = append(dst, ph)
 	dst = append(dst, `","ts":`...)
@@ -101,7 +101,7 @@ func writeChromeTraces(w io.Writer, traces []*RunTrace) error {
 		}
 		buf = appendChromeCommon(buf, "process_name", 'M', 0, pid, 0)
 		buf = append(buf, `,"args":{"name":`...)
-		buf = strconv.AppendQuote(buf, t.Label)
+		buf = appendJSONString(buf, t.Label)
 		buf = append(buf, `}}`...)
 		if _, err := bw.Write(buf); err != nil {
 			return err

@@ -68,17 +68,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString resolves a wire name back to its Kind (KindUnknown for
-// unrecognised names).
-func KindFromString(s string) Kind {
-	for k, name := range kindNames {
-		if name == s {
-			return Kind(k)
-		}
-	}
-	return KindUnknown
-}
-
 // Event is one structured trace record. Fields that do not apply to a
 // given kind are set to -1 (nodes, item, version) or 0 (value); T is
 // simulation time in seconds.

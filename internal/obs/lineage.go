@@ -193,9 +193,9 @@ func (l *Lineage) Spans() []Span {
 // export byte-deterministic.
 func appendSpanJSONL(dst []byte, label, scheme string, s Span) []byte {
 	dst = append(dst, `{"run":`...)
-	dst = strconv.AppendQuote(dst, label)
+	dst = appendJSONString(dst, label)
 	dst = append(dst, `,"scheme":`...)
-	dst = strconv.AppendQuote(dst, scheme)
+	dst = appendJSONString(dst, scheme)
 	dst = append(dst, `,"span":`...)
 	dst = strconv.AppendUint(dst, uint64(s.ID), 10)
 	if s.Parent != 0 {
@@ -319,8 +319,6 @@ func parseSpanLine(line []byte) (SpanRecord, error) {
 		return SpanRecord{}, errors.New("missing span id")
 	case min(w.From, w.To, w.Item, w.Ver) < -1:
 		return SpanRecord{}, errors.New("node, item or version below -1")
-	case !quotesAsJSON(w.Run) || !quotesAsJSON(w.Scheme):
-		return SpanRecord{}, errors.New("run or scheme holds an unprintable character")
 	}
 	if w.Age == 0 {
 		w.Age = 0 // a -0 age is written as no age, which reads back as 0
@@ -329,17 +327,6 @@ func parseSpanLine(line []byte) (SpanRecord, error) {
 		ID: w.Span, Parent: w.Parent, Kind: kind, T: w.T,
 		From: w.From, To: w.To, Item: w.Item, Ver: w.Ver, Age: w.Age,
 	}}, nil
-}
-
-// quotesAsJSON reports whether strconv.Quote, which the writers use, gives
-// s valid JSON: it escapes an unprintable character in Go syntax.
-func quotesAsJSON(s string) bool {
-	for _, r := range s {
-		if !strconv.IsPrint(r) {
-			return false
-		}
-	}
-	return true
 }
 
 // SpanTree indexes one run's spans for traversal: children in creation

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"math"
 	"slices"
 	"strings"
@@ -146,16 +148,15 @@ func TestLineageJSONLRoundTrip(t *testing.T) {
 // rejectedSpanLines are lineage lines the writer never produces, each of
 // which ReadSpansJSONL must refuse.
 var rejectedSpanLines = map[string]string{
-	"unknown field":       `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0,"bogus":1}`,
-	"NaN time":            `{"run":"r","scheme":"s","span":1,"kind":"generate","t":NaN}`,
-	"+Inf time":           `{"run":"r","scheme":"s","span":1,"kind":"generate","t":+Inf}`,
-	"-Inf age":            `{"run":"r","scheme":"s","span":1,"kind":"delivery","t":0,"age":-Inf}`,
-	"hex float time":      `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0x1p-2}`,
-	"underscored time":    `{"run":"r","scheme":"s","span":1,"kind":"generate","t":1_0}`,
-	"trailing comma":      `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0,}`,
-	"two values":          `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0}{"span":2}`,
-	"node below -1":       `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0,"from":-5}`,
-	"control char in run": `{"run":"r\u0001","scheme":"s","span":1,"kind":"generate","t":0}`,
+	"unknown field":    `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0,"bogus":1}`,
+	"NaN time":         `{"run":"r","scheme":"s","span":1,"kind":"generate","t":NaN}`,
+	"+Inf time":        `{"run":"r","scheme":"s","span":1,"kind":"generate","t":+Inf}`,
+	"-Inf age":         `{"run":"r","scheme":"s","span":1,"kind":"delivery","t":0,"age":-Inf}`,
+	"hex float time":   `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0x1p-2}`,
+	"underscored time": `{"run":"r","scheme":"s","span":1,"kind":"generate","t":1_0}`,
+	"trailing comma":   `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0,}`,
+	"two values":       `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0}{"span":2}`,
+	"node below -1":    `{"run":"r","scheme":"s","span":1,"kind":"generate","t":0,"from":-5}`,
 }
 
 func TestReadSpansJSONLRejects(t *testing.T) {
@@ -196,21 +197,86 @@ func TestTimelineRoundTrip(t *testing.T) {
 	}
 }
 
-// rejectedTimelineLines are timeline rows the writer never produces, each
-// of which ReadTimelineCSV must refuse, naming the line.
+// rejectedTimelineLines are timeline files with one line the writer never
+// produces, on line 2; ReadTimelineCSV must refuse each, naming the line.
 var rejectedTimelineLines = map[string]string{
-	"NaN time":      "r,NaN,freshness_ratio,,,0.5",
-	"+Inf value":    "r,100,copy_age,3,1,+Inf",
-	"-Inf value":    "r,100,copy_age,3,1,-Inf",
-	"negative node": "r,100,copy_age,-5,1,360",
+	"NaN time":              TimelineCSVHeader + "\nr,NaN,freshness_ratio,,,0.5\n",
+	"+Inf value":            TimelineCSVHeader + "\nr,100,copy_age,3,1,+Inf\n",
+	"-Inf value":            TimelineCSVHeader + "\nr,100,copy_age,3,1,-Inf\n",
+	"negative node":         TimelineCSVHeader + "\nr,100,copy_age,-5,1,360\n",
+	"row before the header": "\nr,1,s,,,1\n",
 }
 
 func TestReadTimelineCSVRejects(t *testing.T) {
-	for name, line := range rejectedTimelineLines {
-		recs, err := ReadTimelineCSV(strings.NewReader(TimelineCSVHeader + "\n" + line + "\n"))
+	for name, file := range rejectedTimelineLines {
+		recs, err := ReadTimelineCSV(strings.NewReader(file))
 		if err == nil || !strings.Contains(err.Error(), "line 2") {
-			t.Errorf("%s: %s read as %+v, error %v", name, line, recs, err)
+			t.Errorf("%s: %q read as %+v, error %v", name, file, recs, err)
 		}
+	}
+}
+
+// fuzzLabels seed the label argument of the reader fuzz targets: a cell
+// label, labels holding what a JSON string or a CSV field must escape or
+// refuse, and invalid UTF-8.
+var fuzzLabels = []string{
+	"E2/infocom-like/p00/hierarchical/r0", "E2/x\x01y", "tab\tbell\a", `q"uo\te`,
+	"a,b", "line\nbreak", "cr\rlf", " lead", "é→\u2028\U0001F600\U000E0001", "",
+	"bad\xff\xfeutf8\xe2\x82",
+}
+
+// checkJSONExports records one run labelled label, its scheme named label
+// too, and writes every JSON export: each events.jsonl and lineage.jsonl
+// line, and the whole trace.json, must be valid JSON, and the span reader
+// must return the label unchanged. The writers write each byte of invalid
+// UTF-8 as U+FFFD, as the conversion to []rune does, so such a label reads
+// back with those replacements.
+func checkJSONExports(t *testing.T, label string) {
+	t.Helper()
+	want := string([]rune(label))
+	o := NewObserver(Config{Lineage: true})
+	rec := o.Open(label, label)
+	g := rec.Generate(0, 2, 0, 0)
+	rec.Handoff(10, rec.Duty(0, g, 2, 3, 0, 0), 2, 3, 0, 0)
+	o.Commit(rec, metrics.Result{Scheme: label})
+	var events, spans, chrome bytes.Buffer
+	if err := errors.Join(o.WriteJSONL(&events), o.WriteLineageJSONL(&spans), o.WriteChromeTrace(&chrome)); err != nil {
+		t.Fatal(err)
+	}
+	for _, buf := range []*bytes.Buffer{&events, &spans} {
+		for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+			if !json.Valid([]byte(line)) {
+				t.Fatalf("label %q: export line is not JSON: %s", label, line)
+			}
+		}
+	}
+	if !json.Valid(chrome.Bytes()) {
+		t.Fatalf("label %q: trace.json is not JSON:\n%s", label, chrome.String())
+	}
+	recs, err := ReadSpansJSONL(&spans)
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("label %q: read %d spans, error %v", label, len(recs), err)
+	}
+	for _, r := range recs {
+		if r.Run != want || r.Scheme != want {
+			t.Fatalf("label %q read back as run %q, scheme %q", label, r.Run, r.Scheme)
+		}
+	}
+}
+
+// checkTimelineLabel writes one timeline point labelled label: WriteCSV
+// either refuses the label, or the reader returns it unchanged.
+func checkTimelineLabel(t *testing.T, label string) {
+	t.Helper()
+	tl := NewTimeline(label, 0)
+	tl.Sample(1, "freshness_ratio", -1, -1, 0.5)
+	out := bytes.NewBufferString(TimelineCSVHeader + "\n")
+	if tl.WriteCSV(out) != nil {
+		return
+	}
+	recs, err := ReadTimelineCSV(out)
+	if err != nil || len(recs) != 1 || recs[0].Run != label {
+		t.Fatalf("label %q read back as %+v, error %v", label, recs, err)
 	}
 }
 
@@ -221,7 +287,8 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // FuzzReadSpansJSONL feeds arbitrary bytes to the lineage reader. It must
 // not panic, and every span it accepts must be finite and survive the
-// writer and the reader again unchanged, floats bit for bit. The seed
+// writer and the reader again unchanged, floats bit for bit. Its label
+// argument goes through every JSON export (checkJSONExports). The seed
 // corpus runs with the normal test suite; `go test -fuzz=FuzzReadSpansJSONL
 // ./internal/obs` explores further.
 func FuzzReadSpansJSONL(f *testing.F) {
@@ -236,13 +303,18 @@ func FuzzReadSpansJSONL(f *testing.F) {
 		f.Fatal(err)
 	}
 	whole := buf.String()
-	f.Add(whole)
-	f.Add(whole[:len(whole)-12]) // torn last line
-	f.Add("\n")
+	label := fuzzLabels[0]
+	f.Add(whole, label)
+	f.Add(whole[:len(whole)-12], label) // torn last line
+	f.Add("\n", label)
 	for _, line := range rejectedSpanLines {
-		f.Add(whole + line + "\n")
+		f.Add(whole+line+"\n", label)
 	}
-	f.Fuzz(func(t *testing.T, data string) {
+	for _, l := range fuzzLabels[1:] {
+		f.Add(whole, l)
+	}
+	f.Fuzz(func(t *testing.T, data, label string) {
+		checkJSONExports(t, label)
 		recs, err := ReadSpansJSONL(strings.NewReader(data))
 		if err != nil {
 			return
@@ -272,7 +344,8 @@ func FuzzReadSpansJSONL(f *testing.F) {
 }
 
 // FuzzReadTimelineCSV is FuzzReadSpansJSONL for the timeline reader and
-// its writer.
+// its writer. Its label argument goes through WriteCSV
+// (checkTimelineLabel).
 func FuzzReadTimelineCSV(f *testing.F) {
 	tl := NewTimeline("E2/infocom-like/p00/hierarchical/r0", 0)
 	tl.Sample(3600, "freshness_ratio", -1, -1, 0.625)
@@ -283,13 +356,18 @@ func FuzzReadTimelineCSV(f *testing.F) {
 		f.Fatal(err)
 	}
 	whole := buf.String()
-	f.Add(whole)
-	f.Add(whole[:len(whole)-6]) // torn last line
-	f.Add("\n")
-	for _, line := range rejectedTimelineLines {
-		f.Add(whole + line + "\n")
+	label := fuzzLabels[0]
+	f.Add(whole, label)
+	f.Add(whole[:len(whole)-6], label) // torn last line
+	f.Add("\n", label)
+	for _, file := range rejectedTimelineLines {
+		f.Add(file, label)
 	}
-	f.Fuzz(func(t *testing.T, data string) {
+	for _, l := range fuzzLabels[1:] {
+		f.Add(whole, l)
+	}
+	f.Fuzz(func(t *testing.T, data, label string) {
+		checkTimelineLabel(t, label)
 		recs, err := ReadTimelineCSV(strings.NewReader(data))
 		if err != nil {
 			return

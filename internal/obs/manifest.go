@@ -49,9 +49,9 @@ type Manifest struct {
 	Events      *EventStats       `json:"events,omitempty"`
 	SchemeStats []SchemeRollup    `json:"schemeRollups,omitempty"`
 
-	// Failures is the roster of sweep cells that failed permanently (after
-	// retries) during the run — populated by degradation-tolerant runs
-	// (-keep-going) so partial tables are auditable.
+	// Failures is the roster of sweep cells that failed during the run —
+	// populated by degradation-tolerant runs (-keep-going) so partial
+	// tables are auditable.
 	Failures []CellFailure `json:"cellFailures,omitempty"`
 	// Resume records checkpoint/resume provenance: which journal the run
 	// wrote (or replayed), and how many cells were replayed vs executed.
@@ -61,8 +61,8 @@ type Manifest struct {
 	Cells []CellCost `json:"cells,omitempty"`
 }
 
-// CellFailure identifies one sweep cell that failed permanently, by its
-// grid coordinates, with the final error and the number of attempts made.
+// CellFailure identifies one sweep cell that failed, by its grid
+// coordinates, with its error.
 type CellFailure struct {
 	Experiment string `json:"experiment"`
 	Preset     string `json:"preset"`
@@ -70,13 +70,12 @@ type CellFailure struct {
 	Scheme     string `json:"scheme"`
 	Replicate  int    `json:"replicate"`
 	Error      string `json:"error"`
-	Attempts   int    `json:"attempts"`
 }
 
 // CellCost attributes one sweep cell's execution cost: wall time always,
 // allocation deltas (runtime.ReadMemStats before/after the cell) only when
 // the sweep ran on a single worker — cross-worker interference would make
-// them noise otherwise — and the attempts the retry policy spent.
+// them noise otherwise.
 type CellCost struct {
 	Experiment  string  `json:"experiment"`
 	Preset      string  `json:"preset"`
@@ -86,7 +85,6 @@ type CellCost struct {
 	WallSeconds float64 `json:"wallSeconds"`
 	Mallocs     uint64  `json:"mallocs,omitempty"`
 	AllocBytes  uint64  `json:"allocBytes,omitempty"`
-	Attempts    int     `json:"attempts"`
 }
 
 // ResumeSummary records a run's checkpoint/resume provenance: the journal

@@ -46,7 +46,7 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var o *Observer
-	if o.Registry() != nil || o.Open("x", "s") != (Recording{}) {
+	if o.Open("x", "s") != (Recording{}) {
 		t.Fatal("nil observer handed out state")
 	}
 	o.Commit(Recording{}, metrics.Result{})
@@ -184,7 +184,7 @@ func TestJSONLBytes(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
 			t.Fatalf("line %q: %v", line, err)
 		}
-		if KindFromString(m["kind"].(string)) == KindUnknown {
+		if kindFromString(m["kind"].(string)) == KindUnknown {
 			t.Fatalf("line %q has unknown kind", line)
 		}
 	}
@@ -192,11 +192,11 @@ func TestJSONLBytes(t *testing.T) {
 
 func TestKindRoundTrip(t *testing.T) {
 	for k := KindUnknown + 1; k < kindCount; k++ {
-		if got := KindFromString(k.String()); got != k {
+		if got := kindFromString(k.String()); got != k {
 			t.Fatalf("kind %d (%s) round-tripped to %d", k, k, got)
 		}
 	}
-	if KindFromString("no_such_kind") != KindUnknown {
+	if kindFromString("no_such_kind") != KindUnknown {
 		t.Fatal("bad name resolved")
 	}
 }
@@ -262,7 +262,7 @@ func TestObserverConcurrent(t *testing.T) {
 	if len(ru) != 1 || ru[0].Runs != runs || ru[0].DeliveryDelayHist.Total != runs {
 		t.Fatalf("rollups: %+v", ru)
 	}
-	reg := o.Registry()
+	reg := o.Metrics
 	if reg.Counter("sweep/cells_done").Value() != runs {
 		t.Fatalf("cells_done = %d", reg.Counter("sweep/cells_done").Value())
 	}
@@ -285,7 +285,7 @@ func TestObserverCellDispositions(t *testing.T) {
 	}
 	o.CellFailed()
 	o.CellSkipped()
-	reg := o.Registry()
+	reg := o.Metrics
 	for name, want := range map[string]int64{
 		"sweep/cells_done":     3,
 		"sweep/cells_replayed": 2,
@@ -350,7 +350,7 @@ func TestChromeTraceSchema(t *testing.T) {
 			}
 		case "i":
 			instants++
-			if KindFromString(ev.Name) == KindUnknown {
+			if kindFromString(ev.Name) == KindUnknown {
 				t.Fatalf("instant with unknown kind name: %+v", ev)
 			}
 		case "M":
@@ -396,4 +396,15 @@ func TestManifestWriteRead(t *testing.T) {
 	if got.WallClockSeconds < 0.9 {
 		t.Fatalf("wall clock = %v", got.WallClockSeconds)
 	}
+}
+
+// kindFromString resolves a wire name back to its Kind (KindUnknown for
+// unrecognised names).
+func kindFromString(s string) Kind {
+	for k, name := range kindNames {
+		if name == s {
+			return Kind(k)
+		}
+	}
+	return KindUnknown
 }

@@ -168,15 +168,6 @@ func NewObserver(cfg Config) *Observer {
 	}
 }
 
-// Registry returns the observer's metric registry (nil for a nil
-// observer), so call sites can thread it without their own nil checks.
-func (o *Observer) Registry() *Registry {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics
-}
-
 // Open returns fresh collectors for one labelled run of the named scheme.
 // The caller owns them until Commit.
 func (o *Observer) Open(label, scheme string) Recording {
@@ -245,7 +236,7 @@ func (o *Observer) CellDone() {
 	o.updateQueueDepth()
 }
 
-// CellFailed notes that one sweep cell failed permanently (after retries).
+// CellFailed notes that one sweep cell failed.
 func (o *Observer) CellFailed() {
 	if o == nil {
 		return

@@ -131,14 +131,6 @@ type HistogramSnapshot struct {
 	Max    float64   `json:"max"`
 }
 
-// Mean returns the exact mean of observed values (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Total)
-}
-
 // Snapshot copies the histogram state. Concurrent Observe calls may land
 // between bucket reads; totals are therefore approximate while recording
 // is in flight and exact once it stops.

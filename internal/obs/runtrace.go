@@ -3,7 +3,10 @@ package obs
 import (
 	"bufio"
 	"io"
+	"slices"
 	"strconv"
+	"unicode/utf16"
+	"unicode/utf8"
 )
 
 // RunTrace collects the typed events of one simulation run into a bounded
@@ -102,12 +105,42 @@ func (t *RunTrace) Events() []Event {
 	return out
 }
 
+// appendJSONString appends s as a JSON string, the one quoting every
+// export uses for labels and names. A printable character is written as
+// it is, and a quote or backslash escaped, exactly as strconv.Quote writes
+// them; any other character becomes a \u escape, which strconv.Quote
+// would write in Go syntax (\x01) and JSON does not allow. Invalid UTF-8
+// is written as U+FFFD.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(slices.Grow(dst, len(s)+2), '"')
+	for _, r := range s {
+		switch {
+		case r == '"' || r == '\\':
+			dst = append(dst, '\\', byte(r))
+		case strconv.IsPrint(r):
+			dst = utf8.AppendRune(dst, r)
+		case r > 0xffff:
+			hi, lo := utf16.EncodeRune(r)
+			dst = appendUnicodeEscape(appendUnicodeEscape(dst, hi), lo)
+		default:
+			dst = appendUnicodeEscape(dst, r)
+		}
+	}
+	return append(dst, '"')
+}
+
+// appendUnicodeEscape appends the JSON escape \uXXXX of a UTF-16 code unit.
+func appendUnicodeEscape(dst []byte, r rune) []byte {
+	const hex = "0123456789abcdef"
+	return append(dst, '\\', 'u', hex[r>>12&0xf], hex[r>>8&0xf], hex[r>>4&0xf], hex[r&0xf])
+}
+
 // appendJSONL appends one event as a JSONL record. Hand-rolled so that
 // float formatting (strconv 'g', shortest round-trip) and field order are
 // fixed — byte determinism is part of the trace contract.
 func appendJSONL(dst []byte, label string, ev Event) []byte {
 	dst = append(dst, `{"run":`...)
-	dst = strconv.AppendQuote(dst, label)
+	dst = appendJSONString(dst, label)
 	dst = append(dst, `,"t":`...)
 	dst = strconv.AppendFloat(dst, ev.T, 'g', -1, 64)
 	dst = append(dst, `,"kind":"`...)

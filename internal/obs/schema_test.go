@@ -140,12 +140,12 @@ func fullManifest() Manifest {
 			VersionsGenerated: 2, DeliveryDelayHist: hist, RefreshAgeHist: hist,
 		}},
 		Failures: []CellFailure{{Experiment: "E1", Preset: "reality-like",
-			Point: 0, Scheme: "direct", Replicate: 0, Error: "boom", Attempts: 2}},
+			Point: 0, Scheme: "direct", Replicate: 0, Error: "boom"}},
 		Resume: &ResumeSummary{Journal: "ckpt.jsonl", Resumed: true,
 			CellsReplayed: 1, CellsExecuted: 1, CellsFailed: 1, CellsSkipped: 1},
 		Cells: []CellCost{{Experiment: "E2", Preset: "infocom-like", Point: 0,
 			Scheme: "direct", Replicate: 0, WallSeconds: 0.25, Mallocs: 1000,
-			AllocBytes: 65536, Attempts: 1}},
+			AllocBytes: 65536}},
 	}
 }
 

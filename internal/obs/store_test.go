@@ -48,18 +48,49 @@ func TestStoreAppendReadRoundTrip(t *testing.T) {
 	if n := bytes.Count(b, []byte("\n")); n != 3 {
 		t.Fatalf("store holds %d lines, want one per append", n)
 	}
+	// Builds with a retry policy wrote an "attempts" count on every cell
+	// cost and cell failure; such a line still reads, without it.
+	appendRaw(t, path, legacyAttemptsLine(t, storeManifest(3))+"\n")
 	ms, err := ReadStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 3 {
-		t.Fatalf("read %d manifests, want 3", len(ms))
+	if len(ms) != 4 {
+		t.Fatalf("read %d manifests, want 4", len(ms))
 	}
 	for i, m := range ms {
 		if !reflect.DeepEqual(m, *storeManifest(int64(i))) {
 			t.Errorf("manifest %d did not round-trip (append order lost?): %+v", i, m)
 		}
 	}
+}
+
+// legacyAttemptsLine renders m as one store line with an "attempts" field
+// added to each cell cost and cell failure.
+func legacyAttemptsLine(t *testing.T, m *Manifest) string {
+	t.Helper()
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(b, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"cells", "cellFailures"} {
+		list, _ := raw[key].([]any)
+		if len(list) == 0 {
+			t.Fatalf("fixture has no %s", key)
+		}
+		for _, entry := range list {
+			entry.(map[string]any)["attempts"] = 2
+		}
+	}
+	b, err = json.Marshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestStoreConcurrentAppends models a -parallel 8 style fan-out of

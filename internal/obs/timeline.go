@@ -7,6 +7,9 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Timeline samples run-local series on a simulated-time tick. Like
@@ -101,10 +104,17 @@ func appendTimelineCSV(dst []byte, label string, p TimelinePoint) []byte {
 }
 
 // WriteCSV writes the points as CSV rows (no header — the Observer writes
-// one header for the whole file).
+// one header for the whole file). The reader splits rows on commas and
+// line feeds and trims white space off each line, so a label holding a
+// comma or a line feed, or beginning with white space, is an error: it
+// could not be read back.
 func (tl *Timeline) WriteCSV(w io.Writer) error {
 	if tl == nil {
 		return nil
+	}
+	first, _ := utf8.DecodeRuneInString(tl.Label)
+	if strings.ContainsAny(tl.Label, ",\n") || unicode.IsSpace(first) {
+		return fmt.Errorf("timeline: label %q cannot be a CSV field", tl.Label)
 	}
 	bw := bufio.NewWriter(w)
 	var line []byte
@@ -123,23 +133,24 @@ type TimelineRecord struct {
 	TimelinePoint
 }
 
-// ReadTimelineCSV parses a timeline CSV stream written by the Observer
-// (header line required).
+// ReadTimelineCSV parses a timeline CSV stream written by the Observer:
+// its first non-blank line must be the header.
 func ReadTimelineCSV(r io.Reader) ([]TimelineRecord, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	var out []TimelineRecord
-	lineNo := 0
+	lineNo, header := 0, false
 	for sc.Scan() {
 		lineNo++
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		if lineNo == 1 {
+		if !header {
 			if string(line) != TimelineCSVHeader {
-				return nil, fmt.Errorf("timeline: unexpected header %q", line)
+				return nil, fmt.Errorf("timeline line %d: unexpected header %q", lineNo, line)
 			}
+			header = true
 			continue
 		}
 		parts := bytes.Split(line, []byte{','})

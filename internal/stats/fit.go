@@ -29,20 +29,6 @@ func ExpRateMLE(interTimes []float64) (float64, error) {
 	return float64(len(interTimes)) / sum, nil
 }
 
-// RateFromCounts estimates a Poisson-process rate from an event count over
-// an observation window. This is the estimator the protocol itself uses
-// for pairwise contact rates: k contacts observed over window w gives
-// lambda = k/w. A zero count gives rate zero.
-func RateFromCounts(count int, window float64) (float64, error) {
-	if window <= 0 {
-		return 0, errors.New("stats: non-positive observation window")
-	}
-	if count < 0 {
-		return 0, errors.New("stats: negative event count")
-	}
-	return float64(count) / window, nil
-}
-
 // ExpCDF is the CDF of an exponential distribution with the given rate:
 // the probability an Exp(rate) variable is <= t. For rate <= 0 or t <= 0
 // it returns 0 (a pair that never meets never delivers).
@@ -94,18 +80,6 @@ func clampProb(p float64) float64 {
 		return 1
 	}
 	return p
-}
-
-// ComplementProduct returns 1 - prod(1 - p_i): the probability that at
-// least one of a set of independent events with probabilities ps occurs.
-// It is the combinator used by probabilistic replication to aggregate the
-// delivery probabilities of independent relay paths.
-func ComplementProduct(ps []float64) float64 {
-	q := 1.0
-	for _, p := range ps {
-		q *= 1 - clampProb(p)
-	}
-	return clampProb(1 - q)
 }
 
 // ExpFitKS returns the Kolmogorov–Smirnov distance between the empirical

@@ -73,34 +73,6 @@ func Exp(rng *rand.Rand, rate float64) float64 {
 	return rng.ExpFloat64() / rate
 }
 
-// Poisson draws from a Poisson distribution with the given mean using
-// Knuth's multiplication method for small means and the PTRS transformed
-// rejection method is unnecessary at our scales, so for large means we use
-// a normal approximation with continuity correction.
-func Poisson(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= rng.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation, adequate for mean >= 30.
-	v := rng.NormFloat64()*math.Sqrt(mean) + mean + 0.5
-	if v < 0 {
-		return 0
-	}
-	return int(v)
-}
-
 // Binomial draws the number of successes in n independent trials with
 // success probability p. Small means use exact geometric-gap counting
 // (skip distances between successes are geometric, so the cost is
@@ -176,38 +148,11 @@ func Gamma(rng *rand.Rand, shape, scale float64) float64 {
 	}
 }
 
-// Pareto draws from a Pareto (type I) distribution with the given minimum
-// value xm and tail index alpha. Heavier tails for smaller alpha.
-func Pareto(rng *rand.Rand, xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic(fmt.Sprintf("stats: non-positive pareto parameters xm=%v alpha=%v", xm, alpha))
-	}
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// BoundedPareto draws from a Pareto distribution truncated to [lo, hi] by
-// inverse-transform sampling of the truncated CDF. Used for power-law
-// inter-contact times observed in real mobility traces.
-func BoundedPareto(rng *rand.Rand, lo, hi, alpha float64) float64 {
-	if lo <= 0 || hi <= lo || alpha <= 0 {
-		panic(fmt.Sprintf("stats: invalid bounded pareto parameters lo=%v hi=%v alpha=%v", lo, hi, alpha))
-	}
-	u := rng.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
 // Zipf samples ranks in [0, n) with Zipf exponent s > 0 (rank 0 most
 // popular). It wraps math/rand's rejection-inversion sampler, which
 // requires s > 1: exponents in (0, 1] are clamped to 1.0001, the
 // near-uniform boundary case workloads may legitimately request. A
-// non-positive exponent is a programming error and panics, consistent
-// with BoundedPareto's parameter validation.
+// non-positive exponent is a programming error and panics.
 func Zipf(rng *rand.Rand, s float64, n int) func() int {
 	if n <= 0 {
 		panic(fmt.Sprintf("stats: non-positive zipf support %d", n))
@@ -225,9 +170,4 @@ func Zipf(rng *rand.Rand, s float64, n int) func() int {
 // Uniform draws uniformly from [lo, hi).
 func Uniform(rng *rand.Rand, lo, hi float64) float64 {
 	return lo + rng.Float64()*(hi-lo)
-}
-
-// Perm returns a random permutation of [0, n) from the given stream.
-func Perm(rng *rand.Rand, n int) []int {
-	return rng.Perm(n)
 }
