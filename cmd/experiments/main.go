@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"freshcache/internal/expt"
-	"freshcache/internal/metrics"
 	"freshcache/internal/obs"
 )
 
@@ -72,11 +71,18 @@ func run(args []string) error {
 	if *only == "" {
 		selected = expt.All()
 	} else {
+		seen := make(map[string]bool)
 		for _, id := range strings.Split(*only, ",") {
 			e, err := expt.ByID(strings.TrimSpace(id))
 			if err != nil {
 				return err
 			}
+			// Runs are rolled up by label, and two copies of one
+			// experiment would record under the same labels.
+			if seen[e.ID] {
+				return fmt.Errorf("-run lists %s twice", e.ID)
+			}
+			seen[e.ID] = true
 			selected = append(selected, e)
 		}
 	}
@@ -133,7 +139,7 @@ func run(args []string) error {
 			defer wg.Done()
 			defer func() { <-sem }()
 			opts := expt.Options{Seed: *seed, Quick: *quick, Parallel: *par, Replicates: *reps,
-				Obs: observer, Timings: *timings,
+				Stats: rf.Stats, Obs: observer, Timings: *timings,
 				Journal: rf.Journal, Ledger: ledger, KeepGoing: *keepGoing,
 				Costs: costs}
 			results[i] = runOne(e, opts, *charts, *csvDir)
@@ -291,8 +297,6 @@ func writeCellProfiles(dir string, profs []expt.CellProfile) ([]string, error) {
 // runOne executes one experiment and renders its full output block.
 func runOne(e expt.Experiment, opts expt.Options, charts bool, csvDir string) (out outcome) {
 	start := time.Now()
-	stats := metrics.NewRunStats()
-	opts.Stats = stats
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s — %s (paper analogue: %s)\n", e.ID, e.Title, e.PaperAnalogue)
 	tables, err := e.Run(opts)
@@ -321,8 +325,8 @@ func runOne(e expt.Experiment, opts expt.Options, charts bool, csvDir string) (o
 		}
 	}
 	elapsed := time.Since(start)
-	if stats.Runs() > 0 {
-		fmt.Fprintf(&b, "(%s stats: %s)\n", e.ID, stats.Summary(elapsed.Seconds()))
+	if sum := opts.Stats.Summary(e.ID, elapsed.Seconds()); sum != "" {
+		fmt.Fprintf(&b, "(%s stats: %s)\n", e.ID, sum)
 	}
 	fmt.Fprintf(&b, "(%s completed in %s)\n\n", e.ID, elapsed.Round(time.Millisecond))
 	out.text = b.String()

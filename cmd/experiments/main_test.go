@@ -71,6 +71,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-run", "E99"}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
+	// Two copies of one experiment would record their runs under the
+	// same labels.
+	if err := run([]string{"-run", "E1, E1", "-quick"}); err == nil {
+		t.Fatal("repeated experiment ID accepted")
+	}
 	if err := run([]string{"-badflag"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}

@@ -74,18 +74,20 @@ func TestRunStoreAppendsRecord(t *testing.T) {
 
 // TestRunStoreDeterministicAcrossParallel: tables and the record's
 // result-carrying fields are identical at -parallel 1 and 8; only cell
-// wall/alloc numbers (timing) may differ.
+// wall/alloc numbers (timing) may differ. Three experiments run at once
+// at -parallel 8, so their runs finish interleaved, and the per-scheme
+// roll-ups' float sums must not depend on that order.
 func TestRunStoreDeterministicAcrossParallel(t *testing.T) {
 	dir := t.TempDir()
 	p1, p8 := filepath.Join(dir, "p1.jsonl"), filepath.Join(dir, "p8.jsonl")
 	out1, err := captureStdout(t, func() error {
-		return run([]string{"-run", "E2", "-quick", "-parallel", "1", "-store", p1})
+		return run([]string{"-run", "E2,E11,E18", "-quick", "-parallel", "1", "-store", p1})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out8, err := captureStdout(t, func() error {
-		return run([]string{"-run", "E2", "-quick", "-parallel", "8", "-store", p8})
+		return run([]string{"-run", "E2,E11,E18", "-quick", "-parallel", "8", "-store", p8})
 	})
 	if err != nil {
 		t.Fatal(err)

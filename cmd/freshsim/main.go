@@ -20,7 +20,6 @@ import (
 	"freshcache"
 	"freshcache/internal/core"
 	"freshcache/internal/expt"
-	"freshcache/internal/obs"
 )
 
 func main() {
@@ -75,7 +74,6 @@ func run(args []string) error {
 	if err := rf.Start("freshsim", args); err != nil {
 		return err
 	}
-	observer := rf.Observer
 
 	specs := make([]freshcache.ItemSpec, *items)
 	for i := range specs {
@@ -122,7 +120,7 @@ func run(args []string) error {
 
 	err := func() error {
 		if *compare != "" {
-			return runComparison(*compare, baseOpts, observer)
+			return runComparison(*compare, baseOpts, rf)
 		}
 		if *runs > 1 {
 			traceName := *preset
@@ -135,12 +133,10 @@ func run(args []string) error {
 				scheme:     *scheme,
 				traceName:  traceName,
 				experiment: replicatedExperimentID(fs),
-				journal:    rf.Journal,
-				ledger:     rf.Ledger,
-			}, baseOpts, observer)
+			}, baseOpts, rf)
 		}
 
-		sim, res, err := simulate(observer, "freshsim/"+*scheme, *scheme, opts)
+		sim, res, err := simulate(rf, "freshsim/"+*scheme, *scheme, opts)
 		if err != nil {
 			return err
 		}
@@ -176,10 +172,11 @@ func run(args []string) error {
 	})
 }
 
-// simulate runs one labelled simulation recording into the observer and
-// commits the recording when the run succeeds.
-func simulate(observer *obs.Observer, label, scheme string, opts []freshcache.Option) (*freshcache.Simulation, freshcache.Result, error) {
-	rec := observer.Open(label, scheme)
+// simulate runs one labelled simulation recording into the run flags'
+// observer and, when the run succeeds, records its result into their
+// RunStats and commits the recording.
+func simulate(rf *expt.RunFlags, label, scheme string, opts []freshcache.Option) (*freshcache.Simulation, freshcache.Result, error) {
+	rec := rf.Observer.Open(label, scheme)
 	sim, err := freshcache.New(append([]freshcache.Option{freshcache.WithRecording(rec)}, opts...)...)
 	if err != nil {
 		return nil, freshcache.Result{}, err
@@ -188,7 +185,8 @@ func simulate(observer *obs.Observer, label, scheme string, opts []freshcache.Op
 	if err != nil {
 		return nil, res, err
 	}
-	observer.Commit(rec, res)
+	rf.Stats.Record(label, res)
+	rf.Observer.Commit(rec)
 	return sim, res, nil
 }
 
@@ -199,8 +197,6 @@ type replicatedConfig struct {
 	scheme     string
 	traceName  string
 	experiment string
-	journal    *expt.Journal
-	ledger     *expt.Ledger
 }
 
 // replicatedExperimentID digests the simulation-relevant flags into the
@@ -228,7 +224,7 @@ func replicatedExperimentID(fs *flag.FlagSet) string {
 // is journaled and synced, and -resume replays journaled replicates instead
 // of re-running them — the stdout report is byte-identical to an
 // uninterrupted run.
-func runReplicated(cfg replicatedConfig, baseOpts []freshcache.Option, observer *obs.Observer) error {
+func runReplicated(cfg replicatedConfig, baseOpts []freshcache.Option, rf *expt.RunFlags) error {
 	s := expt.Sweep{
 		Experiment: cfg.experiment,
 		Presets:    []string{cfg.traceName},
@@ -237,9 +233,9 @@ func runReplicated(cfg replicatedConfig, baseOpts []freshcache.Option, observer 
 		Replicates: cfg.runs,
 		Parallel:   1,
 		BaseSeed:   cfg.baseSeed,
-		Obs:        observer,
-		Journal:    cfg.journal,
-		Ledger:     cfg.ledger,
+		Obs:        rf.Observer,
+		Journal:    rf.Journal,
+		Ledger:     rf.Ledger,
 	}
 	// Replicates run sequentially (Parallel: 1), so one recycled state
 	// bundle serves every run: each replicate's metrics are extracted
@@ -256,7 +252,7 @@ func runReplicated(cfg replicatedConfig, baseOpts []freshcache.Option, observer 
 		}, baseOpts...)
 		// Applied last so it overrides the base -seed flag.
 		opts = append(opts, freshcache.WithSeed(simSeed))
-		_, res, err := simulate(observer, fmt.Sprintf("freshsim/%s/seed-%d", cfg.scheme, simSeed), cfg.scheme, opts)
+		_, res, err := simulate(rf, fmt.Sprintf("freshsim/%s/seed-%d", cfg.scheme, simSeed), cfg.scheme, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -281,13 +277,13 @@ func runReplicated(cfg replicatedConfig, baseOpts []freshcache.Option, observer 
 
 // runComparison runs each named scheme over the identical configuration
 // and prints one comparison row per scheme.
-func runComparison(schemes string, baseOpts []freshcache.Option, observer *obs.Observer) error {
+func runComparison(schemes string, baseOpts []freshcache.Option, rf *expt.RunFlags) error {
 	fmt.Printf("%-20s  %-9s  %-11s  %-10s  %-12s  %-8s\n",
 		"scheme", "freshness", "validAccess", "tx/version", "sourceShare", "loadGini")
 	for _, name := range strings.Split(schemes, ",") {
 		name = strings.TrimSpace(name)
 		opts := append([]freshcache.Option{freshcache.WithScheme(freshcache.SchemeName(name))}, baseOpts...)
-		_, res, err := simulate(observer, "freshsim/"+name, name, opts)
+		_, res, err := simulate(rf, "freshsim/"+name, name, opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}

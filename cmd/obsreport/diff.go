@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"freshcache/internal/metrics"
 	"freshcache/internal/obs"
 )
 
@@ -142,7 +143,7 @@ func loadCosts(path string) (map[string]SchemeCost, error) {
 }
 
 // costFromRollup reduces a manifest scheme roll-up to its cost ratios.
-func costFromRollup(ru obs.SchemeRollup) SchemeCost {
+func costFromRollup(ru metrics.SchemeRollup) SchemeCost {
 	sc := SchemeCost{
 		Scheme:            ru.Scheme,
 		Runs:              ru.Runs,

@@ -54,7 +54,7 @@ func writeFixture(t *testing.T, dir string, tx, deliveries int, delay float64) {
 	delayHist.Observe(delay)
 	m := obs.NewManifest("test")
 	m.Seed = 42
-	m.SchemeStats = []obs.SchemeRollup{{
+	m.SchemeStats = []metrics.SchemeRollup{{
 		Scheme:            "hierarchical",
 		Runs:              1,
 		Transmissions:     tx,

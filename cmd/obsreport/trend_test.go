@@ -110,7 +110,7 @@ func TestFlattenNames(t *testing.T) {
 			Counters: map[string]int64{"engine/contacts": 12},
 			Gauges:   map[string]float64{"sweep/queue_depth": 0},
 		},
-		SchemeStats: []obs.SchemeRollup{
+		SchemeStats: []metrics.SchemeRollup{
 			{Scheme: "hierarchical", Transmissions: 9, Deliveries: 4, VersionsGenerated: 2,
 				DeliveryDelayHist: delay, RefreshAgeHist: delay},
 			{Scheme: "direct", Transmissions: 3},

@@ -27,7 +27,7 @@ func Experiments() []ExperimentInfo {
 
 // ExperimentOptions controls one experiment run: seed, quick trimming, the
 // sweep-cell worker bound, replicates per cell, and an optional RunStats
-// sink for throughput accounting.
+// that keeps one row per simulation run (footers, per-scheme roll-ups).
 type ExperimentOptions = expt.Options
 
 // RunExperiment regenerates one experiment's tables. quick trims sweeps to

@@ -63,11 +63,10 @@ func TestWithRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run()
-	if err != nil {
+	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	o.Commit(rec, res)
+	o.Commit(rec)
 	st := o.Stats()
 	if st.Runs != 1 || st.Seen == 0 || st.Spans == 0 || st.TimelinePoints == 0 {
 		t.Fatalf("recording incomplete: %+v", st)

@@ -139,7 +139,8 @@ func Rank(scores []float64) []trace.NodeID {
 // node, P_cov(j) = 1 − Π_{s∈S} (1 − p_sj). The first pick is therefore the
 // highest-centrality node, and later picks favor nodes covering regions
 // (communities) the current set misses — which is why plain top-k by
-// centrality is not used.
+// centrality is not used. A node that meets no one adds nothing, so it is
+// picked only when no other candidate is left.
 func SelectCachingNodes(s RateStore, window float64, k int) ([]trace.NodeID, error) {
 	return SelectCachingNodesExcluding(s, window, k, nil)
 }
@@ -177,8 +178,14 @@ func SelectCachingNodesExcluding(s RateStore, window float64, k int, exclude map
 	}
 	// gain is how much candidate c would add to the expected coverage: it
 	// covers itself fully and shrinks every other node's not-covered
-	// probability by (1 - p_cj).
+	// probability by (1 - p_cj). A candidate that met no one covers
+	// nothing, itself included: it could neither receive a refresh nor
+	// serve another node's query, so it ranks below every candidate that
+	// can still add coverage.
 	gain := func(c trace.NodeID) float64 {
+		if len(rows[c]) == 0 {
+			return 0
+		}
 		g := notCovered[c]
 		for _, nb := range rows[c] {
 			g += notCovered[nb.id] * stats.ExpCDF(nb.rate, window)

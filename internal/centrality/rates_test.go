@@ -58,7 +58,8 @@ func refScores(v RateView, window float64) []float64 {
 }
 
 // refSelect is the O(k·n²) definition of greedy coverage selection: every
-// candidate's gain summed over every other node, read through Rate.
+// candidate's gain summed over every other node, read through Rate, and 0
+// for a candidate whose rate to every other node is 0.
 func refSelect(v RateView, window float64, k int, exclude map[trace.NodeID]bool) []trace.NodeID {
 	n := v.N()
 	notCovered := make([]float64, n)
@@ -73,11 +74,19 @@ func refSelect(v RateView, window float64, k int, exclude map[trace.NodeID]bool)
 			if inSet[cand] || exclude[trace.NodeID(cand)] {
 				continue
 			}
-			gain := notCovered[cand]
+			gain, met := notCovered[cand], false
 			for j := 0; j < n; j++ {
-				if j != cand && !inSet[j] {
-					gain += notCovered[j] * stats.ExpCDF(v.Rate(trace.NodeID(cand), trace.NodeID(j)), window)
+				if j == cand {
+					continue
 				}
+				rate := v.Rate(trace.NodeID(cand), trace.NodeID(j))
+				met = met || rate > 0
+				if !inSet[j] {
+					gain += notCovered[j] * stats.ExpCDF(rate, window)
+				}
+			}
+			if !met {
+				gain = 0
 			}
 			if gain > bestGain {
 				best, bestGain = trace.NodeID(cand), gain

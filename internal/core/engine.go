@@ -473,7 +473,11 @@ func (e *Engine) Run() (metrics.Result, error) {
 		// Sample event-queue depth every few hundred processed events: the
 		// histogram shows how deep the future-event list runs without
 		// touching per-event cost in unobserved runs (the hook stays nil).
-		depth := e.rec.Metrics.Histogram("eventsim/queue_depth", obs.DepthBuckets())
+		// The run samples into its own histogram and merges it into the
+		// registry when Run returns; depths are integers, so the merged sum
+		// is exact in any order.
+		depth := metrics.NewHist(obs.DepthBuckets())
+		defer e.rec.Metrics.MergeHist("eventsim/queue_depth", depth)
 		e.sim.SetProcessedHook(func(processed uint64, pending int) {
 			if processed%256 == 0 {
 				depth.Observe(float64(pending))

@@ -286,6 +286,82 @@ func TestEngineInvariantsFixedSeeds(t *testing.T) {
 	}
 }
 
+// The metamorphic tests run three schemes on 40-node, 20-day Community
+// traces (seeds 1 and 2) with K = 8 caching nodes and three items whose
+// sources are nodes 0, 1 and 2, with queries off and on.
+
+var metamorphicSchemes = []string{"direct", "hierarchical", "epidemic"}
+
+// metamorphicQueryRates are the per-node query rates at scale 1: off, and
+// one query per node every 4 h.
+var metamorphicQueryRates = []float64{0, 1 / (4 * mobility.Hour)}
+
+// metamorphicTrace generates one of the Community traces.
+func metamorphicTrace(t *testing.T, seed int64) *trace.Trace {
+	t.Helper()
+	g := &mobility.Community{
+		TraceName: "scale", N: 40, Duration: 20 * mobility.Day, Communities: 4,
+		IntraRate: 6.0 / mobility.Day, InterRate: 0.5 / mobility.Day, RateShape: 0.8,
+		InterPairFraction: 0.5, HubFraction: 0.1, HubBoost: 3, MeanContactDur: 120,
+	}
+	tr, err := g.Generate(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// metamorphicCatalog returns the three items with every time scaled.
+func metamorphicCatalog(t *testing.T, scale float64) *cache.Catalog {
+	t.Helper()
+	const r = 6 * mobility.Hour
+	items := make([]cache.Item, 3)
+	for i := range items {
+		items[i] = cache.Item{
+			ID: cache.ItemID(i), Source: trace.NodeID(i), Size: 1,
+			RefreshInterval: r * scale,
+			Phase:           float64(i) * r / 3 * scale,
+			FreshnessWindow: r * 0.75 * scale,
+			Lifetime:        r * 2 * scale,
+		}
+	}
+	cat, err := cache.NewCatalog(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// metamorphicConfig is one run's configuration, its absolute times and
+// query rate scaled like the catalog's.
+func metamorphicConfig(t *testing.T, tr *trace.Trace, scheme string, scale, queryRate float64) Config {
+	t.Helper()
+	s, err := SchemeByName(scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Trace: tr, Catalog: metamorphicCatalog(t, scale), Scheme: s, NumCachingNodes: 8, Seed: 7,
+		CentralityWindow: 6 * mobility.Hour * scale}
+	if queryRate > 0 {
+		cfg.Workload = cache.WorkloadConfig{QueryRate: queryRate / scale, ZipfExponent: 1.1}
+	}
+	return cfg
+}
+
+// runMetamorphic runs one configuration to its result.
+func runMetamorphic(t *testing.T, cfg Config) (metrics.Result, *Engine) {
+	t.Helper()
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, eng
+}
+
 // TestTimeScalingMetamorphic: stretching every time by c = 2 changes
 // nothing the protocols can observe. Contact times and the trace
 // duration, each item's refresh interval, phase, freshness window and
@@ -304,59 +380,13 @@ func TestTimeScalingMetamorphic(t *testing.T) {
 		}
 		return out
 	}
-	catalog := func(scale float64) *cache.Catalog {
-		const r = 6 * mobility.Hour
-		items := make([]cache.Item, 3)
-		for i := range items {
-			items[i] = cache.Item{
-				ID: cache.ItemID(i), Source: trace.NodeID(i), Size: 1,
-				RefreshInterval: r * scale,
-				Phase:           float64(i) * r / 3 * scale,
-				FreshnessWindow: r * 0.75 * scale,
-				Lifetime:        r * 2 * scale,
-			}
-		}
-		cat, err := cache.NewCatalog(items)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cat
-	}
-	run := func(tr *trace.Trace, cat *cache.Catalog, scheme string, scale, queryRate float64) metrics.Result {
-		s, err := SchemeByName(scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{Trace: tr, Catalog: cat, Scheme: s, NumCachingNodes: 8, Seed: 7,
-			CentralityWindow: 6 * mobility.Hour * scale}
-		if queryRate > 0 {
-			cfg.Workload = cache.WorkloadConfig{QueryRate: queryRate / scale, ZipfExponent: 1.1}
-		}
-		eng, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
 	for _, seed := range []int64{1, 2} {
-		g := &mobility.Community{
-			TraceName: "scale", N: 40, Duration: 20 * mobility.Day, Communities: 4,
-			IntraRate: 6.0 / mobility.Day, InterRate: 0.5 / mobility.Day, RateShape: 0.8,
-			InterPairFraction: 0.5, HubFraction: 0.1, HubBoost: 3, MeanContactDur: 120,
-		}
-		tr, err := g.Generate(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := metamorphicTrace(t, seed)
 		scaled := scaleTrace(tr)
-		for _, scheme := range []string{"direct", "hierarchical", "epidemic"} {
-			for _, queryRate := range []float64{0, 1 / (4 * mobility.Hour)} {
-				a := run(tr, catalog(1), scheme, 1, queryRate)
-				b := run(scaled, catalog(c), scheme, c, queryRate)
+		for _, scheme := range metamorphicSchemes {
+			for _, queryRate := range metamorphicQueryRates {
+				a, _ := runMetamorphic(t, metamorphicConfig(t, tr, scheme, 1, queryRate))
+				b, _ := runMetamorphic(t, metamorphicConfig(t, scaled, scheme, c, queryRate))
 				if a.Deliveries == 0 || (queryRate > 0 && a.Queries == 0) {
 					t.Fatalf("seed %d %s: degenerate run %+v", seed, scheme, a)
 				}
@@ -369,6 +399,64 @@ func TestTimeScalingMetamorphic(t *testing.T) {
 						seed, scheme, queryRate, c, a.FreshnessRatio, b.FreshnessRatio,
 						a.Deliveries, b.Deliveries, a.Transmissions, b.Transmissions,
 						a.Queries, b.Queries, a.Answered, b.Answered, a.SchemeStats, b.SchemeStats)
+				}
+			}
+		}
+	}
+}
+
+// TestIsolatedNodeMetamorphic: a node that meets no one changes nothing.
+// Node 40 is appended to each trace with no contacts. It must not be
+// picked as a caching node, which could never be refreshed. With queries
+// off the result is equal, wall time aside, except LoadGini, which is
+// taken over every node's load: node 40's is 0, so it becomes the Gini of
+// the same loads with one zero more, (n·G + 1)/(n + 1). With queries on,
+// node 40 issues queries too: they are drawn after every other node's, so
+// the others' queries are unchanged, and none of node 40's can be
+// answered, so Answered stays put and Queries rises by exactly node 40's
+// count.
+func TestIsolatedNodeMetamorphic(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		tr := metamorphicTrace(t, seed)
+		isolated := trace.NodeID(tr.N)
+		wider := &trace.Trace{Name: tr.Name, N: tr.N + 1, Duration: tr.Duration, Contacts: tr.Contacts}
+		for _, scheme := range metamorphicSchemes {
+			for _, queryRate := range metamorphicQueryRates {
+				a, _ := runMetamorphic(t, metamorphicConfig(t, tr, scheme, 1, queryRate))
+				cfg := metamorphicConfig(t, wider, scheme, 1, queryRate)
+				b, eng := runMetamorphic(t, cfg)
+				if a.Deliveries == 0 || (queryRate > 0 && a.Queries == 0) {
+					t.Fatalf("seed %d %s: degenerate run %+v", seed, scheme, a)
+				}
+				if eng.Runtime().IsCachingNode(isolated) {
+					t.Errorf("seed %d %s: isolated node %d picked as a caching node", seed, scheme, isolated)
+				}
+				if queryRate == 0 {
+					n := float64(tr.N)
+					if want := (n*a.LoadGini + 1) / (n + 1); math.Abs(b.LoadGini-want) > 1e-12 {
+						t.Errorf("seed %d %s: LoadGini %v → %v, want %v", seed, scheme, a.LoadGini, b.LoadGini, want)
+					}
+					a.WallClockSeconds, b.WallClockSeconds = 0, 0
+					a.LoadGini, b.LoadGini = 0, 0
+					if !reflect.DeepEqual(a, b) {
+						t.Errorf("seed %d %s: isolated node moved the result\n%+v\n%+v", seed, scheme, a, b)
+					}
+					continue
+				}
+				qs, err := cache.GenerateQueries(cfg.Workload, cfg.Catalog, wider.N, eng.Runtime().Epoch, wider.Duration, cfg.Seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				own := 0
+				for _, q := range qs {
+					if q.Requester == isolated {
+						own++
+					}
+				}
+				if own == 0 || b.Answered != a.Answered || b.Queries != a.Queries+own {
+					t.Errorf("seed %d %s: isolated node moved the query outcomes: "+
+						"answered %d → %d, queries %d → %d (node %d issued %d)",
+						seed, scheme, a.Answered, b.Answered, a.Queries, b.Queries, isolated, own)
 				}
 			}
 		}

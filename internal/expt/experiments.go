@@ -29,15 +29,14 @@ type Options struct {
 	// variance-prone extension experiments). With more than one replicate,
 	// swept tables report mean±stderr cells.
 	Replicates int
-	// Stats, when non-nil, accumulates per-run execution statistics
-	// (events processed, transmissions by kind, wall time) across the
-	// experiment's simulation runs. It must be safe for concurrent use;
-	// metrics.NewRunStats is.
+	// Stats, when non-nil, keeps one row per simulation run under the
+	// run's label; the CLI renders each experiment's footer and the
+	// manifest's per-scheme roll-ups from it. One RunStats may serve every
+	// experiment of a process, since labels start with the experiment ID.
 	Stats *metrics.RunStats
-	// Obs, when non-nil, collects per-run event traces, registry metrics
-	// and per-scheme histogram roll-ups (the `-obs` flag). Nil means
-	// observability off: the hot paths then see nil traces/registries and
-	// record nothing.
+	// Obs, when non-nil, collects per-run event traces and registry
+	// metrics (the `-obs` flag). Nil means observability off: the hot
+	// paths then see nil traces/registries and record nothing.
 	Obs *obs.Observer
 	// Timings includes wall-clock timing columns in tables that have them
 	// (E10). Off by default so the quick-suite output is byte-identical
@@ -57,13 +56,6 @@ type Options struct {
 	// single-worker alloc deltas, optional CPU profiles) across every
 	// sweep for the cross-run results store.
 	Costs *CellCosts
-}
-
-// record folds one run's result into the optional stats accumulator.
-func (o Options) record(r metrics.Result) {
-	if o.Stats != nil {
-		o.Stats.Record(r)
-	}
 }
 
 // sweep builds the worker-pool sweep for one experiment grid, threading
@@ -94,9 +86,9 @@ func cellLabel(c Cell) string {
 
 // runScenario runs one labelled scenario with the options' observability
 // attached: the run records into its own Recording and the shared
-// registry, and a successful result is folded into Stats and committed
-// with the recording. Failed runs commit nothing, so exports only carry
-// completed cells.
+// registry, and a successful result is recorded into Stats under the
+// label and its recording committed. Failed runs commit nothing, so
+// exports only carry completed cells.
 func (o Options) runScenario(label string, sc Scenario, scheme core.Scheme, tr *trace.Trace) (metrics.Result, *core.Engine, error) {
 	rec := o.Obs.Open(label, scheme.Name())
 	sc.Obs, sc.Metrics = rec.Trace, rec.Metrics
@@ -105,8 +97,8 @@ func (o Options) runScenario(label string, sc Scenario, scheme core.Scheme, tr *
 	if err != nil {
 		return res, eng, err
 	}
-	o.record(res)
-	o.Obs.Commit(rec, res)
+	o.Stats.Record(label, res)
+	o.Obs.Commit(rec)
 	return res, eng, nil
 }
 
@@ -123,8 +115,8 @@ func (o Options) runConfig(label string, cfg core.Config) (metrics.Result, *core
 	if err != nil {
 		return metrics.Result{}, nil, err
 	}
-	o.record(res)
-	o.Obs.Commit(rec, res)
+	o.Stats.Record(label, res)
+	o.Obs.Commit(rec)
 	return res, eng, nil
 }
 

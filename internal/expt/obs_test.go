@@ -188,8 +188,8 @@ func TestObsRollupsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.NewObserver(obs.Config{SampleEvery: 16})
-	if _, err := e.Run(Options{Seed: 42, Quick: true, Parallel: 4, Stats: metrics.NewRunStats(), Obs: o}); err != nil {
+	o, stats := obs.NewObserver(obs.Config{SampleEvery: 16}), metrics.NewRunStats()
+	if _, err := e.Run(Options{Seed: 42, Quick: true, Parallel: 4, Stats: stats, Obs: o}); err != nil {
 		t.Fatal(err)
 	}
 	reg := o.Metrics
@@ -204,10 +204,10 @@ func TestObsRollupsPopulated(t *testing.T) {
 	if reg.Counter("engine/deliveries").Value() == 0 {
 		t.Fatal("engine/deliveries counter never incremented")
 	}
-	if reg.Histogram("eventsim/queue_depth", nil).Count() == 0 {
+	if reg.Snapshot().Histograms["eventsim/queue_depth"].Total == 0 {
 		t.Fatal("queue-depth histogram never observed")
 	}
-	rollups := o.SchemeRollups()
+	rollups := stats.SchemeRollups()
 	if len(rollups) == 0 {
 		t.Fatal("no scheme rollups")
 	}

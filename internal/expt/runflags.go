@@ -12,6 +12,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"freshcache/internal/metrics"
 	"freshcache/internal/obs"
 )
 
@@ -34,9 +35,12 @@ type RunFlags struct {
 
 	// Set by Start. Observer is nil unless something consumes it, so
 	// recording costs nothing then; Journal is nil without -checkpoint.
+	// Stats keeps one row per run of the process, for the experiment
+	// footers and the manifest's per-scheme roll-ups.
 	Observer *obs.Observer
 	Journal  *Journal
 	Ledger   *Ledger
+	Stats    *metrics.RunStats
 
 	tool  string
 	args  []string
@@ -92,7 +96,7 @@ func (f *RunFlags) Start(tool string, args []string) error {
 		return err
 	}
 	f.tool, f.args, f.start = tool, args, time.Now()
-	f.Ledger = &Ledger{}
+	f.Ledger, f.Stats = &Ledger{}, metrics.NewRunStats()
 	if f.CPUProfile != "" {
 		file, err := os.Create(f.CPUProfile)
 		if err != nil {
@@ -198,7 +202,7 @@ func (f *RunFlags) Finish(r RunReport) error {
 		m.Metrics = &snap
 		st := f.Observer.Stats()
 		m.Events = &st
-		m.SchemeStats = f.Observer.SchemeRollups()
+		m.SchemeStats = f.Stats.SchemeRollups()
 	}
 	m.Failures = f.Ledger.Failures()
 	if f.Checkpoint != "" || f.Store != "" || len(m.Failures) > 0 {

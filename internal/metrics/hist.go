@@ -12,11 +12,11 @@ func DelayBuckets() []float64 {
 	}
 }
 
-// Hist is a fixed-bucket histogram of nonnegative delays. Counts[i] holds
+// Hist is a fixed-bucket histogram of nonnegative values. Counts[i] holds
 // observations <= Bounds[i]; the final extra bucket holds the overflow.
-// Unlike obs.Histogram it is a plain value type (no atomics): one Hist
-// belongs to one run's Result, and cross-run merging happens under the
-// accumulator's lock.
+// It is a plain value type (no atomics): one Hist belongs to one run, and
+// cross-run histograms are merged from those (RunStats' readers,
+// obs.Registry.MergeHist).
 type Hist struct {
 	Bounds []float64 `json:"bounds"`
 	Counts []uint64  `json:"counts"` // len(Bounds)+1

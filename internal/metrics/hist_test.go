@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"freshcache/internal/cache"
@@ -83,48 +82,5 @@ func TestAggregateHistograms(t *testing.T) {
 	}
 	if r.P50RefreshDelay <= 0 || r.P99RefreshDelay < r.P50RefreshDelay {
 		t.Fatalf("percentiles: p50=%v p99=%v", r.P50RefreshDelay, r.P99RefreshDelay)
-	}
-}
-
-func TestRunStatsKindCountsSorted(t *testing.T) {
-	s := NewRunStats()
-	s.Record(Result{TransmissionsByKind: map[string]int{
-		"relay": 2, "refresh": 4, "query": 1, "data": 3, "gossip": 5,
-	}})
-	// The rendered footer must list kinds in the same ascending order every
-	// time (it used to follow map-iteration order).
-	want := "[data 3, gossip 5, query 1, refresh 4, relay 2]"
-	for i := 0; i < 20; i++ {
-		if sum := s.Summary(0); !strings.Contains(sum, want) {
-			t.Fatalf("summary %q missing sorted block %q", sum, want)
-		}
-	}
-}
-
-func TestRunStatsHistogramFooter(t *testing.T) {
-	s := NewRunStats()
-	delay := NewHist(DelayBuckets())
-	age := NewHist(DelayBuckets())
-	for _, v := range []float64{10, 100, 1000} {
-		delay.Observe(v)
-		age.Observe(v * 2)
-	}
-	s.Record(Result{DeliveryDelayHist: delay, RefreshAgeHist: age})
-	sum := s.Summary(1)
-	for _, want := range []string{
-		"delay[mean=370s min=10s max=1000s p50=", "age[mean=740s min=20s max=2000s p50=",
-		"p90=", "p99=",
-	} {
-		if !strings.Contains(sum, want) {
-			t.Fatalf("summary %q missing %q", sum, want)
-		}
-	}
-	if s.DeliveryDelayHist().Total != 3 || s.RefreshAgeHist().Total != 3 {
-		t.Fatal("merged hist accessors")
-	}
-	// Accessors return copies.
-	s.DeliveryDelayHist().Observe(1)
-	if s.DeliveryDelayHist().Total != 3 {
-		t.Fatal("DeliveryDelayHist returned internal state")
 	}
 }

@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
-	"sync"
 	"testing"
 
 	"freshcache/internal/cache"
@@ -138,41 +136,6 @@ func TestAccessorsReturnCopies(t *testing.T) {
 	fresh := c.Deliveries()
 	if fresh[0].Item != 1 || fresh[0].DeliveredAt != 50 {
 		t.Fatalf("delivery log corrupted through accessor: %+v", fresh[0])
-	}
-}
-
-func TestRunStatsAccumulates(t *testing.T) {
-	s := NewRunStats()
-	s.Record(Result{SimulatedEventCount: 100, WallClockSeconds: 0.5,
-		TransmissionsByKind: map[string]int{"refresh": 4, "relay": 2}})
-	s.Record(Result{SimulatedEventCount: 50, WallClockSeconds: 0.25,
-		TransmissionsByKind: map[string]int{"refresh": 1}})
-	if s.Runs() != 2 || s.Events() != 150 || s.Transmissions() != 7 {
-		t.Fatalf("totals: runs=%d events=%d tx=%d", s.Runs(), s.Events(), s.Transmissions())
-	}
-	sum := s.Summary(0.5)
-	for _, want := range []string{"cells=2", "events=150", "tx=7", "refresh 5", "relay 2", "cells/s", "simWall=0.75s"} {
-		if !strings.Contains(sum, want) {
-			t.Fatalf("summary %q missing %q", sum, want)
-		}
-	}
-}
-
-func TestRunStatsConcurrent(t *testing.T) {
-	s := NewRunStats()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				s.Record(Result{SimulatedEventCount: 1, TransmissionsByKind: map[string]int{"refresh": 1}})
-			}
-		}()
-	}
-	wg.Wait()
-	if s.Runs() != 800 || s.Events() != 800 || s.Transmissions() != 800 {
-		t.Fatalf("concurrent totals: runs=%d events=%d tx=%d", s.Runs(), s.Events(), s.Transmissions())
 	}
 }
 

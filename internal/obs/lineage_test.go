@@ -8,8 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"freshcache/internal/metrics"
 )
 
 // TestLineageNilSafety: a zero Recording records nothing, and every fact
@@ -238,7 +236,7 @@ func checkJSONExports(t *testing.T, label string) {
 	rec := o.Open(label, label)
 	g := rec.Generate(0, 2, 0, 0)
 	rec.Handoff(10, rec.Duty(0, g, 2, 3, 0, 0), 2, 3, 0, 0)
-	o.Commit(rec, metrics.Result{Scheme: label})
+	o.Commit(rec)
 	var events, spans, chrome bytes.Buffer
 	if err := errors.Join(o.WriteJSONL(&events), o.WriteLineageJSONL(&spans), o.WriteChromeTrace(&chrome)); err != nil {
 		t.Fatal(err)
@@ -416,8 +414,8 @@ func TestObserverLineageTimelineGating(t *testing.T) {
 	}
 	rb.Generate(0, 0, 1, 1)
 	ra.Generate(0, 0, 2, 1)
-	on.Commit(rb, metrics.Result{Scheme: "s2"})
-	on.Commit(ra, metrics.Result{Scheme: "s1"})
+	on.Commit(rb)
+	on.Commit(ra)
 	var buf bytes.Buffer
 	if err := on.WriteLineageJSONL(&buf); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"time"
+
+	"freshcache/internal/metrics"
 )
 
 // Manifest records everything needed to reproduce a results file: the
@@ -45,9 +47,9 @@ type Manifest struct {
 	CPUSeconds       float64 `json:"cpuSeconds,omitempty"`
 	MaxRSSBytes      int64   `json:"maxRSSBytes,omitempty"`
 
-	Metrics     *RegistrySnapshot `json:"metrics,omitempty"`
-	Events      *EventStats       `json:"events,omitempty"`
-	SchemeStats []SchemeRollup    `json:"schemeRollups,omitempty"`
+	Metrics     *RegistrySnapshot      `json:"metrics,omitempty"`
+	Events      *EventStats            `json:"events,omitempty"`
+	SchemeStats []metrics.SchemeRollup `json:"schemeRollups,omitempty"`
 
 	// Failures is the roster of sweep cells that failed during the run —
 	// populated by degradation-tolerant runs (-keep-going) so partial

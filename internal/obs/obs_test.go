@@ -26,11 +26,7 @@ func TestNilSafety(t *testing.T) {
 	if g.Value() != 0 {
 		t.Fatal("nil gauge recorded")
 	}
-	h := r.Histogram("z", DepthBuckets())
-	h.Observe(1)
-	if h.Count() != 0 {
-		t.Fatal("nil histogram recorded")
-	}
+	r.MergeHist("z", metrics.NewHist(DepthBuckets()))
 	if s := r.Snapshot(); s.Counters != nil || s.Gauges != nil || s.Histograms != nil {
 		t.Fatalf("nil registry snapshot non-empty: %+v", s)
 	}
@@ -49,7 +45,7 @@ func TestNilSafety(t *testing.T) {
 	if o.Open("x", "s") != (Recording{}) {
 		t.Fatal("nil observer handed out state")
 	}
-	o.Commit(Recording{}, metrics.Result{})
+	o.Commit(Recording{})
 	o.CellQueued(3)
 	o.CellDone()
 	o.CellFailed()
@@ -82,23 +78,20 @@ func TestRegistryConcurrent(t *testing.T) {
 			// creation itself races too.
 			c := r.Counter("c")
 			g := r.Gauge("g")
-			h := r.Histogram("h", DepthBuckets())
+			h := metrics.NewHist(DepthBuckets())
 			for i := 0; i < per; i++ {
 				c.Inc()
 				g.Set(float64(i))
 				h.Observe(float64(i % 100))
 			}
+			r.MergeHist("h", h)
 		}()
 	}
 	wg.Wait()
 	if got := r.Counter("c").Value(); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
-	h := r.Histogram("h", nil)
-	if h.Count() != workers*per {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*per)
-	}
-	s := h.Snapshot()
+	s := r.Snapshot().Histograms["h"]
 	var sum uint64
 	for _, c := range s.Counts {
 		sum += c
@@ -113,17 +106,31 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
+// TestHistogramBuckets: a registry histogram takes its bounds from the
+// first run merged into it, adds each later run's bucket counts, and
+// snapshots a copy.
 func TestHistogramBuckets(t *testing.T) {
-	h := newHistogram([]float64{1, 10, 100})
-	for _, v := range []float64{0.5, 1, 2, 10, 99, 100, 1e6} {
-		h.Observe(v)
+	r := NewRegistry()
+	for _, run := range [][]float64{{0.5, 1, 2}, {10, 99, 100, 1e6}} {
+		h := metrics.NewHist([]float64{1, 10, 100})
+		for _, v := range run {
+			h.Observe(v)
+		}
+		r.MergeHist("h", h)
 	}
-	s := h.Snapshot()
+	s := r.Snapshot().Histograms["h"]
 	want := []uint64{2, 2, 2, 1} // <=1, <=10, <=100, overflow
 	for i, w := range want {
 		if s.Counts[i] != w {
 			t.Fatalf("bucket %d = %d, want %d (%v)", i, s.Counts[i], w, s.Counts)
 		}
+	}
+	if s.Total != 7 || s.Min != 0.5 || s.Max != 1e6 {
+		t.Fatalf("total %d min %v max %v", s.Total, s.Min, s.Max)
+	}
+	s.Counts[0] = 99
+	if got := r.Snapshot().Histograms["h"].Counts[0]; got != 2 {
+		t.Fatalf("snapshot shares the registry's counts: bucket 0 = %d", got)
 	}
 }
 
@@ -212,7 +219,7 @@ func TestObserverFlushOrderAndDeterminism(t *testing.T) {
 			byLabel[label] = rec
 		}
 		for _, label := range commitOrder {
-			o.Commit(byLabel[label], metrics.Result{})
+			o.Commit(byLabel[label])
 		}
 		var jl, ct bytes.Buffer
 		if err := o.WriteJSONL(&jl); err != nil {
@@ -247,9 +254,7 @@ func TestObserverConcurrent(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				rec.Trace.Emit(Event{T: float64(j), Kind: KindGenerate, A: -1, B: -1, Item: -1, Ver: -1})
 			}
-			h := metrics.NewHist(metrics.DelayBuckets())
-			h.Observe(float64(i))
-			o.Commit(rec, metrics.Result{Scheme: "scheme", DeliveryDelayHist: h, RefreshAgeHist: h.Clone()})
+			o.Commit(rec)
 			o.CellDone()
 		}()
 	}
@@ -257,10 +262,6 @@ func TestObserverConcurrent(t *testing.T) {
 	st := o.Stats()
 	if st.Runs != runs || st.Seen != runs*100 || st.Buffered != runs*50 {
 		t.Fatalf("stats: %+v", st)
-	}
-	ru := o.SchemeRollups()
-	if len(ru) != 1 || ru[0].Runs != runs || ru[0].DeliveryDelayHist.Total != runs {
-		t.Fatalf("rollups: %+v", ru)
 	}
 	reg := o.Metrics
 	if reg.Counter("sweep/cells_done").Value() != runs {
@@ -320,7 +321,7 @@ func TestChromeTraceSchema(t *testing.T) {
 	tr.Emit(Event{T: 6, Kind: KindRefreshDelivered, A: 1, B: 4, Item: 0, Ver: 2, Val: 12})
 	tr.Emit(Event{T: 35, Kind: KindContactEnd, A: 1, B: 2, Item: -1, Ver: -1})
 	tr.Emit(Event{T: 40, Kind: KindCacheHit, A: 9, B: 4, Item: 0, Ver: 2, Val: 7})
-	o.Commit(rec, metrics.Result{})
+	o.Commit(rec)
 
 	var buf bytes.Buffer
 	if err := o.WriteChromeTrace(&buf); err != nil {

@@ -4,8 +4,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-
-	"freshcache/internal/metrics"
 )
 
 // Config controls trace collection for an Observer's runs.
@@ -26,9 +24,9 @@ type Config struct {
 }
 
 // Observer is the sweep/experiment-level sink: it hands out one Recording
-// per run, collects the committed ones, rolls per-scheme result histograms
-// up, and tracks sweep progress. All methods are safe for concurrent use
-// and no-ops on a nil receiver, so `-obs` off means passing nil around.
+// per run, collects the committed ones, and tracks sweep progress. All
+// methods are safe for concurrent use and no-ops on a nil receiver, so
+// `-obs` off means passing nil around.
 //
 // Determinism contract: each run writes only to its own Recording (no
 // cross-run interleaving), and flushes order committed runs by label with
@@ -40,9 +38,8 @@ type Observer struct {
 	// counters; exported so CLIs can snapshot it into manifests/expvar.
 	Metrics *Registry
 
-	mu     sync.Mutex
-	runs   []Recording
-	scheme map[string]*schemeRollup
+	mu   sync.Mutex
+	runs []Recording
 
 	cellsQueued   *Counter
 	cellsDone     *Counter
@@ -136,15 +133,6 @@ func (r *Recording) Reassign(t float64, node, item int32) SpanID {
 // version.
 func (r *Recording) Root(item, ver int32) SpanID { return r.Lineage.root(item, ver) }
 
-type schemeRollup struct {
-	runs          int
-	transmissions int
-	deliveries    int
-	generated     int
-	delayHist     *metrics.Hist
-	ageHist       *metrics.Hist
-}
-
 // NewObserver returns an observer with the given trace config and a fresh
 // registry.
 func NewObserver(cfg Config) *Observer {
@@ -158,7 +146,6 @@ func NewObserver(cfg Config) *Observer {
 	return &Observer{
 		cfg:           cfg,
 		Metrics:       reg,
-		scheme:        make(map[string]*schemeRollup),
 		cellsQueued:   reg.Counter("sweep/cells_queued"),
 		cellsDone:     reg.Counter("sweep/cells_done"),
 		cellsFailed:   reg.Counter("sweep/cells_failed"),
@@ -189,30 +176,16 @@ func (o *Observer) Open(label, scheme string) Recording {
 	return rec
 }
 
-// Commit hands a finished run back to the observer: its collectors join
-// the exports and its result joins its scheme's roll-up. Failed runs are
-// not committed, so exports carry completed runs only.
-func (o *Observer) Commit(rec Recording, r metrics.Result) {
+// Commit hands a finished run's collectors back to the observer, where
+// they join the exports. Failed runs are not committed, so exports carry
+// completed runs only.
+func (o *Observer) Commit(rec Recording) {
 	if o == nil {
 		return
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.runs = append(o.runs, rec)
-	ru := o.scheme[r.Scheme]
-	if ru == nil {
-		ru = &schemeRollup{
-			delayHist: metrics.NewHist(metrics.DelayBuckets()),
-			ageHist:   metrics.NewHist(metrics.DelayBuckets()),
-		}
-		o.scheme[r.Scheme] = ru
-	}
-	ru.runs++
-	ru.transmissions += r.Transmissions
-	ru.deliveries += r.Deliveries
-	ru.generated += r.VersionsGenerated
-	ru.delayHist.Merge(r.DeliveryDelayHist)
-	ru.ageHist.Merge(r.RefreshAgeHist)
 }
 
 // CellQueued notes that n sweep cells were enqueued.
@@ -220,8 +193,7 @@ func (o *Observer) CellQueued(n int) {
 	if o == nil {
 		return
 	}
-	o.cellsQueued.Add(int64(n))
-	o.updateQueueDepth()
+	o.count(o.cellsQueued, int64(n))
 }
 
 // CellDone notes that one sweep cell ran to completion. Cells that failed,
@@ -232,8 +204,7 @@ func (o *Observer) CellDone() {
 	if o == nil {
 		return
 	}
-	o.cellsDone.Inc()
-	o.updateQueueDepth()
+	o.count(o.cellsDone, 1)
 }
 
 // CellFailed notes that one sweep cell failed.
@@ -241,8 +212,7 @@ func (o *Observer) CellFailed() {
 	if o == nil {
 		return
 	}
-	o.cellsFailed.Inc()
-	o.updateQueueDepth()
+	o.count(o.cellsFailed, 1)
 }
 
 // CellSkipped notes that one sweep cell was drained without running
@@ -251,8 +221,7 @@ func (o *Observer) CellSkipped() {
 	if o == nil {
 		return
 	}
-	o.cellsSkipped.Inc()
-	o.updateQueueDepth()
+	o.count(o.cellsSkipped, 1)
 }
 
 // CellReplayed notes that one sweep cell's result was replayed from a
@@ -261,52 +230,21 @@ func (o *Observer) CellReplayed() {
 	if o == nil {
 		return
 	}
-	o.cellsReplayed.Inc()
-	o.updateQueueDepth()
+	o.count(o.cellsReplayed, 1)
 }
 
-// updateQueueDepth recomputes the queue-depth gauge as queued minus every
-// terminal disposition (done, failed, skipped, replayed).
-func (o *Observer) updateQueueDepth() {
+// count adds n to one of the cell counters and recomputes the queue-depth
+// gauge as queued minus every terminal disposition (done, failed, skipped,
+// replayed). Both happen under the observer's lock: two cells settling at
+// once could otherwise each read the counters, and the later Set could
+// carry the earlier, stale depth into the manifest.
+func (o *Observer) count(c *Counter, n int64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	c.Add(n)
 	settled := o.cellsDone.Value() + o.cellsFailed.Value() +
 		o.cellsSkipped.Value() + o.cellsReplayed.Value()
 	o.queueDepth.Set(float64(o.cellsQueued.Value() - settled))
-}
-
-// SchemeRollup is the published per-scheme roll-up: merged result
-// histograms plus the cost/benefit totals reports need (transmissions per
-// delivered refresh, per generated version).
-type SchemeRollup struct {
-	Scheme            string        `json:"scheme"`
-	Runs              int           `json:"runs"`
-	Transmissions     int           `json:"transmissions"`
-	Deliveries        int           `json:"deliveries"`
-	VersionsGenerated int           `json:"versionsGenerated"`
-	DeliveryDelayHist *metrics.Hist `json:"deliveryDelayHist,omitempty"`
-	RefreshAgeHist    *metrics.Hist `json:"refreshAgeHist,omitempty"`
-}
-
-// SchemeRollups returns the per-scheme roll-ups in ascending scheme order.
-func (o *Observer) SchemeRollups() []SchemeRollup {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]SchemeRollup, 0, len(o.scheme))
-	for name, ru := range o.scheme {
-		out = append(out, SchemeRollup{
-			Scheme:            name,
-			Runs:              ru.runs,
-			Transmissions:     ru.transmissions,
-			Deliveries:        ru.deliveries,
-			VersionsGenerated: ru.generated,
-			DeliveryDelayHist: ru.delayHist.Clone(),
-			RefreshAgeHist:    ru.ageHist.Clone(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Scheme < out[j].Scheme })
-	return out
 }
 
 // sortedRuns returns the committed runs ordered by label (stable, so

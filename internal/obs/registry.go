@@ -1,9 +1,9 @@
 // Package obs is the run-observability layer of the simulator: a metric
-// registry (counters, gauges, fixed-bucket histograms) with atomic
-// hot-path recording, a structured per-run event trace with ring-buffer
-// storage and sampling, Chrome trace-event export (loadable in Perfetto /
-// chrome://tracing), and run manifests that make every results file
-// reproducible.
+// registry (counters and gauges with atomic hot-path recording, and
+// fixed-bucket histograms merged from each run), a structured per-run
+// event trace with ring-buffer storage and sampling, Chrome trace-event
+// export (loadable in Perfetto / chrome://tracing), and run manifests
+// that make every results file reproducible.
 //
 // Everything is nil-safe: a nil *Registry hands out nil metrics, and every
 // recording method on a nil receiver is a no-op. Hot paths therefore
@@ -13,9 +13,10 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
+
+	"freshcache/internal/metrics"
 )
 
 // Counter is a monotonically increasing atomic counter. Safe for
@@ -61,108 +62,17 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a fixed-bucket histogram with atomic recording: counts[i]
-// holds observations <= Bounds[i], the final bucket holds the overflow.
-// Bounds are fixed at registration, so concurrent Observe calls are plain
-// atomic adds with no locking.
-type Histogram struct {
-	bounds  []float64
-	counts  []atomic.Uint64 // len(bounds)+1
-	total   atomic.Uint64
-	sumBits atomic.Uint64 // float64 bits, CAS-added
-	minBits atomic.Uint64 // float64 bits, CAS-min (seeded +Inf)
-	maxBits atomic.Uint64 // float64 bits, CAS-max (seeded -Inf)
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	h := &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-	h.minBits.Store(math.Float64bits(math.Inf(1)))
-	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
-	return h
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.total.Add(1)
-	for {
-		old := h.minBits.Load()
-		if v >= math.Float64frombits(old) || h.minBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		old := h.maxBits.Load()
-		if v <= math.Float64frombits(old) || h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-// Count returns how many values were observed (0 for nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.total.Load()
-}
-
-// HistogramSnapshot is a point-in-time copy of a histogram's state. Sum,
-// Min and Max are exact (not bucket-midpoint estimates), so Sum/Total is
-// the true mean; Min/Max are 0 when Total is 0.
-type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []uint64  `json:"counts"` // len(Bounds)+1; last bucket is overflow
-	Total  uint64    `json:"total"`
-	Sum    float64   `json:"sum"`
-	Min    float64   `json:"min"`
-	Max    float64   `json:"max"`
-}
-
-// Snapshot copies the histogram state. Concurrent Observe calls may land
-// between bucket reads; totals are therefore approximate while recording
-// is in flight and exact once it stops.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	s := HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: make([]uint64, len(h.counts)),
-		Total:  h.total.Load(),
-		Sum:    math.Float64frombits(h.sumBits.Load()),
-	}
-	if s.Total > 0 {
-		s.Min = math.Float64frombits(h.minBits.Load())
-		s.Max = math.Float64frombits(h.maxBits.Load())
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
-}
-
 // Registry is a named collection of counters, gauges and histograms shared
-// by one run, sweep or process. Metric handles are resolved once (under a
-// lock) and then recorded to lock-free; a nil *Registry hands out nil
-// handles, so callers need no enabled/disabled branches of their own.
+// by one run, sweep or process. Counter and gauge handles are resolved once
+// (under a lock) and then recorded to lock-free; a histogram is filled by
+// merging run-local metrics.Hist values into it. A nil *Registry hands out
+// nil handles and ignores merges, so callers need no enabled/disabled
+// branches of their own.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	hists    map[string]*metrics.Hist
 }
 
 // NewRegistry returns an empty registry.
@@ -170,7 +80,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		hists:    make(map[string]*metrics.Hist),
 	}
 }
 
@@ -206,21 +116,20 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bucket
-// bounds (ascending) on first use; later calls ignore the bounds argument.
-// Nil registries return a nil (no-op) histogram.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
+// MergeHist folds h into the named histogram, which starts as a copy of
+// the first h merged. A run samples into a histogram of its own and merges
+// it once, when it ends, so an observation costs no lock and no atomic.
+func (r *Registry) MergeHist(name string, h *metrics.Hist) {
+	if r == nil || h == nil {
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = newHistogram(bounds)
-		r.hists[name] = h
+	if dst, ok := r.hists[name]; ok {
+		dst.Merge(h)
+	} else {
+		r.hists[name] = h.Clone()
 	}
-	return h
 }
 
 // DepthBuckets returns power-of-two bucket bounds for queue-depth style
@@ -237,9 +146,9 @@ func DepthBuckets() []float64 {
 // Maps marshal with sorted keys under encoding/json, so serialized
 // snapshots are deterministic.
 type RegistrySnapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters   map[string]int64        `json:"counters,omitempty"`
+	Gauges     map[string]float64      `json:"gauges,omitempty"`
+	Histograms map[string]metrics.Hist `json:"histograms,omitempty"`
 }
 
 // Snapshot copies the registry state (empty snapshot for nil).
@@ -263,9 +172,9 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		}
 	}
 	if len(r.hists) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
+		s.Histograms = make(map[string]metrics.Hist, len(r.hists))
 		for name, h := range r.hists {
-			s.Histograms[name] = h.Snapshot()
+			s.Histograms[name] = *h.Clone()
 		}
 	}
 	return s

@@ -85,19 +85,19 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// fullHistogram returns a histogram snapshot with every field populated.
-func fullHistogram() HistogramSnapshot {
-	h := newHistogram([]float64{1, 10})
+// fullHistogram returns a histogram with every field populated.
+func fullHistogram() metrics.Hist {
+	h := metrics.NewHist([]float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(42)
-	return h.Snapshot()
+	return *h
 }
 
 func fullRegistrySnapshot() RegistrySnapshot {
 	return RegistrySnapshot{
 		Counters:   map[string]int64{"example_counter": 7},
 		Gauges:     map[string]float64{"example_gauge": 1.5},
-		Histograms: map[string]HistogramSnapshot{"example_hist": fullHistogram()},
+		Histograms: map[string]metrics.Hist{"example_hist": fullHistogram()},
 	}
 }
 
@@ -135,7 +135,7 @@ func fullManifest() Manifest {
 		Metrics: &snap,
 		Events: &EventStats{Runs: 1, Seen: 1, Buffered: 1, Dropped: 1,
 			Spans: 1, SpansDropped: 1, TimelinePoints: 1, TimelineDropped: 1},
-		SchemeStats: []SchemeRollup{{
+		SchemeStats: []metrics.SchemeRollup{{
 			Scheme: "hierarchical", Runs: 1, Transmissions: 9, Deliveries: 3,
 			VersionsGenerated: 2, DeliveryDelayHist: hist, RefreshAgeHist: hist,
 		}},
