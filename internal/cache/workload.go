@@ -1,10 +1,8 @@
 package cache
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"freshcache/internal/stats"
 	"freshcache/internal/trace"
@@ -59,10 +57,12 @@ func (c WorkloadConfig) Validate() error {
 }
 
 // GenerateQueries pre-computes the deterministic query schedule for all n
-// nodes over [from, to), sorted by issue time. Pre-computing (rather than
-// scheduling online) keeps the RNG stream independent of protocol
-// behavior, so every scheme sees the identical workload.
-func GenerateQueries(cfg WorkloadConfig, catalog *Catalog, n int, from, to float64, seed int64) ([]*Query, error) {
+// nodes over [from, to), node by node: each requester's queries form one
+// contiguous run in issue-time order, node 0's run first. Pre-computing
+// (rather than scheduling online) keeps the RNG stream independent of
+// protocol behavior, so every scheme sees the identical workload. IDs are
+// left 0 for the caller to number the queries as it dispatches them.
+func GenerateQueries(cfg WorkloadConfig, catalog *Catalog, n int, from, to float64, seed int64) ([]Query, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -74,32 +74,23 @@ func GenerateQueries(cfg WorkloadConfig, catalog *Catalog, n int, from, to float
 	}
 	rng := stats.Derive(seed, "cache/workload")
 	pick := stats.Zipf(rng, cfg.ZipfExponent, catalog.Len())
-	var queries []*Query
+	// The count is Poisson with this mean, so room for the mean plus four
+	// standard deviations saves regrowing the slice; an absurd mean gets
+	// no hint.
+	var queries []Query
+	if mean := float64(n) * cfg.QueryRate * (to - from); mean < 1<<24 {
+		queries = make([]Query, 0, int(mean+4*math.Sqrt(mean))+1)
+	}
 	for node := 0; node < n; node++ {
 		t := from + stats.Exp(rng, cfg.QueryRate)
 		for t < to {
-			queries = append(queries, &Query{
-				// The generation index until the renumbering below: the
-				// sort's last key, so its order is the stable sort's.
-				ID:        len(queries),
+			queries = append(queries, Query{
 				Requester: trace.NodeID(node),
 				Item:      ItemID(pick()),
 				IssuedAt:  t,
 			})
 			t += stats.Exp(rng, cfg.QueryRate)
 		}
-	}
-	slices.SortFunc(queries, func(a, b *Query) int {
-		if c := cmp.Compare(a.IssuedAt, b.IssuedAt); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Requester, b.Requester); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	for i, q := range queries {
-		q.ID = i
 	}
 	return queries, nil
 }
@@ -129,6 +120,25 @@ func NewQueryBook(n, items int, timeout float64) *QueryBook {
 		pending: make([][]*Query, n),
 		counts:  make([]int32, n*items),
 	}
+}
+
+// Reserve sizes an empty book for the schedule qs: each requester's
+// pending list is carved from one shared array, with room for exactly
+// that requester's queries in qs, and the log gets room for all of them,
+// so issuing qs allocates nothing. A list still grows past its share by
+// append, so a book without Reserve works the same.
+func (b *QueryBook) Reserve(qs []Query) {
+	share := make([]int, len(b.pending))
+	for i := range qs {
+		share[qs[i].Requester]++
+	}
+	lists := make([]*Query, len(qs))
+	off := 0
+	for node, k := range share {
+		b.pending[node] = lists[off : off : off+k]
+		off += k
+	}
+	b.all = make([]*Query, 0, len(qs))
 }
 
 // Issue registers a new pending query. Its requester and item must lie

@@ -34,9 +34,14 @@ func TestWorkloadValidate(t *testing.T) {
 	}
 }
 
+// TestGenerateQueries checks the schedule's contract: the queries come
+// requester by requester in ascending node order, each requester's run is
+// in issue-time order inside the window, IDs are left for the dispatcher
+// to assign, and every query names a known item.
 func TestGenerateQueries(t *testing.T) {
 	cat := testCatalog(t, 5)
-	qs, err := GenerateQueries(testWorkload(), cat, 10, 1000, 1000+86400, 42)
+	const nodes, from, to = 10, 1000.0, 1000.0 + 86400
+	qs, err := GenerateQueries(testWorkload(), cat, nodes, from, to, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,24 +49,36 @@ func TestGenerateQueries(t *testing.T) {
 	if len(qs) < 1000 || len(qs) > 2000 {
 		t.Fatalf("generated %d queries, expected ~1440", len(qs))
 	}
-	prev := 0.0
+	perNode := make([]int, nodes)
 	for i, q := range qs {
-		if q.ID != i {
-			t.Fatalf("query %d has id %d", i, q.ID)
+		if q.ID != 0 {
+			t.Fatalf("query %d numbered %d before dispatch", i, q.ID)
 		}
-		if q.IssuedAt < 1000 || q.IssuedAt >= 1000+86400 {
+		if q.IssuedAt < from || q.IssuedAt >= to {
 			t.Fatalf("query at %v outside window", q.IssuedAt)
-		}
-		if q.IssuedAt < prev {
-			t.Fatal("queries not sorted by time")
 		}
 		if q.Item < 0 || int(q.Item) >= 5 {
 			t.Fatalf("query item %d out of range", q.Item)
 		}
-		if q.Requester < 0 || int(q.Requester) >= 10 {
+		if q.Requester < 0 || int(q.Requester) >= nodes {
 			t.Fatalf("query requester %d out of range", q.Requester)
 		}
-		prev = q.IssuedAt
+		if i > 0 {
+			prev := qs[i-1]
+			switch {
+			case q.Requester < prev.Requester:
+				t.Fatalf("query %d: requester %d after %d", i, q.Requester, prev.Requester)
+			case q.Requester == prev.Requester && q.IssuedAt < prev.IssuedAt:
+				t.Fatalf("query %d: requester %d's run goes back from %v to %v", i, q.Requester, prev.IssuedAt, q.IssuedAt)
+			}
+		}
+		perNode[q.Requester]++
+	}
+	// Every node issues (about 144 each), so every node has a run.
+	for node, n := range perNode {
+		if n == 0 {
+			t.Fatalf("node %d issued no query: %v", node, perNode)
+		}
 	}
 }
 
@@ -75,13 +92,8 @@ func TestGenerateQueriesDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if *a[i] != *b[i] {
-			t.Fatalf("query %d differs", i)
-		}
+	if !slices.Equal(a, b) {
+		t.Fatal("same seed, different schedules")
 	}
 }
 
@@ -110,6 +122,33 @@ func TestGenerateQueriesErrors(t *testing.T) {
 	}
 	if _, err := GenerateQueries(testWorkload(), cat, 5, 100, 100, 1); err == nil {
 		t.Fatal("empty window accepted")
+	}
+}
+
+// TestQueryBookReserve: after Reserve, issuing the whole schedule fills
+// each requester's share of the one array exactly, so no list regrows.
+func TestQueryBookReserve(t *testing.T) {
+	cat := testCatalog(t, 3)
+	const nodes = 6
+	qs, err := GenerateQueries(testWorkload(), cat, nodes, 0, 86400, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewQueryBook(nodes, 3, 0)
+	b.Reserve(qs)
+	share := make([]int, nodes)
+	for i := range qs {
+		b.Issue(&qs[i])
+		share[qs[i].Requester]++
+	}
+	for node := range trace.NodeID(nodes) {
+		got := b.Pending(node, 86400)
+		if len(got) != share[node] || cap(got) != share[node] {
+			t.Fatalf("node %d: %d pending with capacity %d, want %d of each", node, len(got), cap(got), share[node])
+		}
+	}
+	if all := b.All(); len(all) != len(qs) || cap(all) != len(qs) {
+		t.Fatalf("log holds %d with capacity %d, want %d of each", len(all), cap(all), len(qs))
 	}
 }
 

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"freshcache/internal/cache"
@@ -309,9 +307,7 @@ func (c *Config) validate() error {
 	case c.QueryRelays < 0:
 		return fmt.Errorf("core: negative query relay count %d", c.QueryRelays)
 	}
-	if err := c.Trace.Validate(); err != nil {
-		return err
-	}
+	// The trace itself is validated once, by network.New.
 	for _, it := range c.Catalog.Items() {
 		if int(it.Source) >= c.Trace.N {
 			return fmt.Errorf("core: item %d source %d outside trace", it.ID, it.Source)
@@ -341,7 +337,11 @@ type Engine struct {
 	// the measurement epoch once the caching set is known.
 	stores  []*cache.Store
 	sources map[trace.NodeID][]cache.ItemID // node -> items it sources
-	queries []*cache.Query
+	// queries is the run's query workload, requester by requester (see
+	// cache.GenerateQueries); the plan and the book refer into it.
+	// issued numbers the queries as they are dispatched.
+	queries []cache.Query
+	issued  int
 	// qscratch is resolveFor's reusable snapshot of a pending-query list
 	// (Resolve mutates the live list mid-iteration). Contacts are
 	// processed one at a time, so a single buffer serves every call.
@@ -673,12 +673,15 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 	// Everything below is known in full at the epoch, so instead of one
 	// heap insertion (and one closure) per event it is compiled into a
 	// single static plan and attached as one timeline. Actions are
-	// appended in the exact order the heap schedule used to be built —
-	// generations (item-major, then version), freshness samples, timeline
-	// ticks, query issues — and the StaticEvent projection is sorted with
-	// a stable sort, so equal-time actions keep that order and the merged
-	// dispatch sequence is bit-for-bit what per-event scheduling produced.
+	// appended as runs that are each already in time order: generations
+	// (one run per item, versions in order), freshness samples, timeline
+	// ticks, then query issues (one run per requester). Merging the runs'
+	// StaticEvent projection puts the earlier run first on equal times,
+	// the order the heap schedule gave when it was built in that order
+	// with the queries sorted by (time, requester), so the dispatch
+	// sequence is bit-for-bit what per-event scheduling produced.
 	plan := e.scratch.plan[:0]
+	runs := e.scratch.planRuns[:0]
 
 	// Version generation events.
 	for idx, it := range e.cfg.Catalog.View() {
@@ -689,6 +692,7 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 			}
 			plan = append(plan, planAction{time: at, op: opGenerate, item: int32(idx), ver: int32(v)})
 		}
+		runs = append(runs, len(plan))
 	}
 
 	// Freshness sampling.
@@ -699,6 +703,7 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 	for t := e.rt.Epoch + interval; t < e.horizon; t += interval {
 		plan = append(plan, planAction{time: t, op: opSample})
 	}
+	runs = append(runs, len(plan))
 
 	// Telemetry timeline: planned only when a sampler is attached, so the
 	// timeline-off event count (and thus determinism baselines) are
@@ -711,6 +716,7 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 		for t := e.rt.Epoch + tick; t < e.horizon; t += tick {
 			plan = append(plan, planAction{time: t, op: opTimeline})
 		}
+		runs = append(runs, len(plan))
 	}
 
 	// Query workload.
@@ -720,24 +726,31 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 			return err
 		}
 		e.queries = qs
-		for _, q := range qs {
-			plan = append(plan, planAction{time: q.IssuedAt, op: opQuery, q: q})
+		e.book.Reserve(qs)
+		// Room for every query at once; make, not slices.Grow, which
+		// allocates twice under the race detector.
+		if cap(plan)-len(plan) < len(qs) {
+			plan = append(make([]planAction, 0, len(plan)+len(qs)), plan...)
 		}
+		for i := range qs {
+			if i > 0 && qs[i].Requester != qs[i-1].Requester {
+				runs = append(runs, len(plan))
+			}
+			plan = append(plan, planAction{time: qs[i].IssuedAt, op: opQuery, query: int32(i)})
+		}
+		runs = append(runs, len(plan))
 	}
 
 	events := e.scratch.planEvents[:0]
+	if cap(events) < len(plan) {
+		events = make([]eventsim.StaticEvent, 0, len(plan))
+	}
 	for i := range plan {
 		events = append(events, eventsim.StaticEvent{Time: plan[i].time, Arg: int32(i)})
 	}
-	// Arg is the append position: breaking time ties on it gives the
-	// order a stable sort by time gives.
-	slices.SortFunc(events, func(a, b eventsim.StaticEvent) int {
-		if c := cmp.Compare(a.Time, b.Time); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Arg, b.Arg)
-	})
-	e.scratch.plan, e.scratch.planEvents = plan, events
+	events, spare := eventsim.MergeRuns(events, e.scratch.planSpare, runs)
+	e.scratch.plan, e.scratch.planRuns = plan, runs
+	e.scratch.planEvents, e.scratch.planSpare = events, spare
 	if err := e.sim.AttachTimeline(events, e.runPlanAction); err != nil {
 		return err
 	}
@@ -760,7 +773,7 @@ func (e *Engine) runPlanAction(arg int32, now float64) {
 	case opTimeline:
 		e.sampleTimeline(now)
 	case opQuery:
-		e.issueQuery(a.q, now)
+		e.issueQuery(&e.queries[a.query], now)
 	}
 }
 
@@ -847,9 +860,13 @@ func (e *Engine) freshnessRatio(now float64) float64 {
 	return float64(fresh) / float64(total)
 }
 
-// issueQuery registers a query, resolving it locally when the requester
-// itself holds a copy (it is a caching node or the item's source).
+// issueQuery numbers a dispatched query and registers it, resolving it
+// locally when the requester itself holds a copy (it is a caching node or
+// the item's source). Queries are numbered in dispatch order, dropped ones
+// included, so a query's ID is its index in issue-time order.
 func (e *Engine) issueQuery(q *cache.Query, now float64) {
+	q.ID = e.issued
+	e.issued++
 	it, err := e.cfg.Catalog.Item(q.Item)
 	if err != nil {
 		// A query for an item the catalog does not know cannot be served;

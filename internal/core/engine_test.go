@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -254,6 +255,31 @@ func TestEngineConfigValidation(t *testing.T) {
 			tc.mutate(&cfg)
 			if _, err := NewEngine(cfg); err == nil {
 				t.Fatal("invalid config accepted")
+			}
+		})
+	}
+}
+
+// TestEngineRejectsInvalidTrace: the engine leaves trace validation to
+// network.New, and still refuses a broken trace with the trace package's
+// sentinel error.
+func TestEngineRejectsInvalidTrace(t *testing.T) {
+	cat := testScenarioCatalog(t, mobility.Hour)
+	cases := []struct {
+		name     string
+		contacts []trace.Contact
+		want     error
+	}{
+		{"NaN start", []trace.Contact{{A: 0, B: 1, Start: math.NaN(), End: 10}}, trace.ErrBadContact},
+		{"self-contact", []trace.Contact{{A: 3, B: 3, Start: 1, End: 10}}, trace.ErrBadContact},
+		{"unsorted", []trace.Contact{{A: 0, B: 1, Start: 50, End: 60}, {A: 1, B: 2, Start: 10, End: 20}}, trace.ErrUnsorted},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &trace.Trace{Name: "broken", N: 10, Duration: 100, Contacts: tc.contacts}
+			_, err := NewEngine(Config{Trace: tr, Catalog: cat, Scheme: NewDirect(), NumCachingNodes: 4})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})
 	}

@@ -448,8 +448,8 @@ func TestIsolatedNodeMetamorphic(t *testing.T) {
 					t.Fatal(err)
 				}
 				own := 0
-				for _, q := range qs {
-					if q.Requester == isolated {
+				for i := range qs {
+					if qs[i].Requester == isolated {
 						own++
 					}
 				}

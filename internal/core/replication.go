@@ -71,10 +71,13 @@ func PlanReplication(rates centrality.RateView, holder, dest trace.NodeID, candi
 }
 
 // planBuffers is PlanReplication's working memory. A scheme keeps one for
-// its whole run, so each plan allocates only its relay list.
+// its whole run. relays is append-only: each plan's relay list is carved
+// from it and capped, so memoized plans can share it and a plan allocates
+// nothing once it has grown.
 type planBuffers struct {
 	common []centrality.CommonNeighbor
 	cands  []scoredRelay
+	relays []trace.NodeID
 }
 
 // scoredRelay is a relay candidate with its two-hop delivery probability.
@@ -136,17 +139,21 @@ func planReplication(rates centrality.RateView, holder, dest trace.NodeID, candi
 	})
 
 	miss := 1 - plan.DirectProb
+	start := len(buf.relays)
 	for _, c := range cands {
-		if maxRelays > 0 && len(plan.Relays) >= maxRelays {
+		if maxRelays > 0 && len(buf.relays)-start >= maxRelays {
 			break
 		}
-		plan.Relays = append(plan.Relays, c.id)
+		buf.relays = append(buf.relays, c.id)
 		miss *= 1 - c.p
 		plan.AchievedProb = 1 - miss
 		if plan.AchievedProb >= pReq {
 			plan.Satisfied = true
 			break
 		}
+	}
+	if end := len(buf.relays); end > start {
+		plan.Relays = buf.relays[start:end:end]
 	}
 	return plan, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"freshcache/internal/bitset"
-	"freshcache/internal/cache"
 	"freshcache/internal/centrality"
 	"freshcache/internal/eventsim"
 )
@@ -54,10 +53,13 @@ type runScratch struct {
 	dutyRows     rowPool[*duty]
 
 	// plan is the measurement-phase static schedule (generations,
-	// freshness samples, timeline ticks, query issues); planEvents is its
-	// time-sorted eventsim projection.
+	// freshness samples, timeline ticks, query issues) as runs each in
+	// time order, and planRuns their end offsets; planEvents is its
+	// merged eventsim projection and planSpare the merge's other buffer.
 	plan       []planAction
+	planRuns   []int
 	planEvents []eventsim.StaticEvent
+	planSpare  []eventsim.StaticEvent
 }
 
 func newRunScratch() *runScratch {
@@ -72,7 +74,9 @@ func (s *runScratch) reset() {
 	s.setRows.reset()
 	s.dutyRows.reset()
 	s.plan = s.plan[:0]
+	s.planRuns = s.planRuns[:0]
 	s.planEvents = s.planEvents[:0]
+	s.planSpare = s.planSpare[:0]
 }
 
 // slab hands out zeroed *T from block allocations, rewound wholesale by
@@ -101,14 +105,17 @@ func (s *slab[T]) get() *T {
 
 func (s *slab[T]) reset() { s.block, s.off = 0, 0 }
 
-// rowPool recycles fixed-width slices (per-node pointer rows). Rows are
-// zeroed on hand-out; a width change (different scenario dimensions on
-// the same worker) drops the pool.
+// rowPool recycles fixed-width slices (per-node pointer rows), carved
+// from blocks of about rowBlockLen elements. Rows are zeroed on hand-out;
+// a width change (different scenario dimensions on the same worker) drops
+// the pool.
 type rowPool[T any] struct {
 	rows  [][]T
 	next  int
 	width int
 }
+
+const rowBlockLen = 4096
 
 func (p *rowPool[T]) row(width int) []T {
 	if width != p.width {
@@ -116,32 +123,33 @@ func (p *rowPool[T]) row(width int) []T {
 		p.next = 0
 		p.width = width
 	}
-	if p.next >= len(p.rows) {
-		p.rows = append(p.rows, make([]T, width))
-		p.next = len(p.rows)
-		return p.rows[p.next-1]
+	if p.next == len(p.rows) {
+		n := max(rowBlockLen/max(width, 1), 1)
+		block := make([]T, n*width)
+		for i := 0; i < n; i++ {
+			p.rows = append(p.rows, block[i*width:(i+1)*width:(i+1)*width])
+		}
 	}
 	r := p.rows[p.next]
 	p.next++
-	var zero T
-	for i := range r {
-		r[i] = zero
-	}
+	clear(r)
 	return r
 }
 
 func (p *rowPool[T]) reset() { p.next = 0 }
 
 // planAction is one pre-planned measurement-phase event. The engine
-// compiles the full list at the epoch, sorts a StaticEvent projection by
-// time (stable, so equal-time actions keep scheduling order), and attaches
-// it to the simulator as one static timeline.
+// compiles the full list at the epoch as runs each in time order, merges
+// their StaticEvent projection (equal times keep run order), and attaches
+// it to the simulator as one static timeline. It holds no pointer: a
+// recycled plan's stale entries must not keep a finished run's queries
+// alive.
 type planAction struct {
-	time float64
-	op   uint8
-	item int32        // catalog index (opGenerate)
-	ver  int32        // version (opGenerate)
-	q    *cache.Query // opQuery
+	time  float64
+	op    uint8
+	item  int32 // catalog index (opGenerate)
+	ver   int32 // version (opGenerate)
+	query int32 // index into the engine's query slice (opQuery)
 }
 
 const (

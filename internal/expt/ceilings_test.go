@@ -28,10 +28,11 @@ const (
 // once measured, with observability off at seed 42. Timing is not
 // checked here: wall time is the benchmark's job.
 //
-// The baselines were measured at commit 05efac7 on a 2-vCPU Xeon VM with
-// go1.24.0, the toolchain CI pins. Each ceiling is the baseline times
-// (1 + margin). A ceiling changes only with a CHANGES.md line that
-// names the row, the old and new value, and why.
+// The baselines were measured on the child of commit fdab2ec, the change
+// that stores queries by value and merges the measurement plan's runs,
+// on a 2-vCPU Xeon VM with go1.24.0, the toolchain CI pins. Each ceiling
+// is the baseline times (1 + margin). A ceiling changes only with a
+// CHANGES.md line that names the row, the old and new value, and why.
 func TestAllocationCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end simulations")
@@ -74,12 +75,12 @@ func TestAllocationCeilings(t *testing.T) {
 		{
 			name: "reality-hier", unit: "contact",
 			run:    runPerContact(defaultScenario("reality-like", seed), core.NewHierarchical, reality),
-			allocs: 0.1798, bytes: 94.91, allocMargin: perContactAllocMargin,
+			allocs: 0.00725, bytes: 70.36, allocMargin: perContactAllocMargin,
 		},
 		{
 			name: "reality-direct", unit: "contact",
 			run:    runPerContact(defaultScenario("reality-like", seed), core.NewDirect, reality),
-			allocs: 0.1144, bytes: 64.81, allocMargin: perContactAllocMargin,
+			allocs: 0.00286, bytes: 41.10, allocMargin: perContactAllocMargin,
 		},
 		{
 			name: "quick-e2", unit: "op",
@@ -91,12 +92,12 @@ func TestAllocationCeilings(t *testing.T) {
 				_, err = e2.Run(Options{Seed: seed, Quick: true, Parallel: 1})
 				return 1, err
 			},
-			allocs: 24780, bytes: 5.652e6, allocMargin: e2AllocMargin,
+			allocs: 3424, bytes: 5.278e6, allocMargin: e2AllocMargin,
 		},
 		{
 			name: "quick-e21", unit: "contact",
 			run:    runPerContact(e21, core.NewHierarchical, largeN),
-			allocs: 0.09541, bytes: 58.47, allocMargin: perContactAllocMargin,
+			allocs: 0.00499, bytes: 40.50, allocMargin: perContactAllocMargin,
 		},
 	}
 	for _, row := range rows {

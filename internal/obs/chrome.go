@@ -14,10 +14,13 @@ import (
 // every other event kind renders as a thread-scoped instant ("i").
 // Timestamps are microseconds, matching the format's convention.
 
+// appendChromeCommon appends a record's common fields. name is a kind's
+// wire name or "process_name": a code constant that needs no JSON escape,
+// written as it is between quotes, as appendJSONL writes kinds.
 func appendChromeCommon(dst []byte, name string, ph byte, tsMicros float64, pid, tid int) []byte {
-	dst = append(dst, `{"name":`...)
-	dst = appendJSONString(dst, name)
-	dst = append(dst, `,"ph":"`...)
+	dst = append(dst, `{"name":"`...)
+	dst = append(dst, name...)
+	dst = append(dst, `","ph":"`...)
 	dst = append(dst, ph)
 	dst = append(dst, `","ts":`...)
 	dst = strconv.AppendFloat(dst, tsMicros, 'g', -1, 64)

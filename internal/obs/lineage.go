@@ -188,14 +188,19 @@ func (l *Lineage) Spans() []Span {
 	return out
 }
 
-// appendSpanJSONL appends one span as a JSONL record. Hand-rolled like
-// appendJSONL: fixed field order and shortest-round-trip floats keep the
-// export byte-deterministic.
-func appendSpanJSONL(dst []byte, label, scheme string, s Span) []byte {
-	dst = append(dst, `{"run":`...)
-	dst = appendJSONString(dst, label)
-	dst = append(dst, `,"scheme":`...)
-	dst = appendJSONString(dst, scheme)
+// spanHead returns the opening every span record of a run shares: its
+// quoted label and scheme, quoted once per run instead of once per span.
+func spanHead(label, scheme string) []byte {
+	head := appendJSONString([]byte(`{"run":`), label)
+	head = append(head, `,"scheme":`...)
+	return appendJSONString(head, scheme)
+}
+
+// appendSpanJSONL appends one span as a JSONL record after head (see
+// spanHead). Hand-rolled like appendJSONL: fixed field order and
+// shortest-round-trip floats keep the export byte-deterministic.
+func appendSpanJSONL(dst, head []byte, s Span) []byte {
+	dst = append(dst, head...)
 	dst = append(dst, `,"span":`...)
 	dst = strconv.AppendUint(dst, uint64(s.ID), 10)
 	if s.Parent != 0 {
@@ -237,9 +242,10 @@ func (l *Lineage) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
+	head := spanHead(l.Label, l.Scheme)
 	var line []byte
 	for _, s := range l.spans {
-		line = appendSpanJSONL(line[:0], l.Label, l.Scheme, s)
+		line = appendSpanJSONL(line[:0], head, s)
 		if _, err := bw.Write(line); err != nil {
 			return err
 		}

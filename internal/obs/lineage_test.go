@@ -322,7 +322,7 @@ func FuzzReadSpansJSONL(f *testing.F) {
 			if !finite(r.T) || !finite(r.Age) {
 				t.Fatalf("accepted a non-finite span %+v", r)
 			}
-			out = appendSpanJSONL(out, r.Run, r.Scheme, r.Span)
+			out = appendSpanJSONL(out, spanHead(r.Run, r.Scheme), r.Span)
 		}
 		back, err := ReadSpansJSONL(bytes.NewReader(out))
 		if err != nil || len(back) != len(recs) {

@@ -203,6 +203,13 @@ func TestKindRoundTrip(t *testing.T) {
 			t.Fatalf("kind %d (%s) round-tripped to %d", k, k, got)
 		}
 	}
+	// The event and Chrome writers put kind names between quotes as they
+	// are, which holds only while no name needs a JSON escape.
+	for k := KindUnknown; k < kindCount; k++ {
+		if got, want := string(appendJSONString(nil, k.String())), `"`+k.String()+`"`; got != want {
+			t.Fatalf("kind name %s quotes as %s, not %s", k, got, want)
+		}
+	}
 	if kindFromString("no_such_kind") != KindUnknown {
 		t.Fatal("bad name resolved")
 	}

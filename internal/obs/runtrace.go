@@ -135,12 +135,13 @@ func appendUnicodeEscape(dst []byte, r rune) []byte {
 	return append(dst, '\\', 'u', hex[r>>12&0xf], hex[r>>8&0xf], hex[r>>4&0xf], hex[r&0xf])
 }
 
-// appendJSONL appends one event as a JSONL record. Hand-rolled so that
-// float formatting (strconv 'g', shortest round-trip) and field order are
-// fixed — byte determinism is part of the trace contract.
-func appendJSONL(dst []byte, label string, ev Event) []byte {
-	dst = append(dst, `{"run":`...)
-	dst = appendJSONString(dst, label)
+// appendJSONL appends one event as a JSONL record after head, the
+// record's opening `{"run":<label>`, which the writer quotes once for all
+// of a run's lines. Hand-rolled so that float formatting (strconv 'g',
+// shortest round-trip) and field order are fixed — byte determinism is
+// part of the trace contract.
+func appendJSONL(dst, head []byte, ev Event) []byte {
+	dst = append(dst, head...)
 	dst = append(dst, `,"t":`...)
 	dst = strconv.AppendFloat(dst, ev.T, 'g', -1, 64)
 	dst = append(dst, `,"kind":"`...)
@@ -177,9 +178,10 @@ func (t *RunTrace) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
+	head := appendJSONString([]byte(`{"run":`), t.Label)
 	var line []byte
 	for i := 0; i < t.count; i++ {
-		line = appendJSONL(line[:0], t.Label, t.buf[(t.start+i)%len(t.buf)])
+		line = appendJSONL(line[:0], head, t.buf[(t.start+i)%len(t.buf)])
 		if _, err := bw.Write(line); err != nil {
 			return err
 		}
