@@ -61,10 +61,7 @@ func run(args []string) error {
 	fmt.Printf("mean contact:     %.0f s\n", s.MeanContactDur)
 
 	// Inter-contact time distribution over all meeting pairs.
-	var gaps []float64
-	for _, g := range tr.InterContactTimes() {
-		gaps = append(gaps, g...)
-	}
+	gaps := tr.InterContactGaps()
 	if len(gaps) > 0 {
 		sum := stats.Summarize(gaps)
 		fmt.Printf("inter-contact:    median %.1f h, mean %.1f h, p90 %.1f h\n",

@@ -8,93 +8,12 @@ package centrality
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"sort"
 
 	"freshcache/internal/stats"
 	"freshcache/internal/trace"
 )
-
-// FromTrace builds the oracle rate store from the contacts starting in
-// [from, to), counting only observed pairs (O(contacts), never n²). This
-// is the converged-knowledge estimator used when a protocol is granted
-// full rate information; the online counterpart is Estimator.
-func FromTrace(t *trace.Trace, from, to float64) (RateStore, error) {
-	if to <= from {
-		return nil, fmt.Errorf("centrality: empty window [%v,%v)", from, to)
-	}
-	if t.N <= 0 {
-		return nil, fmt.Errorf("centrality: FromTrace: non-positive node count %d", t.N)
-	}
-	counts := make(map[int]int)
-	for _, c := range t.Contacts {
-		if c.Start >= from && c.Start < to {
-			counts[trace.PairKey(c.A, c.B, t.N)]++
-		}
-	}
-	return ratesFromCounts(t.N, counts, to-from), nil
-}
-
-// Estimator accumulates contact observations online and converts them to
-// rates over the observed window, exactly as a node running the protocol
-// would (contacts counted over elapsed time). A single Estimator models
-// the network-wide view that nodes converge to by transitively exchanging
-// contact histories on every contact — the standard assumption of this
-// paper family. Counts live in a map keyed by trace.PairKey, so an
-// estimator costs O(pairs that meet) at any node count.
-//
-// The zero Estimator is ready for Reset.
-type Estimator struct {
-	n      int
-	start  float64
-	counts map[int]int
-}
-
-// NewEstimator returns an estimator for n nodes observing from startTime.
-func NewEstimator(n int, startTime float64) (*Estimator, error) {
-	e := new(Estimator)
-	if err := e.Reset(n, startTime); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// Reset empties the estimator for n nodes observing from startTime. It
-// keeps the count map's storage, so a run that reuses an estimator does
-// not grow a fresh map.
-func (e *Estimator) Reset(n int, startTime float64) error {
-	if n <= 0 {
-		return fmt.Errorf("centrality: estimator for non-positive node count %d", n)
-	}
-	e.n, e.start = n, startTime
-	if e.counts == nil {
-		e.counts = make(map[int]int)
-	}
-	clear(e.counts)
-	return nil
-}
-
-// Observe records one contact between a and b. The contact time is not
-// stored; rates derive from counts over the window.
-func (e *Estimator) Observe(a, b trace.NodeID) {
-	e.counts[trace.PairKey(a, b, e.n)]++
-}
-
-// Snapshot returns an immutable copy of the current pairwise counts, for
-// windowed estimation via RatesBetweenSnapshots.
-func (e *Estimator) Snapshot() CountSnapshot {
-	return CountSnapshot{n: e.n, counts: maps.Clone(e.counts)}
-}
-
-// Rates snapshots the estimated rate store as of `now`.
-func (e *Estimator) Rates(now float64) (RateStore, error) {
-	window := now - e.start
-	if window <= 0 {
-		return nil, fmt.Errorf("centrality: no observation time elapsed (now=%v, start=%v)", now, e.start)
-	}
-	return ratesFromCounts(e.n, e.counts, window), nil
-}
 
 // Scores computes each node's cumulative-contact-probability centrality:
 // the expected fraction of other nodes it meets within the given time

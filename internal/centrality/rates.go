@@ -85,42 +85,31 @@ type rateTable struct {
 
 var _ RateStore = (*rateTable)(nil)
 
-// buildRates returns the store over n nodes holding rate(k) for every
-// pair key k in keys, which must be ascending trace.PairKey values. One
-// pass sizes every row, so all rows are carved from a single array; a
-// second pass fills them in key order, which keeps each row ascending: a
-// node's lower-ID neighbors (keys led by the neighbor) all come before its
-// higher-ID ones (keys led by the node), each group in ascending order.
-func buildRates(n int, keys []int, rate func(key int) float64) RateStore {
+// buildRates returns the store over n nodes holding rate(i) for the i-th
+// of pairs, which must be ascending packed pairs (see packPair). One pass
+// sizes every row, so all rows are carved from a single array; a second
+// pass fills them in pair order, which keeps each row ascending: a node's
+// lower-ID neighbors (pairs led by the neighbor) all come before its
+// higher-ID ones (pairs led by the node), each group in ascending order.
+func buildRates(n int, pairs []uint64, rate func(i int) float64) RateStore {
 	deg := make([]int, n)
-	for _, k := range keys {
-		deg[k/n]++
-		deg[k%n]++
+	for _, p := range pairs {
+		deg[p>>32]++
+		deg[uint32(p)]++
 	}
-	all := make([]neighbor, 2*len(keys))
+	all := make([]neighbor, 2*len(pairs))
 	rows := make([][]neighbor, n)
 	off := 0
 	for a, d := range deg {
 		rows[a] = all[off : off : off+d]
 		off += d
 	}
-	for _, k := range keys {
-		a, b, r := trace.NodeID(k/n), trace.NodeID(k%n), rate(k)
+	for i, p := range pairs {
+		a, b, r := trace.NodeID(p>>32), trace.NodeID(uint32(p)), rate(i)
 		rows[a] = append(rows[a], neighbor{id: b, rate: r})
 		rows[b] = append(rows[b], neighbor{id: a, rate: r})
 	}
 	return &rateTable{epoch: storeEpochs.Add(1), nbr: rows}
-}
-
-// ratesFromCounts returns the store over n nodes whose rate for each
-// counted pair is its contact count divided by window.
-func ratesFromCounts(n int, counts map[int]int, window float64) RateStore {
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return buildRates(n, keys, func(k int) float64 { return float64(counts[k]) / window })
 }
 
 // RatesFromPairs builds the store over n nodes from explicit rates of
@@ -131,7 +120,7 @@ func RatesFromPairs(n int, pairs map[[2]trace.NodeID]float64) (RateStore, error)
 	if n <= 0 {
 		return nil, fmt.Errorf("centrality: RatesFromPairs: non-positive node count %d", n)
 	}
-	byKey := make(map[int]float64, len(pairs))
+	byPair := make(map[uint64]float64, len(pairs))
 	for p, r := range pairs {
 		a, b := p[0], p[1]
 		switch {
@@ -142,20 +131,20 @@ func RatesFromPairs(n int, pairs map[[2]trace.NodeID]float64) (RateStore, error)
 		case r < 0 || math.IsNaN(r) || math.IsInf(r, 0):
 			return nil, fmt.Errorf("centrality: RatesFromPairs: pair (%d,%d) has rate %v", a, b, r)
 		}
-		k := trace.PairKey(a, b, n)
-		if _, dup := byKey[k]; dup {
+		k := packPair(a, b)
+		if _, dup := byPair[k]; dup {
 			return nil, fmt.Errorf("centrality: RatesFromPairs: pair (%d,%d) given twice", a, b)
 		}
-		byKey[k] = r
+		byPair[k] = r
 	}
-	keys := make([]int, 0, len(byKey))
-	for k, r := range byKey {
+	keys := make([]uint64, 0, len(byPair))
+	for k, r := range byPair {
 		if r > 0 {
 			keys = append(keys, k)
 		}
 	}
 	slices.Sort(keys)
-	return buildRates(n, keys, func(k int) float64 { return byKey[k] }), nil
+	return buildRates(n, keys, func(i int) float64 { return byPair[keys[i]] }), nil
 }
 
 // N returns the number of nodes.
@@ -220,53 +209,3 @@ func (v emptyView) AppendCommonNeighbors(dst []CommonNeighbor, a, b trace.NodeID
 // pair ever meets: the knowledge a node has before any observation time
 // has elapsed.
 func EmptyView(n int) RateView { return emptyView(n) }
-
-// CountSnapshot is an immutable copy of an Estimator's pairwise contact
-// counts. Snapshots taken from the same estimator are totally ordered:
-// counts only grow.
-type CountSnapshot struct {
-	n      int
-	counts map[int]int // trace.PairKey(a,b,n) → count
-}
-
-// N returns the node count the snapshot covers (0 for a zero snapshot).
-func (c CountSnapshot) N() int { return c.n }
-
-// RatesBetweenSnapshots computes the rate store from the growth between
-// two count snapshots over an observation window — the recent-history
-// estimate used by periodic hierarchy rebuilds, which must track drift
-// rather than average over all regimes ever seen.
-func RatesBetweenSnapshots(before, after CountSnapshot, window float64) (RateStore, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("centrality: non-positive window %v", window)
-	}
-	if before.n != after.n {
-		return nil, fmt.Errorf("centrality: snapshot node counts differ (%d vs %d)", before.n, after.n)
-	}
-	n := after.n
-	if n <= 0 {
-		return nil, fmt.Errorf("centrality: snapshot of non-positive node count %d", n)
-	}
-	// Counts only grow: a pair that fell or vanished means the snapshots
-	// are out of order. Report the lowest such pair, so the error does not
-	// depend on map order.
-	bad := -1
-	for k, c := range before.counts {
-		if after.counts[k] < c && (bad < 0 || k < bad) {
-			bad = k
-		}
-	}
-	if bad >= 0 {
-		return nil, fmt.Errorf("centrality: snapshot went backwards at pair (%d,%d)", bad/n, bad%n)
-	}
-	var keys []int
-	for k, c := range after.counts {
-		if c > before.counts[k] {
-			keys = append(keys, k)
-		}
-	}
-	slices.Sort(keys)
-	return buildRates(n, keys, func(k int) float64 {
-		return float64(after.counts[k]-before.counts[k]) / window
-	}), nil
-}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -387,6 +388,66 @@ func TestPlanReplicationProperties(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: raising p_req never lowers a plan's achieved probability.
+// With the same rates, holder, destination, candidates, budget and relay
+// bound, the plan at p2 ≥ p1 takes the relays of the plan at p1 and
+// possibly more, and achieves at least as much, exactly: each added relay
+// multiplies the miss probability by a factor in [0, 1], and IEEE
+// rounding is monotone.
+func TestPlanReplicationMonotoneInPReq(t *testing.T) {
+	f := func(seed int64, q1, q2 uint16, bound uint8) bool {
+		rng := stats.NewRNG(seed)
+		const n = 10
+		pairs := map[[2]int]float64{}
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if rng.Float64() < 0.6 {
+					pairs[[2]int{a, b}] = stats.Exp(rng, 200)
+				}
+			}
+		}
+		m := ratesWith(n, pairs)
+		holder := trace.NodeID(rng.Intn(n))
+		dest := trace.NodeID((int(holder) + 1 + rng.Intn(n-1)) % n)
+		var cands []trace.NodeID
+		for _, c := range rng.Perm(n) {
+			if c != int(holder) && c != int(dest) && rng.Float64() < 0.8 {
+				cands = append(cands, trace.NodeID(c))
+			}
+		}
+		budget := 1 + 1000*rng.Float64()
+		maxRelays := int(bound % 5)
+		// p in (0, 1], including 1 and values a hair apart.
+		p1 := float64(uint32(q1)+1) / 65536
+		p2 := float64(uint32(q2)+1) / 65536
+		if p1 > p2 {
+			p1, p2 = p2, p1
+		}
+		lo, err := PlanReplication(m, holder, dest, cands, budget, p1, maxRelays)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		hi, err := PlanReplication(m, holder, dest, cands, budget, p2, maxRelays)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if hi.AchievedProb < lo.AchievedProb {
+			t.Logf("p_req %v → %v lowered AchievedProb %v → %v", p1, p2, lo.AchievedProb, hi.AchievedProb)
+			return false
+		}
+		if len(lo.Relays) > len(hi.Relays) || !slices.Equal(lo.Relays, hi.Relays[:len(lo.Relays)]) {
+			t.Logf("relays at p_req %v are %v, not a prefix of %v at %v", p1, lo.Relays, hi.Relays, p2)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
 }

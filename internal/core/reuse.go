@@ -9,10 +9,11 @@ import (
 // Reuse bundles the worker-local run state an Engine can recycle across
 // consecutive runs instead of reallocating: the simulator (event slabs,
 // heap capacity, compiled-timeline cursors), the contact-rate estimator's
-// count map, the bitset arena behind duty destination/relay sets, the
-// duty and relay-entry slabs, pointer-row pools, and the pre-planned
-// static event timeline. A sweep worker creates one Reuse and passes it
-// to every cell it runs; NewEngine resets it before wiring it in.
+// pair list and log, the bitset arena behind duty destination/relay
+// sets, the duty and relay-entry slabs, pointer-row pools, and the
+// pre-planned static event timeline. A sweep worker creates one Reuse
+// and passes it to every cell it runs; NewEngine resets it before wiring
+// it in.
 //
 // A Reuse must never be shared by two live engines: handing it to a new
 // Engine invalidates all state of the previous run, so callers must be
@@ -44,7 +45,7 @@ func (r *Reuse) acquire() *runScratch {
 type runScratch struct {
 	sim *eventsim.Simulator
 	// est is the run's converged rate estimator; Engine.Run resets it,
-	// keeping the count map a previous run grew.
+	// keeping the pair list, log and sort buffers a previous run grew.
 	est          centrality.Estimator
 	bits         bitset.Arena
 	duties       slab[duty]

@@ -256,10 +256,7 @@ func runE1(opts Options) ([]*Table, error) {
 			return nil, err
 		}
 		s := tr.ComputeStats()
-		var gaps []float64
-		for _, g := range tr.InterContactTimes() {
-			gaps = append(gaps, g...)
-		}
+		gaps := tr.InterContactGaps()
 		ks, err := stats.ExpFitKS(gaps)
 		if err != nil {
 			return nil, err

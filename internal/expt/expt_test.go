@@ -1,8 +1,11 @@
 package expt
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"freshcache/internal/stats"
 )
 
 func TestTableRender(t *testing.T) {
@@ -135,5 +138,33 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Log("\n" + tab.Render())
 			}
 		})
+	}
+}
+
+// TestTraceStatsRepeatable: the statistics E1 reports are bit-identical
+// from call to call. Summed in map order, reality-like's mean pair rate
+// and its inter-contact KS distance took dozens of distinct values over
+// 50 calls.
+func TestTraceStatsRepeatable(t *testing.T) {
+	tr, err := genTrace("reality-like", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rate := tr.ComputeStats().MeanPairRate
+	ks, err := stats.ExpFitKS(tr.InterContactGaps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if got := tr.ComputeStats().MeanPairRate; math.Float64bits(got) != math.Float64bits(rate) {
+			t.Fatalf("call %d: MeanPairRate %v, first call %v", i, got, rate)
+		}
+		got, err := stats.ExpFitKS(tr.InterContactGaps())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(ks) {
+			t.Fatalf("call %d: KS distance %v, first call %v", i, got, ks)
+		}
 	}
 }

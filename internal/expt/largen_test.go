@@ -146,6 +146,46 @@ func TestLargeNTraceScalesLinearly(t *testing.T) {
 	}
 }
 
+// BenchmarkLargeNRateEstimation measures the rate-estimation layer of the
+// engine's warm-up, as Engine.Run does it: one estimator observes every
+// contact up to the epoch at 30% of the trace, then builds the rate
+// store. largen-5k is the largen-5k benchmark workload's trace (E21 at
+// 5000 nodes, seed 42); reality-like is the 97-node preset at seed 42.
+func BenchmarkLargeNRateEstimation(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		gen  func() (*trace.Trace, error)
+	}{
+		{"largen-5k", func() (*trace.Trace, error) { return largeNTrace(5000, 42) }},
+		{"reality-like", func() (*trace.Trace, error) { return genTrace("reality-like", 42) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			tr, err := bc.gen()
+			if err != nil {
+				b.Fatal(err)
+			}
+			epoch := 0.3 * tr.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				est, err := centrality.NewEstimator(tr.N, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, c := range tr.Contacts {
+					if c.Start > epoch {
+						break
+					}
+					est.Observe(c.A, c.B)
+				}
+				if _, err := est.Rates(epoch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkLargeNTraceGeneration measures the generation layer of the
 // largen-5k benchmark workload: the E21 community trace at 5000 nodes
 // (about 1.2M contacts), drawn and normalized.

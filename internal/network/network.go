@@ -113,7 +113,7 @@ type Net struct {
 	lost               int
 	contactsDispatched int
 	contactsSuppressed int
-	sentBy             map[trace.NodeID]int // refresh/relay sends per node
+	sentBy             []int // refresh/relay sends, indexed by node ID
 
 	lossRNG *rand.Rand    // non-nil when DropProb > 0
 	avail   *availability // non-nil when churn is enabled
@@ -149,7 +149,7 @@ func New(sim *eventsim.Simulator, tr *trace.Trace, cfg Config) (*Net, error) {
 		tr:            tr,
 		cfg:           cfg,
 		transmissions: make(map[string]int),
-		sentBy:        make(map[trace.NodeID]int),
+		sentBy:        make([]int, tr.N),
 	}
 	if cfg.DropProb > 0 {
 		n.lossRNG = stats.Derive(cfg.Seed, "network/loss")
@@ -262,8 +262,14 @@ func (n *Net) Transmissions(kind string) int { return n.transmissions[kind] }
 // SentBy reports how many refresh-related transmissions ("refresh" and
 // "relay" kinds; access-path "data"/"query" traffic excluded) the node
 // originated — the per-node refreshing load, used to show how the
-// hierarchy distributes work away from the data sources.
-func (n *Net) SentBy(node trace.NodeID) int { return n.sentBy[node] }
+// hierarchy distributes work away from the data sources. A node that
+// never sent, or is outside the trace, reports 0.
+func (n *Net) SentBy(node trace.NodeID) int {
+	if node < 0 || int(node) >= len(n.sentBy) {
+		return 0
+	}
+	return n.sentBy[node]
+}
 
 // TotalTransmissions returns the total transmissions across all kinds.
 func (n *Net) TotalTransmissions() int { return n.totalTransmissions }

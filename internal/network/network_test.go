@@ -101,6 +101,39 @@ func TestSendAccounting(t *testing.T) {
 	}
 }
 
+// TestSentBy: refresh and relay sends count toward the sender's load;
+// data and query sends, the access path's, do not. Nodes that never sent
+// and IDs outside the trace read 0.
+func TestSentBy(t *testing.T) {
+	sim := eventsim.New()
+	net, err := New(sim, testTrace(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Attach(HandlerFunc(func(c *Contact) {
+		c.Send(c.A, c.B, "refresh")
+		c.Send(c.A, c.B, "relay")
+		c.Send(c.B, c.A, "data")
+		c.Send(c.B, c.A, "query")
+		if c.A == 0 {
+			c.Send(c.B, c.A, "relay")
+		}
+	}))
+	if err := net.Schedule(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	// Contacts (0,1), (1,2) and (0,2): A sends two each; B sends one
+	// relay back when A is node 0.
+	for node, want := range map[trace.NodeID]int{0: 4, 1: 3, 2: 1, 3: 0, -1: 0} {
+		if got := net.SentBy(node); got != want {
+			t.Errorf("SentBy(%d) = %d, want %d", node, got, want)
+		}
+	}
+}
+
 func TestBudgetTruncatesExchange(t *testing.T) {
 	sim := eventsim.New()
 	// MsgTime 5s: the 10s contact carries 2 messages, the 1s contact 1,

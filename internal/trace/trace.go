@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // NodeID identifies a node within a trace. IDs are dense in [0, N).
@@ -147,11 +148,14 @@ func (t *Trace) ComputeStats() Stats {
 		s.PairCoverage = float64(len(counts)) / float64(allPairs)
 	}
 	if len(counts) > 0 {
+		// Summed in ascending pair order: a float sum in map order can
+		// differ in its last bits from one call to the next.
 		var sum int
 		var rateSum float64
-		for _, k := range counts {
-			sum += k
-			rateSum += float64(k) / t.Duration
+		for _, key := range sortedKeys(counts) {
+			c := counts[key]
+			sum += c
+			rateSum += float64(c) / t.Duration
 		}
 		s.ContactsPerPair = float64(sum) / float64(len(counts))
 		s.MeanPairRate = rateSum / float64(len(counts))
@@ -196,6 +200,28 @@ func (t *Trace) InterContactTimes() map[int][]float64 {
 			gaps[k] = append(gaps[k], c.Start-prev)
 		}
 		last[k] = c.Start
+	}
+	return gaps
+}
+
+// sortedKeys returns the keys of m in ascending order.
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// InterContactGaps returns every meeting pair's inter-contact gaps in one
+// slice, pairs in ascending PairKey order and each pair's gaps in time
+// order, so a sum over it is the same on every call.
+func (t *Trace) InterContactGaps() []float64 {
+	byPair := t.InterContactTimes()
+	var gaps []float64
+	for _, k := range sortedKeys(byPair) {
+		gaps = append(gaps, byPair[k]...)
 	}
 	return gaps
 }

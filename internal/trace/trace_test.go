@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -166,6 +167,22 @@ func TestPairRates(t *testing.T) {
 	}
 	if _, err := tr.PairRates(10, 10); err == nil {
 		t.Fatal("empty window accepted")
+	}
+}
+
+// TestInterContactGaps: every pair's gaps in one slice, pairs in
+// ascending PairKey order and each pair's gaps in time order.
+func TestInterContactGaps(t *testing.T) {
+	tr := &Trace{N: 4, Duration: 100, Contacts: []Contact{
+		{A: 2, B: 3, Start: 1, End: 2},
+		{A: 0, B: 1, Start: 2, End: 3},
+		{A: 2, B: 3, Start: 4, End: 5},
+		{A: 0, B: 1, Start: 7, End: 8},
+		{A: 2, B: 3, Start: 12, End: 13},
+		{A: 0, B: 1, Start: 20, End: 21},
+	}}
+	if got, want := tr.InterContactGaps(), []float64{5, 13, 3, 8}; !slices.Equal(got, want) {
+		t.Fatalf("gaps = %v, want %v", got, want)
 	}
 }
 
