@@ -38,6 +38,7 @@ type CellCosts struct {
 	trackAllocs bool
 	profErr     error // first StartCPUProfile failure; disables profiling
 	profOff     bool
+	now         func() time.Time // the wall clock cells are timed by
 }
 
 // NewCellCosts returns a collector. profileTop > 0 retains the CPU
@@ -45,7 +46,7 @@ type CellCosts struct {
 // trackAllocs enables ReadMemStats deltas and profiling, and must only be
 // set when cells run strictly sequentially.
 func NewCellCosts(profileTop int, trackAllocs bool) *CellCosts {
-	return &CellCosts{profileTop: profileTop, trackAllocs: trackAllocs}
+	return &CellCosts{profileTop: profileTop, trackAllocs: trackAllocs, now: time.Now}
 }
 
 // measured reports whether the collector wants single-worker measurement
@@ -167,9 +168,9 @@ func (cc *CellCosts) measureCell(fn CellFunc, c Cell, single bool) ([]float64, e
 	if allocs {
 		runtime.ReadMemStats(&before)
 	}
-	start := time.Now()
+	start := cc.now()
 	v, err := callCell(fn, c)
-	wall := time.Since(start)
+	wall := cc.now().Sub(start)
 	cost := obs.CellCost{
 		Experiment:  c.Experiment,
 		Preset:      c.Preset,

@@ -70,20 +70,25 @@ func TestCellCostsParallelNoAllocs(t *testing.T) {
 }
 
 // TestCellCostsProfiles: with profiling on, only the top-N most expensive
-// cells' profiles are retained, most expensive first.
+// cells' profiles are retained, most expensive first. The cells advance a
+// clock the test owns, by 15, 5, 20 and 10 ms, so the costs do not depend
+// on the host: keeping the first or the last two cells, or sorting them
+// the wrong way, each retains another pair.
 func TestCellCostsProfiles(t *testing.T) {
 	costs := NewCellCosts(2, true)
+	var clock time.Time
+	costs.now = func() time.Time { return clock }
+	took := []time.Duration{15 * time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond, 10 * time.Millisecond}
 	s := Sweep{
 		Experiment: "cost-prof",
 		Presets:    []string{"a"},
-		Points:     4,
+		Points:     len(took),
 		Parallel:   1,
 		BaseSeed:   1,
 		Costs:      costs,
 	}
 	if _, err := s.Run(func(c Cell) ([]float64, error) {
-		// Make wall time increase with the point index so top-N is stable.
-		time.Sleep(time.Duration(c.Point+1) * 5 * time.Millisecond)
+		clock = clock.Add(took[c.Point])
 		return []float64{1}, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -95,12 +100,10 @@ func TestCellCostsProfiles(t *testing.T) {
 	if len(profs) != 2 {
 		t.Fatalf("retained %d profiles, want 2", len(profs))
 	}
-	if profs[0].Cost.WallSeconds < profs[1].Cost.WallSeconds {
-		t.Errorf("profiles not sorted most-expensive-first: %v vs %v",
-			profs[0].Cost.WallSeconds, profs[1].Cost.WallSeconds)
-	}
-	if profs[0].Cost.Point != 3 {
-		t.Errorf("most expensive profile is point %d, want 3", profs[0].Cost.Point)
+	for i, want := range []int{2, 0} {
+		if got := profs[i].Cost; got.Point != want || got.WallSeconds != took[want].Seconds() {
+			t.Errorf("profile %d is point %d at %v s, want point %d at %v s", i, got.Point, got.WallSeconds, want, took[want].Seconds())
+		}
 	}
 	for _, p := range profs {
 		if len(p.Data) == 0 {

@@ -16,33 +16,9 @@ const (
 	largeNQuickNodes = 2000
 )
 
-// largeNCommunity is the E21 trace: a community-structured network whose
-// per-node contact load stays constant as N grows (fixed community size,
-// O(1) expected inter-community partners per node), so contacts — and the
-// sparse structures — scale as O(N), not O(N²).
-func largeNCommunity(n int) *mobility.Community {
-	return &mobility.Community{
-		TraceName:   fmt.Sprintf("large-%d", n),
-		N:           n,
-		Duration:    4 * mobility.Day,
-		Communities: n / 20,
-		IntraRate:   4.0 / mobility.Day,
-		InterRate:   1.0 / mobility.Day,
-		RateShape:   0.8,
-		// ~32 inter-community partners per node regardless of N: enough
-		// cross-community edges that the caching overlay stays
-		// contact-connected (two-hop relay paths exist), while contacts
-		// still grow as O(N).
-		InterPairFraction: 32.0 / float64(n),
-		HubFraction:       0.05,
-		HubBoost:          3,
-		MeanContactDur:    120,
-	}
-}
-
 // largeNTrace generates the E21 trace for the given size and seed.
 func largeNTrace(n int, seed int64) (*trace.Trace, error) {
-	return largeNCommunity(n).Generate(seed)
+	return mobility.LargeCommunity(n).Generate(seed)
 }
 
 // runE21 pushes a large-N community trace through the full refresh/query
@@ -55,7 +31,7 @@ func runE21(opts Options) ([]*Table, error) {
 	if opts.Quick {
 		n = largeNQuickNodes
 	}
-	g := largeNCommunity(n)
+	g := mobility.LargeCommunity(n)
 	tr, err := g.Generate(opts.Seed)
 	if err != nil {
 		return nil, err

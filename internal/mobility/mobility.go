@@ -124,6 +124,32 @@ func pairProcess(rng *rand.Rand, a, b trace.NodeID, rate, meanDur, duration floa
 	}
 }
 
+// hintSlack is the room a generator's contact slice gets above its
+// expected count. Pair rates are gamma-distributed, so a preset's count
+// spreads by about 5% across seeds; 15% rarely regrows the slice.
+const hintSlack = 1.15
+
+// expectedContacts bounds the expected number of contacts pairProcess
+// emits for the given number of meeting pairs, whose rates sum to
+// rateSum. Each pair expects its rate times the duration in contacts,
+// plus at most one half for the random phase of its first contact; and no
+// pair expects more than one contact beyond those that fit end to end at
+// the mean contact duration, as one pair's contacts cannot overlap.
+func expectedContacts(pairs, rateSum, meanDur, duration float64) float64 {
+	return min(rateSum*duration+pairs/2, pairs*(duration/meanDur+1))
+}
+
+// presized returns an empty contact slice with room for expected contacts
+// and hintSlack more, so that generating fills it without regrowing. An
+// absurd estimate, one not below 1<<24 contacts or NaN, gets no room: the
+// slice then grows as contacts come.
+func presized(expected float64) []trace.Contact {
+	if n := expected * hintSlack; n < 1<<24 {
+		return make([]trace.Contact, 0, int(n)+1)
+	}
+	return nil
+}
+
 // HeterogeneousExp is the baseline analytical model of this paper family:
 // every pair (i,j) meets as a Poisson process with its own rate λij, with
 // the rates drawn from a gamma distribution to produce the heavy
@@ -170,7 +196,7 @@ func (g *HeterogeneousExp) Generate(seed int64) (*trace.Trace, error) {
 		return nil, err
 	}
 	rng := stats.Derive(seed, "mobility/hetexp/"+g.TraceName)
-	t := &trace.Trace{Name: g.TraceName, N: g.N, Duration: g.Duration}
+	t := &trace.Trace{Name: g.TraceName, N: g.N, Duration: g.Duration, Contacts: presized(g.expectedContacts())}
 	scale := g.MeanRate / g.RateShape
 	if g.N >= sparsePairThreshold && g.PairFraction <= 0.5 {
 		// O(active pairs): draw how many pairs meet, then which ones —
@@ -197,6 +223,14 @@ func (g *HeterogeneousExp) Generate(seed int64) (*trace.Trace, error) {
 		return nil, fmt.Errorf("mobility: generated invalid trace: %w", err)
 	}
 	return t, nil
+}
+
+// expectedContacts is the expected contact count of a trace: the meeting
+// pairs' mean rates summed, each pair meeting with probability
+// PairFraction at a mean rate of MeanRate.
+func (g *HeterogeneousExp) expectedContacts() float64 {
+	pairs := float64(pairCount(g.N)) * g.PairFraction
+	return expectedContacts(pairs, pairs*g.MeanRate, g.MeanContactDur, g.Duration)
 }
 
 // Community models nodes grouped into communities with frequent
@@ -257,23 +291,8 @@ func (g *Community) Generate(seed int64) (*trace.Trace, error) {
 	if err := g.validate(); err != nil {
 		return nil, err
 	}
-	rng := stats.Derive(seed, "mobility/community/"+g.TraceName)
-	comm := make([]int, g.N)
-	for i := range comm {
-		comm[i] = i % g.Communities
-	}
-	// Shuffle community assignment so node IDs carry no structure.
-	rng.Shuffle(g.N, func(i, j int) { comm[i], comm[j] = comm[j], comm[i] })
-
-	boost := make([]float64, g.N)
-	for i := range boost {
-		boost[i] = 1
-		if rng.Float64() < g.HubFraction {
-			boost[i] = g.HubBoost
-		}
-	}
-
-	t := &trace.Trace{Name: g.TraceName, N: g.N, Duration: g.Duration}
+	rng, comm, boost := g.nodes(seed)
+	t := &trace.Trace{Name: g.TraceName, N: g.N, Duration: g.Duration, Contacts: presized(g.expectedContacts(comm, boost))}
 	if g.N >= sparsePairThreshold && g.InterPairFraction <= 0.5 {
 		g.generateSparse(rng, comm, boost, t)
 	} else {
@@ -304,6 +323,59 @@ func (g *Community) Generate(seed int64) (*trace.Trace, error) {
 		return nil, fmt.Errorf("mobility: generated invalid trace: %w", err)
 	}
 	return t, nil
+}
+
+// nodes derives the generator's RNG from seed and makes Generate's first
+// draws with it: each node's community and hub boost.
+func (g *Community) nodes(seed int64) (rng *rand.Rand, comm []int, boost []float64) {
+	rng = stats.Derive(seed, "mobility/community/"+g.TraceName)
+	comm = make([]int, g.N)
+	for i := range comm {
+		comm[i] = i % g.Communities
+	}
+	// Shuffle community assignment so node IDs carry no structure.
+	rng.Shuffle(g.N, func(i, j int) { comm[i], comm[j] = comm[j], comm[i] })
+
+	boost = make([]float64, g.N)
+	for i := range boost {
+		boost[i] = 1
+		if rng.Float64() < g.HubFraction {
+			boost[i] = g.HubBoost
+		}
+	}
+	return rng, comm, boost
+}
+
+// expectedContacts is the expected contact count of a trace whose nodes
+// have the given communities and hub boosts. A pair's mean rate is its
+// class's rate times √(boost_a·boost_b) = r_a·r_b, and over the pairs of
+// a set of nodes these products sum to ((Σr)² − Σr²)/2. Intra-community
+// pairs all meet; cross-community pairs meet with probability
+// InterPairFraction.
+func (g *Community) expectedContacts(comm []int, boost []float64) float64 {
+	type tally struct{ nodes, r, r2 float64 } // node count, Σr and Σr²
+	pairBoost := func(t tally) float64 { return (t.r*t.r - t.r2) / 2 }
+	var all tally
+	comms := make([]tally, g.Communities)
+	for i, c := range comm {
+		r := math.Sqrt(boost[i])
+		comms[c].nodes++
+		comms[c].r += r
+		comms[c].r2 += r * r
+		all.r += r
+		all.r2 += r * r
+	}
+	var intraPairs, intraBoost float64
+	for _, c := range comms {
+		intraPairs += c.nodes * (c.nodes - 1) / 2
+		intraBoost += pairBoost(c)
+	}
+	pairs, rates := intraPairs, g.IntraRate*intraBoost
+	if g.InterRate > 0 {
+		pairs += g.InterPairFraction * (float64(pairCount(g.N)) - intraPairs)
+		rates += g.InterPairFraction * g.InterRate * (pairBoost(all) - intraBoost)
+	}
+	return expectedContacts(pairs, rates, g.MeanContactDur, g.Duration)
 }
 
 // generateSparse is the O(active pairs) community path: every

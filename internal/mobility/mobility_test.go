@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"freshcache/internal/stats"
+	"freshcache/internal/trace"
 )
 
 func TestHeterogeneousExpGenerates(t *testing.T) {
@@ -278,5 +279,85 @@ func TestPresetLookup(t *testing.T) {
 	}
 	if _, err := Preset("bogus"); err == nil {
 		t.Fatal("unknown preset accepted")
+	}
+}
+
+// TestGeneratorsPresizeContacts: both presets and the E21 generator, at
+// seeds 1–5, fill the contact slice they size from their own parameters
+// without regrowing it: the community model's count stays within the hint,
+// and the slice keeps that capacity through Normalize. The presets' diurnal
+// thinning then keeps its contacts in a slice of their own size. The
+// heterogeneous model's dense and sparse paths, which size from
+// parameters alone, must fill theirs too.
+func TestGeneratorsPresizeContacts(t *testing.T) {
+	generate := func(gen Generator, seed int64) []trace.Contact {
+		t.Helper()
+		tr, err := gen.Generate(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr.Contacts
+	}
+	check := func(name string, seed int64, cs []trace.Contact, hint int) {
+		t.Helper()
+		if cap(cs) != hint {
+			t.Errorf("%s seed %d: %d contacts in a slice of capacity %d, want the hint %d", name, seed, len(cs), cap(cs), hint)
+		}
+	}
+	for _, gen := range []Generator{RealityLike(), InfocomLike(), LargeCommunity(2000), LargeCommunity(5000)} {
+		g, ok := gen.(*Community)
+		if d, diurnal := gen.(*Diurnal); diurnal {
+			g, ok = d.Gen.(*Community)
+		}
+		if !ok {
+			t.Fatalf("%s is not a community model", gen.Name())
+		}
+		for seed := int64(1); seed <= 5; seed++ {
+			_, comm, boost := g.nodes(seed)
+			check(g.Name(), seed, generate(g, seed), cap(presized(g.expectedContacts(comm, boost))))
+			if gen == Generator(g) {
+				continue
+			}
+			// A copy has room only for its size's rounding: a few pages
+			// at most, under 1% of a preset's contacts.
+			if cs := generate(gen, seed); cap(cs) > len(cs)+len(cs)/100 {
+				t.Errorf("%s seed %d: diurnal trace keeps %d contacts in a slice of capacity %d", gen.Name(), seed, len(cs), cap(cs))
+			}
+		}
+	}
+	for _, g := range []*HeterogeneousExp{
+		{TraceName: "hetexp", N: 60, Duration: 10 * Day, MeanRate: 2.0 / Day, RateShape: 0.8, PairFraction: 0.5, MeanContactDur: 300},
+		{TraceName: "hetexp-sparse", N: 2000, Duration: 4 * Day, MeanRate: 2.0 / Day, RateShape: 0.8, PairFraction: 0.01, MeanContactDur: 120},
+	} {
+		for seed := int64(1); seed <= 5; seed++ {
+			check(g.Name(), seed, generate(g, seed), cap(presized(g.expectedContacts())))
+		}
+	}
+}
+
+// TestPresizedRefusesAbsurdEstimates: an estimate of 1<<24 contacts or
+// more, infinite or NaN gets no capacity, and one whose rates would make
+// contacts fill the duration is capped at a pair's end-to-end contacts.
+func TestPresizedRefusesAbsurdEstimates(t *testing.T) {
+	for _, e := range []float64{1 << 24, math.Inf(1), math.NaN()} {
+		if c := presized(e); c != nil {
+			t.Errorf("presized(%v) has capacity %d, want none", e, cap(c))
+		}
+	}
+	g := &HeterogeneousExp{TraceName: "busy", N: 10, Duration: Day, MeanRate: 1, RateShape: 1, PairFraction: 1, MeanContactDur: 60}
+	if got, want := g.expectedContacts(), 45*(Day/60+1); got != want {
+		t.Errorf("45 pairs meeting every second for 60 s contacts expect %v contacts, want the cap %v", got, want)
+	}
+}
+
+// TestPhasesSizeContactsExactly: a phased trace's contact slice holds its
+// segments' contacts with no room to spare.
+func TestPhasesSizeContactsExactly(t *testing.T) {
+	tr, err := DriftingCommunity(40, Day).Generate(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Contacts) == 0 || cap(tr.Contacts) != len(tr.Contacts) {
+		t.Fatalf("%d contacts in a slice of capacity %d", len(tr.Contacts), cap(tr.Contacts))
 	}
 }

@@ -35,7 +35,8 @@ func (p *Phases) Generate(seed int64) (*trace.Trace, error) {
 		return nil, fmt.Errorf("mobility: phases %q has no segments", p.TraceName)
 	}
 	out := &trace.Trace{Name: p.TraceName}
-	offset := 0.0
+	segs := make([]*trace.Trace, len(p.Segments))
+	contacts := 0
 	for i, seg := range p.Segments {
 		if seg.Gen == nil {
 			return nil, fmt.Errorf("mobility: phases %q segment %d has nil generator", p.TraceName, i)
@@ -50,14 +51,18 @@ func (p *Phases) Generate(seed int64) (*trace.Trace, error) {
 		} else if tr.N != out.N {
 			return nil, fmt.Errorf("mobility: phases segment %d has %d nodes, want %d", i, tr.N, out.N)
 		}
+		segs[i] = tr
+		contacts += len(tr.Contacts)
+	}
+	out.Contacts = make([]trace.Contact, 0, contacts)
+	for _, tr := range segs {
 		for _, c := range tr.Contacts {
-			c.Start += offset
-			c.End += offset
+			c.Start += out.Duration
+			c.End += out.Duration
 			out.Contacts = append(out.Contacts, c)
 		}
-		offset += tr.Duration
+		out.Duration += tr.Duration
 	}
-	out.Duration = offset
 	out.Normalize()
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("mobility: phases produced invalid trace: %w", err)

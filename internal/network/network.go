@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"freshcache/internal/eventsim"
 	"freshcache/internal/stats"
@@ -70,8 +70,7 @@ func (c *Contact) Send(from, to trace.NodeID, kind string) bool {
 		c.net.lost++
 		return false
 	}
-	c.net.transmissions[kind]++
-	c.net.totalTransmissions++
+	c.net.countSend(kind)
 	if kind != "data" && kind != "query" {
 		// Query/data traffic is access-path cost, not refresh load.
 		c.net.sentBy[from]++
@@ -107,7 +106,11 @@ type Net struct {
 	cfg      Config
 	handlers []Handler
 
-	transmissions      map[string]int
+	// kinds lists the transmission kinds in first-send order and sends
+	// counts each one's sends: a handful of kinds, scanned linearly, cost
+	// less per send than hashing the kind into a map.
+	kinds              []string
+	sends              []int
 	totalTransmissions int
 	truncated          int
 	lost               int
@@ -145,11 +148,14 @@ func New(sim *eventsim.Simulator, tr *trace.Trace, cfg Config) (*Net, error) {
 		return nil, err
 	}
 	n := &Net{
-		sim:           sim,
-		tr:            tr,
-		cfg:           cfg,
-		transmissions: make(map[string]int),
-		sentBy:        make([]int, tr.N),
+		sim: sim,
+		tr:  tr,
+		cfg: cfg,
+		// Room for the four kinds the schemes send: refresh, relay,
+		// query and data.
+		kinds:  make([]string, 0, 4),
+		sends:  make([]int, 0, 4),
+		sentBy: make([]int, tr.N),
 	}
 	if cfg.DropProb > 0 {
 		n.lossRNG = stats.Derive(cfg.Seed, "network/loss")
@@ -256,8 +262,25 @@ func (n *Net) ManualContact(a, b trace.NodeID, at, duration float64) *Contact {
 	return &Contact{A: a, B: b, Time: at, Duration: duration, net: n, remaining: budget}
 }
 
+// countSend counts one successful send of the given kind.
+func (n *Net) countSend(kind string) {
+	i := slices.Index(n.kinds, kind)
+	if i < 0 {
+		i = len(n.kinds)
+		n.kinds = append(n.kinds, kind)
+		n.sends = append(n.sends, 0)
+	}
+	n.sends[i]++
+	n.totalTransmissions++
+}
+
 // Transmissions returns the transmission count recorded under kind.
-func (n *Net) Transmissions(kind string) int { return n.transmissions[kind] }
+func (n *Net) Transmissions(kind string) int {
+	if i := slices.Index(n.kinds, kind); i >= 0 {
+		return n.sends[i]
+	}
+	return 0
+}
 
 // SentBy reports how many refresh-related transmissions ("refresh" and
 // "relay" kinds; access-path "data"/"query" traffic excluded) the node
@@ -291,10 +314,7 @@ func (n *Net) ContactsDispatched() int { return n.contactsDispatched }
 // TransmissionKinds returns the recorded kinds in sorted order, for
 // stable reporting.
 func (n *Net) TransmissionKinds() []string {
-	kinds := make([]string, 0, len(n.transmissions))
-	for k := range n.transmissions {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
+	kinds := slices.Clone(n.kinds)
+	slices.Sort(kinds)
 	return kinds
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"strconv"
 )
@@ -87,39 +86,32 @@ func appendChromeEvent(dst []byte, ev Event, pid int) []byte {
 }
 
 // writeChromeTraces serializes the given run traces (already in the
-// desired pid order) as one Chrome trace-event JSON document, writing each
-// event as soon as it is formatted and walking each ring in place.
+// desired pid order) as one Chrome trace-event JSON document: each run's
+// process_name record, then its events through writeRecords, walking each
+// ring in place.
 func writeChromeTraces(w io.Writer, traces []*RunTrace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	var buf []byte
+	head := []byte("{\"traceEvents\":[\n")
 	for pid, t := range traces {
 		// Name the process after the run so Perfetto's track labels carry
 		// the experiment/preset/scheme identity.
-		buf = buf[:0]
 		if pid > 0 {
-			buf = append(buf, ',', '\n')
+			head = append(head, ',', '\n')
 		}
-		buf = appendChromeCommon(buf, "process_name", 'M', 0, pid, 0)
-		buf = append(buf, `,"args":{"name":`...)
-		buf = appendJSONString(buf, t.Label)
-		buf = append(buf, `}}`...)
-		if _, err := bw.Write(buf); err != nil {
+		head = appendChromeCommon(head, "process_name", 'M', 0, pid, 0)
+		head = append(head, `,"args":{"name":`...)
+		head = appendJSONString(head, t.Label)
+		head = append(head, `}}`...)
+		if err := writeBlock(w, head); err != nil {
 			return err
 		}
-		for i := 0; i < t.count; i++ {
-			buf = appendChromeEvent(buf[:0], t.buf[(t.start+i)%len(t.buf)], pid)
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
+		head = head[:0]
+		if err := writeRecords(w, t.count, func(dst []byte, i int) []byte {
+			return appendChromeEvent(dst, t.buf[(t.start+i)%len(t.buf)], pid)
+		}); err != nil {
+			return err
 		}
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return writeBlock(w, append(head, "\n]}\n"...))
 }
 
 // WriteChromeTrace writes this single trace as a Chrome trace-event JSON

@@ -241,16 +241,10 @@ func (l *Lineage) WriteJSONL(w io.Writer) error {
 	if l == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
 	head := spanHead(l.Label, l.Scheme)
-	var line []byte
-	for _, s := range l.spans {
-		line = appendSpanJSONL(line[:0], head, s)
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeRecords(w, len(l.spans), func(dst []byte, i int) []byte {
+		return appendSpanJSONL(dst, head, l.spans[i])
+	})
 }
 
 // SpanRecord is one parsed lineage line, as read back by report tooling.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"slices"
 	"strconv"
@@ -177,14 +176,8 @@ func (t *RunTrace) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
 	head := appendJSONString([]byte(`{"run":`), t.Label)
-	var line []byte
-	for i := 0; i < t.count; i++ {
-		line = appendJSONL(line[:0], head, t.buf[(t.start+i)%len(t.buf)])
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeRecords(w, t.count, func(dst []byte, i int) []byte {
+		return appendJSONL(dst, head, t.buf[(t.start+i)%len(t.buf)])
+	})
 }

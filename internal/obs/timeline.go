@@ -116,15 +116,9 @@ func (tl *Timeline) WriteCSV(w io.Writer) error {
 	if strings.ContainsAny(tl.Label, ",\n") || unicode.IsSpace(first) {
 		return fmt.Errorf("timeline: label %q cannot be a CSV field", tl.Label)
 	}
-	bw := bufio.NewWriter(w)
-	var line []byte
-	for _, p := range tl.points {
-		line = appendTimelineCSV(line[:0], tl.Label, p)
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return writeRecords(w, len(tl.points), func(dst []byte, i int) []byte {
+		return appendTimelineCSV(dst, tl.Label, tl.points[i])
+	})
 }
 
 // TimelineRecord is one parsed timeline CSV row.
