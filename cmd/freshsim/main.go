@@ -32,10 +32,14 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("freshsim", flag.ContinueOnError)
 	rf := expt.NewRunFlags(fs)
+	var schemeNames []string
+	for _, s := range core.Schemes() {
+		schemeNames = append(schemeNames, s.Name)
+	}
 	var (
 		preset    = fs.String("preset", "reality-like", "built-in trace preset (reality-like, infocom-like)")
 		traceFile = fs.String("trace", "", "external trace file (overrides -preset)")
-		scheme    = fs.String("scheme", "hierarchical", "freshness scheme (norefresh, direct, direct-rep, hierarchical-norep, hierarchical, epidemic, oracle)")
+		scheme    = fs.String("scheme", "hierarchical", "freshness scheme ("+strings.Join(schemeNames, ", ")+")")
 		items     = fs.Int("items", 5, "number of data items (sources at nodes 0..items-1)")
 		refresh   = fs.Duration("refresh", 4*time.Hour, "refresh interval R")
 		window    = fs.Duration("window", 0, "freshness window F (default R)")

@@ -71,7 +71,7 @@ func TestRunWithFailureKnobs(t *testing.T) {
 	path := smallTraceFile(t)
 	args := []string{
 		"-trace", path, "-items", "2", "-caching", "4", "-refresh", "4h",
-		"-scheme", "adaptive", "-loss", "0.2", "-churn-up", "12h", "-churn-down", "2h",
+		"-scheme", "hierarchical", "-loss", "0.2", "-churn-up", "12h", "-churn-down", "2h",
 		"-distributed", "-rebuild", "24h", "-relaycap", "4", "-msgtime", "2s",
 	}
 	if err := run(args); err != nil {

@@ -5,7 +5,6 @@
 //
 //	tracegen -preset reality-like -seed 42 -out reality.contacts
 //	tracegen -model community -nodes 60 -days 14 -out campus.contacts
-//	tracegen -model rwp -nodes 30 -hours 6 -out field.contacts
 package main
 
 import (
@@ -30,10 +29,9 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	var (
 		preset = fs.String("preset", "", "built-in preset (reality-like, infocom-like); overrides -model")
-		model  = fs.String("model", "community", "generator model: hetexp, community, rwp, workingday")
+		model  = fs.String("model", "community", "generator model: hetexp, community")
 		nodes  = fs.Int("nodes", 60, "number of nodes")
-		days   = fs.Float64("days", 14, "trace duration in days (hetexp/community)")
-		hours  = fs.Float64("hours", 6, "trace duration in hours (rwp)")
+		days   = fs.Float64("days", 14, "trace duration in days")
 		seed   = fs.Int64("seed", 1, "random seed")
 		out    = fs.String("out", "", "output file (default stdout)")
 		obsDir = fs.String("obs", "", "directory for a provenance manifest.json (command, seed, outputs, toolchain)")
@@ -42,10 +40,6 @@ func run(args []string) error {
 		meanRate  = fs.Float64("rate", 4, "mean pairwise contacts per day (hetexp) / intra-community rate (community)")
 		interRate = fs.Float64("interrate", 0.5, "inter-community contacts per day (community)")
 		comms     = fs.Int("communities", 4, "number of communities (community)")
-
-		// rwp knobs.
-		field = fs.Float64("field", 1000, "field side in meters (rwp)")
-		radio = fs.Float64("range", 50, "transmission range in meters (rwp)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -74,26 +68,8 @@ func run(args []string) error {
 			InterPairFraction: 0.5, HubFraction: 0.08, HubBoost: 3,
 			MeanContactDur: 180,
 		}
-	case *model == "workingday":
-		gen = &mobility.WorkingDay{
-			TraceName: "workingday", N: *nodes, Days: int(*days),
-			Offices:    *comms,
-			OfficeRate: *meanRate / (8 * mobility.Hour),
-			WorkStart:  9 * mobility.Hour, WorkEnd: 17 * mobility.Hour,
-			Jitter:        30 * 60,
-			EveningVenues: 3, EveningProb: 0.33,
-			EveningStart: 19 * mobility.Hour, EveningLen: 2 * mobility.Hour,
-			EveningRate:    4.0 / (2 * mobility.Hour),
-			MeanContactDur: 10 * 60,
-		}
-	case *model == "rwp":
-		gen = &mobility.RandomWaypoint{
-			TraceName: "rwp", N: *nodes, Duration: *hours * mobility.Hour,
-			Field: *field, Range: *radio, SpeedMin: 0.5, SpeedMax: 3,
-			PauseMean: 60, Step: 1,
-		}
 	default:
-		return fmt.Errorf("unknown model %q (have hetexp, community, rwp, workingday)", *model)
+		return fmt.Errorf("unknown model %q (have hetexp, community)", *model)
 	}
 
 	tr, err := gen.Generate(*seed)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -38,16 +37,6 @@ func TestRunModels(t *testing.T) {
 	}
 }
 
-func TestRunRWP(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "rwp.contacts")
-	if err := run([]string{"-model", "rwp", "-nodes", "10", "-hours", "1", "-field", "300", "-range", "60", "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(out); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-model", "bogus"}); err == nil {
 		t.Fatal("unknown model accepted")
@@ -57,19 +46,5 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-badflag"}); err == nil {
 		t.Fatal("bad flag accepted")
-	}
-}
-
-func TestRunWorkingDay(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "wd.contacts")
-	if err := run([]string{"-model", "workingday", "-nodes", "20", "-days", "3", "-communities", "2", "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.N != 20 || len(tr.Contacts) == 0 {
-		t.Fatalf("workingday: %d nodes, %d contacts", tr.N, len(tr.Contacts))
 	}
 }

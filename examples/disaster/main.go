@@ -2,8 +2,8 @@
 // is down, responders' devices form the only network, and situation
 // reports (shelter status, road blockage) must stay fresh at the caching
 // devices everyone syncs against. Radios fail, batteries die, nobody has
-// global knowledge. Compares the paper's scheme under increasingly harsh
-// conditions, with and without the adaptive relay-budget controller.
+// global knowledge. Compares the paper's scheme with source-only
+// refreshing under increasingly harsh conditions.
 package main
 
 import (
@@ -23,7 +23,7 @@ func main() {
 	fmt.Println("disaster: cache freshness of situation reports under failing conditions")
 	fmt.Println("(infocom-like density, reports refresh hourly, K=10 caching devices)")
 	fmt.Println()
-	fmt.Printf("%-32s  %-12s  %-12s  %-10s\n", "condition", "hierarchical", "adaptive", "tx/ver(ad)")
+	fmt.Printf("%-32s  %-12s  %-12s\n", "condition", "hierarchical", "direct")
 
 	conditions := []condition{
 		{"ideal", nil},
@@ -43,10 +43,9 @@ func main() {
 
 	for _, cond := range conditions {
 		row := fmt.Sprintf("%-32s", cond.name)
-		var adaptiveTx float64
 		for _, scheme := range []freshcache.SchemeName{
 			freshcache.SchemeHierarchical,
-			freshcache.SchemeAdaptive,
+			freshcache.SchemeDirect,
 		} {
 			opts := []freshcache.Option{
 				freshcache.WithPreset("infocom-like"),
@@ -70,14 +69,9 @@ func main() {
 				log.Fatal(err)
 			}
 			row += fmt.Sprintf("  %-12.3f", res.FreshnessRatio)
-			if scheme == freshcache.SchemeAdaptive {
-				adaptiveTx = res.TxPerVersion
-			}
 		}
-		fmt.Printf("%s  %-10.1f\n", row, adaptiveTx)
+		fmt.Println(row)
 	}
-	fmt.Println("\nconditions erode freshness for everyone. the adaptive controller")
-	fmt.Println("trims relay copies when delivery is comfortable (cheaper but slightly")
-	fmt.Println("staler in the ideal case) and spends extra copies once loss and churn")
-	fmt.Println("start breaking deadlines — overtaking the fixed budget under stress.")
+	fmt.Println("\nloss and churn lower both columns; the hierarchical scheme stays")
+	fmt.Println("above source-only refreshing in every condition.")
 }

@@ -72,13 +72,8 @@ const (
 	// SchemeSprayAndWait is the knowledge-free DTN baseline: L copies of
 	// each version binary-sprayed through the network.
 	SchemeSprayAndWait SchemeName = "spray"
-	// SchemeAdaptive is SchemeHierarchical with a feedback-controlled
-	// per-item relay budget driven by measured on-time delivery.
-	SchemeAdaptive SchemeName = "adaptive"
 	// SchemeEpidemic floods every version to every node (ceiling).
 	SchemeEpidemic SchemeName = "epidemic"
-	// SchemeOracle refreshes all caches instantly and for free (bound).
-	SchemeOracle SchemeName = "oracle"
 )
 
 // Schemes returns every scheme name in canonical reporting order.

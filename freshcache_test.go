@@ -237,7 +237,7 @@ func TestOptionValidation(t *testing.T) {
 
 func TestSchemesAndPresetsExposed(t *testing.T) {
 	ss := Schemes()
-	if len(ss) != 10 {
+	if len(ss) != 8 {
 		t.Fatalf("schemes: %v", ss)
 	}
 	found := false

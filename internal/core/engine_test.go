@@ -109,8 +109,8 @@ func TestSchemeOrderingOnFreshness(t *testing.T) {
 		t.Logf("%s: %s", name, r.String())
 	}
 
-	or, ep, hi, hn, dr, di, no :=
-		results["oracle"], results["epidemic"], results["hierarchical"],
+	ep, hi, hn, dr, di, no :=
+		results["epidemic"], results["hierarchical"],
 		results["hierarchical-norep"], results["direct-rep"], results["direct"], results["norefresh"]
 
 	// The abstract's headline: hierarchical significantly improves
@@ -118,12 +118,15 @@ func TestSchemeOrderingOnFreshness(t *testing.T) {
 	if hi.FreshnessRatio <= di.FreshnessRatio*1.2 {
 		t.Errorf("hierarchical freshness %v not significantly above direct %v", hi.FreshnessRatio, di.FreshnessRatio)
 	}
-	// Ceilings and floors.
-	if or.FreshnessRatio < 0.95 {
-		t.Errorf("oracle freshness %v, want ~1", or.FreshnessRatio)
-	}
-	if ep.FreshnessRatio < hi.FreshnessRatio-0.05 {
-		t.Errorf("epidemic %v below hierarchical %v", ep.FreshnessRatio, hi.FreshnessRatio)
+	// Ceilings and floors. No scheme delivers before the trace's foremost
+	// journey, and epidemic delivers at it (checkInvariants,
+	// TestEpidemicMeetsForemostJourney). With no loss, churn, message time
+	// or eviction, epidemic then holds a version at least as new at every
+	// cache at every instant, so no scheme's freshness may exceed its own.
+	for name, r := range results {
+		if r.FreshnessRatio > ep.FreshnessRatio {
+			t.Errorf("%s freshness %v above epidemic's %v", name, r.FreshnessRatio, ep.FreshnessRatio)
+		}
 	}
 	if no.FreshnessRatio > di.FreshnessRatio {
 		t.Errorf("norefresh %v above direct %v", no.FreshnessRatio, di.FreshnessRatio)
@@ -151,15 +154,12 @@ func TestSchemeOrderingOnFreshness(t *testing.T) {
 	}
 
 	// Overhead ordering: epidemic must dwarf hierarchical, which exceeds
-	// direct, and oracle is free.
+	// direct.
 	if ep.TxPerVersion < 2.5*hi.TxPerVersion {
 		t.Errorf("epidemic overhead %v not well above hierarchical %v", ep.TxPerVersion, hi.TxPerVersion)
 	}
 	if hi.TxPerVersion <= di.TxPerVersion {
 		t.Errorf("hierarchical overhead %v not above direct %v", hi.TxPerVersion, di.TxPerVersion)
-	}
-	if or.TxPerVersion != 0 {
-		t.Errorf("oracle overhead %v, want 0", or.TxPerVersion)
 	}
 
 	// Query validity tracks freshness: hierarchical serves more queries

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"freshcache/internal/metrics"
@@ -84,11 +85,13 @@ func TestRebuildIgnoredForNonRebuilder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end simulation")
 	}
-	// Oracle does not implement Rebuilder; configuring an interval must
-	// not break the run.
-	res := runWith(t, NewOracle(), 63, func(c *Config) { c.RebuildInterval = mobility.Day })
-	if res.FreshnessRatio < 0.95 {
-		t.Fatalf("oracle run broke with rebuild interval: %v", res.FreshnessRatio)
+	// Epidemic does not implement Rebuilder; configuring an interval must
+	// change nothing.
+	want := runWith(t, NewEpidemic(), 63, nil)
+	got := runWith(t, NewEpidemic(), 63, func(c *Config) { c.RebuildInterval = mobility.Day })
+	want.WallClockSeconds, got.WallClockSeconds = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rebuild interval moved a non-rebuilder's result:\n%+v\n%+v", got, want)
 	}
 }
 

@@ -64,14 +64,13 @@ type relayEntry struct {
 }
 
 // planKey memoizes one PlanReplication call: the plan depends only on
-// the rates snapshot (captured by the cache's epoch), the endpoints, the
-// time budget and the relay bound — PReq and the candidate set are
+// the rates snapshot (captured by the cache's epoch), the endpoints and
+// the time budget — PReq, the relay bound and the candidate set are
 // run-constant.
 type planKey struct {
 	holder trace.NodeID
 	dest   trace.NodeID
 	budget float64
-	bound  int
 }
 
 // maxPlanCacheEntries bounds the plan memo; when an adversarial workload
@@ -106,11 +105,6 @@ type refreshScheme struct {
 	// that lacks the version (bookkeeping still tracks the planned
 	// destinations). The Direct baselines stay source-only by definition.
 	opportunistic bool
-	// adaptive closes a feedback loop over the relay budget: each item's
-	// observed on-time delivery ratio is compared against the requirement
-	// at every generation, and the per-item relay bound grows when the
-	// requirement is missed and shrinks when it is comfortably exceeded.
-	adaptive bool
 
 	rng *rand.Rand // non-nil iff randomRelays
 
@@ -149,13 +143,6 @@ type refreshScheme struct {
 	plansSatisfied int
 	sumAchieved    float64
 	planErr        error
-
-	// Adaptive-control state (adaptive only), dense by item ID: the
-	// per-item relay budget (-1 = not yet adjusted) and on-time
-	// observations since the item's last adjustment.
-	relayBudget []int
-	obsOnTime   []int
-	obsTotal    []int
 }
 
 var (
@@ -210,15 +197,6 @@ func NewHierarchicalBare() Scheme {
 	return &refreshScheme{name: "hierarchical-bare", hierarchical: true}
 }
 
-// NewAdaptive returns the paper's scheme with an adaptive relay budget:
-// instead of a fixed per-destination relay bound, each item's bound is
-// feedback-controlled from its measured on-time delivery ratio. A natural
-// extension: the analysis picks relays, the controller picks how many the
-// analysis may use.
-func NewAdaptive() Scheme {
-	return &refreshScheme{name: "adaptive", hierarchical: true, replicate: true, opportunistic: true, adaptive: true}
-}
-
 // Name implements Scheme.
 func (s *refreshScheme) Name() string { return s.name }
 
@@ -238,14 +216,6 @@ func (s *refreshScheme) Init(rt *Runtime) error {
 	s.planValid = false
 	if s.randomRelays {
 		s.rng = stats.Derive(rt.Seed, "core/random-relays")
-	}
-	if s.adaptive {
-		s.relayBudget = make([]int, len(s.items))
-		for i := range s.relayBudget {
-			s.relayBudget[i] = -1
-		}
-		s.obsOnTime = make([]int, len(s.items))
-		s.obsTotal = make([]int, len(s.items))
 	}
 
 	for _, it := range s.items {
@@ -316,57 +286,7 @@ func (s *refreshScheme) OnGenerate(it cache.Item, version int, now float64) {
 	if s.onlyFirstVersion && version > 0 {
 		return
 	}
-	if s.adaptive {
-		s.adjustBudget(it)
-	}
 	s.assumeDuty(it.Source, it, version, now, now, s.rt.Rec.Root(int32(it.ID), int32(version)))
-}
-
-// adjustBudget is the per-item feedback controller: compare the on-time
-// ratio observed since the last generation against the requirement and
-// nudge the relay bound. A minimum sample keeps it from chasing noise.
-func (s *refreshScheme) adjustBudget(it cache.Item) {
-	const minSample = 3
-	total := s.obsTotal[it.ID]
-	if total < minSample {
-		return
-	}
-	ratio := float64(s.obsOnTime[it.ID]) / float64(total)
-	budget := s.relayBudget[it.ID]
-	if budget < 0 {
-		budget = s.rt.MaxRelays
-	}
-	switch {
-	case ratio < s.rt.PReq && (s.rt.MaxRelays == 0 || budget < 4*s.rt.MaxRelays):
-		budget++
-	case ratio > s.rt.PReq+0.05 && budget > 1:
-		budget--
-	}
-	s.relayBudget[it.ID] = budget
-	s.obsOnTime[it.ID] = 0
-	s.obsTotal[it.ID] = 0
-}
-
-// relayBound returns the relay bound in force for the item.
-func (s *refreshScheme) relayBound(item cache.ItemID) int {
-	if s.adaptive {
-		if b := s.relayBudget[item]; b >= 0 {
-			return b
-		}
-	}
-	return s.rt.MaxRelays
-}
-
-// observeDelivery feeds the adaptive controller with one accepted cache
-// delivery.
-func (s *refreshScheme) observeDelivery(item cache.ItemID, genAt, window, now float64) {
-	if !s.adaptive {
-		return
-	}
-	s.obsTotal[item]++
-	if now-genAt <= window {
-		s.obsOnTime[item]++
-	}
 }
 
 // planMemo returns the memo table valid for the given rates view, or nil
@@ -431,20 +351,19 @@ func (s *refreshScheme) assumeDuty(holder trace.NodeID, it cache.Item, version i
 		if budget > 0 {
 			rates := s.rt.RatesFor(holder)
 			memo := s.planMemo(rates)
-			bound := s.relayBound(it.ID)
 			for dest := d.dests.Next(0); dest >= 0; dest = d.dests.Next(dest + 1) {
 				var plan RelayPlan
 				if s.randomRelays {
 					plan = s.randomPlan(rates, holder, trace.NodeID(dest), budget)
 				} else {
-					key := planKey{holder: holder, dest: trace.NodeID(dest), budget: budget, bound: bound}
+					key := planKey{holder: holder, dest: trace.NodeID(dest), budget: budget}
 					var hit bool
 					if memo != nil {
 						plan, hit = memo[key]
 					}
 					if !hit {
 						var err error
-						plan, err = planReplication(rates, holder, trace.NodeID(dest), s.rt.AllNodes(), budget, s.rt.PReq, bound, &s.planBufs)
+						plan, err = planReplication(rates, holder, trace.NodeID(dest), s.rt.AllNodes(), budget, s.rt.PReq, s.rt.MaxRelays, &s.planBufs)
 						if err != nil {
 							if s.planErr == nil {
 								s.planErr = err
@@ -561,7 +480,6 @@ func (s *refreshScheme) syncPeers(c *network.Contact, from, to trace.NodeID) {
 			parent = s.rt.Rec.Root(int32(it.ID), int32(cp.Version))
 		}
 		if sp, ok := s.rt.DeliverToCache(from, to, cp, c.Time, parent); ok {
-			s.observeDelivery(it.ID, cp.GeneratedAt, it.FreshnessWindow, c.Time)
 			s.assumeDuty(to, it, cp.Version, cp.GeneratedAt, c.Time, sp)
 		}
 	}
@@ -602,7 +520,6 @@ func (s *refreshScheme) actAsResponsible(c *network.Contact, holder, peer trace.
 			}
 			cp := cache.Copy{Item: itemID, Version: d.key.version, GeneratedAt: d.genAt, ReceivedAt: c.Time}
 			if sp, ok := s.rt.DeliverToCache(holder, peer, cp, c.Time, d.span); ok {
-				s.observeDelivery(itemID, d.genAt, d.window, c.Time)
 				s.assumeDuty(peer, it, d.key.version, d.genAt, c.Time, sp)
 			}
 			d.dests.Remove(p)
@@ -701,7 +618,6 @@ func (s *refreshScheme) actAsRelay(c *network.Contact, relay, peer trace.NodeID)
 		cp := cache.Copy{Item: entry.key.item, Version: entry.key.version, GeneratedAt: entry.genAt, ReceivedAt: c.Time}
 		if sp, ok := s.rt.DeliverToCache(relay, peer, cp, c.Time, entry.span); ok {
 			if it, err := s.rt.Catalog.Item(entry.key.item); err == nil {
-				s.observeDelivery(entry.key.item, entry.genAt, it.FreshnessWindow, c.Time)
 				s.assumeDuty(peer, it, entry.key.version, entry.genAt, c.Time, sp)
 			}
 		}
@@ -773,18 +689,6 @@ func (s *refreshScheme) SchemeStats() map[string]float64 {
 	if s.plansTotal > 0 {
 		out["meanAchievedProb"] = s.sumAchieved / float64(s.plansTotal)
 		out["satisfiedRatio"] = float64(s.plansSatisfied) / float64(s.plansTotal)
-	}
-	if s.adaptive {
-		sum, cnt := 0, 0
-		for _, b := range s.relayBudget {
-			if b >= 0 {
-				sum += b
-				cnt++
-			}
-		}
-		if cnt > 0 {
-			out["meanRelayBudget"] = float64(sum) / float64(cnt)
-		}
 	}
 	if len(s.trees) > 0 {
 		depthSum, maxDepth := 0, 0
@@ -910,39 +814,6 @@ func (s *epidemicScheme) push(c *network.Contact, from, to trace.NodeID) {
 	}
 }
 
-// oracleScheme delivers every version to every caching node instantly and
-// for free: the upper bound on freshness, not a real protocol.
-type oracleScheme struct {
-	rt *Runtime
-}
-
-var _ Scheme = (*oracleScheme)(nil)
-
-// NewOracle returns the instantaneous-refresh upper bound.
-func NewOracle() Scheme { return &oracleScheme{} }
-
-// Name implements Scheme.
-func (s *oracleScheme) Name() string { return "oracle" }
-
-// Init implements Scheme.
-func (s *oracleScheme) Init(rt *Runtime) error {
-	s.rt = rt
-	return nil
-}
-
-// OnGenerate implements Scheme.
-func (s *oracleScheme) OnGenerate(it cache.Item, version int, now float64) {
-	// Instantaneous delivery: one zero-age delivery per caching node,
-	// parented directly on the generation root.
-	root := s.rt.Rec.Root(int32(it.ID), int32(version))
-	for _, cn := range s.rt.CachingNodes {
-		s.rt.DeliverToCache(it.Source, cn, cache.Copy{Item: it.ID, Version: version, GeneratedAt: now, ReceivedAt: now}, now, root)
-	}
-}
-
-// OnContact implements Scheme (nothing to do; caches are always fresh).
-func (s *oracleScheme) OnContact(*network.Contact) {}
-
 // Schemes maps CLI names to scheme constructors, in the canonical
 // reporting order.
 func Schemes() []struct {
@@ -959,10 +830,8 @@ func Schemes() []struct {
 		{"hierarchical-norep", NewHierarchicalNoRep},
 		{"hierarchical", NewHierarchical},
 		{"random-rep", NewRandomReplicated},
-		{"adaptive", NewAdaptive},
 		{"spray", func() Scheme { return NewSprayAndWait(0) }},
 		{"epidemic", NewEpidemic},
-		{"oracle", NewOracle},
 	}
 }
 

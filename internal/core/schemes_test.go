@@ -263,27 +263,6 @@ func TestEpidemicReachesEveryoneAndCounts(t *testing.T) {
 	}
 }
 
-func TestOracleInstantAndFree(t *testing.T) {
-	eng := microEngine(t, NewOracle(), chainContacts())
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 versions × 2 caching nodes.
-	if res.Deliveries != 6 {
-		t.Fatalf("oracle deliveries = %d, want 6", res.Deliveries)
-	}
-	if res.Transmissions != 0 {
-		t.Fatalf("oracle tx = %d, want 0", res.Transmissions)
-	}
-	if res.MeanRefreshDelay != 0 {
-		t.Fatalf("oracle delay = %v", res.MeanRefreshDelay)
-	}
-	if res.FreshnessRatio < 0.99 {
-		t.Fatalf("oracle freshness = %v", res.FreshnessRatio)
-	}
-}
-
 func TestRelayCopyLifecycle(t *testing.T) {
 	// Relay copies outlive the on-time window (a late refresh beats no
 	// refresh) but expire with the data's lifetime. v0: generated at 100,
@@ -387,10 +366,4 @@ func TestHierarchicalBareStrictlyTreeBound(t *testing.T) {
 	if res.TransmissionsByKind["relay"] != 0 {
 		t.Fatal("bare hierarchy used relays")
 	}
-}
-
-func TestOracleOnContactNoOp(t *testing.T) {
-	s := NewOracle()
-	// Must be safe to call with any contact and do nothing.
-	s.OnContact(nil)
 }

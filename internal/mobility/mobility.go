@@ -2,15 +2,14 @@
 // two calibrated presets that stand in for the proprietary real traces the
 // paper evaluates on (MIT Reality, Haggle Infocom'06 — see DESIGN.md,
 // "Substitutions"), plus the general-purpose generators they are built
-// from: a heterogeneous-exponential pairwise model, a community model with
-// hub nodes, and a random-waypoint model on a square field.
+// from: a heterogeneous-exponential pairwise model and a community model
+// with hub nodes.
 //
 // All generators consume an explicit seed and are fully deterministic.
 package mobility
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -454,196 +453,4 @@ func (g *Community) generateSparse(rng *rand.Rand, comm []int, boost []float64, 
 		rate *= math.Sqrt(boost[p.a] * boost[p.b])
 		pairProcess(rng, trace.NodeID(p.a), trace.NodeID(p.b), rate, g.MeanContactDur, g.Duration, &t.Contacts)
 	}
-}
-
-// RandomWaypoint simulates node movement on a square field: each node
-// repeatedly picks a uniform waypoint and speed, walks there, pauses, and
-// repeats. A contact exists while two nodes are within Range. Positions
-// are advanced in Step-second ticks, so contact boundaries are quantized
-// to Step.
-type RandomWaypoint struct {
-	TraceName string
-	N         int
-	Duration  float64
-	Field     float64 // side of the square field (m)
-	Range     float64 // transmission range (m)
-	SpeedMin  float64 // m/s
-	SpeedMax  float64 // m/s
-	PauseMean float64 // s
-	Step      float64 // simulation tick (s)
-}
-
-// Name implements Generator.
-func (g *RandomWaypoint) Name() string { return g.TraceName }
-
-func (g *RandomWaypoint) validate() error {
-	switch {
-	case g.N < 2:
-		return fmt.Errorf("mobility: need at least 2 nodes, got %d", g.N)
-	case g.Duration <= 0 || g.Field <= 0 || g.Range <= 0 || g.Step <= 0:
-		return errors.New("mobility: duration, field, range and step must be positive")
-	case g.SpeedMin <= 0 || g.SpeedMax < g.SpeedMin:
-		return fmt.Errorf("mobility: bad speed range [%v,%v]", g.SpeedMin, g.SpeedMax)
-	case g.PauseMean < 0:
-		return fmt.Errorf("mobility: negative pause %v", g.PauseMean)
-	}
-	return nil
-}
-
-type rwpNode struct {
-	x, y    float64
-	wx, wy  float64 // current waypoint
-	speed   float64
-	pausing float64 // remaining pause time
-}
-
-// Generate implements Generator.
-func (g *RandomWaypoint) Generate(seed int64) (*trace.Trace, error) {
-	if err := g.validate(); err != nil {
-		return nil, err
-	}
-	rng := stats.Derive(seed, "mobility/rwp/"+g.TraceName)
-	nodes := make([]rwpNode, g.N)
-	for i := range nodes {
-		nodes[i] = rwpNode{
-			x: rng.Float64() * g.Field,
-			y: rng.Float64() * g.Field,
-		}
-		g.newWaypoint(rng, &nodes[i])
-	}
-
-	inContact := make(map[int]float64) // pair key -> contact start time
-	t := &trace.Trace{Name: g.TraceName, N: g.N, Duration: g.Duration}
-	r2 := g.Range * g.Range
-
-	// Spatial grid: with cells at least Range wide, any in-range pair sits
-	// in the same or adjacent cells, so candidate pairs come from a 3×3
-	// neighborhood instead of the N² loop. The near predicate is unchanged
-	// and no randomness is consumed, so generated traces are identical to
-	// the exhaustive scan. Cell size is floored at Field/256 to bound the
-	// grid for tiny ranges.
-	cell := g.Range
-	if min := g.Field / 256; cell < min {
-		cell = min
-	}
-	gw := int(g.Field/cell) + 1
-	grid := make([][]int32, gw*gw)
-	cellOf := func(v float64) int {
-		c := int(v / cell)
-		if c < 0 {
-			c = 0
-		}
-		if c >= gw {
-			c = gw - 1
-		}
-		return c
-	}
-	var toClose []int
-	for now := 0.0; now < g.Duration; now += g.Step {
-		for i := range nodes {
-			g.advance(rng, &nodes[i])
-		}
-		for i := range grid {
-			grid[i] = grid[i][:0]
-		}
-		for i := range nodes {
-			c := cellOf(nodes[i].y)*gw + cellOf(nodes[i].x)
-			grid[c] = append(grid[c], int32(i))
-		}
-		// Open new contacts: every near pair has its endpoints within one
-		// cell of each other, and each unordered pair is visited exactly
-		// once (from its lower endpoint, which skips b <= a).
-		for a := 0; a < g.N; a++ {
-			cx, cy := cellOf(nodes[a].x), cellOf(nodes[a].y)
-			for dy := -1; dy <= 1; dy++ {
-				y := cy + dy
-				if y < 0 || y >= gw {
-					continue
-				}
-				for dx := -1; dx <= 1; dx++ {
-					x := cx + dx
-					if x < 0 || x >= gw {
-						continue
-					}
-					for _, bb := range grid[y*gw+x] {
-						b := int(bb)
-						if b <= a {
-							continue
-						}
-						ddx := nodes[a].x - nodes[b].x
-						ddy := nodes[a].y - nodes[b].y
-						if ddx*ddx+ddy*ddy > r2 {
-							continue
-						}
-						key := trace.PairKey(trace.NodeID(a), trace.NodeID(b), g.N)
-						if _, was := inContact[key]; !was {
-							inContact[key] = now
-						}
-					}
-				}
-			}
-		}
-		// Close contacts whose pair moved apart; sorted key order keeps
-		// appends deterministic (ascending (a, b), as the N² scan did).
-		toClose = toClose[:0]
-		for key := range inContact {
-			a, b := key/g.N, key%g.N
-			ddx := nodes[a].x - nodes[b].x
-			ddy := nodes[a].y - nodes[b].y
-			if ddx*ddx+ddy*ddy > r2 {
-				toClose = append(toClose, key)
-			}
-		}
-		slices.Sort(toClose)
-		for _, key := range toClose {
-			start := inContact[key]
-			if now > start {
-				t.Contacts = append(t.Contacts, trace.Contact{
-					A: trace.NodeID(key / g.N), B: trace.NodeID(key % g.N), Start: start, End: now,
-				})
-			}
-			delete(inContact, key)
-		}
-	}
-	// Close contacts still open at the horizon.
-	for key, start := range inContact {
-		a := trace.NodeID(key / g.N)
-		b := trace.NodeID(key % g.N)
-		if g.Duration > start {
-			t.Contacts = append(t.Contacts, trace.Contact{A: a, B: b, Start: start, End: g.Duration})
-		}
-	}
-	t.Normalize()
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("mobility: generated invalid trace: %w", err)
-	}
-	return t, nil
-}
-
-func (g *RandomWaypoint) newWaypoint(rng *rand.Rand, n *rwpNode) {
-	n.wx = rng.Float64() * g.Field
-	n.wy = rng.Float64() * g.Field
-	n.speed = stats.Uniform(rng, g.SpeedMin, g.SpeedMax)
-}
-
-func (g *RandomWaypoint) advance(rng *rand.Rand, n *rwpNode) {
-	if n.pausing > 0 {
-		n.pausing -= g.Step
-		return
-	}
-	dx := n.wx - n.x
-	dy := n.wy - n.y
-	dist := dx*dx + dy*dy
-	stepLen := n.speed * g.Step
-	if dist <= stepLen*stepLen {
-		n.x, n.y = n.wx, n.wy
-		if g.PauseMean > 0 {
-			n.pausing = stats.Exp(rng, 1/g.PauseMean)
-		}
-		g.newWaypoint(rng, n)
-		return
-	}
-	d := stepLen / math.Sqrt(dist)
-	n.x += dx * d
-	n.y += dy * d
 }

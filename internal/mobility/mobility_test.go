@@ -168,41 +168,6 @@ func TestCommunityValidation(t *testing.T) {
 	}
 }
 
-func TestRandomWaypointGenerates(t *testing.T) {
-	g := &RandomWaypoint{
-		TraceName: "rwp",
-		N:         15,
-		Duration:  2 * Hour,
-		Field:     500,
-		Range:     50,
-		SpeedMin:  1,
-		SpeedMax:  3,
-		PauseMean: 30,
-		Step:      1,
-	}
-	tr, err := g.Generate(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Contacts) == 0 {
-		t.Fatal("RWP on a 500m field with 50m range produced no contacts")
-	}
-}
-
-func TestRandomWaypointValidation(t *testing.T) {
-	g := &RandomWaypoint{N: 5, Duration: 10, Field: 100, Range: 10, SpeedMin: 0, SpeedMax: 2, Step: 1}
-	if _, err := g.Generate(1); err == nil {
-		t.Fatal("zero min speed accepted")
-	}
-	g2 := &RandomWaypoint{N: 5, Duration: 10, Field: 100, Range: 10, SpeedMin: 3, SpeedMax: 2, Step: 1}
-	if _, err := g2.Generate(1); err == nil {
-		t.Fatal("inverted speed range accepted")
-	}
-}
-
 func TestDiurnalRemovesNightContacts(t *testing.T) {
 	g := &Diurnal{
 		Gen: &HeterogeneousExp{TraceName: "d", N: 20, Duration: 5 * Day,

@@ -33,11 +33,6 @@ func propertyGenerators() map[string]Generator {
 			IntraRate: 4.0 / Day, InterRate: 1.0 / Day, RateShape: 0.8, Communities: 60,
 			InterPairFraction: 0.005, HubFraction: 0.05, HubBoost: 3, MeanContactDur: 120,
 		},
-		"rwp": &RandomWaypoint{
-			TraceName: "prop-rwp", N: 30, Duration: 4 * Hour, Field: 1000, Range: 50,
-			SpeedMin: 0.5, SpeedMax: 2.0, PauseMean: 60, Step: 5,
-		},
-		"workingday":        officeLike(3),
 		"drifting":          DriftingCommunity(40, Day),
 		"diurnal-community": RealityLike(),
 	}

@@ -166,8 +166,3 @@ func Zipf(rng *rand.Rand, s float64, n int) func() int {
 	z := rand.NewZipf(rng, s, 1, uint64(n-1))
 	return func() int { return int(z.Uint64()) }
 }
-
-// Uniform draws uniformly from [lo, hi).
-func Uniform(rng *rand.Rand, lo, hi float64) float64 {
-	return lo + rng.Float64()*(hi-lo)
-}

@@ -168,13 +168,3 @@ func TestZipfPanicsOnNonPositiveExponent(t *testing.T) {
 		}()
 	}
 }
-
-func TestUniformRange(t *testing.T) {
-	rng := NewRNG(9)
-	for i := 0; i < 10000; i++ {
-		v := Uniform(rng, -3, 5)
-		if v < -3 || v >= 5 {
-			t.Fatalf("uniform draw %v outside [-3,5)", v)
-		}
-	}
-}
