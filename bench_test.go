@@ -1,7 +1,7 @@
 package freshcache
 
 // The benchmark harness: one Benchmark per experiment of the reproduction
-// suite (E1…E10 in DESIGN.md), each regenerating its table/figure data in
+// suite (E1…E21 in DESIGN.md), each regenerating its table/figure data in
 // Quick mode (trimmed sweeps), plus micro-benchmarks of the core
 // analytical components. The full-sweep evaluation is regenerated by
 // `go run ./cmd/experiments`.

@@ -51,7 +51,7 @@ func run(args []string) error {
 		list   = fs.Bool("list", false, "list the experiment registry and exit")
 
 		keepGoing = fs.Bool("keep-going", false, "finish the whole grid past cell or experiment failures: partial tables get explicit NA holes, the failure roster lands in the manifest, and the exit status is nonzero")
-		timings   = fs.Bool("timings", false, "include machine-dependent wall-clock columns in tables that have them (E10)")
+		timings   = fs.Bool("timings", false, "include machine-dependent wall-clock columns in tables that have them (E10, E21)")
 
 		profileSlowest = fs.Int("profile-slowest", 0, "capture pprof CPU profiles of the N most expensive sweep cells into <obs>/profiles/ (requires -obs and -parallel 1)")
 	)

@@ -16,7 +16,7 @@ type ExperimentInfo struct {
 	PaperAnalogue string
 }
 
-// Experiments lists the reproduction suite (E1…E10, see DESIGN.md).
+// Experiments lists the reproduction suite (E1…E21, see DESIGN.md).
 func Experiments() []ExperimentInfo {
 	var out []ExperimentInfo
 	for _, e := range expt.All() {

@@ -46,7 +46,7 @@ func TestAllocationCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	largeN, err := largeNTrace(largeNQuickNodes, seed)
+	largeN, err := mobility.LargeCommunity(largeNQuickNodes).Generate(seed)
 	if err != nil {
 		t.Fatal(err)
 	}

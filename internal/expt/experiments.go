@@ -39,8 +39,8 @@ type Options struct {
 	// paths then see nil traces/registries and record nothing.
 	Obs *obs.Observer
 	// Timings includes wall-clock timing columns in tables that have them
-	// (E10). Off by default so the quick-suite output is byte-identical
-	// across machines and worker counts with no carve-outs.
+	// (E10 and E21). Off by default so the quick-suite output is
+	// byte-identical across machines and worker counts with no carve-outs.
 	Timings bool
 	// Journal, when non-nil, is the shared per-cell checkpoint journal:
 	// sweeps append completed cells and replay matching ones on resume.
@@ -84,26 +84,12 @@ func cellLabel(c Cell) string {
 	return fmt.Sprintf("%s/%s/p%02d/%s/r%d", c.Experiment, c.Preset, c.Point, c.Scheme, c.Replicate)
 }
 
-// runScenario runs one labelled scenario with the options' observability
-// attached: the run records into its own Recording and the shared
-// registry, and a successful result is recorded into Stats under the
-// label and its recording committed. Failed runs commit nothing, so
-// exports only carry completed cells.
-func (o Options) runScenario(label string, sc Scenario, scheme core.Scheme, tr *trace.Trace) (metrics.Result, *core.Engine, error) {
-	rec := o.Obs.Open(label, scheme.Name())
-	sc.Obs, sc.Metrics = rec.Trace, rec.Metrics
-	sc.Lineage, sc.Timeline, sc.TimelineTick = rec.Lineage, rec.Timeline, rec.TimelineTick
-	res, eng, err := sc.RunOnTrace(scheme, tr)
-	if err != nil {
-		return res, eng, err
-	}
-	o.Stats.Record(label, res)
-	o.Obs.Commit(rec)
-	return res, eng, nil
-}
-
-// runConfig runs one labelled engine configuration with the options'
-// observability attached, as runScenario does for a Scenario.
+// runConfig is the one run function of the suite: it runs one labelled
+// engine configuration with the options' observability attached. The run
+// records into its own Recording and the shared registry; a successful
+// result is recorded into Stats under the label and its recording
+// committed. Failed runs commit nothing, so exports only carry completed
+// cells.
 func (o Options) runConfig(label string, cfg core.Config) (metrics.Result, *core.Engine, error) {
 	rec := o.Obs.Open(label, cfg.Scheme.Name())
 	cfg.Recording = rec
@@ -143,18 +129,34 @@ func presets(opts Options) []string {
 	return []string{"reality-like", "infocom-like"}
 }
 
-// genTrace returns one preset trace for the experiment's seed, generated
-// once per process via the shared cache (traces are immutable, so sweeps
-// and successive experiments share them freely). The trace seed is the
-// namespaced replicate-0 derivation, so single-run experiments observe the
-// same trace as replicate 0 of every sweep.
-func genTrace(preset string, seed int64) (*trace.Trace, error) {
-	return sharedTraces.Get(preset, TraceSeedFor(seed, 0))
+// traceSource returns the trace a cell runs on and the trace's compiled
+// contact timeline, both from the shared cache, so every cell of a trace
+// replays one immutable copy.
+type traceSource func(c Cell) (*trace.Trace, []eventsim.StaticEvent, error)
+
+// presetTrace is the trace source of the cells on the mobility presets.
+// It derives the trace seed once more from the cell's, so replicate r of
+// every preset cell runs on the trace of seed
+// TraceSeedFor(TraceSeedFor(base, r), 0). Dropping that second derivation
+// would move every preset table and the repository benchmark's E2 digest,
+// which pins it, so it waits for a change to the benchmark.
+func presetTrace(c Cell) (*trace.Trace, []eventsim.StaticEvent, error) {
+	return sharedTraces.Get(c.Preset, TraceSeedFor(c.TraceSeed, 0), func(seed int64) (*trace.Trace, error) {
+		g, err := mobility.Preset(c.Preset)
+		if err != nil {
+			return nil, err
+		}
+		return g.Generate(seed)
+	})
 }
 
-// genTraceCompiled is genTrace plus the shared compiled contact timeline.
-func genTraceCompiled(preset string, seed int64) (*trace.Trace, []eventsim.StaticEvent, error) {
-	return sharedTraces.GetCompiled(preset, TraceSeedFor(seed, 0))
+// generated returns the trace source of cells that run on g's traces at
+// their own trace seed. The cache keys the traces by g's name, so two
+// generators of one name must be configured alike.
+func generated(g mobility.Generator) traceSource {
+	return func(c Cell) (*trace.Trace, []eventsim.StaticEvent, error) {
+		return sharedTraces.Get(g.Name(), c.TraceSeed, g.Generate)
+	}
 }
 
 // reusePool recycles worker-local engine state (simulator storage, scheme
@@ -250,8 +252,10 @@ func runE1(opts Options) ([]*Table, error) {
 		ID: "E1", Title: "Trace summary statistics",
 		Header: []string{"trace", "nodes", "hours", "contacts", "meetingPairs", "pairCoverage", "contacts/pair", "meanPairRate(1/day)", "meanContactDur(s)", "expFitKS"},
 	}
+	// Each row describes the trace that replicate 0 of the preset cells
+	// runs on.
 	for _, preset := range presets(opts) {
-		tr, err := genTrace(preset, opts.Seed)
+		tr, _, err := presetTrace(Cell{Preset: preset, TraceSeed: TraceSeedFor(opts.Seed, 0)})
 		if err != nil {
 			return nil, err
 		}
@@ -267,32 +271,55 @@ func runE1(opts Options) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// runSweepCell is the shared cell body of the swept paper experiments: it
-// fetches the cell's cached trace, lets mutate specialize the scenario for
-// the cell's sweep point, runs the cell's scheme, records run statistics,
-// and extracts the metric vector.
-func runSweepCell(opts Options, c Cell, mutate func(sc *Scenario), extract func(res metrics.Result, eng *core.Engine) []float64) ([]float64, error) {
-	tr, tl, err := genTraceCompiled(c.Preset, c.TraceSeed)
+// runCell is the one cell body of every simulating experiment. It reads
+// the cell's trace and compiled timeline from src, configures the engine
+// from sc (whose Seed should be the cell's), lets tweak specialize the
+// configuration, and runs the cell's scheme, unless tweak set one, on a
+// pooled Reuse. extract reads the metric vector off the result and the
+// engine before the Reuse returns to the pool.
+func runCell(opts Options, c Cell, src traceSource, sc Scenario, tweak func(*core.Config),
+	extract func(metrics.Result, *core.Engine) ([]float64, error)) ([]float64, error) {
+	tr, tl, err := src(c)
 	if err != nil {
 		return nil, err
 	}
-	sc := defaultScenario(c.Preset, c.Seed)
-	if mutate != nil {
-		mutate(&sc)
-	}
-	scheme, err := core.SchemeByName(c.Scheme)
+	cfg, err := sc.config(tr)
 	if err != nil {
 		return nil, err
 	}
-	sc.ContactTimeline = tl
+	cfg.ContactTimeline = tl
 	reuse := getReuse()
 	defer putReuse(reuse)
-	sc.Reuse = reuse
-	res, eng, err := opts.runScenario(cellLabel(c), sc, scheme, tr)
+	cfg.Reuse = reuse
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	if cfg.Scheme == nil {
+		if cfg.Scheme, err = core.SchemeByName(c.Scheme); err != nil {
+			return nil, err
+		}
+	}
+	res, eng, err := opts.runConfig(cellLabel(c), cfg)
 	if err != nil {
 		return nil, err
 	}
-	return extract(res, eng), nil
+	return extract(res, eng)
+}
+
+// freshnessOf is the extract of the experiments that tabulate freshness
+// alone.
+func freshnessOf(r metrics.Result, _ *core.Engine) ([]float64, error) {
+	return []float64{r.FreshnessRatio}, nil
+}
+
+// countValue renders a count column: an integer for one replicate, and
+// mean±stderr, or the NA hole, otherwise.
+func countValue(res *SweepResult, preset, point, scheme, metric int) any {
+	v := res.Value(preset, point, scheme, metric)
+	if f, ok := v.(float64); ok {
+		return int64(f)
+	}
+	return v
 }
 
 // schemeGrid renders one preset's slice of a sweep result as an
@@ -317,9 +344,9 @@ func runE2(opts Options) ([]*Table, error) {
 		rs := refreshSweep(preset, opts.Quick)
 		sw := opts.sweep("E2", []string{preset}, len(rs), figureSchemes())
 		res, err := sw.Run(func(c Cell) ([]float64, error) {
-			return runSweepCell(opts, c,
-				func(sc *Scenario) { sc.RefreshInterval = rs[c.Point] },
-				func(r metrics.Result, _ *core.Engine) []float64 { return []float64{r.FreshnessRatio} })
+			sc := defaultScenario(c.Preset, c.Seed)
+			sc.RefreshInterval = rs[c.Point]
+			return runCell(opts, c, presetTrace, sc, nil, freshnessOf)
 		})
 		if err != nil {
 			return nil, err
@@ -342,16 +369,15 @@ func runE3(opts Options) ([]*Table, error) {
 	ps := presets(opts)
 	sw := opts.sweep("E3", ps, len(ratesPerDay), figureSchemes())
 	res, err := sw.Run(func(c Cell) ([]float64, error) {
-		return runSweepCell(opts, c,
-			func(sc *Scenario) {
-				sc.QueryRate = ratesPerDay[c.Point] / mobility.Day
-				// Data is useful for exactly one refresh interval, so the
-				// figure isolates how well each scheme keeps the *current*
-				// version available (the default 2×R lifetime saturates on
-				// the dense trace).
-				sc.Lifetime = sc.RefreshInterval
-			},
-			func(r metrics.Result, _ *core.Engine) []float64 { return []float64{r.ValidAccessRate} })
+		sc := defaultScenario(c.Preset, c.Seed)
+		sc.QueryRate = ratesPerDay[c.Point] / mobility.Day
+		// Data is useful for exactly one refresh interval, so the figure
+		// isolates how well each scheme keeps the *current* version
+		// available (the default 2×R lifetime saturates on the dense
+		// trace).
+		sc.Lifetime = sc.RefreshInterval
+		return runCell(opts, c, presetTrace, sc, nil,
+			func(r metrics.Result, _ *core.Engine) ([]float64, error) { return []float64{r.ValidAccessRate}, nil })
 	})
 	if err != nil {
 		return nil, err
@@ -376,9 +402,9 @@ func runE4(opts Options) ([]*Table, error) {
 	ps := presets(opts)
 	sw := opts.sweep("E4", ps, len(ks), figureSchemes())
 	res, err := sw.Run(func(c Cell) ([]float64, error) {
-		return runSweepCell(opts, c,
-			func(sc *Scenario) { sc.NumCachingNodes = ks[c.Point] },
-			func(r metrics.Result, _ *core.Engine) []float64 { return []float64{r.FreshnessRatio} })
+		sc := defaultScenario(c.Preset, c.Seed)
+		sc.NumCachingNodes = ks[c.Point]
+		return runCell(opts, c, presetTrace, sc, nil, freshnessOf)
 	})
 	if err != nil {
 		return nil, err
@@ -396,28 +422,27 @@ func runE4(opts Options) ([]*Table, error) {
 }
 
 func runE5(opts Options) ([]*Table, error) {
+	ps, schemes := presets(opts), figureSchemes()
+	res, err := opts.sweep("E5", ps, 1, schemes).Run(func(c Cell) ([]float64, error) {
+		return runCell(opts, c, presetTrace, defaultScenario(c.Preset, c.Seed), nil,
+			func(r metrics.Result, _ *core.Engine) ([]float64, error) {
+				return []float64{r.TxPerVersion,
+					float64(r.TransmissionsByKind["refresh"]), float64(r.TransmissionsByKind["relay"]),
+					r.SourceTxShare, r.MaxNodeTxShare, r.LoadGini, r.FreshnessRatio}, nil
+			})
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID: "E5", Title: "Refresh overhead per generated version",
 		Header: []string{"trace", "scheme", "tx/version", "refreshTx", "relayTx", "sourceTxShare", "maxNodeShare", "loadGini", "freshness"},
 	}
-	for _, preset := range presets(opts) {
-		tr, err := genTrace(preset, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, name := range figureSchemes() {
-			sc := defaultScenario(preset, opts.Seed)
-			scheme, err := core.SchemeByName(name)
-			if err != nil {
-				return nil, err
-			}
-			res, _, err := opts.runScenario("E5/"+preset+"/"+name, sc, scheme, tr)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(preset, name, res.TxPerVersion,
-				res.TransmissionsByKind["refresh"], res.TransmissionsByKind["relay"],
-				res.SourceTxShare, res.MaxNodeTxShare, res.LoadGini, res.FreshnessRatio)
+	for pi, preset := range ps {
+		for si, name := range schemes {
+			t.AddRow(preset, name, res.Value(pi, 0, si, 0),
+				countValue(res, pi, 0, si, 1), countValue(res, pi, 0, si, 2),
+				res.Value(pi, 0, si, 3), res.Value(pi, 0, si, 4), res.Value(pi, 0, si, 5), res.Value(pi, 0, si, 6))
 		}
 	}
 	return []*Table{t}, nil
@@ -425,40 +450,32 @@ func runE5(opts Options) ([]*Table, error) {
 
 func runE6(opts Options) ([]*Table, error) {
 	schemes := []string{"direct", "hierarchical-norep", "hierarchical", "epidemic"}
-	var tables []*Table
-	for _, preset := range presets(opts) {
-		tr, err := genTrace(preset, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		sc := defaultScenario(preset, opts.Seed)
-		sc = sc.withDefaults()
-		window := sc.FreshnessWindow
-		fractions := []float64{0.25, 0.5, 0.75, 1, 1.5, 2, 3, 4}
+	fractions := []float64{0.25, 0.5, 0.75, 1, 1.5, 2, 3, 4}
+	ps := presets(opts)
+	res, err := opts.sweep("E6", ps, 1, schemes).Run(func(c Cell) ([]float64, error) {
+		sc := defaultScenario(c.Preset, c.Seed)
+		window := sc.withDefaults().FreshnessWindow
 		probes := make([]float64, len(fractions))
 		for i, f := range fractions {
 			probes[i] = f * window
 		}
+		return runCell(opts, c, presetTrace, sc, nil, func(_ metrics.Result, eng *core.Engine) ([]float64, error) {
+			return eng.Collector().DelayCDF(probes), nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	var tables []*Table
+	for pi, preset := range ps {
 		t := &Table{
 			ID: "E6", Title: "Refresh delay CDF (delay in freshness windows) — " + preset,
 			Header: append([]string{"delay/window"}, schemes...),
 		}
-		cols := make([][]float64, len(schemes))
-		for i, name := range schemes {
-			scheme, err := core.SchemeByName(name)
-			if err != nil {
-				return nil, err
-			}
-			_, eng, err := opts.runScenario("E6/"+preset+"/"+name, sc, scheme, tr)
-			if err != nil {
-				return nil, err
-			}
-			cols[i] = eng.Collector().DelayCDF(probes)
-		}
-		for pi, f := range fractions {
+		for fi, f := range fractions {
 			row := []any{f}
-			for i := range schemes {
-				row = append(row, cols[i][pi])
+			for si := range schemes {
+				row = append(row, res.Value(pi, 0, si, fi))
 			}
 			t.AddRow(row...)
 		}
@@ -475,16 +492,16 @@ func runE7(opts Options) ([]*Table, error) {
 	ps := presets(opts)
 	sw := opts.sweep("E7", ps, len(preqs), []string{"hierarchical"})
 	res, err := sw.Run(func(c Cell) ([]float64, error) {
-		return runSweepCell(opts, c,
-			func(sc *Scenario) { sc.PReq = preqs[c.Point] },
-			func(r metrics.Result, eng *core.Engine) []float64 {
-				relayPerVer := 0.0
-				if r.VersionsGenerated > 0 {
-					relayPerVer = float64(r.TransmissionsByKind["relay"]) / float64(r.VersionsGenerated)
-				}
-				return []float64{r.SchemeStats["meanAchievedProb"], r.SchemeStats["satisfiedRatio"],
-					eng.Collector().FirstDeliveryOnTimeRatio(), relayPerVer}
-			})
+		sc := defaultScenario(c.Preset, c.Seed)
+		sc.PReq = preqs[c.Point]
+		return runCell(opts, c, presetTrace, sc, nil, func(r metrics.Result, eng *core.Engine) ([]float64, error) {
+			relayPerVer := 0.0
+			if r.VersionsGenerated > 0 {
+				relayPerVer = float64(r.TransmissionsByKind["relay"]) / float64(r.VersionsGenerated)
+			}
+			return []float64{r.SchemeStats["meanAchievedProb"], r.SchemeStats["satisfiedRatio"],
+				eng.Collector().FirstDeliveryOnTimeRatio(), relayPerVer}, nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -513,9 +530,10 @@ func runE8(opts Options) ([]*Table, error) {
 	ps := presets(opts)
 	sw := opts.sweep("E8", ps, len(factors), schemes)
 	res, err := sw.Run(func(c Cell) ([]float64, error) {
-		return runSweepCell(opts, c,
-			func(sc *Scenario) { sc.FreshnessWindow = factors[c.Point] * sc.RefreshInterval },
-			func(r metrics.Result, _ *core.Engine) []float64 { return []float64{r.OnTimeRatio} })
+		sc := defaultScenario(c.Preset, c.Seed)
+		sc.FreshnessWindow = factors[c.Point] * sc.RefreshInterval
+		return runCell(opts, c, presetTrace, sc, nil,
+			func(r metrics.Result, _ *core.Engine) ([]float64, error) { return []float64{r.OnTimeRatio}, nil })
 	})
 	if err != nil {
 		return nil, err
@@ -534,37 +552,55 @@ func runE8(opts Options) ([]*Table, error) {
 }
 
 func runE9(opts Options) ([]*Table, error) {
+	schemes := []string{"direct", "direct-rep", "hierarchical-norep", "hierarchical"}
+	ps := presets(opts)
+	res, err := opts.sweep("E9", ps, 1, schemes).Run(func(c Cell) ([]float64, error) {
+		return runCell(opts, c, presetTrace, defaultScenario(c.Preset, c.Seed), nil,
+			func(r metrics.Result, _ *core.Engine) ([]float64, error) {
+				return []float64{r.FreshnessRatio, r.TxPerVersion, r.SourceTxShare, r.MeanRefreshDelay / mobility.Hour}, nil
+			})
+	})
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID: "E9", Title: "Ablation: contribution of hierarchy and replication",
 		Header: []string{"trace", "scheme", "freshness", "tx/version", "sourceTxShare", "meanDelay(h)"},
 	}
-	schemes := []string{"direct", "direct-rep", "hierarchical-norep", "hierarchical"}
-	for _, preset := range presets(opts) {
-		tr, err := genTrace(preset, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, name := range schemes {
-			sc := defaultScenario(preset, opts.Seed)
-			scheme, err := core.SchemeByName(name)
-			if err != nil {
-				return nil, err
-			}
-			res, _, err := opts.runScenario("E9/"+preset+"/"+name, sc, scheme, tr)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(preset, name, res.FreshnessRatio, res.TxPerVersion,
-				res.SourceTxShare, res.MeanRefreshDelay/mobility.Hour)
+	for pi, preset := range ps {
+		for si, name := range schemes {
+			t.AddRow(preset, name, res.Value(pi, 0, si, 0), res.Value(pi, 0, si, 1),
+				res.Value(pi, 0, si, 2), res.Value(pi, 0, si, 3))
 		}
 	}
 	return []*Table{t}, nil
+}
+
+// scaleCommunity is E10's community trace at n nodes.
+func scaleCommunity(n int) mobility.Generator {
+	return &mobility.Community{
+		TraceName: fmt.Sprintf("scale-%d", n), N: n, Duration: 10 * mobility.Day,
+		Communities: n / 12, IntraRate: 8.0 / mobility.Day, InterRate: 0.5 / mobility.Day,
+		RateShape: 0.8, InterPairFraction: 0.3, HubFraction: 0.08, HubBoost: 3,
+		MeanContactDur: 120,
+	}
 }
 
 func runE10(opts Options) ([]*Table, error) {
 	sizes := []int{50, 100, 200, 400}
 	if opts.Quick {
 		sizes = sizes[:2]
+	}
+	sw := opts.sweep("E10", []string{"scale-community"}, len(sizes), []string{"hierarchical"})
+	res, err := sw.Run(func(c Cell) ([]float64, error) {
+		return runCell(opts, c, generated(scaleCommunity(sizes[c.Point])), defaultScenario(c.Preset, c.Seed), nil,
+			func(r metrics.Result, eng *core.Engine) ([]float64, error) {
+				return []float64{float64(eng.ContactsDispatched()), float64(r.SimulatedEventCount),
+					r.WallClockSeconds, r.FreshnessRatio, r.TxPerVersion}, nil
+			})
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The wall-clock column is machine-dependent, so it is opt-in
 	// (-timings); without it the quick-suite output is byte-identical
@@ -577,27 +613,12 @@ func runE10(opts Options) ([]*Table, error) {
 		ID: "E10", Title: "Scalability with network size (hierarchical scheme)",
 		Header: header,
 	}
-	for _, n := range sizes {
-		g := &mobility.Community{
-			TraceName: fmt.Sprintf("scale-%d", n), N: n, Duration: 10 * mobility.Day,
-			Communities: n / 12, IntraRate: 8.0 / mobility.Day, InterRate: 0.5 / mobility.Day,
-			RateShape: 0.8, InterPairFraction: 0.3, HubFraction: 0.08, HubBoost: 3,
-			MeanContactDur: 120,
-		}
-		tr, err := g.Generate(opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		sc := defaultScenario("reality-like", opts.Seed) // preset field unused by RunOnTrace
-		res, _, err := opts.runScenario(fmt.Sprintf("E10/scale-%d", n), sc, core.NewHierarchical(), tr)
-		if err != nil {
-			return nil, err
-		}
-		row := []any{n, len(tr.Contacts), int(res.SimulatedEventCount)}
+	for pt, n := range sizes {
+		row := []any{n, countValue(res, 0, pt, 0, 0), countValue(res, 0, pt, 0, 1)}
 		if opts.Timings {
-			row = append(row, res.WallClockSeconds)
+			row = append(row, res.Value(0, pt, 0, 2))
 		}
-		row = append(row, res.FreshnessRatio, res.TxPerVersion)
+		row = append(row, res.Value(0, pt, 0, 3), res.Value(0, pt, 0, 4))
 		t.AddRow(row...)
 	}
 	return []*Table{t}, nil

@@ -2,9 +2,12 @@ package expt
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
+	"freshcache/internal/core"
+	"freshcache/internal/metrics"
 	"freshcache/internal/stats"
 )
 
@@ -146,7 +149,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 // and its inter-contact KS distance took dozens of distinct values over
 // 50 calls.
 func TestTraceStatsRepeatable(t *testing.T) {
-	tr, err := genTrace("reality-like", 42)
+	tr, _, err := presetTrace(Cell{Preset: "reality-like", TraceSeed: TraceSeedFor(42, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +168,35 @@ func TestTraceStatsRepeatable(t *testing.T) {
 		}
 		if math.Float64bits(got) != math.Float64bits(ks) {
 			t.Fatalf("call %d: KS distance %v, first call %v", i, got, ks)
+		}
+	}
+}
+
+// TestE1DescribesReplicateZeroTrace: E1's contact counts are those of the
+// trace that replicate 0 of the preset cells runs on, counted as the
+// contacts a cell of E2 dispatches. E1 used to describe a trace no cell
+// ran on (99,471 reality-like contacts against 102,894 at seed 42).
+func TestE1DescribesReplicateZeroTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs one simulation per preset")
+	}
+	opts := Options{Seed: 42}
+	tables, err := runE1(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, preset := range presets(opts) {
+		c := opts.sweep("E2", []string{preset}, 1, []string{"direct"}).cells()[0]
+		v, err := runCell(opts, c, presetTrace, defaultScenario(c.Preset, c.Seed), nil,
+			func(_ metrics.Result, eng *core.Engine) ([]float64, error) {
+				return []float64{float64(eng.ContactsDispatched())}, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := tables[0].Rows[i]
+		if want := strconv.Itoa(int(v[0])); row[0] != preset || row[3] != want {
+			t.Errorf("E1 row %v: want %s with %s contacts, as its replicate-0 cell dispatched", row, preset, want)
 		}
 	}
 }

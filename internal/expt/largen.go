@@ -1,11 +1,9 @@
 package expt
 
 import (
-	"fmt"
-
 	"freshcache/internal/core"
+	"freshcache/internal/metrics"
 	"freshcache/internal/mobility"
-	"freshcache/internal/trace"
 )
 
 // largeNNodes is the full-size node count of E21; quick mode trims it so
@@ -15,11 +13,6 @@ const (
 	largeNNodes      = 10000
 	largeNQuickNodes = 2000
 )
-
-// largeNTrace generates the E21 trace for the given size and seed.
-func largeNTrace(n int, seed int64) (*trace.Trace, error) {
-	return mobility.LargeCommunity(n).Generate(seed)
-}
 
 // runE21 pushes a large-N community trace through the full refresh/query
 // pipeline — sparse rate estimation, NCL selection, hierarchy building,
@@ -32,7 +25,19 @@ func runE21(opts Options) ([]*Table, error) {
 		n = largeNQuickNodes
 	}
 	g := mobility.LargeCommunity(n)
-	tr, err := g.Generate(opts.Seed)
+	res, err := opts.sweep("E21", []string{g.Name()}, 1, []string{"hierarchical"}).Run(func(c Cell) ([]float64, error) {
+		sc := defaultScenario(c.Preset, c.Seed)
+		sc.NumCachingNodes = 64
+		// Inter-community rates bound the refresh delay (p50 around 5 h
+		// on this trace), so the default 4 h freshness window is
+		// infeasible at this scale; a 12 h cycle is the realistic
+		// operating point.
+		sc.RefreshInterval = 12 * mobility.Hour
+		return runCell(opts, c, generated(g), sc, nil, func(r metrics.Result, eng *core.Engine) ([]float64, error) {
+			return []float64{float64(eng.ContactsDispatched()), float64(r.SimulatedEventCount),
+				r.WallClockSeconds, r.FreshnessRatio, r.ValidAnswers, r.TxPerVersion}, nil
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -44,21 +49,11 @@ func runE21(opts Options) ([]*Table, error) {
 		ID: "E21", Title: "Large-N community trace through the full pipeline (hierarchical scheme)",
 		Header: header,
 	}
-	sc := defaultScenario("reality-like", opts.Seed) // preset field unused by RunOnTrace
-	sc.NumCachingNodes = 64
-	// Inter-community rates bound the refresh delay (p50 around 5 h on
-	// this trace), so the default 4 h freshness window is infeasible at
-	// this scale; a 12 h cycle is the realistic operating point.
-	sc.RefreshInterval = 12 * mobility.Hour
-	res, _, err := opts.runScenario(fmt.Sprintf("E21/large-%d", n), sc, core.NewHierarchical(), tr)
-	if err != nil {
-		return nil, err
-	}
-	row := []any{n, g.Communities, len(tr.Contacts), int(res.SimulatedEventCount)}
+	row := []any{n, g.Communities, countValue(res, 0, 0, 0, 0), countValue(res, 0, 0, 0, 1)}
 	if opts.Timings {
-		row = append(row, res.WallClockSeconds)
+		row = append(row, res.Value(0, 0, 0, 2))
 	}
-	row = append(row, res.FreshnessRatio, res.ValidAnswers, res.TxPerVersion)
+	row = append(row, res.Value(0, 0, 0, 3), res.Value(0, 0, 0, 4), res.Value(0, 0, 0, 5))
 	t.AddRow(row...)
 	return []*Table{t}, nil
 }

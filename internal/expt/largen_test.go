@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"freshcache/internal/centrality"
+	"freshcache/internal/mobility"
 	"freshcache/internal/trace"
 )
 
@@ -132,11 +133,11 @@ func TestLargeNTraceScalesLinearly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates two large traces")
 	}
-	small, err := largeNTrace(2000, 1)
+	small, err := mobility.LargeCommunity(2000).Generate(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := largeNTrace(4000, 1)
+	big, err := mobility.LargeCommunity(4000).Generate(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +151,18 @@ func TestLargeNTraceScalesLinearly(t *testing.T) {
 // engine's warm-up, as Engine.Run does it: one estimator observes every
 // contact up to the epoch at 30% of the trace, then builds the rate
 // store. largen-5k is the largen-5k benchmark workload's trace (E21 at
-// 5000 nodes, seed 42); reality-like is the 97-node preset at seed 42.
+// 5000 nodes, seed 42); reality-like is the 97-node preset trace E1
+// describes at seed 42.
 func BenchmarkLargeNRateEstimation(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		gen  func() (*trace.Trace, error)
 	}{
-		{"largen-5k", func() (*trace.Trace, error) { return largeNTrace(5000, 42) }},
-		{"reality-like", func() (*trace.Trace, error) { return genTrace("reality-like", 42) }},
+		{"largen-5k", func() (*trace.Trace, error) { return mobility.LargeCommunity(5000).Generate(42) }},
+		{"reality-like", func() (*trace.Trace, error) {
+			tr, _, err := presetTrace(Cell{Preset: "reality-like", TraceSeed: TraceSeedFor(42, 0)})
+			return tr, err
+		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			tr, err := bc.gen()
@@ -192,7 +197,7 @@ func BenchmarkLargeNRateEstimation(b *testing.B) {
 func BenchmarkLargeNTraceGeneration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := largeNTrace(5000, 42); err != nil {
+		if _, err := mobility.LargeCommunity(5000).Generate(42); err != nil {
 			b.Fatal(err)
 		}
 	}

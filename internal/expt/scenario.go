@@ -40,7 +40,7 @@ type Scenario struct {
 
 	// ContactTimeline is the pre-compiled contact timeline for the trace
 	// handed to RunOnTrace (network.CompileTimeline); nil compiles on the
-	// fly. Sweeps thread the TraceCache's shared copy here.
+	// fly. Sweep cells take the TraceCache's shared copy instead.
 	ContactTimeline []eventsim.StaticEvent
 	// Reuse recycles worker-local engine state across consecutive runs
 	// (see core.Reuse). Only set when the engine is not inspected after
@@ -99,20 +99,17 @@ func (sc Scenario) buildCatalog() (*cache.Catalog, error) {
 	return cache.NewCatalog(items)
 }
 
-// RunOnTrace executes the scenario with the given scheme on a
-// pre-generated trace (so sweeps over non-trace parameters reuse one
-// trace, matching trace-driven methodology), returning the result and the
-// engine (for raw collector access).
-func (sc Scenario) RunOnTrace(scheme core.Scheme, tr *trace.Trace) (metrics.Result, *core.Engine, error) {
+// config is the engine configuration the scenario describes on trace tr,
+// every field but the scheme.
+func (sc Scenario) config(tr *trace.Trace) (core.Config, error) {
 	sc = sc.withDefaults()
 	cat, err := sc.buildCatalog()
 	if err != nil {
-		return metrics.Result{}, nil, err
+		return core.Config{}, err
 	}
 	cfg := core.Config{
 		Trace:           tr,
 		Catalog:         cat,
-		Scheme:          scheme,
 		NumCachingNodes: sc.NumCachingNodes,
 		PReq:            sc.PReq,
 		Seed:            sc.Seed,
@@ -126,6 +123,19 @@ func (sc Scenario) RunOnTrace(scheme core.Scheme, tr *trace.Trace) (metrics.Resu
 	if sc.QueryRate > 0 {
 		cfg.Workload = cache.WorkloadConfig{QueryRate: sc.QueryRate, ZipfExponent: 1.0}
 	}
+	return cfg, nil
+}
+
+// RunOnTrace executes the scenario with the given scheme on a
+// pre-generated trace (so sweeps over non-trace parameters reuse one
+// trace, matching trace-driven methodology), returning the result and the
+// engine (for raw collector access).
+func (sc Scenario) RunOnTrace(scheme core.Scheme, tr *trace.Trace) (metrics.Result, *core.Engine, error) {
+	cfg, err := sc.config(tr)
+	if err != nil {
+		return metrics.Result{}, nil, err
+	}
+	cfg.Scheme = scheme
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		return metrics.Result{}, nil, err

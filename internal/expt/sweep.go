@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"freshcache/internal/eventsim"
-	"freshcache/internal/mobility"
 	"freshcache/internal/network"
 	"freshcache/internal/obs"
 	"freshcache/internal/stats"
@@ -420,9 +419,10 @@ func (r *SweepResult) Value(preset, point, scheme, metric int) any {
 func (r *SweepResult) ReplayedCells() int { return r.replayed }
 
 // TraceCache memoizes generated traces by (name, seed) so a sweep's cells
-// — and successive experiments over the same preset — share one immutable
-// trace instead of regenerating it. Generation is single-flight: under a
-// concurrent sweep exactly one worker generates, the rest wait.
+// — and successive experiments over the same trace — share one immutable
+// trace and its compiled contact timeline instead of regenerating and
+// recompiling them. Generation and compilation are single-flight: under a
+// concurrent sweep exactly one worker does each, the rest wait.
 type TraceCache struct {
 	mu      sync.Mutex
 	entries map[traceKey]*traceEntry
@@ -436,13 +436,8 @@ type traceKey struct {
 type traceEntry struct {
 	once sync.Once
 	tr   *trace.Trace
+	tl   []eventsim.StaticEvent
 	err  error
-	// tlOnce/tl lazily compile the trace's static contact timeline
-	// (network.CompileTimeline) the first time a caller asks for it; the
-	// compiled slice is immutable and shared read-only across every
-	// replicate and sweep cell replaying the trace.
-	tlOnce sync.Once
-	tl     []eventsim.StaticEvent
 }
 
 // NewTraceCache returns an empty cache.
@@ -450,56 +445,19 @@ func NewTraceCache() *TraceCache {
 	return &TraceCache{entries: make(map[traceKey]*traceEntry)}
 }
 
-// Get returns the cached trace for a mobility preset and seed, generating
-// it on first use.
-func (c *TraceCache) Get(preset string, seed int64) (*trace.Trace, error) {
-	return c.GetFunc(preset, seed, func(seed int64) (*trace.Trace, error) {
-		g, err := mobility.Preset(preset)
-		if err != nil {
-			return nil, err
-		}
-		return g.Generate(seed)
-	})
-}
-
-// GetFunc returns the cached trace under (key, seed), invoking gen exactly
-// once per key to produce it. The caller promises gen is deterministic for
-// the key and that the returned trace is never mutated.
-func (c *TraceCache) GetFunc(key string, seed int64, gen func(seed int64) (*trace.Trace, error)) (*trace.Trace, error) {
+// Get returns the trace cached under (key, seed) and its static contact
+// timeline (network.CompileTimeline), invoking gen and compiling exactly
+// once per key. The caller promises gen is deterministic for the key; the
+// trace and the timeline are shared read-only by every cell that replays
+// them and must never be mutated.
+func (c *TraceCache) Get(key string, seed int64, gen func(seed int64) (*trace.Trace, error)) (*trace.Trace, []eventsim.StaticEvent, error) {
 	e := c.entry(key, seed)
 	e.once.Do(func() {
-		e.tr, e.err = gen(seed)
-	})
-	return e.tr, e.err
-}
-
-// GetFuncCompiled is GetFunc plus the trace's compiled static contact
-// timeline, compiled exactly once per cache entry and shared read-only —
-// so a sweep pays the O(contacts) compile once per (trace, seed) instead
-// of once per cell.
-func (c *TraceCache) GetFuncCompiled(key string, seed int64, gen func(seed int64) (*trace.Trace, error)) (*trace.Trace, []eventsim.StaticEvent, error) {
-	e := c.entry(key, seed)
-	e.once.Do(func() {
-		e.tr, e.err = gen(seed)
-	})
-	if e.err != nil {
-		return nil, nil, e.err
-	}
-	e.tlOnce.Do(func() {
-		e.tl = network.CompileTimeline(e.tr)
-	})
-	return e.tr, e.tl, nil
-}
-
-// GetCompiled is Get plus the shared compiled contact timeline.
-func (c *TraceCache) GetCompiled(preset string, seed int64) (*trace.Trace, []eventsim.StaticEvent, error) {
-	return c.GetFuncCompiled(preset, seed, func(seed int64) (*trace.Trace, error) {
-		g, err := mobility.Preset(preset)
-		if err != nil {
-			return nil, err
+		if e.tr, e.err = gen(seed); e.err == nil {
+			e.tl = network.CompileTimeline(e.tr)
 		}
-		return g.Generate(seed)
 	})
+	return e.tr, e.tl, e.err
 }
 
 func (c *TraceCache) entry(key string, seed int64) *traceEntry {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"freshcache/internal/trace"
 )
@@ -213,7 +214,7 @@ func TestTraceCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr, err := c.GetFunc("k", 1, gen)
+			tr, _, err := c.Get("k", 1, gen)
 			if err != nil {
 				t.Error(err)
 			}
@@ -229,7 +230,7 @@ func TestTraceCacheSingleFlight(t *testing.T) {
 			t.Fatal("distinct trace instances returned")
 		}
 	}
-	if _, err := c.GetFunc("k", 2, gen); err != nil {
+	if _, _, err := c.Get("k", 2, gen); err != nil {
 		t.Fatal(err)
 	}
 	if gens.Load() != 2 || c.Len() != 2 {
@@ -245,7 +246,7 @@ func TestTraceCacheErrorCached(t *testing.T) {
 		return nil, fmt.Errorf("gen failed")
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.GetFunc("bad", 1, fail); err == nil {
+		if _, _, err := c.Get("bad", 1, fail); err == nil {
 			t.Fatal("error not surfaced")
 		}
 	}
@@ -321,4 +322,34 @@ func TestSweepReplicatesDeterministic(t *testing.T) {
 	if !strings.Contains(seq, "±") {
 		t.Fatalf("replicated table missing ± cells:\n%s", seq)
 	}
+}
+
+// TestReplicatesReachEverySimulatingExperiment: -replicates reaches every
+// simulating experiment. At -quick, two replicates must change the table
+// of each of E2–E21 against one (E1 runs no simulation).
+func TestReplicatesReachEverySimulatingExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick suite twice")
+	}
+	start := time.Now()
+	render := func(e Experiment, reps int) string {
+		tables, err := e.Run(Options{Seed: 42, Quick: true, Replicates: reps})
+		if err != nil {
+			t.Fatalf("%s at %d replicate(s): %v", e.ID, reps, err)
+		}
+		var b strings.Builder
+		for _, tab := range tables {
+			b.WriteString(tab.CSV())
+		}
+		return b.String()
+	}
+	for _, e := range All() {
+		if e.ID == "E1" {
+			continue
+		}
+		if one := render(e, 1); one == render(e, 2) {
+			t.Errorf("%s: table unchanged by a second replicate:\n%s", e.ID, one)
+		}
+	}
+	t.Logf("E2–E21 at one and two replicates: %v", time.Since(start).Round(time.Millisecond))
 }

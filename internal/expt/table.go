@@ -1,4 +1,4 @@
-// Package expt defines the reproduction's experiment suite (E1…E10 in
+// Package expt defines the reproduction's experiment suite (E1…E21 in
 // DESIGN.md): named, parameterized simulation sweeps that regenerate each
 // table and figure of the paper's evaluation, and the plain-text / CSV
 // rendering used by cmd/experiments and the benchmarks.

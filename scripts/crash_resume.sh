@@ -10,7 +10,7 @@
 set -eu
 
 dir=${1:-crash_resume_out}
-exps=E2,E4
+exps=E2,E4,E9
 kill_after=${CRASH_AFTER:-4}
 
 mkdir -p "$dir"
