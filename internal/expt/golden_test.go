@@ -19,6 +19,8 @@ var (
 	e2GoldenJSON []byte
 	//go:embed testdata/e11_golden.json
 	e11GoldenJSON []byte
+	//go:embed testdata/e14_golden.json
+	e14GoldenJSON []byte
 	//go:embed testdata/e16_golden.json
 	e16GoldenJSON []byte
 	//go:embed testdata/e18_golden.json
@@ -108,6 +110,14 @@ func TestQuickE2Golden(t *testing.T) {
 // its tables and every export, as for E2.
 func TestQuickE11Golden(t *testing.T) {
 	checkQuickGolden(t, "E11", e11GoldenJSON, "events", "chrome", "lineage", "timeline", "openmetrics")
+}
+
+// TestQuickE14Golden pins quick E14 (periodic rebuilds on a drifting
+// trace), the only experiment whose runs rebuild their refresh trees
+// mid-run: its tables and every export, as for E2, so the rebuilds'
+// dispatch order and their duty reassignments are pinned.
+func TestQuickE14Golden(t *testing.T) {
+	checkQuickGolden(t, "E14", e14GoldenJSON, "events", "chrome", "lineage", "timeline", "openmetrics")
 }
 
 // TestQuickE16Golden pins quick E16 (LRU and LFU stores under capacity),
