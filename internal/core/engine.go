@@ -329,6 +329,9 @@ type Engine struct {
 
 	epoch   float64
 	horizon float64
+	// epochEvent is the one-event timeline that starts the measurement
+	// phase, held here so that attaching it allocates nothing.
+	epochEvent [1]eventsim.StaticEvent
 
 	rt         *Runtime
 	distEst    *centrality.DistributedEstimator // non-nil under KnowledgeDistributed
@@ -433,8 +436,9 @@ func (e *Engine) Run() (metrics.Result, error) {
 	// The converged estimator keeps learning past the epoch only when a
 	// periodic rebuild will read its counts again; otherwise the epoch
 	// snapshot is the last reader and post-epoch observation is dead work.
-	// Contacts at exactly the epoch run before the epoch event (lower seq)
-	// and land in its snapshot, so they always observe.
+	// Contacts at exactly the epoch run before the epoch event (their
+	// timeline is attached first) and land in its snapshot, so they always
+	// observe.
 	if e.cfg.RebuildInterval > 0 {
 		_, e.estObserveAll = e.cfg.Scheme.(Rebuilder)
 	}
@@ -478,9 +482,9 @@ func (e *Engine) Run() (metrics.Result, error) {
 		// is exact in any order.
 		depth := metrics.NewHist(obs.DepthBuckets())
 		defer e.rec.Metrics.MergeHist("eventsim/queue_depth", depth)
-		e.sim.SetProcessedHook(func(processed uint64, pending int) {
+		e.sim.SetProcessedHook(func(processed uint64) {
 			if processed%256 == 0 {
-				depth.Observe(float64(pending))
+				depth.Observe(float64(e.sim.Pending()))
 			}
 		})
 	}
@@ -489,8 +493,9 @@ func (e *Engine) Run() (metrics.Result, error) {
 	}
 
 	// The epoch event finalizes rates, selects caching nodes, initializes
-	// the scheme and schedules the measurement-phase machinery.
-	if err := e.sim.ScheduleAt(e.epoch, func(now float64) {
+	// the scheme and attaches the measurement phase's timelines.
+	e.epochEvent[0] = eventsim.StaticEvent{Time: e.epoch}
+	if err := e.sim.AttachTimeline(e.epochEvent[:], func(_ int32, now float64) {
 		if err := e.startMeasurement(estimator, now); err != nil {
 			e.initErr = err
 			e.sim.Stop()
@@ -640,46 +645,46 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 		if rb, ok := e.cfg.Scheme.(Rebuilder); ok {
 			// Rebuilds estimate rates over the window since the previous
 			// (re)build, so they track drift instead of averaging over
-			// every regime ever seen.
+			// every regime ever seen. They are attached as one timeline
+			// before the plan, so on equal times a rebuild runs first.
+			var rebuilds []eventsim.StaticEvent
+			for t := now + e.cfg.RebuildInterval; t < e.horizon; t += e.cfg.RebuildInterval {
+				rebuilds = append(rebuilds, eventsim.StaticEvent{Time: t})
+			}
 			lastCounts := est.Snapshot()
 			lastTime := now
-			for t := now + e.cfg.RebuildInterval; t < e.horizon; t += e.cfg.RebuildInterval {
-				if err := e.sim.ScheduleAt(t, func(tnow float64) {
-					cur := est.Snapshot()
-					fresh, err := centrality.RatesBetweenSnapshots(lastCounts, cur, tnow-lastTime)
-					if err != nil {
-						return
-					}
-					lastCounts, lastTime = cur, tnow
-					e.rt.Rates = fresh
-					if err := rb.Rebuild(e.rt); err != nil && e.initErr == nil {
-						e.initErr = err
-						e.sim.Stop()
-						return
-					}
-					// Responsibility for future versions now follows the
-					// rebuilt trees; one reassignment per item, rooted at
-					// its source.
-					for _, it := range e.cfg.Catalog.View() {
-						e.rec.Reassign(tnow, int32(it.Source), int32(it.ID))
-					}
-				}); err != nil {
-					return err
+			if err := e.sim.AttachTimeline(rebuilds, func(_ int32, tnow float64) {
+				cur := est.Snapshot()
+				fresh, err := centrality.RatesBetweenSnapshots(lastCounts, cur, tnow-lastTime)
+				if err != nil {
+					return
 				}
+				lastCounts, lastTime = cur, tnow
+				e.rt.Rates = fresh
+				if err := rb.Rebuild(e.rt); err != nil && e.initErr == nil {
+					e.initErr = err
+					e.sim.Stop()
+					return
+				}
+				// Responsibility for future versions now follows the
+				// rebuilt trees; one reassignment per item, rooted at its
+				// source.
+				for _, it := range e.cfg.Catalog.View() {
+					e.rec.Reassign(tnow, int32(it.Source), int32(it.ID))
+				}
+			}); err != nil {
+				return err
 			}
 		}
 	}
 
-	// Everything below is known in full at the epoch, so instead of one
-	// heap insertion (and one closure) per event it is compiled into a
-	// single static plan and attached as one timeline. Actions are
+	// Everything below is known in full at the epoch, so it is compiled
+	// into a single plan and attached as one timeline. Actions are
 	// appended as runs that are each already in time order: generations
 	// (one run per item, versions in order), freshness samples, timeline
 	// ticks, then query issues (one run per requester). Merging the runs'
 	// StaticEvent projection puts the earlier run first on equal times,
-	// the order the heap schedule gave when it was built in that order
-	// with the queries sorted by (time, requester), so the dispatch
-	// sequence is bit-for-bit what per-event scheduling produced.
+	// so equal-time actions run in that order, queries by requester.
 	plan := e.scratch.plan[:0]
 	runs := e.scratch.planRuns[:0]
 

@@ -7,13 +7,12 @@ import (
 )
 
 // Reuse bundles the worker-local run state an Engine can recycle across
-// consecutive runs instead of reallocating: the simulator (event slabs,
-// heap capacity, compiled-timeline cursors), the contact-rate estimator's
-// pair list and log, the bitset arena behind duty destination/relay
-// sets, the duty and relay-entry slabs, pointer-row pools, and the
-// pre-planned static event timeline. A sweep worker creates one Reuse
-// and passes it to every cell it runs; NewEngine resets it before wiring
-// it in.
+// consecutive runs instead of reallocating: the simulator (its list of
+// timeline cursors), the contact-rate estimator's pair list and log, the
+// bitset arena behind duty destination/relay sets, the duty and
+// relay-entry slabs, pointer-row pools, and the pre-planned measurement
+// timeline. A sweep worker creates one Reuse and passes it to every cell
+// it runs; NewEngine resets it before wiring it in.
 //
 // A Reuse must never be shared by two live engines: handing it to a new
 // Engine invalidates all state of the previous run, so callers must be

@@ -1,7 +1,6 @@
 package eventsim
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 )
@@ -12,133 +11,99 @@ func record(label string, now float64, arg int32) string {
 	return fmt.Sprintf("%s@%v#%d", label, now, arg)
 }
 
-func TestAttachTimelineValidation(t *testing.T) {
-	s := New()
-	if err := s.AttachTimeline(nil, nil); err != nil {
-		t.Fatalf("empty timeline: %v", err)
-	}
-	if s.Scheduled() != 0 {
-		t.Fatalf("empty attach consumed %d seqs", s.Scheduled())
-	}
-	if err := s.AttachTimeline([]StaticEvent{{Time: 1}}, nil); err == nil {
-		t.Fatal("nil dispatch accepted")
-	}
-	noop := func(int32, float64) {}
-	err := s.AttachTimeline([]StaticEvent{{Time: 2}, {Time: 1}}, noop)
-	if !errors.Is(err, ErrUnsorted) {
-		t.Fatalf("unsorted timeline: err = %v, want ErrUnsorted", err)
-	}
-	mustSchedule(t, s, 5, func(float64) {})
-	if _, err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	err = s.AttachTimeline([]StaticEvent{{Time: 3}}, noop)
-	if !errors.Is(err, ErrPastEvent) {
-		t.Fatalf("past timeline: err = %v, want ErrPastEvent", err)
-	}
+// scheduler is what buildMixed drives: the Simulator, or naiveScheduler,
+// its reference.
+type scheduler interface {
+	AttachTimeline(events []StaticEvent, dispatch Dispatch) error
+	Run(until float64) (float64, error)
+	Pending() int
+	Processed() uint64
 }
 
-func TestPendingCountsStaticRemains(t *testing.T) {
-	s := New()
-	tl := []StaticEvent{{Time: 1}, {Time: 2}, {Time: 6}, {Time: 7}}
-	if err := s.AttachTimeline(tl, func(int32, float64) {}); err != nil {
-		t.Fatal(err)
-	}
-	mustSchedule(t, s, 3, func(float64) {})
-	mustSchedule(t, s, 8, func(float64) {})
-	if s.Pending() != 6 {
-		t.Fatalf("pending = %d, want 6", s.Pending())
-	}
-	if _, err := s.Run(4); err != nil {
-		t.Fatal(err)
-	}
-	// Events at 1, 2, 3 ran; 6, 7 (static) and 8 (dynamic) remain.
-	if s.Pending() != 3 {
-		t.Fatalf("pending after partial run = %d, want 3", s.Pending())
-	}
-	if s.Processed() != 3 {
-		t.Fatalf("processed = %d, want 3", s.Processed())
-	}
+// naiveEvent is one attached event of naiveScheduler: its time, its
+// timeline's attach number and its index in that timeline.
+type naiveEvent struct {
+	time     float64
+	attach   int
+	index    int
+	arg      int32
+	dispatch Dispatch
 }
 
-func TestResetClearsEverything(t *testing.T) {
-	s := New()
-	s.SetProcessedHook(func(uint64, int) {})
-	mustSchedule(t, s, 1, func(float64) {})
-	mustSchedule(t, s, 9, func(float64) {})
-	if _, err := s.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	s.Reset()
-	noFreeHandlers(t, s)
-	if s.Now() != 0 || s.Pending() != 0 || s.Scheduled() != 0 || s.Processed() != 0 {
-		t.Fatalf("after Reset: now=%v pending=%d scheduled=%d processed=%d",
-			s.Now(), s.Pending(), s.Scheduled(), s.Processed())
-	}
-	// A fresh attach installs a cursor stream, not per-event heap entries.
-	var got []string
-	if err := s.AttachTimeline([]StaticEvent{{Time: 2, Arg: 7}}, func(arg int32, now float64) {
-		got = append(got, record("tl", now, arg))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if s.queue.Len() != 0 {
-		t.Fatalf("attach after Reset put %d events on the heap", s.queue.Len())
-	}
-	if _, err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "tl@2#7" {
-		t.Fatalf("reused simulator dispatched %v", got)
-	}
+// naiveScheduler is the reference the Simulator's cursor scan must match.
+// It keeps every attached event in one list and, at each step, runs the
+// pending event with the least (time, attach number, index).
+type naiveScheduler struct {
+	now       float64
+	pending   []naiveEvent
+	attached  int
+	processed uint64
 }
 
-// buildMixed replays one fuzz-derived schedule of timeline appends,
-// timeline attaches and dynamic events against a simulator and returns the
-// dispatch order. With reference set, each timeline is not attached but
-// fed to the heap through one ScheduleAt per event at the attach point:
-// the single-heap order the two-stream scheduler must reproduce.
+func (n *naiveScheduler) AttachTimeline(events []StaticEvent, dispatch Dispatch) error {
+	for i, ev := range events {
+		n.pending = append(n.pending, naiveEvent{ev.Time, n.attached, i, ev.Arg, dispatch})
+	}
+	n.attached++
+	return nil
+}
+
+func (n *naiveScheduler) Run(until float64) (float64, error) {
+	for len(n.pending) > 0 {
+		best := 0
+		for i, ev := range n.pending {
+			b := n.pending[best]
+			if ev.time < b.time || ev.time == b.time &&
+				(ev.attach < b.attach || ev.attach == b.attach && ev.index < b.index) {
+				best = i
+			}
+		}
+		ev := n.pending[best]
+		if ev.time > until {
+			break
+		}
+		n.pending = append(n.pending[:best], n.pending[best+1:]...)
+		n.now = ev.time
+		n.processed++
+		ev.dispatch(ev.arg, n.now)
+	}
+	n.now = max(n.now, until)
+	return n.now, nil
+}
+
+func (n *naiveScheduler) Pending() int      { return len(n.pending) }
+func (n *naiveScheduler) Processed() uint64 { return n.processed }
+
+// buildMixed replays one fuzz-derived program of timeline attaches against
+// s and returns the dispatch order.
 //
 // Byte decoding (per op byte b): kind = b%4, time = float64((b/4)%8).
 //   - kind 0/1: append an event at `time` (clamped non-decreasing) to the
 //     pending A/B timeline builder;
-//   - kind 2: ScheduleAt a dynamic event at `time` (clamped >= now of
-//     attach-order program flow, i.e. always >= 0 pre-run); odd times
-//     reschedule a follow-up at the same instant when they fire, so
-//     in-run dynamic ties against static cursors are exercised too;
-//   - kind 3: attach the pending A builder as its own timeline (consuming
-//     a seq block mid-stream) and start a new builder.
+//   - kind 2: attach a one-event timeline at `time`; at odd times its
+//     dispatch attaches, mid-run, a timeline of two events at the current
+//     instant and one second later, so ties between timelines attached
+//     before the run and during it are exercised too;
+//   - kind 3: attach the pending A builder as its own timeline and start
+//     a new builder.
 //
 // Any builders left over are attached at the end, then the run happens in
 // two legs (horizon 4.0, then 100) to cross the horizon with live
 // cursors.
-func buildMixed(t *testing.T, data []byte, reference bool) (order []string, pendingAtHorizon int, processed uint64) {
+func buildMixed(t *testing.T, data []byte, s scheduler) (order []string, pendingAtHorizon int, processed uint64) {
 	t.Helper()
-	s := New()
 	dispatchFor := func(label string) Dispatch {
 		return func(arg int32, now float64) {
 			order = append(order, record(label, now, arg))
 		}
 	}
-	var bldA, bldB []StaticEvent
-	nTimelines := 0
-	attach := func(events []StaticEvent, label string) {
-		if len(events) == 0 {
-			return
-		}
-		dispatch := dispatchFor(label)
-		if !reference {
-			if err := s.AttachTimeline(events, dispatch); err != nil {
-				t.Fatalf("attach %s: %v", label, err)
-			}
-			return
-		}
-		for _, ev := range events {
-			if err := s.ScheduleAt(ev.Time, func(now float64) { dispatch(ev.Arg, now) }); err != nil {
-				t.Fatalf("schedule %s: %v", label, err)
-			}
+	attach := func(events []StaticEvent, d Dispatch) {
+		if err := s.AttachTimeline(events, d); err != nil {
+			t.Fatalf("attach %v: %v", events, err)
 		}
 	}
+	var bldA, bldB []StaticEvent
+	nTimelines := 0
 	clampAppend := func(bld []StaticEvent, tm float64, arg int32) []StaticEvent {
 		if n := len(bld); n > 0 && tm < bld[n-1].Time {
 			tm = bld[n-1].Time
@@ -158,26 +123,20 @@ func buildMixed(t *testing.T, data []byte, reference bool) (order []string, pend
 			bldB = clampAppend(bldB, tm, arg)
 		case 2:
 			odd := int(tm)%2 == 1
-			if err := s.ScheduleAt(tm, func(now float64) {
-				order = append(order, record("dyn", now, arg))
+			attach([]StaticEvent{{Time: tm, Arg: arg}}, func(arg int32, now float64) {
+				order = append(order, record("one", now, arg))
 				if odd {
-					if err := s.ScheduleAt(now, func(now float64) {
-						order = append(order, record("dyn+", now, arg))
-					}); err != nil {
-						t.Errorf("in-run reschedule: %v", err)
-					}
+					attach([]StaticEvent{{Time: now, Arg: arg}, {Time: now + 1, Arg: arg}}, dispatchFor("child"))
 				}
-			}); err != nil {
-				t.Fatalf("ScheduleAt(%v): %v", tm, err)
-			}
+			})
 		case 3:
-			attach(bldA, fmt.Sprintf("tl%d", nTimelines))
+			attach(bldA, dispatchFor(fmt.Sprintf("tl%d", nTimelines)))
 			nTimelines++
 			bldA = nil
 		}
 	}
-	attach(bldA, fmt.Sprintf("tl%d", nTimelines))
-	attach(bldB, "tlB")
+	attach(bldA, dispatchFor(fmt.Sprintf("tl%d", nTimelines)))
+	attach(bldB, dispatchFor("tlB"))
 	if _, err := s.Run(4); err != nil {
 		t.Fatal(err)
 	}
@@ -188,23 +147,24 @@ func buildMixed(t *testing.T, data []byte, reference bool) (order []string, pend
 	return order, pendingAtHorizon, s.Processed()
 }
 
-// FuzzStaticDynamicTieBreak is the differential oracle for the two-stream
-// scheduler: any interleaving of timeline attaches and dynamic events —
-// with heavy equal-time collisions by construction (times live in 0..7) —
-// must dispatch in exactly the order buildMixed's single-heap reference
+// FuzzStaticDynamicTieBreak is the differential oracle for the
+// Simulator's cursor scan: any program of timelines attached before the
+// run and during it, with heavy equal-time collisions by construction
+// (times live in 0..8), must dispatch in exactly the order naiveScheduler
 // produces, with identical horizon-pending counts and processed totals.
 func FuzzStaticDynamicTieBreak(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3})
-	// Ties everywhere: appends and dynamics all at t=1 (b/4 == 1).
+	// Ties everywhere: appends and one-event timelines all at t=1
+	// (b/4 == 1), the odd time that attaches mid-run.
 	f.Add([]byte{4, 5, 6, 4, 5, 6, 7, 4, 6})
 	// Multiple mid-stream attaches splitting timeline A.
 	f.Add([]byte{0, 8, 3, 16, 24, 3, 2, 10, 18, 1, 9, 17})
-	// Odd dynamic times trigger same-instant in-run reschedules.
+	// Odd one-event times attach at the current instant mid-run.
 	f.Add([]byte{6, 14, 22, 30, 5, 13, 21, 29, 3, 6, 14})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, gotPend, gotProc := buildMixed(t, data, false)
-		want, wantPend, wantProc := buildMixed(t, data, true)
+		got, gotPend, gotProc := buildMixed(t, data, New())
+		want, wantPend, wantProc := buildMixed(t, data, &naiveScheduler{})
 		if len(got) != len(want) {
 			t.Fatalf("dispatched %d events, reference %d\n got: %v\nwant: %v",
 				len(got), len(want), got, want)

@@ -7,19 +7,26 @@ import (
 	"testing/quick"
 )
 
-func mustSchedule(t *testing.T, s *Simulator, at float64, h Handler) {
+// mustAttach attaches a timeline of events at the given times, Arg i for
+// the i-th, dispatching to d.
+func mustAttach(t *testing.T, s *Simulator, d Dispatch, times ...float64) {
 	t.Helper()
-	if err := s.ScheduleAt(at, h); err != nil {
-		t.Fatalf("ScheduleAt(%v): %v", at, err)
+	events := make([]StaticEvent, len(times))
+	for i, at := range times {
+		events[i] = StaticEvent{Time: at, Arg: int32(i)}
+	}
+	if err := s.AttachTimeline(events, d); err != nil {
+		t.Fatalf("AttachTimeline(%v): %v", times, err)
 	}
 }
+
+func noop(int32, float64) {}
 
 func TestRunsInTimeOrder(t *testing.T) {
 	s := New()
 	var got []float64
 	for _, at := range []float64{5, 1, 3, 2, 4} {
-		at := at
-		mustSchedule(t, s, at, func(now float64) { got = append(got, now) })
+		mustAttach(t, s, func(_ int32, now float64) { got = append(got, now) }, at)
 	}
 	end, err := s.Run(100)
 	if err != nil {
@@ -29,6 +36,9 @@ func TestRunsInTimeOrder(t *testing.T) {
 		t.Fatalf("end = %v, want 100", end)
 	}
 	want := []float64{1, 2, 3, 4, 5}
+	if len(got) != len(want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order = %v, want %v", got, want)
@@ -36,19 +46,25 @@ func TestRunsInTimeOrder(t *testing.T) {
 	}
 }
 
+// On equal times the timeline attached first runs first, and within one
+// timeline the earlier entry.
 func TestTiesRunInSchedulingOrder(t *testing.T) {
 	s := New()
 	var got []int
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 5; i++ {
 		i := i
-		mustSchedule(t, s, 7, func(float64) { got = append(got, i) })
+		mustAttach(t, s, func(arg int32, _ float64) { got = append(got, 10*i+int(arg)) }, 7, 7)
 	}
 	if _, err := s.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("tie order = %v", got)
+	want := []int{0, 1, 10, 11, 20, 21, 30, 31, 40, 41}
+	if len(got) != len(want) {
+		t.Fatalf("tie order = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("tie order = %v, want %v", got, want)
 		}
 	}
 }
@@ -56,7 +72,7 @@ func TestTiesRunInSchedulingOrder(t *testing.T) {
 func TestHorizonLeavesFutureEventsQueued(t *testing.T) {
 	s := New()
 	ran := false
-	mustSchedule(t, s, 50, func(float64) { ran = true })
+	mustAttach(t, s, func(int32, float64) { ran = true }, 50)
 	end, err := s.Run(10)
 	if err != nil {
 		t.Fatal(err)
@@ -79,12 +95,14 @@ func TestHorizonLeavesFutureEventsQueued(t *testing.T) {
 func TestScheduleFromHandler(t *testing.T) {
 	s := New()
 	var seq []float64
-	mustSchedule(t, s, 1, func(now float64) {
+	mustAttach(t, s, func(_ int32, now float64) {
 		seq = append(seq, now)
-		if err := s.ScheduleAt(now+2, func(now float64) { seq = append(seq, now) }); err != nil {
-			t.Errorf("nested schedule: %v", err)
+		if err := s.AttachTimeline([]StaticEvent{{Time: now + 2}}, func(_ int32, now float64) {
+			seq = append(seq, now)
+		}); err != nil {
+			t.Errorf("nested attach: %v", err)
 		}
-	})
+	}, 1)
 	if _, err := s.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -93,55 +111,78 @@ func TestScheduleFromHandler(t *testing.T) {
 	}
 }
 
+// A dispatch may attach a timeline at the current time, as the engine
+// attaches its measurement plan at the epoch: it runs after every
+// equal-time event of the timelines attached before it.
 func TestScheduleAtCurrentTimeFromHandler(t *testing.T) {
 	s := New()
 	var order []string
-	mustSchedule(t, s, 2, func(now float64) {
+	mustAttach(t, s, func(_ int32, now float64) {
 		order = append(order, "a")
-		if err := s.ScheduleAt(now, func(float64) { order = append(order, "b") }); err != nil {
-			t.Errorf("same-time schedule: %v", err)
+		if err := s.AttachTimeline([]StaticEvent{{Time: now}}, func(int32, float64) {
+			order = append(order, "b")
+		}); err != nil {
+			t.Errorf("same-time attach: %v", err)
 		}
-	})
-	mustSchedule(t, s, 2, func(float64) { order = append(order, "c") })
+	}, 2)
+	mustAttach(t, s, func(int32, float64) { order = append(order, "c") }, 2)
 	if _, err := s.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	// "c" was scheduled before "b", so ties run a, c, b.
+	// "c" was attached before "b", so the ties run a, c, b.
 	if len(order) != 3 || order[0] != "a" || order[1] != "c" || order[2] != "b" {
 		t.Fatalf("order = %v", order)
 	}
 }
 
+func TestAttachTimelineValidation(t *testing.T) {
+	s := New()
+	if err := s.AttachTimeline(nil, nil); err != nil {
+		t.Fatalf("empty timeline: %v", err)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("empty attach left %d pending", s.Pending())
+	}
+	err := s.AttachTimeline([]StaticEvent{{Time: 2}, {Time: 1}}, noop)
+	if !errors.Is(err, ErrUnsorted) {
+		t.Fatalf("unsorted timeline: err = %v, want ErrUnsorted", err)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("rejected attach left %d pending", s.Pending())
+	}
+}
+
 func TestPastSchedulingRejected(t *testing.T) {
 	s := New()
-	mustSchedule(t, s, 5, func(float64) {})
+	mustAttach(t, s, noop, 5)
 	if _, err := s.Run(10); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ScheduleAt(3, func(float64) {}); !errors.Is(err, ErrPastEvent) {
-		t.Fatalf("err = %v, want ErrPastEvent", err)
+	err := s.AttachTimeline([]StaticEvent{{Time: 3}}, noop)
+	if !errors.Is(err, ErrPastEvent) {
+		t.Fatalf("past timeline: err = %v, want ErrPastEvent", err)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("rejected attach left %d pending", s.Pending())
 	}
 }
 
 func TestNilHandlerRejected(t *testing.T) {
 	s := New()
-	if err := s.ScheduleAt(1, nil); err == nil {
-		t.Fatal("nil handler accepted")
+	if err := s.AttachTimeline([]StaticEvent{{Time: 1}}, nil); err == nil {
+		t.Fatal("nil dispatch accepted")
 	}
 }
 
 func TestStop(t *testing.T) {
 	s := New()
 	count := 0
-	for i := 1; i <= 5; i++ {
-		at := float64(i)
-		mustSchedule(t, s, at, func(float64) {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
+	mustAttach(t, s, func(int32, float64) {
+		count++
+		if count == 3 {
+			s.Stop()
+		}
+	}, 1, 2, 3, 4, 5)
 	end, err := s.Run(10)
 	if err != nil {
 		t.Fatal(err)
@@ -152,23 +193,63 @@ func TestStop(t *testing.T) {
 	if end != 3 {
 		t.Fatalf("end = %v, want 3 (time of the stopping event)", end)
 	}
+	if s.Pending() != 2 {
+		t.Fatalf("pending after Stop = %d, want 2", s.Pending())
+	}
 }
 
 func TestProcessedCount(t *testing.T) {
 	s := New()
-	for i := 0; i < 7; i++ {
-		mustSchedule(t, s, float64(i), func(float64) {})
-	}
+	var hooked []uint64
+	s.SetProcessedHook(func(processed uint64) { hooked = append(hooked, processed) })
+	mustAttach(t, s, noop, 0, 1, 2)
+	mustAttach(t, s, noop, 3, 4, 5, 6)
 	if _, err := s.Run(100); err != nil {
 		t.Fatal(err)
 	}
 	if s.Processed() != 7 {
 		t.Fatalf("processed = %d, want 7", s.Processed())
 	}
+	if len(hooked) != 7 || hooked[0] != 1 || hooked[6] != 7 {
+		t.Fatalf("hook saw %v, want 1 to 7", hooked)
+	}
 }
 
-// Property: for any batch of event times, execution order is the sorted
-// order of the times.
+func TestPendingCountsStaticRemains(t *testing.T) {
+	s := New()
+	mustAttach(t, s, noop, 1, 2, 6, 7)
+	mustAttach(t, s, noop, 3, 8)
+	if s.Pending() != 6 {
+		t.Fatalf("pending = %d, want 6", s.Pending())
+	}
+	if _, err := s.Run(4); err != nil {
+		t.Fatal(err)
+	}
+	// Events at 1, 2 and 3 ran; 6, 7 and 8 remain.
+	if s.Pending() != 3 {
+		t.Fatalf("pending after partial run = %d, want 3", s.Pending())
+	}
+	if s.Processed() != 3 {
+		t.Fatalf("processed = %d, want 3", s.Processed())
+	}
+}
+
+// Every attached event is processed or pending: the fifth lies beyond
+// the horizon, attached but never processed.
+func TestScheduledAndProcessedCounters(t *testing.T) {
+	s := New()
+	mustAttach(t, s, noop, 1, 2, 3, 4, 5)
+	if _, err := s.Run(4.5); err != nil {
+		t.Fatal(err)
+	}
+	if s.Processed() != 4 || s.Pending() != 1 {
+		t.Fatalf("processed = %d, pending = %d, want 4 and 1", s.Processed(), s.Pending())
+	}
+}
+
+// Property: for any batch of event times, each attached as its own
+// timeline in arbitrary order, execution order is the sorted order of the
+// times.
 func TestExecutionOrderProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		s := New()
@@ -176,8 +257,9 @@ func TestExecutionOrderProperty(t *testing.T) {
 		var got []float64
 		for i, r := range raw {
 			times[i] = float64(r)
-			at := times[i]
-			if err := s.ScheduleAt(at, func(now float64) { got = append(got, now) }); err != nil {
+			if err := s.AttachTimeline([]StaticEvent{{Time: times[i]}}, func(_ int32, now float64) {
+				got = append(got, now)
+			}); err != nil {
 				return false
 			}
 		}
@@ -203,9 +285,7 @@ func TestExecutionOrderProperty(t *testing.T) {
 func TestReentrantRunRejected(t *testing.T) {
 	s := New()
 	var nested error
-	mustSchedule(t, s, 1, func(float64) {
-		_, nested = s.Run(10)
-	})
+	mustAttach(t, s, func(int32, float64) { _, nested = s.Run(10) }, 1)
 	if _, err := s.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -214,22 +294,30 @@ func TestReentrantRunRejected(t *testing.T) {
 	}
 }
 
-func TestScheduledAndProcessedCounters(t *testing.T) {
+func TestResetClearsEverything(t *testing.T) {
 	s := New()
-	for i := 0; i < 5; i++ {
-		mustSchedule(t, s, float64(i+1), func(float64) {})
-	}
-	if s.Scheduled() != 5 {
-		t.Fatalf("scheduled = %d, want 5", s.Scheduled())
-	}
-	// The fifth event lies beyond the horizon: scheduled, never processed.
-	if _, err := s.Run(4.5); err != nil {
+	hooked := false
+	s.SetProcessedHook(func(uint64) { hooked = true })
+	mustAttach(t, s, noop, 1, 9)
+	if _, err := s.Run(5); err != nil {
 		t.Fatal(err)
 	}
-	if s.Processed() != 4 {
-		t.Fatalf("processed = %d, want 4", s.Processed())
+	s.Reset()
+	if s.Now() != 0 || s.Pending() != 0 || s.Processed() != 0 {
+		t.Fatalf("after Reset: now=%v pending=%d processed=%d", s.Now(), s.Pending(), s.Processed())
 	}
-	if s.Scheduled() != 5 {
-		t.Fatalf("scheduled after run = %d, want 5", s.Scheduled())
+	// The rewound simulator accepts a timeline at time zero again and no
+	// longer calls the cleared hook.
+	hooked = false
+	var got []float64
+	mustAttach(t, s, func(_ int32, now float64) { got = append(got, now) }, 0, 2)
+	if _, err := s.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("reused simulator dispatched %v, want [0 2]", got)
+	}
+	if hooked {
+		t.Fatal("processed hook survived Reset")
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"testing"
 )
 
-// The claims EXPERIMENTS.md makes about E1, E5, E6, E9, E10, E14, E16,
-// E17, E19 and E21, and its headline claim 3, checked against the
+// The claims EXPERIMENTS.md makes about E1, E5, E6, E9 to E21, and its
+// headline claim 3, checked against the
 // committed seed-42 tables in results/. Each ordering, trend, ratio range
 // and quoted number is one assertion that names its table and tolerance:
 // a quoted number must lie within half a unit of its last quoted digit,
@@ -229,6 +229,7 @@ func TestClaimsE6(t *testing.T) {
 	}
 	tb := readResult(t, "e6_0.csv")
 	quoted(t, "e6_0.csv", "epidemic's CDF at 2 windows", tb.at(t, "epidemic", "2"), 0.966, 0.0005)
+	quoted(t, "e6_0.csv", "epidemic's deliveries past the lifetime (%)", 100*(1-tb.at(t, "epidemic", "2")), 3.4, 0.05)
 	h, n := tb.at(t, "hierarchical", "0.25"), tb.at(t, "hierarchical-norep", "0.25")
 	holds(t, "e6_0.csv", "hierarchical's CDF starts below hierarchical-norep's", h < n, h, n)
 
@@ -325,6 +326,90 @@ func TestClaimsE10(t *testing.T) {
 	holds(t, name, "freshness falls with every doubling of the network", increasing(fresh), fresh)
 }
 
+func TestClaimsE11(t *testing.T) {
+	schemes := []string{"direct", "hierarchical", "epidemic"}
+	for _, name := range []string{"e11_0.csv", "e11_1.csv"} {
+		tb := readResult(t, name)
+		for _, s := range schemes {
+			xs := tb.column(t, s)
+			slices.Reverse(xs)
+			holds(t, name, s+"'s freshness falls with every step", increasing(xs), xs)
+		}
+		for _, row := range tb.rows {
+			d, h, e := tb.num(t, row[1]), tb.num(t, row[2]), tb.num(t, row[3])
+			holds(t, name, "direct < hierarchical < epidemic at "+tb.header[0]+" "+row[0], d < h && h < e, d, h, e)
+		}
+	}
+	loss := readResult(t, "e11_1.csv")
+	const lossName = "e11_1.csv"
+	quoted(t, lossName, "hierarchical without loss", loss.at(t, "hierarchical", "0"), 0.4037, 0.00005)
+	quoted(t, lossName, "hierarchical at 50% loss", loss.at(t, "hierarchical", "0.5"), 0.2108, 0.00005)
+	quoted(t, lossName, "direct without loss", loss.at(t, "direct", "0"), 0.1774, 0.00005)
+	quoted(t, lossName, "direct at 50% loss", loss.at(t, "direct", "0.5"), 0.1172, 0.00005)
+	quoted(t, lossName, "hierarchical/direct at 50% loss", loss.at(t, "hierarchical", "0.5")/loss.at(t, "direct", "0.5"), 1.8, 0.05)
+	churn := readResult(t, "e11_0.csv")
+	const churnName = "e11_0.csv"
+	for _, q := range []struct {
+		scheme string
+		want   float64
+	}{{"direct", 0.0134}, {"hierarchical", 0.0180}, {"epidemic", 0.0198}} {
+		got := churn.at(t, q.scheme, "0.25")
+		quoted(t, churnName, q.scheme+" at duty cycle 0.25", got, q.want, 0.00005)
+		holds(t, churnName, q.scheme+" below 0.02 at duty cycle 0.25", got < 0.02, got)
+	}
+}
+
+func TestClaimsE12(t *testing.T) {
+	tb := readResult(t, "e12_0.csv")
+	const name = "e12_0.csv"
+	for _, s := range []string{"direct-rep", "hierarchical"} {
+		o, d := tb.at(t, "freshness", s, "oracle"), tb.at(t, "freshness", s, "distributed")
+		ci := math.Min(tb.at(t, "freshCI95", s, "oracle"), tb.at(t, "freshCI95", s, "distributed"))
+		holds(t, name, s+": distributed knowledge moves freshness by less than either CI95", math.Abs(d-o) < ci, o, d, ci)
+	}
+	quoted(t, name, "hierarchical oracle freshness", tb.at(t, "freshness", "hierarchical", "oracle"), 0.4037, 0.00005)
+	quoted(t, name, "hierarchical distributed freshness", tb.at(t, "freshness", "hierarchical", "distributed"), 0.4168, 0.00005)
+	quoted(t, name, "hierarchical oracle CI95", tb.at(t, "freshCI95", "hierarchical", "oracle"), 0.031, 0.0005)
+	quoted(t, name, "hierarchical distributed CI95", tb.at(t, "freshCI95", "hierarchical", "distributed"), 0.027, 0.0005)
+	quoted(t, name, "direct-rep oracle freshness", tb.at(t, "freshness", "direct-rep", "oracle"), 0.3766, 0.00005)
+	quoted(t, name, "direct-rep distributed freshness", tb.at(t, "freshness", "direct-rep", "distributed"), 0.3825, 0.00005)
+}
+
+func TestClaimsE13(t *testing.T) {
+	tb := readResult(t, "e13_0.csv")
+	const name = "e13_0.csv"
+	// The prose table quotes every cell as the CSV prints it.
+	for _, q := range []struct {
+		scheme                    string
+		fresh, valid, tx, share   float64
+		freshTol, validTol, txTol float64
+	}{
+		{"norefresh", 0.002867, 0.5838, 0.03728, 1, 5e-7, 5e-5, 5e-6},
+		{"direct", 0.1774, 0.9396, 1.614, 1, 5e-5, 5e-5, 5e-4},
+		{"direct-rep", 0.3766, 0.9869, 10.74, 0.6899, 5e-5, 5e-5, 5e-3},
+		{"spray", 0.5271, 0.992, 12.31, 0.351, 5e-5, 5e-4, 5e-3},
+		{"random-rep", 0.3381, 0.9871, 8.601, 0.3002, 5e-5, 5e-5, 5e-4},
+		{"hierarchical-norep", 0.2064, 0.9614, 2.785, 0.4521, 5e-5, 5e-5, 5e-4},
+		{"hierarchical", 0.4037, 0.9909, 12.63, 0.234, 5e-5, 5e-5, 5e-3},
+		{"epidemic", 0.7405, 0.9952, 38.58, 0.1473, 5e-5, 5e-5, 5e-3},
+	} {
+		quoted(t, name, q.scheme+" freshness", tb.at(t, "freshness", q.scheme), q.fresh, q.freshTol)
+		quoted(t, name, q.scheme+" validAccess", tb.at(t, "validAccess", q.scheme), q.valid, q.validTol)
+		quoted(t, name, q.scheme+" tx/version", tb.at(t, "tx/version", q.scheme), q.tx, q.txTol)
+		quoted(t, name, q.scheme+" sourceTxShare", tb.at(t, "sourceTxShare", q.scheme), q.share, 5e-5)
+	}
+	f := func(s string) float64 { return tb.at(t, "freshness", s) }
+	tx := func(s string) float64 { return tb.at(t, "tx/version", s) }
+	holds(t, name, "random-rep is less fresh than hierarchical", f("random-rep") < f("hierarchical"))
+	holds(t, name, "random-rep sends fewer transmissions than hierarchical", tx("random-rep") < tx("hierarchical"))
+	quoted(t, name, "hierarchical's freshness over random-rep's", f("hierarchical")-f("random-rep"), 0.066, 0.0005)
+	quoted(t, name, "hierarchical's extra tx/version over random-rep's", tx("hierarchical")-tx("random-rep"), 4.0, 0.05)
+	quoted(t, name, "random-rep freshness per tx/version", f("random-rep")/tx("random-rep"), 0.039, 0.0005)
+	quoted(t, name, "hierarchical freshness per tx/version", f("hierarchical")/tx("hierarchical"), 0.032, 0.0005)
+	quoted(t, name, "spray freshness per tx/version", f("spray")/tx("spray"), 0.043, 0.0005)
+	holds(t, name, "spray beats hierarchical on freshness", f("spray") > f("hierarchical"))
+}
+
 func TestClaimsE14(t *testing.T) {
 	tb := readResult(t, "e14_0.csv")
 	const name = "e14_0.csv"
@@ -337,6 +422,50 @@ func TestClaimsE14(t *testing.T) {
 	holds(t, name, "tx/version rises as rebuilds get more frequent", increasing(tx), tx)
 	quoted(t, name, "static tx/version", tx[0], 6.3, 0.05)
 	quoted(t, name, "daily-rebuild tx/version", tx[3], 11.3, 0.05)
+}
+
+func TestClaimsE15(t *testing.T) {
+	tb := readResult(t, "e15_0.csv")
+	const name = "e15_0.csv"
+	for _, s := range []string{"direct", "hierarchical"} {
+		for _, col := range []string{"freshness", "validAccess"} {
+			r := tb.at(t, col, "random", s)
+			for _, p := range []string{"top-centrality", "greedy-coverage"} {
+				v := tb.at(t, col, p, s)
+				holds(t, name, s+": "+p+" beats random on "+col, v > r, v, r)
+			}
+		}
+	}
+	for _, q := range []struct {
+		placement    string
+		fresh, valid float64
+	}{{"greedy-coverage", 0.4037, 0.9904}, {"top-centrality", 0.4533, 0.9932}, {"random", 0.3746, 0.9833}} {
+		quoted(t, name, q.placement+" hierarchical freshness", tb.at(t, "freshness", q.placement, "hierarchical"), q.fresh, 0.00005)
+		quoted(t, name, q.placement+" hierarchical validAccess", tb.at(t, "validAccess", q.placement, "hierarchical"), q.valid, 0.00005)
+	}
+	h := func(col, p string) float64 { return tb.at(t, col, p, "hierarchical") }
+	lead := h("freshness", "greedy-coverage") - h("freshness", "random")
+	quoted(t, name, "greedy-coverage's hierarchical freshness lead over random", lead, 0.029, 0.0005)
+	quoted(t, name, "greedy-coverage hierarchical CI95", h("freshCI95", "greedy-coverage"), 0.031, 0.0005)
+	quoted(t, name, "random hierarchical CI95", h("freshCI95", "random"), 0.036, 0.0005)
+	holds(t, name, "that lead is inside both CI95s", lead < h("freshCI95", "greedy-coverage") && lead < h("freshCI95", "random"))
+	for _, col := range []string{"freshness", "validAccess"} {
+		holds(t, name, "hierarchical: top-centrality beats greedy-coverage on "+col, h(col, "top-centrality") > h(col, "greedy-coverage"))
+	}
+	quoted(t, name, "top-centrality's hierarchical freshness lead over greedy-coverage",
+		h("freshness", "top-centrality")-h("freshness", "greedy-coverage"), 0.050, 0.0005)
+	d := func(col, p string) float64 { return tb.at(t, col, p, "direct") }
+	holds(t, name, "direct: greedy-coverage is fresher than top-centrality", d("freshness", "greedy-coverage") > d("freshness", "top-centrality"))
+	holds(t, name, "direct: top-centrality serves more valid queries", d("validAccess", "top-centrality") > d("validAccess", "greedy-coverage"))
+	quoted(t, name, "direct greedy-coverage freshness", d("freshness", "greedy-coverage"), 0.1774, 0.00005)
+	quoted(t, name, "direct top-centrality freshness", d("freshness", "top-centrality"), 0.1681, 0.00005)
+	quoted(t, name, "direct top-centrality validAccess", d("validAccess", "top-centrality"), 0.9526, 0.00005)
+	quoted(t, name, "direct greedy-coverage validAccess", d("validAccess", "greedy-coverage"), 0.9369, 0.00005)
+	var worstHier, bestDirect = 1.0, 0.0
+	for _, p := range []string{"random", "top-centrality", "greedy-coverage"} {
+		worstHier, bestDirect = math.Min(worstHier, h("freshness", p)), math.Max(bestDirect, d("freshness", p))
+	}
+	holds(t, name, "hierarchical under the worst placement beats direct under the best", worstHier > bestDirect, worstHier, bestDirect)
 }
 
 func TestClaimsE16(t *testing.T) {
@@ -375,6 +504,35 @@ func TestClaimsE17(t *testing.T) {
 	quoted(t, name, "reality-like absGap", tb.at(t, "absGap", "reality-like"), 0.037, 0.0005)
 }
 
+func TestClaimsE18(t *testing.T) {
+	tb := readResult(t, "e18_0.csv")
+	const name = "e18_0.csv"
+	relays := []string{"0", "1", "3"}
+	for _, s := range []string{"direct", "hierarchical"} {
+		var answered, delay []float64
+		for _, q := range relays {
+			answered = append(answered, tb.at(t, "answered", s, q))
+			delay = append(delay, tb.at(t, "accessDelay(h)", s, q))
+		}
+		slices.Reverse(delay)
+		holds(t, name, s+": answered rises with every added relay", increasing(answered), answered)
+		holds(t, name, s+": access delay falls with every added relay", increasing(delay), delay)
+	}
+	quoted(t, name, "direct answered without delegation", tb.at(t, "answered", "direct", "0"), 0.9359, 0.00005)
+	quoted(t, name, "direct answered at Q=3", tb.at(t, "answered", "direct", "3"), 0.9775, 0.00005)
+	quoted(t, name, "direct access delay without delegation (h)", tb.at(t, "accessDelay(h)", "direct", "0"), 8.127, 0.0005)
+	quoted(t, name, "direct access delay at Q=3 (h)", tb.at(t, "accessDelay(h)", "direct", "3"), 3.882, 0.0005)
+	quoted(t, name, "direct query transmissions per query at Q=3", tb.at(t, "queryTx/query", "direct", "3"), 2.3, 0.05)
+	quoted(t, name, "hierarchical access delay without delegation (h)", tb.at(t, "accessDelay(h)", "hierarchical", "0"), 1.5, 0.05)
+	quoted(t, name, "hierarchical access delay at Q=3 (h)", tb.at(t, "accessDelay(h)", "hierarchical", "3"), 1.0, 0.05)
+	quoted(t, name, "hierarchical answered without delegation", tb.at(t, "answered", "hierarchical", "0"), 0.9925, 0.00005)
+	for _, col := range []string{"answered", "accessDelay(h)"} {
+		gain := func(s string) float64 { return math.Abs(tb.at(t, col, s, "3") - tb.at(t, col, s, "0")) }
+		holds(t, name, "delegation moves "+col+" less under hierarchical than under direct",
+			gain("hierarchical") < gain("direct"), gain("hierarchical"), gain("direct"))
+	}
+}
+
 func TestClaimsE19(t *testing.T) {
 	// Reality-like's measurement phase is 21 days, so its 21 daily
 	// buckets are whole; infocom-like's is 2.8 days, whose last half-day
@@ -406,6 +564,26 @@ func TestClaimsE19(t *testing.T) {
 	tb := readResult(t, "e19_1.csv")
 	h := tb.column(t, "hierarchical")
 	holds(t, "e19_1.csv", "the last, partial bucket reads highest for hierarchical", h[len(h)-1] > slices.Max(h[:len(h)-1]), h)
+}
+
+func TestClaimsE20(t *testing.T) {
+	tb := readResult(t, "e20_0.csv")
+	const name = "e20_0.csv"
+	quoted(t, name, "fanout 1 mean tree depth", tb.at(t, "meanTreeDepth", "1"), 6, 0)
+	quoted(t, name, "fanout 1 freshness", tb.at(t, "freshness", "1"), 0.2952, 0.00005)
+	quoted(t, name, "fanout 3 freshness", tb.at(t, "freshness", "3"), 0.4037, 0.00005)
+	quoted(t, name, "freshness fanout 1 costs against fanout 3",
+		tb.at(t, "freshness", "3")-tb.at(t, "freshness", "1"), 0.11, 0.005)
+	quoted(t, name, "fanout 1 sourceTxShare", tb.at(t, "sourceTxShare", "1"), 0.1396, 0.00005)
+	share := tb.column(t, "sourceTxShare")
+	holds(t, name, "fanout 1 puts the least load on the source", share[0] == slices.Min(share) && share[0] < share[1], share)
+	fresh := tb.column(t, "freshness")
+	holds(t, name, "freshness rises up to the default fanout 3", increasing(fresh[:3]), fresh)
+	for _, f := range []string{"5", "8"} {
+		for _, col := range tb.header[1:] {
+			holds(t, name, "fanout "+f+" reads as fanout 3 in "+col, tb.cell(t, col, f) == tb.cell(t, col, "3"))
+		}
+	}
 }
 
 func TestClaimsE21(t *testing.T) {

@@ -84,7 +84,7 @@ func TestChurnSuppressesContacts(t *testing.T) {
 	}
 	fired := 0
 	net.Attach(HandlerFunc(func(*Contact) { fired++ }))
-	if err := net.Schedule(); err != nil {
+	if err := net.ScheduleCompiled(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(1e9); err != nil {
@@ -134,7 +134,7 @@ func TestMessageLoss(t *testing.T) {
 			delivered++
 		}
 	}))
-	if err := net.Schedule(); err != nil {
+	if err := net.ScheduleCompiled(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(1e9); err != nil {
@@ -173,7 +173,7 @@ func TestLossConsumesBudget(t *testing.T) {
 			}
 		}
 	}))
-	if err := net.Schedule(); err != nil {
+	if err := net.ScheduleCompiled(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(1e9); err != nil {

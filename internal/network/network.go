@@ -175,12 +175,12 @@ func (n *Net) Attach(h Handler) {
 	n.handlers = append(n.handlers, h)
 }
 
-// CompileTimeline compiles a trace's contacts into the static timeline
-// the two-stream scheduler replays: one entry per contact in start order,
-// with Arg = contact index. The result is immutable and may be shared
-// read-only across any number of Nets replaying the same trace (the
-// sweep's TraceCache compiles once per trace and shares it across
-// replicates and cells).
+// CompileTimeline compiles a trace's contacts into the timeline the
+// simulator replays: one entry per contact in start order, with Arg =
+// contact index. The result is immutable and may be shared read-only
+// across any number of Nets replaying the same trace (the sweep's
+// TraceCache compiles once per trace and shares it across replicates and
+// cells).
 func CompileTimeline(tr *trace.Trace) []eventsim.StaticEvent {
 	tl := make([]eventsim.StaticEvent, len(tr.Contacts))
 	for i := range tr.Contacts {
@@ -189,19 +189,12 @@ func CompileTimeline(tr *trace.Trace) []eventsim.StaticEvent {
 	return tl
 }
 
-// Schedule enqueues every contact of the trace into the simulator. Call
-// once, before running the simulator. The timeline is compiled on the
-// fly; callers replaying the same trace many times should compile once
-// with CompileTimeline and use ScheduleCompiled.
-func (n *Net) Schedule() error {
-	return n.ScheduleCompiled(nil)
-}
-
-// ScheduleCompiled attaches a pre-compiled contact timeline (from
-// CompileTimeline on this Net's trace); nil compiles one on the fly.
-// Contacts are sorted by start time (trace.Validate), so the timeline is
-// sorted and replays by cursor — no heap operations and no per-contact
-// closures.
+// ScheduleCompiled attaches the contact timeline to the simulator: tl
+// comes from CompileTimeline on this Net's trace, and nil compiles one on
+// the fly. Call once, before running the simulator; callers replaying the
+// same trace many times compile once. Contacts are sorted by start time
+// (trace.Validate), so the timeline is sorted and replays by cursor, with
+// no per-contact closures.
 func (n *Net) ScheduleCompiled(tl []eventsim.StaticEvent) error {
 	if tl == nil {
 		tl = CompileTimeline(n.tr)

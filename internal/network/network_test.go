@@ -26,7 +26,7 @@ func TestDispatchOrderAndFields(t *testing.T) {
 	}
 	var seen []Contact
 	net.Attach(HandlerFunc(func(c *Contact) { seen = append(seen, *c) }))
-	if err := net.Schedule(); err != nil {
+	if err := net.ScheduleCompiled(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(1000); err != nil {
@@ -55,7 +55,7 @@ func TestMultipleHandlersRunInOrder(t *testing.T) {
 	var order []string
 	net.Attach(HandlerFunc(func(*Contact) { order = append(order, "a") }))
 	net.Attach(HandlerFunc(func(*Contact) { order = append(order, "b") }))
-	if err := net.Schedule(); err != nil {
+	if err := net.ScheduleCompiled(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(1000); err != nil {
@@ -80,7 +80,7 @@ func TestSendAccounting(t *testing.T) {
 			t.Error("reverse send failed")
 		}
 	}))
-	if err := net.Schedule(); err != nil {
+	if err := net.ScheduleCompiled(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(1000); err != nil {
@@ -119,7 +119,7 @@ func TestSentBy(t *testing.T) {
 			c.Send(c.B, c.A, "relay")
 		}
 	}))
-	if err := net.Schedule(); err != nil {
+	if err := net.ScheduleCompiled(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(1000); err != nil {
@@ -152,7 +152,7 @@ func TestBudgetTruncatesExchange(t *testing.T) {
 			}
 		}
 	}))
-	if err := net.Schedule(); err != nil {
+	if err := net.ScheduleCompiled(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(1000); err != nil {
@@ -180,7 +180,7 @@ func TestBudgetExposed(t *testing.T) {
 	}
 	var budgets []int
 	net.Attach(HandlerFunc(func(c *Contact) { budgets = append(budgets, c.Budget()) }))
-	if err := net.Schedule(); err != nil {
+	if err := net.ScheduleCompiled(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(1000); err != nil {
@@ -211,7 +211,7 @@ func TestSendOutsideContactPanics(t *testing.T) {
 		}()
 		c.Send(0, 2, "x") // node 2 is not an endpoint of this contact
 	}))
-	if err := net.Schedule(); err != nil {
+	if err := net.ScheduleCompiled(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(1000); err != nil {
@@ -258,7 +258,7 @@ func TestHorizonCutsDispatch(t *testing.T) {
 	}
 	count := 0
 	net.Attach(HandlerFunc(func(*Contact) { count++ }))
-	if err := net.Schedule(); err != nil {
+	if err := net.ScheduleCompiled(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(35); err != nil {
