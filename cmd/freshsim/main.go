@@ -51,13 +51,11 @@ func run(args []string) error {
 		fanout    = fs.Int("fanout", 3, "hierarchy fan-out bound")
 		relays    = fs.Int("relays", 5, "max replication relays per destination")
 		seed      = fs.Int64("seed", 1, "random seed")
-		msgTime   = fs.Duration("msgtime", 0, "per-message transfer time (0 = unlimited bandwidth)")
 		loss      = fs.Float64("loss", 0, "message loss probability [0,1)")
 		churnUp   = fs.Duration("churn-up", 0, "mean node up-period (0 disables churn)")
 		churnDown = fs.Duration("churn-down", 0, "mean node down-period")
 		distKnow  = fs.Bool("distributed", false, "nodes use local gossiped rate knowledge instead of the oracle estimate")
 		rebuild   = fs.Duration("rebuild", 0, "periodic hierarchy rebuild interval (0 = never)")
-		relayCap  = fs.Int("relaycap", 0, "relay buffer capacity in copies (0 = unlimited)")
 		asJSON    = fs.Bool("json", false, "emit the result as JSON")
 		compare   = fs.String("compare", "", "comma-separated schemes to run side by side (overrides -scheme)")
 		runs      = fs.Int("runs", 1, "replicate over this many consecutive seeds and report mean ± CI95")
@@ -102,9 +100,6 @@ func run(args []string) error {
 	if *queries != 0 {
 		baseOpts = append(baseOpts, freshcache.WithQueryWorkload(*queries, *zipf))
 	}
-	if *msgTime != 0 {
-		baseOpts = append(baseOpts, freshcache.WithBandwidth(*msgTime))
-	}
 	if *loss != 0 {
 		baseOpts = append(baseOpts, freshcache.WithMessageLoss(*loss))
 	}
@@ -116,9 +111,6 @@ func run(args []string) error {
 	}
 	if *rebuild != 0 {
 		baseOpts = append(baseOpts, freshcache.WithRebuildInterval(*rebuild))
-	}
-	if *relayCap != 0 {
-		baseOpts = append(baseOpts, freshcache.WithRelayBufferCap(*relayCap))
 	}
 	opts = append(opts, baseOpts...)
 

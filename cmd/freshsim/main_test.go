@@ -72,7 +72,7 @@ func TestRunWithFailureKnobs(t *testing.T) {
 	args := []string{
 		"-trace", path, "-items", "2", "-caching", "4", "-refresh", "4h",
 		"-scheme", "hierarchical", "-loss", "0.2", "-churn-up", "12h", "-churn-down", "2h",
-		"-distributed", "-rebuild", "24h", "-relaycap", "4", "-msgtime", "2s",
+		"-distributed", "-rebuild", "24h",
 	}
 	if err := run(args); err != nil {
 		t.Fatal(err)
@@ -108,9 +108,7 @@ func TestRunErrors(t *testing.T) {
 		{"-trace", path, "-obs-buffer", "-1"},
 		{"-trace", path, "-runs", "0"},
 		{"-trace", path, "-runs", "-2"},
-		{"-trace", path, "-msgtime", "-1s"},
 		{"-trace", path, "-rebuild", "-1h"},
-		{"-trace", path, "-relaycap", "-1"},
 		{"-trace", path, "-churn-up", "-1h"},
 		{"-trace", path, "-churn-down", "-1h"},
 	}
@@ -337,7 +335,7 @@ func TestRunStoreKeepsCheckpointID(t *testing.T) {
 // checks that none of the shared observability, store, checkpoint and
 // profiling flags moves it.
 func TestRunJournalExperimentID(t *testing.T) {
-	const want = "freshsim-7b94e154734f37f1"
+	const want = "freshsim-99769f5f22ff2639"
 	dir := t.TempDir()
 	base := []string{"-preset", "infocom-like", "-items", "2", "-queries", "0", "-runs", "2"}
 	experiments := func(args ...string) []string {

@@ -47,4 +47,18 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-badflag"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
+	// Non-finite parameters: NaN wrote a short or empty trace, +Inf
+	// contacts back to back, and -days Inf ran until memory ran out.
+	out := filepath.Join(t.TempDir(), "bad.contacts")
+	for _, args := range [][]string{
+		{"-rate", "NaN"},
+		{"-rate", "Inf"},
+		{"-model", "hetexp", "-rate", "NaN"},
+		{"-interrate", "NaN"},
+		{"-days", "Inf"},
+	} {
+		if err := run(append(args, "-out", out)); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
+	}
 }

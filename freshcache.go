@@ -69,7 +69,7 @@ const (
 	// selection — the ablation showing the analysis-driven selection
 	// matters.
 	SchemeRandomReplicated SchemeName = "random-rep"
-	// SchemeSprayAndWait is the knowledge-free DTN baseline: L copies of
+	// SchemeSprayAndWait is the knowledge-free DTN baseline: 8 copies of
 	// each version binary-sprayed through the network.
 	SchemeSprayAndWait SchemeName = "spray"
 	// SchemeEpidemic floods every version to every node (ceiling).
@@ -129,15 +129,12 @@ type options struct {
 	fanout          int
 	maxRelays       int
 	warmup          float64
-	msgTime         float64
 	cacheCapacity   int
 	cachePolicy     cache.Policy
 	distributed     bool
 	dropProb        float64
 	churnUp         float64
 	churnDown       float64
-	relayBufCap     int
-	sprayCopies     int
 	queryRelays     int
 	rebuildInterval float64
 	rec             obs.Recording
@@ -311,18 +308,6 @@ func WithWarmupFraction(f float64) Option {
 	}
 }
 
-// WithBandwidth limits contacts to one message per msgTime of contact
-// duration, so short contacts truncate exchanges (default: unlimited).
-func WithBandwidth(msgTime time.Duration) Option {
-	return func(o *options) error {
-		if msgTime <= 0 {
-			return fmt.Errorf("freshcache: non-positive message time %v", msgTime)
-		}
-		o.msgTime = msgTime.Seconds()
-		return nil
-	}
-}
-
 // WithCacheCapacity bounds each caching node's store, in item size units
 // (default: unlimited). Overfull stores evict per the configured policy
 // (see WithCachePolicy; default LRU).
@@ -383,19 +368,6 @@ func WithChurn(meanUp, meanDown time.Duration) Option {
 		}
 		o.churnUp = meanUp.Seconds()
 		o.churnDown = meanDown.Seconds()
-		return nil
-	}
-}
-
-// WithRelayBufferCap bounds how many distinct refresh copies a relay node
-// parks at once (default: unlimited); overfull buffers evict the copy
-// closest to expiry.
-func WithRelayBufferCap(n int) Option {
-	return func(o *options) error {
-		if n <= 0 {
-			return fmt.Errorf("freshcache: non-positive relay buffer cap %d", n)
-		}
-		o.relayBufCap = n
 		return nil
 	}
 }
@@ -462,18 +434,6 @@ func WithRunStateReuse(r *core.Reuse) Option {
 	}
 }
 
-// WithSprayCopies sets the per-version copy budget of the spray-and-wait
-// scheme (default 8). Only meaningful with SchemeSprayAndWait.
-func WithSprayCopies(l int) Option {
-	return func(o *options) error {
-		if l <= 0 {
-			return fmt.Errorf("freshcache: non-positive spray copies %d", l)
-		}
-		o.sprayCopies = l
-		return nil
-	}
-}
-
 // Simulation is one configured run. Create with New; each Simulation runs
 // once.
 type Simulation struct {
@@ -535,14 +495,9 @@ func New(opts ...Option) (*Simulation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("freshcache: %w", err)
 	}
-	var scheme core.Scheme
-	if o.scheme == SchemeSprayAndWait && o.sprayCopies > 0 {
-		scheme = core.NewSprayAndWait(o.sprayCopies)
-	} else {
-		scheme, err = core.SchemeByName(string(o.scheme))
-		if err != nil {
-			return nil, fmt.Errorf("freshcache: %w", err)
-		}
+	scheme, err := core.SchemeByName(string(o.scheme))
+	if err != nil {
+		return nil, fmt.Errorf("freshcache: %w", err)
 	}
 
 	cfg := core.Config{
@@ -557,9 +512,7 @@ func New(opts ...Option) (*Simulation, error) {
 		CacheCapacity:   o.cacheCapacity,
 		CachePolicy:     o.cachePolicy,
 		Seed:            o.seed,
-		MsgTime:         o.msgTime,
 		DropProb:        o.dropProb,
-		RelayBufferCap:  o.relayBufCap,
 		RebuildInterval: o.rebuildInterval,
 		QueryRelays:     o.queryRelays,
 		Churn:           network.ChurnConfig{MeanUp: o.churnUp, MeanDown: o.churnDown},

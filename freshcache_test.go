@@ -208,14 +208,11 @@ func TestOptionValidation(t *testing.T) {
 		{WithHierarchyFanout(0)},
 		{WithMaxRelays(0)},
 		{WithWarmupFraction(1)},
-		{WithBandwidth(0)},
 		{WithCacheCapacity(0)},
 		{WithCachePolicy("random")},
 		{WithMessageLoss(-0.1)},
 		{WithMessageLoss(1)},
 		{WithChurn(0, time.Hour)},
-		{WithRelayBufferCap(0)},
-		{WithSprayCopies(0)},
 		{WithQueryDelegation(0)},
 		{WithRebuildInterval(0)},
 		{nil},

@@ -10,8 +10,7 @@ import (
 
 // Query is one data-access request issued by a mobile node. It is pulled:
 // the query stays pending at the requester until the requester contacts a
-// node that holds a copy of the item (a caching node or the source), or
-// until it times out.
+// node that holds a copy of the item (a caching node or the source).
 type Query struct {
 	ID        int
 	Requester trace.NodeID
@@ -36,9 +35,6 @@ type WorkloadConfig struct {
 	QueryRate float64
 	// ZipfExponent skews item popularity; values near 1 are typical.
 	ZipfExponent float64
-	// Timeout discards unanswered queries after this many seconds
-	// (0 = never).
-	Timeout float64
 }
 
 // Validate checks the workload parameters.
@@ -49,9 +45,6 @@ func (c WorkloadConfig) Validate() error {
 	}
 	if !(c.ZipfExponent > 0) || math.IsInf(c.ZipfExponent, 1) {
 		return fmt.Errorf("cache: zipf exponent %v is not a finite positive number", c.ZipfExponent)
-	}
-	if !(c.Timeout >= 0) || math.IsInf(c.Timeout, 1) {
-		return fmt.Errorf("cache: timeout %v is not a finite non-negative number", c.Timeout)
 	}
 	return nil
 }
@@ -100,22 +93,19 @@ func GenerateQueries(cfg WorkloadConfig, catalog *Catalog, n int, from, to float
 // item, so a contact can tell which items the requester waits for without
 // walking the list.
 type QueryBook struct {
-	timeout float64
-	items   int
+	items int
 	// pending[node] is the node's pending list in issue order.
 	pending [][]*Query
 	// counts[node*items+item] is how many entries of pending[node] ask
-	// for item; Issue, Resolve and Pending's timeout pruning keep it
-	// exact.
+	// for item; Issue and Resolve keep it exact.
 	counts []int32
 	all    []*Query
 }
 
 // NewQueryBook creates an empty book for queries from nodes [0, n) for
-// items [0, items), with the given timeout (0 = queries never time out).
-func NewQueryBook(n, items int, timeout float64) *QueryBook {
+// items [0, items).
+func NewQueryBook(n, items int) *QueryBook {
 	return &QueryBook{
-		timeout: timeout,
 		items:   items,
 		pending: make([][]*Query, n),
 		counts:  make([]int32, n*items),
@@ -149,29 +139,13 @@ func (b *QueryBook) Issue(q *Query) {
 	b.all = append(b.all, q)
 }
 
-// Pending returns the live pending queries of a node at time now,
-// discarding timed-out ones as a side effect.
-func (b *QueryBook) Pending(node trace.NodeID, now float64) []*Query {
-	qs := b.pending[node]
-	if b.timeout > 0 {
-		live := qs[:0]
-		for _, q := range qs {
-			if now-q.IssuedAt <= b.timeout {
-				live = append(live, q)
-			} else {
-				b.counts[int(node)*b.items+int(q.Item)]--
-			}
-		}
-		qs = live
-		b.pending[node] = qs
-	}
-	return qs
-}
+// Pending returns the node's pending queries in issue order. The slice
+// is the book's own and changes with it; callers must not modify it.
+func (b *QueryBook) Pending(node trace.NodeID) []*Query { return b.pending[node] }
 
 // PendingCounts returns the node's pending-list tally per item, indexed
 // by ItemID. The slice is the book's own and changes with it; callers
-// must not modify it. Call Pending first for counts that exclude
-// timed-out queries.
+// must not modify it.
 func (b *QueryBook) PendingCounts(node trace.NodeID) []int32 {
 	at := int(node) * b.items
 	return b.counts[at : at+b.items]

@@ -9,7 +9,7 @@ import (
 )
 
 func testWorkload() WorkloadConfig {
-	return WorkloadConfig{QueryRate: 1.0 / 600, ZipfExponent: 1.0, Timeout: 0}
+	return WorkloadConfig{QueryRate: 1.0 / 600, ZipfExponent: 1.0}
 }
 
 func TestWorkloadValidate(t *testing.T) {
@@ -19,13 +19,11 @@ func TestWorkloadValidate(t *testing.T) {
 	bad := []WorkloadConfig{
 		{QueryRate: 0, ZipfExponent: 1},
 		{QueryRate: 1, ZipfExponent: 0},
-		{QueryRate: 1, ZipfExponent: 1, Timeout: -1},
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		bad = append(bad,
 			WorkloadConfig{QueryRate: v, ZipfExponent: 1},
-			WorkloadConfig{QueryRate: 1, ZipfExponent: v},
-			WorkloadConfig{QueryRate: 1, ZipfExponent: 1, Timeout: v})
+			WorkloadConfig{QueryRate: 1, ZipfExponent: v})
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -134,7 +132,7 @@ func TestQueryBookReserve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewQueryBook(nodes, 3, 0)
+	b := NewQueryBook(nodes, 3)
 	b.Reserve(qs)
 	share := make([]int, nodes)
 	for i := range qs {
@@ -142,7 +140,7 @@ func TestQueryBookReserve(t *testing.T) {
 		share[qs[i].Requester]++
 	}
 	for node := range trace.NodeID(nodes) {
-		got := b.Pending(node, 86400)
+		got := b.Pending(node)
 		if len(got) != share[node] || cap(got) != share[node] {
 			t.Fatalf("node %d: %d pending with capacity %d, want %d of each", node, len(got), cap(got), share[node])
 		}
@@ -155,13 +153,13 @@ func TestQueryBookReserve(t *testing.T) {
 func TestQueryBookLifecycle(t *testing.T) {
 	cat := testCatalog(t, 2)
 	it, _ := cat.Item(0)
-	b := NewQueryBook(5, 2, 0)
+	b := NewQueryBook(5, 2)
 	q := &Query{ID: 0, Requester: 3, Item: 0, IssuedAt: 10}
 	b.Issue(q)
-	if got := b.Pending(3, 20); len(got) != 1 || got[0] != q {
+	if got := b.Pending(3); len(got) != 1 || got[0] != q {
 		t.Fatalf("pending = %v", got)
 	}
-	if got := b.Pending(4, 20); len(got) != 0 {
+	if got := b.Pending(4); len(got) != 0 {
 		t.Fatalf("wrong node has pending queries: %v", got)
 	}
 	// Served at t=150 with version 0 (generated at 0, epoch 0): current
@@ -179,7 +177,7 @@ func TestQueryBookLifecycle(t *testing.T) {
 	if !q.Valid {
 		t.Fatal("unexpired copy marked invalid")
 	}
-	if got := b.Pending(3, 160); len(got) != 0 {
+	if got := b.Pending(3); len(got) != 0 {
 		t.Fatal("resolved query still pending")
 	}
 	if len(b.All()) != 1 {
@@ -190,7 +188,7 @@ func TestQueryBookLifecycle(t *testing.T) {
 func TestQueryBookFreshAndExpired(t *testing.T) {
 	cat := testCatalog(t, 1)
 	it, _ := cat.Item(0)
-	b := NewQueryBook(2, 1, 0)
+	b := NewQueryBook(2, 1)
 
 	fresh := &Query{ID: 0, Requester: 1, Item: 0, IssuedAt: 10}
 	b.Issue(fresh)
@@ -214,26 +212,10 @@ func TestQueryBookFreshAndExpired(t *testing.T) {
 	}
 }
 
-func TestQueryBookTimeout(t *testing.T) {
-	b := NewQueryBook(2, 1, 100)
-	q := &Query{ID: 0, Requester: 1, Item: 0, IssuedAt: 10}
-	b.Issue(q)
-	if got := b.Pending(1, 100); len(got) != 1 {
-		t.Fatal("query timed out early")
-	}
-	if got := b.Pending(1, 111); len(got) != 0 {
-		t.Fatal("query did not time out")
-	}
-	// Still in the log as unserved.
-	if len(b.All()) != 1 || b.All()[0].Served {
-		t.Fatalf("log: %+v", b.All())
-	}
-}
-
 func TestQueryBookResolveErrors(t *testing.T) {
 	cat := testCatalog(t, 2)
 	it, _ := cat.Item(0)
-	b := NewQueryBook(2, 2, 0)
+	b := NewQueryBook(2, 2)
 	q := &Query{ID: 0, Requester: 1, Item: 0, IssuedAt: 10}
 	b.Issue(q)
 	if err := b.Resolve(q, it, Copy{Item: 1}, 0, 50); err == nil {
@@ -264,17 +246,17 @@ func TestQueryRateScalesCount(t *testing.T) {
 }
 
 // FuzzQueryBookCounts drives a book through arbitrary sequences of Issue,
-// Resolve, Pending and clock advances with a timeout, and checks that
-// every (node, item) count equals the tally of the node's pending list
-// after each step, and the tally of Pending(node) at the end.
+// Resolve, Pending and clock advances, and checks that every (node, item)
+// count equals the tally of the node's pending list after each step, and
+// the tally of Pending(node) at the end.
 func FuzzQueryBookCounts(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 7, 1, 0, 2, 3})
 	f.Add([]byte{0, 1, 0, 9, 0, 17, 3, 40, 0, 1, 3, 30, 2, 1, 1, 1, 1, 0})
 	f.Add([]byte{0, 2, 0, 2, 0, 2, 1, 1, 3, 60, 1, 0, 2, 2, 3, 255, 0, 5})
-	const nodes, items, timeout = 4, 3, 50
+	const nodes, items = 4, 3
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		cat := testCatalog(t, items)
-		b := NewQueryBook(nodes, items, timeout)
+		b := NewQueryBook(nodes, items)
 		now := 0.0
 		check := func(node trace.NodeID, qs []*Query) {
 			t.Helper()
@@ -305,7 +287,7 @@ func FuzzQueryBookCounts(f *testing.F) {
 					_ = b.Resolve(q, it, Copy{Item: q.Item}, 0, now)
 				}
 			case 2:
-				b.Pending(trace.NodeID(arg%nodes), now)
+				b.Pending(trace.NodeID(arg % nodes))
 			case 3:
 				now += float64(arg)
 			}
@@ -314,7 +296,7 @@ func FuzzQueryBookCounts(f *testing.F) {
 			}
 		}
 		for node := range trace.NodeID(nodes) {
-			check(node, b.Pending(node, now))
+			check(node, b.Pending(node))
 		}
 	})
 }

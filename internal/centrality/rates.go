@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"freshcache/internal/trace"
 )
@@ -34,24 +33,6 @@ type CommonNeighbor struct {
 	RateB float64 // Rate(ID, b)
 }
 
-// Epoched is implemented by rate views whose knowledge is immutable once
-// published, identified by an epoch tag: two reads through the same view
-// with the same epoch are guaranteed to return the same rates. Consumers
-// (e.g. the replication-plan memo in core) use the epoch as a cache key
-// and treat views without the interface — such as the continuously
-// updated per-node views of DistributedEstimator — as uncacheable.
-type Epoched interface {
-	// Epoch returns the view's snapshot identity. Distinct snapshots have
-	// distinct epochs; the value carries no meaning beyond equality.
-	Epoch() uint64
-}
-
-// storeEpochs tags each RateStore with a process-unique epoch at
-// construction. Stores are built, published and then only read (the
-// engine swaps in a whole new store on rebuild), so construction order is
-// a sound snapshot identity.
-var storeEpochs atomic.Uint64
-
 // neighbor is one entry of a node's row: a node it meets and the pair's
 // contact rate.
 type neighbor struct {
@@ -71,7 +52,6 @@ type neighbor struct {
 // themselves.
 type RateStore interface {
 	RateView
-	Epoched
 	// rows returns every node's row, indexed by node ID.
 	rows() [][]neighbor
 }
@@ -79,8 +59,7 @@ type RateStore interface {
 // rateTable is the RateStore implementation: all rows are carved from one
 // array, sized before it is filled.
 type rateTable struct {
-	epoch uint64
-	nbr   [][]neighbor
+	nbr [][]neighbor
 }
 
 var _ RateStore = (*rateTable)(nil)
@@ -109,7 +88,7 @@ func buildRates(n int, pairs []uint64, rate func(i int) float64) RateStore {
 		rows[a] = append(rows[a], neighbor{id: b, rate: r})
 		rows[b] = append(rows[b], neighbor{id: a, rate: r})
 	}
-	return &rateTable{epoch: storeEpochs.Add(1), nbr: rows}
+	return &rateTable{nbr: rows}
 }
 
 // RatesFromPairs builds the store over n nodes from explicit rates of
@@ -149,10 +128,6 @@ func RatesFromPairs(n int, pairs map[[2]trace.NodeID]float64) (RateStore, error)
 
 // N returns the number of nodes.
 func (s *rateTable) N() int { return len(s.nbr) }
-
-// Epoch implements Epoched: the store's snapshot identity, assigned at
-// construction.
-func (s *rateTable) Epoch() uint64 { return s.epoch }
 
 func (s *rateTable) rows() [][]neighbor { return s.nbr }
 
@@ -194,9 +169,7 @@ func (s *rateTable) AppendCommonNeighbors(dst []CommonNeighbor, a, b trace.NodeI
 	return dst
 }
 
-// emptyView is an allocation-free all-zero RateView. It is deliberately
-// not Epoched: consumers treat it as uncacheable, so a transient fallback
-// never poisons a plan memo.
+// emptyView is an allocation-free all-zero RateView.
 type emptyView int
 
 func (v emptyView) N() int                         { return int(v) }

@@ -290,13 +290,6 @@ func TestSparseRatesBasics(t *testing.T) {
 			t.Fatalf("row %d = %v, want %v", a, row, want[a])
 		}
 	}
-	other, err := RatesFromPairs(10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Epoch() == 0 || s.Epoch() == other.Epoch() {
-		t.Fatalf("epochs %d and %d: want distinct and nonzero", s.Epoch(), other.Epoch())
-	}
 }
 
 // TestRatesFromPairsErrors covers the explicit-pair constructor's input
@@ -442,8 +435,5 @@ func TestEmptyView(t *testing.T) {
 	}
 	if got := v.AppendCommonNeighbors(nil, 0, 1); len(got) != 0 {
 		t.Fatalf("empty view has common neighbors %v", got)
-	}
-	if _, ok := v.(Epoched); ok {
-		t.Fatal("empty view is Epoched; plans computed on it would be memoized")
 	}
 }

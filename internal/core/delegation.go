@@ -69,7 +69,7 @@ func (e *Engine) handOffQueries(c *network.Contact, requester, relay trace.NodeI
 	d := e.delegation
 	// Nothing below changes the book, so the live pending list needs no
 	// snapshot.
-	for _, q := range e.book.Pending(requester, c.Time) {
+	for _, q := range e.book.Pending(requester) {
 		if d.handedOut[q.ID] >= d.maxRelays {
 			continue
 		}
@@ -129,15 +129,14 @@ func (e *Engine) deliverResponses(c *network.Contact, relay, requester trace.Nod
 		return
 	}
 	kept := carried[:0]
-	budgetExhausted := false
+	// After a lost send the relay hands nothing more back this contact.
+	lost := false
 	for _, dq := range carried {
 		q := dq.q
 		switch {
 		case q.Served:
 			continue // resolved elsewhere: drop silently
-		case e.cfg.Workload.Timeout > 0 && c.Time-q.IssuedAt > e.cfg.Workload.Timeout:
-			continue // expired query: drop
-		case budgetExhausted || !dq.hasCopy || q.Requester != requester:
+		case lost || !dq.hasCopy || q.Requester != requester:
 			kept = append(kept, dq)
 			continue
 		}
@@ -154,7 +153,7 @@ func (e *Engine) deliverResponses(c *network.Contact, relay, requester trace.Nod
 			continue
 		}
 		if !c.Send(relay, requester, "data") {
-			budgetExhausted = true
+			lost = true
 			kept = append(kept, dq)
 			continue
 		}

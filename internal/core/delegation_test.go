@@ -12,7 +12,7 @@ import (
 // 0 source, nodes 3,4 free relays. Node 4 issues queries but only ever
 // meets node 3 — without delegation it can never be served.
 
-func delegationEngine(t *testing.T, relays int, contacts []trace.Contact, queryTimeout float64) *Engine {
+func delegationEngine(t *testing.T, relays int, contacts []trace.Contact) *Engine {
 	t.Helper()
 	tr := &trace.Trace{Name: "deleg", N: 5, Duration: 1000, Contacts: contacts}
 	tr.Normalize()
@@ -26,7 +26,7 @@ func delegationEngine(t *testing.T, relays int, contacts []trace.Contact, queryT
 		NumCachingNodes: 2,
 		WarmupFraction:  0.1,
 		QueryRelays:     relays,
-		Workload:        cache.WorkloadConfig{QueryRate: 1.0 / 400, ZipfExponent: 1, Timeout: queryTimeout},
+		Workload:        cache.WorkloadConfig{QueryRate: 1.0 / 400, ZipfExponent: 1},
 		Seed:            micDelegSeed,
 	})
 	if err != nil {
@@ -62,7 +62,7 @@ func delegationContacts() []trace.Contact {
 func TestDelegationServesOtherwiseUnreachableRequester(t *testing.T) {
 	// Without delegation: node 4's queries can never be answered (it
 	// only meets node 3, which is neither caching nor source).
-	without := delegationEngine(t, 0, delegationContacts(), 0)
+	without := delegationEngine(t, 0, delegationContacts())
 	if _, err := without.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDelegationServesOtherwiseUnreachableRequester(t *testing.T) {
 		t.Fatalf("node 4 answered without delegation: %d/%d", answered, issued)
 	}
 
-	with := delegationEngine(t, 2, delegationContacts(), 0)
+	with := delegationEngine(t, 2, delegationContacts())
 	res, err := with.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestDelegationDropsExpiredResponses(t *testing.T) {
 		ct(1, 3, 400), // fetch v0
 		ct(3, 4, 750), // response expired in transit
 	}
-	eng := delegationEngine(t, 2, contacts, 0)
+	eng := delegationEngine(t, 2, contacts)
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

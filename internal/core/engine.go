@@ -53,8 +53,6 @@ type Runtime struct {
 	PReq         float64 // required refresh probability
 	MaxFanout    int     // hierarchy fan-out bound
 	MaxRelays    int     // replication relay bound per destination
-	// RelayBufferCap bounds copies parked per relay node (0 = unbounded).
-	RelayBufferCap int
 	// Seed lets schemes derive their own deterministic randomness.
 	Seed int64
 	// Rec is the run's recording. Schemes record each refresh fact through
@@ -199,12 +197,6 @@ type Config struct {
 	QueryRelays int
 	// Seed drives all randomness (workload; the trace carries its own).
 	Seed int64
-	// SampleInterval between freshness-ratio samples. Default: measurement
-	// phase / 240.
-	SampleInterval float64
-	// MsgTime is the per-message transfer time for the contact budget
-	// (0 = infinite bandwidth).
-	MsgTime float64
 	// CentralityWindow for caching-node selection. Default 6h.
 	CentralityWindow float64
 	// Knowledge selects oracle (default) or distributed rate knowledge
@@ -215,10 +207,6 @@ type Config struct {
 	DropProb float64
 	// Churn turns nodes off and on (suppressing their contacts).
 	Churn network.ChurnConfig
-	// RelayBufferCap bounds how many distinct copies a relay node parks
-	// at once (0 = unbounded); overfull buffers evict the copy closest to
-	// expiry.
-	RelayBufferCap int
 	// RebuildInterval re-estimates contact rates and rebuilds the
 	// scheme's structures (refresh trees) every this many simulated
 	// seconds after warmup (0 = never). Requires a scheme implementing
@@ -290,17 +278,11 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: pReq %v outside (0,1]", c.PReq)
 	case c.MaxFanout < 0 || c.MaxRelays < 0:
 		return fmt.Errorf("core: negative fanout %d or relays %d", c.MaxFanout, c.MaxRelays)
-	case !nonNegativeFinite(c.SampleInterval):
-		return fmt.Errorf("core: sample interval %v is not a finite non-negative number", c.SampleInterval)
-	case !nonNegativeFinite(c.MsgTime):
-		return fmt.Errorf("core: message time %v is not a finite non-negative number", c.MsgTime)
 	case !(c.CentralityWindow > 0) || math.IsInf(c.CentralityWindow, 1):
 		return fmt.Errorf("core: centrality window %v is not a finite positive number", c.CentralityWindow)
 	case !(c.DropProb >= 0 && c.DropProb < 1):
 		return fmt.Errorf("core: drop probability %v outside [0,1)", c.DropProb)
-	case c.RelayBufferCap < 0:
-		return fmt.Errorf("core: negative relay buffer cap %d", c.RelayBufferCap)
-	case !nonNegativeFinite(c.RebuildInterval):
+	case !(c.RebuildInterval >= 0) || math.IsInf(c.RebuildInterval, 1):
 		return fmt.Errorf("core: rebuild interval %v is not a finite non-negative number", c.RebuildInterval)
 	case math.IsNaN(c.Recording.TimelineTick) || math.IsInf(c.Recording.TimelineTick, 0):
 		return fmt.Errorf("core: timeline tick %v is not a finite number", c.Recording.TimelineTick)
@@ -315,9 +297,6 @@ func (c *Config) validate() error {
 	}
 	return nil
 }
-
-// nonNegativeFinite reports whether x is a finite number ≥ 0.
-func nonNegativeFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Engine runs one scheme over one trace and aggregates metrics.
 type Engine struct {
@@ -393,7 +372,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		sim:         scratch.sim,
 		scratch:     scratch,
 		collector:   metrics.New(),
-		book:        cache.NewQueryBook(cfg.Trace.N, cfg.Catalog.Len(), cfg.Workload.Timeout),
+		book:        cache.NewQueryBook(cfg.Trace.N, cfg.Catalog.Len()),
 		stores:      make([]*cache.Store, cfg.Trace.N),
 		sources:     make(map[trace.NodeID][]cache.ItemID),
 		cContacts:   cfg.Recording.Metrics.Counter("engine/contacts"),
@@ -411,7 +390,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	var err error
 	e.net, err = network.New(e.sim, cfg.Trace, network.Config{
-		MsgTime:  cfg.MsgTime,
 		DropProb: cfg.DropProb,
 		Churn:    cfg.Churn,
 		Seed:     cfg.Seed,
@@ -619,20 +597,19 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 	}
 
 	e.rt = &Runtime{
-		N:              e.cfg.Trace.N,
-		Catalog:        e.cfg.Catalog,
-		Rates:          rates,
-		CachingNodes:   caching,
-		Epoch:          now,
-		Horizon:        e.horizon,
-		PReq:           e.cfg.PReq,
-		MaxFanout:      e.cfg.MaxFanout,
-		MaxRelays:      e.cfg.MaxRelays,
-		RelayBufferCap: e.cfg.RelayBufferCap,
-		Seed:           e.cfg.Seed,
-		Rec:            e.rec,
-		eng:            e,
-		isCaching:      make([]bool, e.cfg.Trace.N),
+		N:            e.cfg.Trace.N,
+		Catalog:      e.cfg.Catalog,
+		Rates:        rates,
+		CachingNodes: caching,
+		Epoch:        now,
+		Horizon:      e.horizon,
+		PReq:         e.cfg.PReq,
+		MaxFanout:    e.cfg.MaxFanout,
+		MaxRelays:    e.cfg.MaxRelays,
+		Seed:         e.cfg.Seed,
+		Rec:          e.rec,
+		eng:          e,
+		isCaching:    make([]bool, e.cfg.Trace.N),
 	}
 	for _, cn := range caching {
 		e.rt.isCaching[cn] = true
@@ -701,10 +678,7 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 	}
 
 	// Freshness sampling.
-	interval := e.cfg.SampleInterval
-	if interval == 0 {
-		interval = (e.horizon - e.rt.Epoch) / 240
-	}
+	interval := (e.horizon - e.rt.Epoch) / 240
 	for t := e.rt.Epoch + interval; t < e.horizon; t += interval {
 		plan = append(plan, planAction{time: t, op: opSample})
 	}
@@ -909,7 +883,7 @@ func (e *Engine) issueQuery(q *cache.Query, now float64) {
 // resolveQueries serves pending queries across a live contact: each
 // endpoint's pending queries are answered when the other endpoint holds a
 // copy (caching node) or is the item's source. Each answer costs one
-// "data" transmission from the contact budget.
+// "data" transmission.
 func (e *Engine) resolveQueries(c *network.Contact) {
 	e.resolveFor(c, c.A, c.B)
 	e.resolveFor(c, c.B, c.A)
@@ -919,7 +893,7 @@ func (e *Engine) resolveFor(c *network.Contact, requester, provider trace.NodeID
 	if !e.canServe[provider] {
 		return
 	}
-	pending := e.book.Pending(requester, c.Time)
+	pending := e.book.Pending(requester)
 	if len(pending) == 0 {
 		return
 	}
@@ -955,7 +929,7 @@ func (e *Engine) resolveFor(c *network.Contact, requester, provider trace.NodeID
 			continue
 		}
 		if !c.Send(provider, requester, "data") {
-			return // contact budget exhausted or the message was lost
+			return // the message was lost
 		}
 		_ = e.book.Resolve(q, it, cp, e.rt.Epoch, c.Time)
 	}

@@ -120,9 +120,9 @@ func TestSchemeOrderingOnFreshness(t *testing.T) {
 	}
 	// Ceilings and floors. No scheme delivers before the trace's foremost
 	// journey, and epidemic delivers at it (checkInvariants,
-	// TestEpidemicMeetsForemostJourney). With no loss, churn, message time
-	// or eviction, epidemic then holds a version at least as new at every
-	// cache at every instant, so no scheme's freshness may exceed its own.
+	// TestEpidemicMeetsForemostJourney). With no loss, churn or eviction,
+	// epidemic then holds a version at least as new at every cache at
+	// every instant, so no scheme's freshness may exceed its own.
 	for name, r := range results {
 		if r.FreshnessRatio > ep.FreshnessRatio {
 			t.Errorf("%s freshness %v above epidemic's %v", name, r.FreshnessRatio, ep.FreshnessRatio)
@@ -223,7 +223,6 @@ func TestEngineConfigValidation(t *testing.T) {
 		{"bad warmup", func(c *Config) { c.WarmupFraction = 1.5 }},
 		{"bad preq", func(c *Config) { c.PReq = 2 }},
 		{"negative fanout", func(c *Config) { c.MaxFanout = -1 }},
-		{"negative sample interval", func(c *Config) { c.SampleInterval = -1 }},
 	}
 	// NaN fails every comparison, so each float field must reject it and
 	// both infinities explicitly.
@@ -233,8 +232,6 @@ func TestEngineConfigValidation(t *testing.T) {
 	}{
 		{"PReq", func(c *Config, v float64) { c.PReq = v }},
 		{"WarmupFraction", func(c *Config, v float64) { c.WarmupFraction = v }},
-		{"SampleInterval", func(c *Config, v float64) { c.SampleInterval = v }},
-		{"MsgTime", func(c *Config, v float64) { c.MsgTime = v }},
 		{"CentralityWindow", func(c *Config, v float64) { c.CentralityWindow = v }},
 		{"DropProb", func(c *Config, v float64) { c.DropProb = v }},
 		{"RebuildInterval", func(c *Config, v float64) { c.RebuildInterval = v }},
@@ -356,36 +353,6 @@ func TestOnTimeDeliveryTracksRequirement(t *testing.T) {
 	}
 	if res.SchemeStats["plansTotal"] == 0 {
 		t.Fatal("replication planner never ran")
-	}
-}
-
-func TestMsgBudgetReducesThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end simulation")
-	}
-	run := func(msgTime float64) metrics.Result {
-		eng, err := NewEngine(Config{
-			Trace:           testScenarioTrace(t, 21),
-			Catalog:         testScenarioCatalog(t, 4*mobility.Hour),
-			Scheme:          NewEpidemic(),
-			NumCachingNodes: 6,
-			MsgTime:         msgTime,
-			Seed:            21,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	unlimited := run(0)
-	// Absurdly slow messages: one per contact at best.
-	tight := run(10000)
-	if tight.Transmissions >= unlimited.Transmissions {
-		t.Fatalf("budget did not bite: %d vs %d", tight.Transmissions, unlimited.Transmissions)
 	}
 }
 

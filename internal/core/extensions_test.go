@@ -94,41 +94,11 @@ func TestMessageLossDegradesFreshness(t *testing.T) {
 	}
 }
 
-func TestRelayBufferCapReducesState(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end simulation")
-	}
-	free := runWith(t, NewHierarchical(), 23, nil)
-	capped := runWith(t, NewHierarchical(), 23, func(c *Config) { c.RelayBufferCap = 1 })
-	t.Logf("free=%.3f capped=%.3f", free.FreshnessRatio, capped.FreshnessRatio)
-	// A one-copy relay buffer must not help, and the protocol must not
-	// break.
-	if capped.FreshnessRatio > free.FreshnessRatio+0.02 {
-		t.Fatalf("capping relay buffers improved freshness: %v vs %v", capped.FreshnessRatio, free.FreshnessRatio)
-	}
-	if capped.FreshnessRatio <= 0 {
-		t.Fatal("relay cap killed the protocol")
-	}
-}
-
-func TestRelayBufferCapValidation(t *testing.T) {
-	cfg := Config{
-		Trace:           testScenarioTrace(t, 1),
-		Catalog:         testScenarioCatalog(t, mobility.Hour),
-		Scheme:          NewHierarchical(),
-		NumCachingNodes: 4,
-		RelayBufferCap:  -1,
-	}
-	if _, err := NewEngine(cfg); err == nil {
-		t.Fatal("negative relay cap accepted")
-	}
-}
-
 func TestSprayAndWaitBehaves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end simulation")
 	}
-	spray := runWith(t, NewSprayAndWait(8), 29, nil)
+	spray := runWith(t, NewSprayAndWait(), 29, nil)
 	direct := runWith(t, NewDirect(), 29, nil)
 	epidemic := runWith(t, NewEpidemic(), 29, nil)
 	t.Logf("spray=%.3f (tx/ver %.1f) direct=%.3f epidemic=%.3f (tx/ver %.1f)",
@@ -144,31 +114,6 @@ func TestSprayAndWaitBehaves(t *testing.T) {
 	}
 	if spray.TxPerVersion >= epidemic.TxPerVersion {
 		t.Fatalf("spray overhead %v not below epidemic %v", spray.TxPerVersion, epidemic.TxPerVersion)
-	}
-}
-
-func TestSprayCopyBudgetMatters(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end simulation")
-	}
-	small := runWith(t, NewSprayAndWait(2), 31, nil)
-	large := runWith(t, NewSprayAndWait(16), 31, nil)
-	t.Logf("L=2: %.3f, L=16: %.3f", small.FreshnessRatio, large.FreshnessRatio)
-	if large.FreshnessRatio <= small.FreshnessRatio {
-		t.Fatalf("more copies did not help: %v vs %v", large.FreshnessRatio, small.FreshnessRatio)
-	}
-	if large.Transmissions <= small.Transmissions {
-		t.Fatalf("more copies did not cost more: %d vs %d", large.Transmissions, small.Transmissions)
-	}
-}
-
-func TestSprayDefaultCopies(t *testing.T) {
-	s, ok := NewSprayAndWait(0).(*sprayScheme)
-	if !ok {
-		t.Fatal("scheme type")
-	}
-	if s.l != DefaultSprayCopies {
-		t.Fatalf("default copies = %d", s.l)
 	}
 }
 

@@ -79,14 +79,16 @@ func randomScenario(seed int64) (*invariantScenario, error) {
 		Seed:            seed,
 		Workload:        cache.WorkloadConfig{QueryRate: 1.0 / 2000, ZipfExponent: 1.1},
 	}
-	// Random failure injection and knobs.
+	// Random failure injection.
 	switch rng.Intn(4) {
 	case 1:
 		cfg.DropProb = rng.Float64() * 0.5
 	case 2:
 		cfg.Churn = network.ChurnConfig{MeanUp: 1000 + rng.Float64()*5000, MeanDown: 500 + rng.Float64()*2000}
 	case 3:
-		cfg.MsgTime = 1 + rng.Float64()*20
+		// Once a per-contact bandwidth budget; the draw stays so that
+		// every other field of a seed's scenario is drawn as before.
+		_ = rng.Float64()
 	}
 	if rng.Intn(3) == 0 {
 		cfg.QueryRelays = 1 + rng.Intn(3)
@@ -335,8 +337,8 @@ func TestEngineInvariantsFixedSeeds(t *testing.T) {
 }
 
 // TestEpidemicMeetsForemostJourney: epidemic pushes every newer version
-// on every contact, so with unlimited bandwidth and no loss or churn it
-// carries each version exactly along the foremost journey. Every (caching
+// on every contact, so with no loss or churn it carries each version
+// exactly along the foremost journey. Every (caching
 // node, item, version) whose bound falls before the horizon is delivered
 // at the bound, or a newer version has arrived there by then. Together
 // with checkInvariants' lower bound this makes epidemic the checked

@@ -111,32 +111,27 @@ func TestUnservedLookupsKeepLFUState(t *testing.T) {
 }
 
 // TestServingOrderUnderBudgetAndLoss: when a provider can serve, pending
-// queries are answered in issue order across items, and the first failed
-// Send, refused by the contact budget or lost, ends that requester's
-// service for the contact.
+// queries are answered in issue order across items, and the first lost Send
+// ends that requester's service for the contact. The contact budget the name
+// mentions is gone, so loss is the only way a Send fails; the name is kept
+// so the test's history stays comparable.
 func TestServingOrderUnderBudgetAndLoss(t *testing.T) {
-	const now = 900.0
-	// Version 2 was generated at 700 and is valid until 1300.
-	serve := func(t *testing.T, mutate func(*Config), n int) (*Engine, []*cache.Query) {
-		t.Helper()
-		eng, provider, requester := resolveEngine(t, mutate)
+	t.Run("loss", func(t *testing.T) {
+		const now = 900.0
+		eng, provider, requester := resolveEngine(t, func(c *Config) { c.DropProb = 0.5 })
+		// Version 2 was generated at 700 and is valid until 1300.
 		for id := range cache.ItemID(2) {
 			if ok, err := eng.stores[provider].Put(cache.Copy{Item: id, Version: 2, GeneratedAt: 700, ReceivedAt: 800}, 800); !ok || err != nil {
 				t.Fatalf("put: %v %v", ok, err)
 			}
 		}
-		items := make([]cache.ItemID, n)
+		items := make([]cache.ItemID, 8)
 		for i := range items {
 			items[i] = cache.ItemID(1 - i%2) // 1, 0, 1, 0, ...
 		}
 		qs := issue(eng, requester, 850, items...)
 		eng.resolveQueries(eng.net.ManualContact(requester, provider, now, 2))
-		return eng, qs
-	}
-	// servedPrefix returns how many queries were served, failing unless
-	// they are the first ones issued.
-	servedPrefix := func(t *testing.T, qs []*cache.Query) int {
-		t.Helper()
+		// The served queries must be the first ones issued.
 		m := 0
 		for m < len(qs) && qs[m].Served {
 			if qs[m].ServedAt != now || qs[m].ServedVersion != 2 {
@@ -149,22 +144,6 @@ func TestServingOrderUnderBudgetAndLoss(t *testing.T) {
 				t.Fatalf("query %d served after unserved query %d", q.ID, qs[m].ID)
 			}
 		}
-		return m
-	}
-
-	t.Run("budget", func(t *testing.T) {
-		// A 2 s contact at 1 s per message carries two messages.
-		eng, qs := serve(t, func(c *Config) { c.MsgTime = 1 }, 4)
-		if m := servedPrefix(t, qs); m != 2 {
-			t.Fatalf("%d queries served, want the first 2", m)
-		}
-		if got := eng.net.Truncated(); got != 1 {
-			t.Fatalf("%d sends refused, want 1: service must stop at the first", got)
-		}
-	})
-	t.Run("loss", func(t *testing.T) {
-		eng, qs := serve(t, func(c *Config) { c.DropProb = 0.5 }, 8)
-		m := servedPrefix(t, qs)
 		if m == len(qs) {
 			t.Fatal("no send was lost; the loss path went unexercised")
 		}

@@ -64,7 +64,7 @@ type relayEntry struct {
 }
 
 // planKey memoizes one PlanReplication call: the plan depends only on
-// the rates snapshot (captured by the cache's epoch), the endpoints and
+// the rate store (the one the memo was filled from), the endpoints and
 // the time budget — PReq, the relay bound and the candidate set are
 // run-constant.
 type planKey struct {
@@ -128,14 +128,14 @@ type refreshScheme struct {
 	// destination intersection, keeping OnContact allocation-free.
 	scratch *bitset.Set
 
-	// Plan memoization: under an epoch-tagged (immutable) rates view,
-	// PlanReplication is pure in planKey, so plans are computed once per
-	// rates epoch — i.e. once per hierarchy (re)build — instead of once
-	// per generation. Views without an epoch (distributed knowledge
-	// change continuously) bypass the memo.
+	// Plan memoization: over the runtime's converged store (rt.Rates),
+	// which is immutable, PlanReplication is pure in planKey, so plans
+	// are computed once per store — i.e. once per hierarchy (re)build —
+	// instead of once per generation. planStore is the store the memo was
+	// filled from. Local views under distributed knowledge change
+	// continuously and bypass the memo.
 	planCache map[planKey]RelayPlan
-	planEpoch uint64
-	planValid bool
+	planStore centrality.RateStore
 	planBufs  planBuffers
 
 	// Planner statistics for analysis validation (E7).
@@ -212,8 +212,7 @@ func (s *refreshScheme) Init(rt *Runtime) error {
 	s.dutyCount = make([]int, s.n)
 	s.relays = make([][]*relayEntry, s.n)
 	s.scratch = rt.newSet()
-	s.planCache = nil
-	s.planValid = false
+	s.planCache, s.planStore = nil, nil
 	if s.randomRelays {
 		s.rng = stats.Derive(rt.Seed, "core/random-relays")
 	}
@@ -240,8 +239,8 @@ func (s *refreshScheme) Init(rt *Runtime) error {
 // Rebuild implements Rebuilder: it reconstructs the refresh trees from
 // the runtime's current rate knowledge. Outstanding duties and relay
 // copies are kept — copies in flight stay useful — but responsibility for
-// future versions follows the new trees. The plan memo self-invalidates:
-// the swapped-in rate matrix carries a fresh epoch.
+// future versions follows the new trees. The plan memo flushes itself:
+// it was filled from the store the rebuild replaced.
 func (s *refreshScheme) Rebuild(rt *Runtime) error {
 	s.rt = rt
 	for _, it := range s.items {
@@ -290,18 +289,17 @@ func (s *refreshScheme) OnGenerate(it cache.Item, version int, now float64) {
 }
 
 // planMemo returns the memo table valid for the given rates view, or nil
-// when the view is not epoch-tagged (mutable knowledge — never cached).
-// A view with a new epoch flushes the table: plans computed against
-// superseded rates must not survive a hierarchy rebuild.
+// when the view is not the runtime's converged store (a local view, whose
+// knowledge changes continuously — never cached). A new store flushes the
+// table: plans computed against superseded rates must not survive a
+// hierarchy rebuild.
 func (s *refreshScheme) planMemo(rates centrality.RateView) map[planKey]RelayPlan {
-	em, ok := rates.(centrality.Epoched)
-	if !ok {
+	if rates != centrality.RateView(s.rt.Rates) {
 		return nil
 	}
-	if !s.planValid || s.planEpoch != em.Epoch() || len(s.planCache) > maxPlanCacheEntries {
+	if s.planStore != s.rt.Rates || len(s.planCache) > maxPlanCacheEntries {
 		s.planCache = make(map[planKey]RelayPlan)
-		s.planEpoch = em.Epoch()
-		s.planValid = true
+		s.planStore = s.rt.Rates
 	}
 	return s.planCache
 }
@@ -516,7 +514,7 @@ func (s *refreshScheme) actAsResponsible(c *network.Contact, holder, peer trace.
 		}
 		if d.dests.Contains(p) {
 			if !c.Send(holder, peer, "refresh") {
-				return // contact budget exhausted; try next contact
+				return // the send was lost; try next contact
 			}
 			cp := cache.Copy{Item: itemID, Version: d.key.version, GeneratedAt: d.genAt, ReceivedAt: c.Time}
 			if sp, ok := s.rt.DeliverToCache(holder, peer, cp, c.Time, d.span); ok {
@@ -554,9 +552,6 @@ func (s *refreshScheme) giveToRelay(c *network.Contact, holder, relay trace.Node
 	}
 	if !c.Send(holder, relay, "relay") {
 		return false
-	}
-	if cap := s.rt.RelayBufferCap; cap > 0 && len(buf) >= cap {
-		buf = evictRelayEntry(buf)
 	}
 	entry := s.rt.newRelayEntry()
 	*entry = relayEntry{
@@ -611,7 +606,7 @@ func (s *refreshScheme) actAsRelay(c *network.Contact, relay, peer trace.NodeID)
 		}
 		if !c.Send(relay, peer, "refresh") {
 			if planned {
-				entry.dests.Add(p) // budget exhausted; retry next contact
+				entry.dests.Add(p) // the send was lost; retry next contact
 			}
 			return
 		}
@@ -624,7 +619,7 @@ func (s *refreshScheme) actAsRelay(c *network.Contact, relay, peer trace.NodeID)
 	}
 	// Drop entries whose destination set drained, preserving order. Like
 	// the pre-dense code, this cleanup runs only when the walk completes
-	// (a budget-exhausted return leaves drained entries for later).
+	// (a return on a lost send leaves drained entries for later).
 	kept := buf[:0]
 	for _, entry := range buf {
 		if entry.dests.Empty() {
@@ -638,24 +633,6 @@ func (s *refreshScheme) actAsRelay(c *network.Contact, relay, peer trace.NodeID)
 		}
 		s.relays[relay] = kept
 	}
-}
-
-// evictRelayEntry drops the buffered copy closest to expiry (ties broken
-// by key for determinism) to make room in a capped relay buffer.
-func evictRelayEntry(buf []*relayEntry) []*relayEntry {
-	victim := -1
-	for i, entry := range buf {
-		if victim < 0 || entry.expire < buf[victim].expire ||
-			(entry.expire == buf[victim].expire && keyLess(entry.key, buf[victim].key)) {
-			victim = i
-		}
-	}
-	if victim < 0 {
-		return buf
-	}
-	copy(buf[victim:], buf[victim+1:])
-	buf[len(buf)-1] = nil
-	return buf[:len(buf)-1]
 }
 
 func (s *refreshScheme) expireRelays(node trace.NodeID, now float64) {
@@ -830,7 +807,7 @@ func Schemes() []struct {
 		{"hierarchical-norep", NewHierarchicalNoRep},
 		{"hierarchical", NewHierarchical},
 		{"random-rep", NewRandomReplicated},
-		{"spray", func() Scheme { return NewSprayAndWait(0) }},
+		{"spray", NewSprayAndWait},
 		{"epidemic", NewEpidemic},
 	}
 }

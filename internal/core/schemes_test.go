@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"freshcache/internal/cache"
+	"freshcache/internal/centrality"
 	"freshcache/internal/metrics"
 	"freshcache/internal/trace"
 )
@@ -174,6 +175,49 @@ func TestHierarchicalRelayDelivery(t *testing.T) {
 	// two-hop 0→3→2 with λ=0.02 each over budget 300.
 	if res.SchemeStats["plansTotal"] == 0 || res.SchemeStats["satisfiedRatio"] == 0 {
 		t.Fatalf("planner stats: %v", res.SchemeStats)
+	}
+}
+
+// TestPlanMemoFollowsRateStore: plans are memoized over the runtime's
+// converged store only, a store swapped in by a rebuild flushes them, and
+// every other view, a node's local view under distributed knowledge
+// included, bypasses the memo.
+func TestPlanMemoFollowsRateStore(t *testing.T) {
+	s := NewHierarchical().(*refreshScheme)
+	eng := microEngine(t, s, relayContacts())
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rt := eng.Runtime()
+	old := rt.Rates
+	if got := s.planMemo(rt.RatesFor(0)); len(got) == 0 {
+		t.Fatal("no plan memoized over the converged store")
+	}
+	fresh, err := centrality.RatesFromPairs(rt.N, map[[2]trace.NodeID]float64{{0, 1}: 0.03, {1, 2}: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Rates = fresh
+	if err := s.Rebuild(rt); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.planMemo(rt.RatesFor(0)); got == nil || len(got) != 0 {
+		t.Fatalf("memo over the swapped-in store holds %d plans of the replaced one", len(got))
+	}
+	dist := centrality.NewDistributedEstimator(rt.N, 0)
+	dist.Observe(0, 3, 10)
+	local, err := dist.View(0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]centrality.RateView{
+		"local view":     local,
+		"replaced store": old,
+		"empty view":     centrality.EmptyView(rt.N),
+	} {
+		if s.planMemo(v) != nil {
+			t.Errorf("%s used the plan memo", name)
+		}
 	}
 }
 

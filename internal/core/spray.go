@@ -18,7 +18,6 @@ import (
 // analysis-driven replication.
 type sprayScheme struct {
 	rt *Runtime
-	l  int
 
 	// tokens[node][key] is the number of logical copies the node holds.
 	tokens map[trace.NodeID]map[copyKey]int
@@ -36,18 +35,11 @@ type sprayMeta struct {
 
 var _ Scheme = (*sprayScheme)(nil)
 
-// DefaultSprayCopies is the copy budget used when NewSprayAndWait is
-// given a non-positive count.
-const DefaultSprayCopies = 8
+// sprayCopies is L, the number of logical copies minted per version.
+const sprayCopies = 8
 
-// NewSprayAndWait returns the spray-and-wait refresh baseline with the
-// given per-version copy budget (<= 0 selects DefaultSprayCopies).
-func NewSprayAndWait(copies int) Scheme {
-	if copies <= 0 {
-		copies = DefaultSprayCopies
-	}
-	return &sprayScheme{l: copies}
-}
+// NewSprayAndWait returns the spray-and-wait refresh baseline.
+func NewSprayAndWait() Scheme { return &sprayScheme{} }
 
 // Name implements Scheme.
 func (s *sprayScheme) Name() string { return "spray" }
@@ -96,7 +88,7 @@ func (s *sprayScheme) OnGenerate(it cache.Item, version int, now float64) {
 		s.tokens[it.Source] = src
 	}
 	delete(src, copyKey{item: it.ID, version: version - 1})
-	src[key] = s.l
+	src[key] = sprayCopies
 	s.setTokenSpan(it.Source, key, s.rt.Rec.Root(int32(it.ID), int32(version)))
 }
 

@@ -7,11 +7,12 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
-// The claims EXPERIMENTS.md makes about E1, E5, E6, E9 to E21, and its
-// headline claim 3, checked against the
+// The claims EXPERIMENTS.md makes about E1 to E6, E8 to E21, and its
+// headline claims 1 to 3, checked against the
 // committed seed-42 tables in results/. Each ordering, trend, ratio range
 // and quoted number is one assertion that names its table and tolerance:
 // a quoted number must lie within half a unit of its last quoted digit,
@@ -116,6 +117,19 @@ func increasing(xs []float64) bool {
 	return true
 }
 
+// falls returns the steps i at which xs[i] < xs[i-1].
+func falls(xs []float64) []int {
+	var out []int
+	for i := 1; i < len(xs); i++ {
+		if xs[i] < xs[i-1] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func nonDecreasing(xs []float64) bool { return len(falls(xs)) == 0 }
+
 func mean(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
@@ -133,6 +147,45 @@ func maxDev(xs []float64) float64 {
 }
 
 var bothPresets = []string{"reality-like", "infocom-like"}
+
+// freshnessOrder is E2's and E4's column order, which is also the
+// freshness ordering they claim at every point.
+var freshnessOrder = []string{"norefresh", "direct", "hierarchical-norep", "hierarchical", "epidemic"}
+
+// holdsOrder checks that every row of the table ranks the schemes
+// strictly in the given order.
+func holdsOrder(t *testing.T, tb resultTable, order []string) {
+	t.Helper()
+	for _, row := range tb.rows {
+		var xs []float64
+		for _, s := range order {
+			xs = append(xs, tb.num(t, row[tb.col(t, s)]))
+		}
+		holds(t, tb.name, tb.header[0]+"="+row[0]+": "+strings.Join(order, " < "), increasing(xs), row)
+	}
+}
+
+// ratios returns column a over column b, row by row.
+func ratios(t *testing.T, tb resultTable, a, b string) []float64 {
+	t.Helper()
+	num, den := tb.column(t, a), tb.column(t, b)
+	out := make([]float64, len(num))
+	for i := range num {
+		out[i] = num[i] / den[i]
+	}
+	return out
+}
+
+// gaps returns column a minus column b, row by row.
+func gaps(t *testing.T, tb resultTable, a, b string) []float64 {
+	t.Helper()
+	x, y := tb.column(t, a), tb.column(t, b)
+	out := make([]float64, len(x))
+	for i := range x {
+		out[i] = x[i] - y[i]
+	}
+	return out
+}
 
 // e2FourHours returns E2's R = 4 h row for a preset, by scheme.
 func e2FourHours(t *testing.T, preset string) map[string]string {
@@ -169,6 +222,141 @@ func TestClaimsE1(t *testing.T) {
 	holds(t, name, "reality-like has more nodes and a longer span", r("nodes") > i("nodes") && r("hours") > i("hours"))
 	holds(t, name, "reality-like's pair coverage is sparse (< 0.5), infocom-like's dense (> 0.85)",
 		r("pairCoverage") < 0.5 && i("pairCoverage") > 0.85, r("pairCoverage"), i("pairCoverage"))
+}
+
+func TestClaimsE2(t *testing.T) {
+	for _, file := range []string{"e2_0.csv", "e2_1.csv"} {
+		tb := readResult(t, file)
+		holdsOrder(t, tb, freshnessOrder)
+		for _, s := range freshnessOrder {
+			col := tb.column(t, s)
+			if s == "norefresh" {
+				holds(t, file, s+" never falls with R", nonDecreasing(col), col)
+				continue
+			}
+			holds(t, file, s+" rises with R", increasing(col), col)
+		}
+	}
+	tb := readResult(t, "e2_0.csv")
+	for _, q := range []struct {
+		r    string
+		want []float64
+	}{
+		{"2", []float64{0, 0.0477, 0.05314, 0.08828, 0.2374}},
+		{"8", []float64{0.0006276, 0.1035, 0.1506, 0.2878, 0.659}},
+		{"24", []float64{0.006695, 0.1518, 0.3171, 0.5314, 0.8452}},
+	} {
+		for i, s := range freshnessOrder {
+			quoted(t, tb.name, "R="+q.r+" "+s, tb.at(t, s, q.r), q.want[i], 0)
+		}
+	}
+	quoted(t, tb.name, "R=4 norefresh", tb.at(t, "norefresh", "4"), 0, 0)
+	up := ratios(t, tb, "hierarchical", "direct")
+	holds(t, tb.name, "hierarchical/direct rises at every step of R", increasing(up), up)
+
+	info := readResult(t, "e2_1.csv")
+	down := ratios(t, info, "hierarchical", "direct")
+	slices.Reverse(down)
+	holds(t, info.name, "hierarchical/direct falls at every step of R", increasing(down), down)
+	margin := gaps(t, info, "hierarchical", "direct")
+	peak := slices.Index(margin, slices.Max(margin))
+	holds(t, info.name, "hierarchical's margin over direct peaks at R = 2 h", info.rows[peak][0] == "2", margin)
+	quoted(t, info.name, "hierarchical's peak margin over direct", margin[peak], 0.302, 0.0005)
+	quoted(t, info.name, "hierarchical's margin over direct at R = 8 h", margin[len(margin)-1], 0.258, 0.0005)
+}
+
+// TestClaimsHeadline1 checks headline claim 1, the freshness gain over
+// direct refreshing, on E2's tables.
+func TestClaimsHeadline1(t *testing.T) {
+	for _, q := range []struct {
+		file, r      string
+		lo, hi, h, d float64
+	}{
+		{"e2_0.csv", "24", 1.85, 3.50, 0.531, 0.152},
+		{"e2_1.csv", "2", 1.66, 2.87, 0.507, 0.206},
+	} {
+		tb := readResult(t, q.file)
+		rs := ratios(t, tb, "hierarchical", "direct")
+		quoted(t, q.file, "lowest hierarchical/direct", slices.Min(rs), q.lo, 0.005)
+		quoted(t, q.file, "highest hierarchical/direct", slices.Max(rs), q.hi, 0.005)
+		quoted(t, q.file, "hierarchical at R="+q.r, tb.at(t, "hierarchical", q.r), q.h, 0.0005)
+		quoted(t, q.file, "direct at R="+q.r, tb.at(t, "direct", q.r), q.d, 0.0005)
+	}
+}
+
+// TestClaimsE3 checks E3 and headline claim 2, the validity of data
+// access.
+func TestClaimsE3(t *testing.T) {
+	tb := readResult(t, "e3_0.csv")
+	for _, q := range []struct {
+		scheme      string
+		lo, hi, tol float64
+	}{
+		{"norefresh", 0.3919, 0.3973, 0.00005},
+		{"direct", 0.6817, 0.6962, 0.00005},
+		{"hierarchical", 0.93, 0.94, 0.005},
+	} {
+		col := tb.column(t, q.scheme)
+		quoted(t, tb.name, "lowest "+q.scheme, slices.Min(col), q.lo, q.tol)
+		quoted(t, tb.name, "highest "+q.scheme, slices.Max(col), q.hi, q.tol)
+	}
+	for _, s := range freshnessOrder {
+		col := tb.column(t, s)
+		span := slices.Max(col) - slices.Min(col)
+		holds(t, tb.name, s+" is flat in query rate: spans at most 0.0145", span <= 0.0145+1e-12, span)
+	}
+	holdsOrder(t, tb, []string{"norefresh", "direct", "hierarchical"})
+
+	info := readResult(t, "e3_1.csv")
+	var refreshing []float64
+	for _, s := range freshnessOrder[1:] {
+		refreshing = append(refreshing, info.column(t, s)...)
+	}
+	low := slices.Min(refreshing)
+	holds(t, info.name, "every refreshing scheme reads at least 0.98", low >= 0.98, low)
+	quoted(t, info.name, "lowest refreshing cell", low, 0.9901, 0.00005)
+}
+
+func TestClaimsE4(t *testing.T) {
+	for _, file := range []string{"e4_0.csv", "e4_1.csv"} {
+		holdsOrder(t, readResult(t, file), freshnessOrder)
+	}
+	tb := readResult(t, "e4_0.csv")
+	direct := tb.column(t, "direct")
+	quoted(t, tb.name, "direct at K=2", tb.at(t, "direct", "2"), 0.025, 0.0005)
+	quoted(t, tb.name, "direct at K=16", tb.at(t, "direct", "16"), 0.058, 0.0005)
+	top := slices.Index(direct, slices.Max(direct))
+	holds(t, tb.name, "direct peaks at K=4", tb.rows[top][0] == "4", direct)
+	quoted(t, tb.name, "direct's peak", direct[top], 0.085, 0.0005)
+	past := slices.Clone(direct[top:])
+	slices.Reverse(past)
+	holds(t, tb.name, "direct falls at every step past its peak", increasing(past), direct)
+	h2, h16 := tb.at(t, "hierarchical", "2"), tb.at(t, "hierarchical", "16")
+	quoted(t, tb.name, "hierarchical at K=2", h2, 0.106, 0.0005)
+	quoted(t, tb.name, "hierarchical at K=16", h16, 0.168, 0.0005)
+	holds(t, tb.name, "hierarchical is fresher at K=16 than at K=2", h16 > h2, h2, h16)
+
+	info := readResult(t, "e4_1.csv")
+	hier := info.column(t, "hierarchical")
+	quoted(t, info.name, "hierarchical at K=2", info.at(t, "hierarchical", "2"), 0.607, 0.0005)
+	quoted(t, info.name, "hierarchical at K=16", info.at(t, "hierarchical", "16"), 0.603, 0.0005)
+	dip := slices.Index(hier, slices.Min(hier))
+	holds(t, info.name, "hierarchical dips lowest at K=8", info.rows[dip][0] == "8", hier)
+	quoted(t, info.name, "hierarchical's dip", hier[dip], 0.581, 0.0005)
+
+	for _, q := range []struct {
+		tb          resultTable
+		first, last float64
+		narrowsAt   string
+	}{{tb, 0.081, 0.109, "4"}, {info, 0.244, 0.329, "16"}} {
+		g := gaps(t, q.tb, "hierarchical", "direct")
+		quoted(t, q.tb.name, "hierarchical's gap over direct at K=2", g[0], q.first, 0.0005)
+		quoted(t, q.tb.name, "hierarchical's gap over direct at K=16", g[len(g)-1], q.last, 0.0005)
+		holds(t, q.tb.name, "the gap is wider at K=16 than at K=2", g[len(g)-1] > g[0], g)
+		f := falls(g)
+		holds(t, q.tb.name, "the gap narrows once, on the step to K="+q.narrowsAt,
+			len(f) == 1 && q.tb.rows[f[0]][0] == q.narrowsAt, g)
+	}
 }
 
 func TestClaimsE5(t *testing.T) {
@@ -237,6 +425,38 @@ func TestClaimsE6(t *testing.T) {
 	hTx, nTx := e5.at(t, "refreshTx", "reality-like", "hierarchical"), e5.at(t, "refreshTx", "reality-like", "hierarchical-norep")
 	quoted(t, "e5_0.csv", "reality-like hierarchical refreshTx", hTx, 2362, 0)
 	quoted(t, "e5_0.csv", "reality-like hierarchical-norep refreshTx", nTx, 983, 0)
+}
+
+func TestClaimsE8(t *testing.T) {
+	tb := readResult(t, "e8_0.csv")
+	hier := tb.column(t, "hierarchical")
+	quoted(t, tb.name, "hierarchical at W=0.5R", tb.at(t, "hierarchical", "0.5"), 0.40, 0.005)
+	holds(t, tb.name, "hierarchical never falls as the window loosens", nonDecreasing(hier), hier)
+	d, e := tb.at(t, "direct", "0.5"), tb.at(t, "epidemic", "0.5")
+	quoted(t, tb.name, "direct at W=0.5R", d, 0.7133, 0.00005)
+	quoted(t, tb.name, "epidemic at W=0.5R", e, 0.7122, 0.00005)
+	holds(t, tb.name, "direct edges epidemic at W=0.5R", d > e, d, e)
+	quoted(t, tb.name, "epidemic at W=2R", tb.at(t, "epidemic", "2"), 0.9655, 0.00005)
+	quoted(t, tb.name, "epidemic at W=3R", tb.at(t, "epidemic", "3"), 1, 0)
+
+	info := readResult(t, "e8_1.csv")
+	ie, ih, id := info.at(t, "epidemic", "0.5"), info.at(t, "hierarchical", "0.5"), info.at(t, "direct", "0.5")
+	quoted(t, info.name, "epidemic at W=0.5R", ie, 0.9167, 0.00005)
+	quoted(t, info.name, "hierarchical at W=0.5R", ih, 0.9023, 0.00005)
+	quoted(t, info.name, "direct at W=0.5R", id, 0.7316, 0.00005)
+	holds(t, info.name, "epidemic wins at W=0.5R", ie > ih && ie > id, ie, ih, id)
+	for _, w := range []string{"1", "2", "3"} {
+		quoted(t, info.name, "epidemic at W="+w+"R", info.at(t, "epidemic", w), 1, 0)
+	}
+
+	for _, tb := range []resultTable{tb, info} {
+		for _, w := range []string{"1", "2", "3"} {
+			quoted(t, tb.name, "direct at W="+w+"R", tb.at(t, "direct", w), 1, 0)
+		}
+		for _, w := range []string{"2", "3"} {
+			quoted(t, tb.name, "hierarchical at W="+w+"R", tb.at(t, "hierarchical", w), 1, 0)
+		}
+	}
 }
 
 func TestClaimsE9(t *testing.T) {

@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"math"
 	"testing"
 )
 
@@ -17,7 +18,27 @@ func FuzzGenerate(f *testing.F) {
 	f.Add(int64(0), 1100, 0.2, 2.0, 0.8, 0.002, 120.0) // sparse sampling path
 	f.Add(int64(-3), 0, -1.0, 0.0, 0.0, 2.0, -5.0)     // invalid everything
 	f.Add(int64(9), 30, 0.5, 8.0, 0.7, 0.001, 90.0)
+	f.Add(int64(5), 20, math.Inf(1), 4.0, 0.8, 0.5, 60.0)
+	f.Add(int64(5), 20, 1.0, math.NaN(), 0.8, 0.5, 60.0)
 	f.Fuzz(func(t *testing.T, seed int64, n int, days, ratePerDay, shape, pairFrac, dur float64) {
+		// A non-finite parameter is rejected. Only validation runs: a
+		// generator handed one could run without end.
+		for _, x := range []float64{days, ratePerDay, shape, pairFrac, dur} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				for _, g := range []interface{ validate() error }{
+					&HeterogeneousExp{N: 10, Duration: days * Day, MeanRate: ratePerDay / Day,
+						RateShape: shape, PairFraction: pairFrac, MeanContactDur: dur},
+					&Community{N: 10, Duration: days * Day, Communities: 2, IntraRate: ratePerDay / Day,
+						InterRate: ratePerDay / (4 * Day), RateShape: shape, InterPairFraction: pairFrac,
+						HubFraction: 0.1, HubBoost: 2, MeanContactDur: dur},
+				} {
+					if err := g.validate(); err == nil {
+						t.Fatalf("%T accepted days=%v rate=%v shape=%v pairs=%v dur=%v", g, days, ratePerDay, shape, pairFrac, dur)
+					}
+				}
+				return
+			}
+		}
 		// Clamp into a range where valid inputs stay cheap; invalid inputs
 		// are left as-is so validation paths get fuzzed too.
 		if n > 1200 {

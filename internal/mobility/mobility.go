@@ -171,20 +171,24 @@ type HeterogeneousExp struct {
 // Name implements Generator.
 func (g *HeterogeneousExp) Name() string { return g.TraceName }
 
+// positiveFinite reports whether x is a finite number > 0. NaN, which
+// fails every comparison, fails it too.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 func (g *HeterogeneousExp) validate() error {
 	switch {
 	case g.N < 2:
 		return fmt.Errorf("mobility: need at least 2 nodes, got %d", g.N)
-	case g.Duration <= 0:
-		return fmt.Errorf("mobility: non-positive duration %v", g.Duration)
-	case g.MeanRate <= 0:
-		return fmt.Errorf("mobility: non-positive mean rate %v", g.MeanRate)
-	case g.RateShape <= 0:
-		return fmt.Errorf("mobility: non-positive rate shape %v", g.RateShape)
-	case g.PairFraction <= 0 || g.PairFraction > 1:
+	case !positiveFinite(g.Duration):
+		return fmt.Errorf("mobility: duration %v is not a finite positive number", g.Duration)
+	case !positiveFinite(g.MeanRate):
+		return fmt.Errorf("mobility: mean rate %v is not a finite positive number", g.MeanRate)
+	case !positiveFinite(g.RateShape):
+		return fmt.Errorf("mobility: rate shape %v is not a finite positive number", g.RateShape)
+	case !(g.PairFraction > 0 && g.PairFraction <= 1):
 		return fmt.Errorf("mobility: pair fraction %v outside (0,1]", g.PairFraction)
-	case g.MeanContactDur <= 0:
-		return fmt.Errorf("mobility: non-positive contact duration %v", g.MeanContactDur)
+	case !positiveFinite(g.MeanContactDur):
+		return fmt.Errorf("mobility: contact duration %v is not a finite positive number", g.MeanContactDur)
 	}
 	return nil
 }
@@ -265,22 +269,22 @@ func (g *Community) validate() error {
 	switch {
 	case g.N < 2:
 		return fmt.Errorf("mobility: need at least 2 nodes, got %d", g.N)
-	case g.Duration <= 0:
-		return fmt.Errorf("mobility: non-positive duration %v", g.Duration)
+	case !positiveFinite(g.Duration):
+		return fmt.Errorf("mobility: duration %v is not a finite positive number", g.Duration)
 	case g.Communities < 1 || g.Communities > g.N:
 		return fmt.Errorf("mobility: %d communities for %d nodes", g.Communities, g.N)
-	case g.IntraRate <= 0 || g.InterRate < 0:
+	case !positiveFinite(g.IntraRate) || !(g.InterRate >= 0) || math.IsInf(g.InterRate, 1):
 		return fmt.Errorf("mobility: bad rates intra=%v inter=%v", g.IntraRate, g.InterRate)
-	case g.RateShape <= 0:
-		return fmt.Errorf("mobility: non-positive rate shape %v", g.RateShape)
-	case g.InterPairFraction < 0 || g.InterPairFraction > 1:
+	case !positiveFinite(g.RateShape):
+		return fmt.Errorf("mobility: rate shape %v is not a finite positive number", g.RateShape)
+	case !(g.InterPairFraction >= 0 && g.InterPairFraction <= 1):
 		return fmt.Errorf("mobility: inter pair fraction %v outside [0,1]", g.InterPairFraction)
-	case g.HubFraction < 0 || g.HubFraction > 1:
+	case !(g.HubFraction >= 0 && g.HubFraction <= 1):
 		return fmt.Errorf("mobility: hub fraction %v outside [0,1]", g.HubFraction)
-	case g.HubFraction > 0 && g.HubBoost < 1:
-		return fmt.Errorf("mobility: hub boost %v below 1", g.HubBoost)
-	case g.MeanContactDur <= 0:
-		return fmt.Errorf("mobility: non-positive contact duration %v", g.MeanContactDur)
+	case math.IsNaN(g.HubBoost) || math.IsInf(g.HubBoost, 0) || g.HubFraction > 0 && g.HubBoost < 1:
+		return fmt.Errorf("mobility: hub boost %v is not finite, or below 1", g.HubBoost)
+	case !positiveFinite(g.MeanContactDur):
+		return fmt.Errorf("mobility: contact duration %v is not a finite positive number", g.MeanContactDur)
 	}
 	return nil
 }

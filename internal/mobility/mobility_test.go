@@ -100,8 +100,26 @@ func TestHeterogeneousExpValidation(t *testing.T) {
 		{N: 5, Duration: 1, MeanRate: 1, RateShape: 1, PairFraction: 1.5, MeanContactDur: 1},
 		{N: 5, Duration: 1, MeanRate: 1, RateShape: 1, PairFraction: 1, MeanContactDur: 0},
 	}
+	// NaN passes every range test written as x <= 0, and +Inf passes a
+	// positivity test: each float parameter must reject both.
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for _, set := range []func(*HeterogeneousExp){
+			func(g *HeterogeneousExp) { g.Duration = v },
+			func(g *HeterogeneousExp) { g.MeanRate = v },
+			func(g *HeterogeneousExp) { g.RateShape = v },
+			func(g *HeterogeneousExp) { g.PairFraction = v },
+			func(g *HeterogeneousExp) { g.MeanContactDur = v },
+		} {
+			g := &HeterogeneousExp{N: 5, Duration: 1, MeanRate: 1, RateShape: 1, PairFraction: 1, MeanContactDur: 1}
+			set(g)
+			bad = append(bad, g)
+		}
+	}
+	// validate, not Generate: a generator handed a parameter the check
+	// misses may never stop, as an infinite duration keeps drawing
+	// contacts until memory runs out.
 	for i, g := range bad {
-		if _, err := g.Generate(1); err == nil {
+		if err := g.validate(); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}
@@ -159,10 +177,24 @@ func TestCommunityValidation(t *testing.T) {
 		func(g *Community) { g.HubBoost = 0.5 },
 		func(g *Community) { g.MeanContactDur = 0 },
 	}
+	// NaN passes every range test written as x <= 0, and +Inf passes a
+	// positivity test: each float parameter must reject both.
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		mutations = append(mutations,
+			func(g *Community) { g.Duration = v },
+			func(g *Community) { g.IntraRate = v },
+			func(g *Community) { g.InterRate = v },
+			func(g *Community) { g.RateShape = v },
+			func(g *Community) { g.InterPairFraction = v },
+			func(g *Community) { g.HubFraction = v },
+			func(g *Community) { g.HubBoost = v },
+			func(g *Community) { g.MeanContactDur = v })
+	}
+	// validate, not Generate, as in TestHeterogeneousExpValidation.
 	for i, mut := range mutations {
 		g := base()
 		mut(g)
-		if _, err := g.Generate(1); err == nil {
+		if err := g.validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
 	}

@@ -153,40 +153,6 @@ func TestMessageLoss(t *testing.T) {
 	}
 }
 
-func TestLossConsumesBudget(t *testing.T) {
-	sim := eventsim.New()
-	tr := &trace.Trace{Name: "one", N: 2, Duration: 100,
-		Contacts: []trace.Contact{{A: 0, B: 1, Start: 10, End: 20}}}
-	// Budget 2 messages; 100% loss would be invalid config, use high prob
-	// via repeated attempt instead: DropProb 0.999... keep 0.9 and assert
-	// budget accounting only.
-	net, err := New(sim, tr, Config{MsgTime: 5, DropProb: 0.9, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	attempts, successes := 0, 0
-	net.Attach(HandlerFunc(func(c *Contact) {
-		for c.Budget() > 0 {
-			attempts++
-			if c.Send(c.A, c.B, "x") {
-				successes++
-			}
-		}
-	}))
-	if err := net.ScheduleCompiled(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(1e9); err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (budget)", attempts)
-	}
-	if successes+net.Lost() != attempts {
-		t.Fatalf("successes %d + lost %d != attempts %d", successes, net.Lost(), attempts)
-	}
-}
-
 func TestDropProbValidation(t *testing.T) {
 	if _, err := New(eventsim.New(), testTrace(), Config{DropProb: -0.1}); err == nil {
 		t.Fatal("negative drop prob accepted")
@@ -197,9 +163,6 @@ func TestDropProbValidation(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := New(eventsim.New(), testTrace(), Config{DropProb: v}); err == nil {
 			t.Errorf("drop probability %v accepted", v)
-		}
-		if _, err := New(eventsim.New(), testTrace(), Config{MsgTime: v}); err == nil {
-			t.Errorf("message time %v accepted", v)
 		}
 	}
 }

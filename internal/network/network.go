@@ -1,8 +1,8 @@
 // Package network is the opportunistic network layer: it replays a
 // contact trace through the discrete-event engine, dispatches each contact
-// to the registered protocol handlers, enforces the per-contact transfer
-// budget implied by contact duration, and accounts for every transmission
-// — the overhead metric of the evaluation.
+// to the registered protocol handlers, injects message loss and node
+// churn, and accounts for every transmission — the overhead metric of the
+// evaluation.
 //
 // The layer is deliberately thin: protocols own their node state (caches,
 // relay buffers, pending-refresh sets); the network owns only connectivity
@@ -12,7 +12,6 @@ package network
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 
@@ -44,29 +43,20 @@ type Contact struct {
 	Time     float64
 	Duration float64
 
-	net       *Net
-	remaining int // message budget left in this contact; -1 = unlimited
+	net *Net
 }
 
 // Send transfers one protocol message from one endpoint of the contact to
-// the other, consuming contact budget and recording overhead under the
-// given kind ("refresh", "relay", "query", ...). It reports false — and
-// records nothing — when the contact's transfer budget is exhausted, which
-// models short contacts truncating exchanges.
+// the other, recording overhead under the given kind ("refresh", "relay",
+// "query", ...). It reports false — and records nothing — when message
+// loss drops the transmission.
 func (c *Contact) Send(from, to trace.NodeID, kind string) bool {
 	if (from != c.A || to != c.B) && (from != c.B || to != c.A) {
 		panic(fmt.Sprintf("network: Send(%d→%d) outside contact (%d,%d)", from, to, c.A, c.B))
 	}
-	if c.remaining == 0 {
-		c.net.truncated++
-		return false
-	}
-	if c.remaining > 0 {
-		c.remaining--
-	}
 	if c.net.lossRNG != nil && c.net.lossRNG.Float64() < c.net.cfg.DropProb {
-		// The transmission happened (budget spent) but was lost in the
-		// air; the receiver gets nothing.
+		// The transmission happened but was lost in the air; the
+		// receiver gets nothing.
 		c.net.lost++
 		return false
 	}
@@ -78,18 +68,11 @@ func (c *Contact) Send(from, to trace.NodeID, kind string) bool {
 	return true
 }
 
-// Budget reports the remaining message budget (-1 means unlimited).
-func (c *Contact) Budget() int { return c.remaining }
-
 // Config configures a Net.
 type Config struct {
-	// MsgTime is the transfer time of one message in seconds; a contact of
-	// duration d carries at most floor(d/MsgTime) messages (minimum 1).
-	// Zero disables the budget (infinite bandwidth).
-	MsgTime float64
 	// DropProb makes each transmission independently fail with this
-	// probability (radio loss, collisions). A dropped send consumes
-	// contact budget but delivers nothing.
+	// probability (radio loss, collisions). A dropped send delivers
+	// nothing.
 	DropProb float64
 	// Churn turns nodes off and on; contacts involving a down node are
 	// suppressed.
@@ -112,7 +95,6 @@ type Net struct {
 	kinds              []string
 	sends              []int
 	totalTransmissions int
-	truncated          int
 	lost               int
 	contactsDispatched int
 	contactsSuppressed int
@@ -137,10 +119,7 @@ func New(sim *eventsim.Simulator, tr *trace.Trace, cfg Config) (*Net, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("network: %w", err)
 	}
-	// Written so that NaN, which fails every comparison, fails each test.
-	if !(cfg.MsgTime >= 0) || math.IsInf(cfg.MsgTime, 1) {
-		return nil, fmt.Errorf("network: message time %v is not a finite non-negative number", cfg.MsgTime)
-	}
+	// Written so that NaN, which fails every comparison, fails the test.
 	if !(cfg.DropProb >= 0 && cfg.DropProb < 1) {
 		return nil, fmt.Errorf("network: drop probability %v outside [0,1)", cfg.DropProb)
 	}
@@ -219,22 +198,7 @@ func (n *Net) dispatch(c trace.Contact, now float64) {
 		n.contactsSuppressed++
 		return
 	}
-	budget := -1
-	if n.cfg.MsgTime > 0 {
-		budget = int(c.Duration() / n.cfg.MsgTime)
-		if budget < 1 {
-			budget = 1
-		}
-	}
-	n.live = Contact{
-		A:        c.A,
-		B:        c.B,
-		Time:     now,
-		Duration: c.Duration(),
-		net:      n,
-
-		remaining: budget,
-	}
+	n.live = Contact{A: c.A, B: c.B, Time: now, Duration: c.Duration(), net: n}
 	n.contactsDispatched++
 	for _, h := range n.handlers {
 		h.OnContact(&n.live)
@@ -242,17 +206,10 @@ func (n *Net) dispatch(c trace.Contact, now float64) {
 }
 
 // ManualContact creates a live contact outside trace replay, with the
-// same budget rules and accounting as dispatched contacts. It does not
-// invoke handlers. Intended for custom drivers and protocol unit tests.
+// same loss and accounting as dispatched contacts. It does not invoke
+// handlers. Intended for custom drivers and protocol unit tests.
 func (n *Net) ManualContact(a, b trace.NodeID, at, duration float64) *Contact {
-	budget := -1
-	if n.cfg.MsgTime > 0 {
-		budget = int(duration / n.cfg.MsgTime)
-		if budget < 1 {
-			budget = 1
-		}
-	}
-	return &Contact{A: a, B: b, Time: at, Duration: duration, net: n, remaining: budget}
+	return &Contact{A: a, B: b, Time: at, Duration: duration, net: n}
 }
 
 // countSend counts one successful send of the given kind.
@@ -289,10 +246,6 @@ func (n *Net) SentBy(node trace.NodeID) int {
 
 // TotalTransmissions returns the total transmissions across all kinds.
 func (n *Net) TotalTransmissions() int { return n.totalTransmissions }
-
-// Truncated reports how many sends were refused because a contact's
-// budget was exhausted.
-func (n *Net) Truncated() int { return n.truncated }
 
 // Lost reports how many transmissions were dropped by message loss.
 func (n *Net) Lost() int { return n.lost }

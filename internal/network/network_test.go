@@ -134,66 +134,6 @@ func TestSentBy(t *testing.T) {
 	}
 }
 
-func TestBudgetTruncatesExchange(t *testing.T) {
-	sim := eventsim.New()
-	// MsgTime 5s: the 10s contact carries 2 messages, the 1s contact 1,
-	// the 5s contact 1.
-	net, err := New(sim, testTrace(), Config{MsgTime: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent, refused := 0, 0
-	net.Attach(HandlerFunc(func(c *Contact) {
-		for i := 0; i < 4; i++ {
-			if c.Send(c.A, c.B, "refresh") {
-				sent++
-			} else {
-				refused++
-			}
-		}
-	}))
-	if err := net.ScheduleCompiled(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(1000); err != nil {
-		t.Fatal(err)
-	}
-	if sent != 2+1+1 {
-		t.Fatalf("sent = %d, want 4", sent)
-	}
-	if refused != 12-4 {
-		t.Fatalf("refused = %d, want 8", refused)
-	}
-	if net.Truncated() != refused {
-		t.Fatalf("Truncated = %d, want %d", net.Truncated(), refused)
-	}
-	if net.TotalTransmissions() != sent {
-		t.Fatalf("total = %d, want %d", net.TotalTransmissions(), sent)
-	}
-}
-
-func TestBudgetExposed(t *testing.T) {
-	sim := eventsim.New()
-	net, err := New(sim, testTrace(), Config{MsgTime: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var budgets []int
-	net.Attach(HandlerFunc(func(c *Contact) { budgets = append(budgets, c.Budget()) }))
-	if err := net.ScheduleCompiled(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(1000); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{2, 1, 1}
-	for i := range want {
-		if budgets[i] != want[i] {
-			t.Fatalf("budgets = %v, want %v", budgets, want)
-		}
-	}
-}
-
 func TestSendOutsideContactPanics(t *testing.T) {
 	sim := eventsim.New()
 	tr := testTrace()
@@ -230,9 +170,6 @@ func TestConstructorValidation(t *testing.T) {
 	bad.N = 0
 	if _, err := New(eventsim.New(), bad, Config{}); err == nil {
 		t.Fatal("invalid trace accepted")
-	}
-	if _, err := New(eventsim.New(), testTrace(), Config{MsgTime: -1}); err == nil {
-		t.Fatal("negative MsgTime accepted")
 	}
 }
 
