@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"freshcache/internal/cache"
@@ -289,6 +290,13 @@ func (c *Config) validate() error {
 	case c.QueryRelays < 0:
 		return fmt.Errorf("core: negative query relay count %d", c.QueryRelays)
 	}
+	// A zero rate turns queries off; any other rate, NaN included, must
+	// make a workload GenerateQueries accepts.
+	if c.Workload.QueryRate != 0 {
+		if err := c.Workload.Validate(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
 	// The trace itself is validated once, by network.New.
 	for _, it := range c.Catalog.Items() {
 		if int(it.Source) >= c.Trace.N {
@@ -319,9 +327,11 @@ type Engine struct {
 	// the measurement epoch once the caching set is known.
 	stores  []*cache.Store
 	sources map[trace.NodeID][]cache.ItemID // node -> items it sources
-	// queries is the run's query workload, requester by requester (see
-	// cache.GenerateQueries); the plan and the book refer into it.
-	// issued numbers the queries as they are dispatched.
+	// queries is the run's query log in issue order: GenerateQueries
+	// fills it requester by requester, then each dispatched query
+	// overwrites the next slot, so the query with ID k sits at slot k. The
+	// book points into it. issued numbers the queries as they are
+	// dispatched.
 	queries []cache.Query
 	issued  int
 	// qscratch is resolveFor's reusable snapshot of a pending-query list
@@ -356,8 +366,39 @@ type Engine struct {
 	// read it again.
 	scratch       *runScratch
 	estObserveAll bool
+	// compile is the measurement plan's compile, running beside the
+	// warm-up (see Run).
+	compile planCompile
 
 	initErr error // deferred error from the epoch event
+}
+
+// planCompile runs the plan compile on its own goroutine. join waits for
+// it and returns its error; a panic in the compile is recovered there and
+// raised again by join, on the joining goroutine. A compile that never
+// started, or was joined before, joins at once.
+type planCompile struct {
+	wg       sync.WaitGroup
+	err      error
+	panicked any
+}
+
+func (c *planCompile) start(compile func() error) {
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		defer func() { c.panicked = recover() }()
+		c.err = compile()
+	}()
+}
+
+func (c *planCompile) join() error {
+	c.wg.Wait()
+	if p := c.panicked; p != nil {
+		c.panicked = nil
+		panic(p)
+	}
+	return c.err
 }
 
 // NewEngine validates the configuration and prepares a run.
@@ -481,6 +522,14 @@ func (e *Engine) Run() (metrics.Result, error) {
 	}); err != nil {
 		return metrics.Result{}, err
 	}
+
+	// The measurement plan depends only on the configuration and the
+	// epoch, so it is compiled on a second goroutine while the warm-up
+	// replays, and startMeasurement joins it. Run joins it again on every
+	// return, so no compile outlives a failed run to write into a Reuse
+	// the next engine holds.
+	e.compile.start(e.compilePlan)
+	defer e.compile.join()
 
 	if _, err := e.sim.Run(e.horizon); err != nil {
 		return metrics.Result{}, err
@@ -655,20 +704,37 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 		}
 	}
 
-	// Everything below is known in full at the epoch, so it is compiled
-	// into a single plan and attached as one timeline. Actions are
-	// appended as runs that are each already in time order: generations
-	// (one run per item, versions in order), freshness samples, timeline
-	// ticks, then query issues (one run per requester). Merging the runs'
-	// StaticEvent projection puts the earlier run first on equal times,
-	// so equal-time actions run in that order, queries by requester.
+	// The plan, compiled beside the warm-up, is attached after the
+	// rebuilds, so on equal times a rebuild runs first.
+	if err := e.compile.join(); err != nil {
+		return err
+	}
+	return e.sim.AttachTimeline(e.scratch.planEvents, e.runPlanAction)
+}
+
+// compilePlan compiles everything the measurement phase dispatches on its
+// own into one plan, which startMeasurement attaches as one timeline. All
+// of it follows from the configuration and the epoch, so Run compiles it
+// on a second goroutine while the warm-up replays. It therefore reads only
+// the configuration, records nothing, and writes only what nothing
+// touches before the epoch: the plan buffers, e.queries and the query
+// book (the warm-up's contact handler returns before reaching the book).
+//
+// Actions are appended as runs that are each already in time order:
+// generations (one run per item, versions in order), freshness samples,
+// timeline ticks, then query issues (one run per requester). Merging the
+// runs' StaticEvent projection puts the earlier run first on equal times,
+// so equal-time actions run in that order, queries by requester. The
+// entries are then put in that merged order, so the measurement phase
+// reads the plan, and writes the query log, front to back.
+func (e *Engine) compilePlan() error {
 	plan := e.scratch.plan[:0]
 	runs := e.scratch.planRuns[:0]
 
 	// Version generation events.
 	for idx, it := range e.cfg.Catalog.View() {
 		for v := 0; ; v++ {
-			at := cache.VersionTime(it, e.rt.Epoch, v)
+			at := cache.VersionTime(it, e.epoch, v)
 			if at >= e.horizon {
 				break
 			}
@@ -678,8 +744,8 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 	}
 
 	// Freshness sampling.
-	interval := (e.horizon - e.rt.Epoch) / 240
-	for t := e.rt.Epoch + interval; t < e.horizon; t += interval {
+	interval := (e.horizon - e.epoch) / 240
+	for t := e.epoch + interval; t < e.horizon; t += interval {
 		plan = append(plan, planAction{time: t, op: opSample})
 	}
 	runs = append(runs, len(plan))
@@ -690,9 +756,9 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 	if e.rec.Timeline != nil {
 		tick := e.rec.TimelineTick
 		if tick <= 0 {
-			tick = (e.horizon - e.rt.Epoch) / 240
+			tick = (e.horizon - e.epoch) / 240
 		}
-		for t := e.rt.Epoch + tick; t < e.horizon; t += tick {
+		for t := e.epoch + tick; t < e.horizon; t += tick {
 			plan = append(plan, planAction{time: t, op: opTimeline})
 		}
 		runs = append(runs, len(plan))
@@ -700,7 +766,7 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 
 	// Query workload.
 	if e.cfg.Workload.QueryRate > 0 {
-		qs, err := cache.GenerateQueries(e.cfg.Workload, e.cfg.Catalog, e.cfg.Trace.N, e.rt.Epoch, e.horizon, e.cfg.Seed)
+		qs, err := cache.GenerateQueries(e.cfg.Workload, e.cfg.Catalog, e.cfg.Trace.N, e.epoch, e.horizon, e.cfg.Seed)
 		if err != nil {
 			return err
 		}
@@ -715,7 +781,7 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 			if i > 0 && qs[i].Requester != qs[i-1].Requester {
 				runs = append(runs, len(plan))
 			}
-			plan = append(plan, planAction{time: qs[i].IssuedAt, op: opQuery, query: int32(i)})
+			plan = append(plan, planAction{time: qs[i].IssuedAt, op: opQuery, item: int32(qs[i].Item), node: int32(qs[i].Requester)})
 		}
 		runs = append(runs, len(plan))
 	}
@@ -728,11 +794,28 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 		events = append(events, eventsim.StaticEvent{Time: plan[i].time, Arg: int32(i)})
 	}
 	events, spare := eventsim.MergeRuns(events, e.scratch.planSpare, runs)
+	// Each merged event's Arg names the entry that goes to its slot. Walk
+	// the cycles of that permutation, moving entries in place and setting
+	// each Arg to its slot.
+	for k := range events {
+		if int(events[k].Arg) == k {
+			continue
+		}
+		held := plan[k]
+		j := k
+		for {
+			src := int(events[j].Arg)
+			events[j].Arg = int32(j)
+			if src == k {
+				plan[j] = held
+				break
+			}
+			plan[j] = plan[src]
+			j = src
+		}
+	}
 	e.scratch.plan, e.scratch.planRuns = plan, runs
 	e.scratch.planEvents, e.scratch.planSpare = events, spare
-	if err := e.sim.AttachTimeline(events, e.runPlanAction); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -752,7 +835,9 @@ func (e *Engine) runPlanAction(arg int32, now float64) {
 	case opTimeline:
 		e.sampleTimeline(now)
 	case opQuery:
-		e.issueQuery(&e.queries[a.query], now)
+		q := &e.queries[e.issued]
+		*q = cache.Query{Requester: trace.NodeID(a.node), Item: cache.ItemID(a.item), IssuedAt: now}
+		e.issueQuery(q, now)
 	}
 }
 

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"freshcache/internal/cache"
 	"freshcache/internal/metrics"
@@ -211,6 +216,7 @@ func TestEngineConfigValidation(t *testing.T) {
 	base := func() Config {
 		return Config{Trace: tr, Catalog: cat, Scheme: NewDirect(), NumCachingNodes: 4}
 	}
+	const hourly = 1 / mobility.Hour
 	cases := []struct {
 		name   string
 		mutate func(*Config)
@@ -223,9 +229,12 @@ func TestEngineConfigValidation(t *testing.T) {
 		{"bad warmup", func(c *Config) { c.WarmupFraction = 1.5 }},
 		{"bad preq", func(c *Config) { c.PReq = 2 }},
 		{"negative fanout", func(c *Config) { c.MaxFanout = -1 }},
+		{"negative query rate", func(c *Config) { c.Workload = cache.WorkloadConfig{QueryRate: -1, ZipfExponent: 1} }},
+		{"queries without zipf exponent", func(c *Config) { c.Workload = cache.WorkloadConfig{QueryRate: hourly} }},
 	}
 	// NaN fails every comparison, so each float field must reject it and
-	// both infinities explicitly.
+	// both infinities explicitly. The Zipf exponent is checked only when
+	// queries are on.
 	floats := []struct {
 		name string
 		set  func(*Config, float64)
@@ -236,6 +245,8 @@ func TestEngineConfigValidation(t *testing.T) {
 		{"DropProb", func(c *Config, v float64) { c.DropProb = v }},
 		{"RebuildInterval", func(c *Config, v float64) { c.RebuildInterval = v }},
 		{"TimelineTick", func(c *Config, v float64) { c.Recording.TimelineTick = v }},
+		{"QueryRate", func(c *Config, v float64) { c.Workload = cache.WorkloadConfig{QueryRate: v, ZipfExponent: 1} }},
+		{"ZipfExponent", func(c *Config, v float64) { c.Workload = cache.WorkloadConfig{QueryRate: hourly, ZipfExponent: v} }},
 	}
 	for _, f := range floats {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -254,6 +265,12 @@ func TestEngineConfigValidation(t *testing.T) {
 				t.Fatal("invalid config accepted")
 			}
 		})
+	}
+	// A zero rate turns queries off, whatever the exponent.
+	cfg := base()
+	cfg.Workload = cache.WorkloadConfig{ZipfExponent: math.NaN()}
+	if _, err := NewEngine(cfg); err != nil {
+		t.Fatalf("queries off rejected: %v", err)
 	}
 }
 
@@ -368,5 +385,231 @@ func TestSchemeByName(t *testing.T) {
 	}
 	if _, err := SchemeByName("bogus"); err == nil {
 		t.Fatal("unknown scheme accepted")
+	}
+}
+
+// initFailing is a scheme whose Init fails, so its run fails at the epoch.
+type initFailing struct{ Scheme }
+
+var errInitFailed = errors.New("init failed")
+
+func (initFailing) Init(*Runtime) error { return errInitFailed }
+
+// TestRunFailingAtEpochJoinsCompile: a run that fails at the epoch still
+// joins the plan compile started beside its warm-up. Run returns the
+// scheme's error, no goroutine outlives it, and the Reuse it held then
+// gives a fresh run exactly the result of a run without one.
+func TestRunFailingAtEpochJoinsCompile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end simulations")
+	}
+	tr := testScenarioTrace(t, 2)
+	cat := testScenarioCatalog(t, 4*mobility.Hour)
+	run := func(s Scheme, reuse *Reuse) (metrics.Result, error) {
+		t.Helper()
+		eng, err := NewEngine(Config{
+			Trace:           tr,
+			Catalog:         cat,
+			Scheme:          s,
+			NumCachingNodes: 6,
+			Workload:        cache.WorkloadConfig{QueryRate: 1 / mobility.Hour, ZipfExponent: 1},
+			Seed:            2,
+			Reuse:           reuse,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng.Run()
+	}
+	reuse := NewReuse()
+	before := runtime.NumGoroutine()
+	if _, err := run(initFailing{NewHierarchical()}, reuse); !errors.Is(err, errInitFailed) {
+		t.Fatalf("Run returned %v, want the scheme's init error", err)
+	}
+	// A goroutine may still be returning from its deferred Done.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the failed run left %d goroutines running, want %d", runtime.NumGoroutine(), before)
+		}
+	}
+	got, err := run(NewHierarchical(), reuse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := run(NewHierarchical(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Queries == 0 {
+		t.Fatal("the run issued no queries")
+	}
+	got.WallClockSeconds, want.WallClockSeconds = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the Reuse of a failed run moved the next result:\n%+v\n%+v", got, want)
+	}
+}
+
+// TestPlanCompileRaisesPanicAtJoin: a panic in the compile goroutine is
+// raised again by join on the joining goroutine, where a sweep's cell
+// recovery can catch it, and a second join returns at once.
+func TestPlanCompileRaisesPanicAtJoin(t *testing.T) {
+	var c planCompile
+	c.start(func() error { panic("compile failed") })
+	func() {
+		defer func() {
+			if r := recover(); r != "compile failed" {
+				t.Fatalf("join raised %v, want the compile's panic", r)
+			}
+		}()
+		_ = c.join()
+		t.Fatal("join returned instead of panicking")
+	}()
+	if err := c.join(); err != nil {
+		t.Fatalf("second join: %v", err)
+	}
+
+	var failing planCompile
+	failing.start(func() error { return errInitFailed })
+	if err := failing.join(); !errors.Is(err, errInitFailed) {
+		t.Fatalf("join returned %v, want the compile's error", err)
+	}
+}
+
+// generationLog forwards to a scheme and logs each generation it sees.
+type generationLog struct {
+	Scheme
+	log []planAction
+}
+
+func (g *generationLog) OnGenerate(it cache.Item, version int, now float64) {
+	g.log = append(g.log, planAction{time: now, op: opGenerate, item: int32(it.ID), ver: int32(version)})
+	g.Scheme.OnGenerate(it, version, now)
+}
+
+// TestPlanDispatchOrder: the measurement phase dispatches the plan's
+// actions in the order of a stable sort by time of its runs as compiled:
+// each item's versions, the freshness samples, the timeline ticks, then
+// each requester's queries. The scenario puts generations on sample and
+// tick instants, and two items' generations on the same instants, so the
+// ties are many. The query dispatched k-th has ID k and sits at slot k of
+// the engine's query log.
+func TestPlanDispatchOrder(t *testing.T) {
+	tr := testScenarioTrace(t, 4)
+	// The epoch is 311,040 s and the samples 3,024 s apart, both exact;
+	// every fifth sample falls on a generation of items 0 and 1, and
+	// every fifth from the first on one of item 2.
+	const interval = 3024.0
+	items := make([]cache.Item, 3)
+	for i := range items {
+		items[i] = cache.Item{ID: cache.ItemID(i), Source: trace.NodeID(i), RefreshInterval: 5 * interval,
+			FreshnessWindow: 5 * interval, Lifetime: 10 * interval, Size: 1}
+	}
+	items[2].Phase = interval
+	cat, err := cache.NewCatalog(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := obs.NewTimeline("order", 0)
+	gens := &generationLog{Scheme: NewHierarchical()}
+	cfg := Config{
+		Trace:           tr,
+		Catalog:         cat,
+		Scheme:          gens,
+		NumCachingNodes: 6,
+		Workload:        cache.WorkloadConfig{QueryRate: 1 / mobility.Hour, ZipfExponent: 1},
+		Recording:       obs.Recording{Timeline: tl},
+		Seed:            4,
+	}
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch, horizon := eng.epoch, eng.horizon
+	if (horizon-epoch)/240 != interval {
+		t.Fatalf("sample interval %v, want %v", (horizon-epoch)/240, interval)
+	}
+
+	// After every event from the epoch on, log the plan action it was, if
+	// any: each kind leaves its own trace. (Before the epoch the query book
+	// belongs to the plan compile.)
+	var got []planAction
+	nGen, nSample, nPoint, nQuery := 0, 0, 0, 0
+	eng.sim.SetProcessedHook(func(uint64) {
+		if eng.rt == nil {
+			return
+		}
+		now := eng.sim.Now()
+		var acts []planAction
+		if len(gens.log) > nGen {
+			acts = append(acts, gens.log[nGen:]...)
+			nGen = len(gens.log)
+		}
+		if n := len(eng.collector.Samples()); n > nSample {
+			acts = append(acts, planAction{time: now, op: opSample})
+			nSample = n
+		}
+		if n := tl.Len(); n > nPoint {
+			acts = append(acts, planAction{time: now, op: opTimeline})
+			nPoint = n
+		}
+		if all := eng.book.All(); len(all) > nQuery {
+			q := all[len(all)-1]
+			acts = append(acts, planAction{time: q.IssuedAt, op: opQuery, item: int32(q.Item), node: int32(q.Requester)})
+			nQuery = len(all)
+		}
+		if len(acts) > 1 {
+			t.Fatalf("one event at %v dispatched %d actions: %+v", now, len(acts), acts)
+		}
+		got = append(got, acts...)
+	})
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []planAction
+	for _, it := range cat.View() {
+		for v := 0; cache.VersionTime(it, epoch, v) < horizon; v++ {
+			want = append(want, planAction{time: cache.VersionTime(it, epoch, v), op: opGenerate, item: int32(it.ID), ver: int32(v)})
+		}
+	}
+	for _, op := range []uint8{opSample, opTimeline} {
+		for at := epoch + interval; at < horizon; at += interval {
+			want = append(want, planAction{time: at, op: op})
+		}
+	}
+	qs, err := cache.GenerateQueries(cfg.Workload, cat, tr.N, epoch, horizon, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range qs {
+		want = append(want, planAction{time: q.IssuedAt, op: opQuery, item: int32(q.Item), node: int32(q.Requester)})
+	}
+	slices.SortStableFunc(want, func(a, b planAction) int { return cmp.Compare(a.time, b.time) })
+
+	ties := 0
+	for i := 1; i < len(want); i++ {
+		if want[i].time == want[i-1].time && want[i].op != want[i-1].op {
+			ties++
+		}
+	}
+	if ties < 300 {
+		t.Fatalf("only %d ties between actions of different kinds", ties)
+	}
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("action %d dispatched as %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d actions dispatched, want %d", len(got), len(want))
+	}
+	all := eng.book.All()
+	if len(all) != len(qs) || len(eng.queries) != len(qs) {
+		t.Fatalf("%d queries issued into a log of %d, want %d", len(all), len(eng.queries), len(qs))
+	}
+	for k, q := range all {
+		if q.ID != k || q != &eng.queries[k] {
+			t.Fatalf("query %d dispatched with ID %d, not at slot %d of the log", k, q.ID, k)
+		}
 	}
 }

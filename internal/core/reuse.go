@@ -53,9 +53,10 @@ type runScratch struct {
 	dutyRows     rowPool[*duty]
 
 	// plan is the measurement-phase static schedule (generations,
-	// freshness samples, timeline ticks, query issues) as runs each in
-	// time order, and planRuns their end offsets; planEvents is its
-	// merged eventsim projection and planSpare the merge's other buffer.
+	// freshness samples, timeline ticks, query issues) in dispatch order,
+	// and planRuns the end offsets of the time-ordered runs it was
+	// compiled from; planEvents is its eventsim projection and planSpare
+	// the merge's other buffer.
 	plan       []planAction
 	planRuns   []int
 	planEvents []eventsim.StaticEvent
@@ -139,17 +140,19 @@ func (p *rowPool[T]) row(width int) []T {
 func (p *rowPool[T]) reset() { p.next = 0 }
 
 // planAction is one pre-planned measurement-phase event. The engine
-// compiles the full list at the epoch as runs each in time order, merges
-// their StaticEvent projection (equal times keep run order), and attaches
-// it to the simulator as one static timeline. It holds no pointer: a
-// recycled plan's stale entries must not keep a finished run's queries
-// alive.
+// compiles the full list beside the warm-up as runs each in time order,
+// merges their StaticEvent projection (equal times keep run order), puts
+// the entries in the merged order and attaches the projection to the
+// simulator as one static timeline. It holds no pointer, so a recycled
+// plan's stale entries keep nothing of a finished run alive, and no index
+// into the query log: the dispatch writes each query's record into the
+// log's next slot.
 type planAction struct {
-	time  float64
-	op    uint8
-	item  int32 // catalog index (opGenerate)
-	ver   int32 // version (opGenerate)
-	query int32 // index into the engine's query slice (opQuery)
+	time float64
+	op   uint8
+	item int32 // item ID, which is its catalog index (opGenerate, opQuery)
+	ver  int32 // version (opGenerate)
+	node int32 // requester (opQuery)
 }
 
 const (

@@ -12,11 +12,11 @@ import (
 )
 
 // TestReuseDropsQuerySlab: a recycled Reuse must not keep the previous
-// run's query slab alive. The bundle keeps the previous plan's buffer, so
-// a plan entry that pointed at its query would pin the whole slab for as
-// long as the worker lives; the plan names queries by index instead. The
-// second run plans no queries, so its shorter plan leaves the first run's
-// query entries in the recycled buffer past its end.
+// run's query log alive. The bundle keeps the previous plan's buffer, so
+// a plan entry that pointed at its query would pin the whole log for as
+// long as the worker lives; a query entry carries its requester and item
+// instead. The second run plans no queries, so its shorter plan leaves
+// the first run's query entries in the recycled buffer past its end.
 func TestReuseDropsQuerySlab(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end simulations")

@@ -75,9 +75,9 @@ type Span struct {
 
 // Lineage collects the causal span tree of one run. Spans are written
 // only through a Recording's fact methods, together with their events.
-// Like RunTrace it is single-goroutine and nil-safe: every method no-ops
-// (returning SpanID 0 where applicable) on a nil receiver, so the
-// lineage-off path costs one branch.
+// Like RunTrace it is written only by its run's goroutine, and it is
+// nil-safe: every method no-ops (returning SpanID 0 where applicable) on a
+// nil receiver, so the lineage-off path costs one branch.
 //
 // Capacity: at most cap spans are kept. Once full, new spans are counted
 // in Dropped but not stored — drop-new (rather than ring-overwrite)

@@ -9,10 +9,11 @@ import (
 )
 
 // RunTrace collects the typed events of one simulation run into a bounded
-// ring buffer. Runs are single-goroutine (parallelism in this codebase is
-// across runs, not within one), so RunTrace does no locking; determinism
-// across `-parallel` settings comes from keeping one trace per run and
-// flushing traces in sorted label order (see Observer).
+// ring buffer. A run's collectors are written only by the goroutine that
+// runs it, and are read concurrently only while they are exported (the
+// block writer formats records on several workers), so RunTrace does no
+// locking; determinism across `-parallel` settings comes from keeping one
+// trace per run and flushing traces in sorted label order (see Observer).
 //
 // Sampling: with SampleEvery = n, only every n-th event (per trace, in
 // emission order) is kept. With a full ring, the oldest sampled events are

@@ -13,12 +13,13 @@ import (
 )
 
 // Timeline samples run-local series on a simulated-time tick. Like
-// RunTrace it is single-goroutine and nil-safe. It deliberately samples
-// engine-local quantities (freshness ratio, counts the run itself owns)
-// rather than the process-wide metric registry: under a parallel sweep the
-// registry interleaves all concurrent runs, so mid-run registry snapshots
-// would depend on worker scheduling. The registry is instead exported once
-// at the end (see WriteOpenMetrics), when its totals are deterministic.
+// RunTrace it is written only by its run's goroutine, and it is nil-safe.
+// It deliberately samples engine-local quantities (freshness ratio, counts
+// the run itself owns) rather than the process-wide metric registry: under
+// a parallel sweep the registry interleaves all concurrent runs, so mid-run
+// registry snapshots would depend on worker scheduling. The registry is
+// instead exported once at the end (see WriteOpenMetrics), when its totals
+// are deterministic.
 type Timeline struct {
 	Label string
 
