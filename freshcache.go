@@ -602,9 +602,11 @@ func (s *Simulation) FirstDeliveryOnTimeRatio() float64 {
 
 // ContactsDispatched returns how many trace contacts the network fired
 // during the run (after Run), warm-up included; contacts suppressed by
-// churn are not counted. Only contacts after warm-up reach the caching
-// scheme and the engine/contacts counter, so this count is the larger
-// one. The timeline's contacts series samples the same count.
+// churn are not counted. Only contacts after warm-up reach the
+// engine/contacts counter, so this count is the larger one. Of those, the
+// refresh schemes get only the contacts with a caching node or an item
+// source at one end, unless query delegation is on; epidemic and spray get
+// them all. The timeline's contacts series samples the same count.
 func (s *Simulation) ContactsDispatched() int {
 	return s.eng.ContactsDispatched()
 }

@@ -20,7 +20,10 @@ import (
 // Scheme is a cache-freshness maintenance protocol under evaluation.
 // Engine calls Init once at the end of warmup (when contact rates and the
 // caching-node set exist), OnGenerate whenever a source produces a new
-// version, and OnContact for every contact of the measurement phase.
+// version, and OnContact for every contact of the measurement phase, except
+// that a scheme which declares Runtime.ActsOnlyAtServers in Init, in a run
+// without query delegation, gets only the contacts with a caching node or
+// an item source at one end.
 type Scheme interface {
 	Name() string
 	Init(rt *Runtime) error
@@ -67,7 +70,17 @@ type Runtime struct {
 	isCaching []bool
 	// allNodes is the cached 0..N-1 ID slice returned by AllNodes.
 	allNodes []trace.NodeID
+	// serversOnly is set by ActsOnlyAtServers.
+	serversOnly bool
 }
+
+// ActsOnlyAtServers declares, during Init, that the scheme's OnContact
+// does nothing unless an endpoint is a caching node or an item source: all
+// of its state lives at those nodes. In a run without query delegation the
+// engine then skips OnContact, and query resolution, on every other
+// contact; the contact is still dispatched, counted and recorded. The
+// engine reads the declaration when Init returns; later calls do nothing.
+func (rt *Runtime) ActsOnlyAtServers() { rt.serversOnly = true }
 
 // IsCachingNode reports whether the node is in the caching set.
 func (rt *Runtime) IsCachingNode(n trace.NodeID) bool {
@@ -342,6 +355,10 @@ type Engine struct {
 	// or an item source, the only nodes servableCopy finds a copy at.
 	// Set at the measurement epoch.
 	canServe []bool
+	// serversOnly skips the scheme, query resolution and delegation on
+	// contacts with neither endpoint in canServe: the scheme declared
+	// Runtime.ActsOnlyAtServers and delegation is off.
+	serversOnly bool
 
 	// Observability: rec is cfg.Recording, the one path every fact is
 	// recorded through; the metric handles are resolved once at
@@ -482,9 +499,11 @@ func (e *Engine) Run() (metrics.Result, error) {
 				A: int32(c.A), B: int32(c.B), Item: -1, Ver: -1, Val: c.Duration,
 			})
 		}
-		e.cfg.Scheme.OnContact(c)
-		e.resolveQueries(c)
-		e.processDelegation(c)
+		if !e.serversOnly || e.canServe[c.A] || e.canServe[c.B] {
+			e.cfg.Scheme.OnContact(c)
+			e.resolveQueries(c)
+			e.processDelegation(c)
+		}
 		if e.rec.Trace != nil {
 			e.rec.Trace.Emit(obs.Event{
 				T: c.Time + c.Duration, Kind: obs.KindContactEnd,
@@ -603,10 +622,12 @@ func (e *Engine) Collector() *metrics.Collector { return e.collector }
 
 // ContactsDispatched reports how many trace contacts the network fired
 // during the run, warm-up included; contacts suppressed by churn are not
-// counted. Only contacts from the epoch on reach the scheme and the
-// engine/contacts counter, so this count is the larger one: 115,200
-// against 80,485 on the reality-like trace at seed 42. The timeline's
-// contacts series samples the same count.
+// counted. Only contacts from the epoch on reach the engine/contacts
+// counter, so this count is the larger one: 115,200 against 80,485 on the
+// reality-like trace at seed 42. Of those, a scheme that declared
+// Runtime.ActsOnlyAtServers gets only the contacts with a caching node or
+// an item source at one end, unless query delegation is on. The
+// timeline's contacts series samples the same count.
 func (e *Engine) ContactsDispatched() int { return e.net.ContactsDispatched() }
 
 // Runtime exposes the runtime after Run (nil if warmup never completed);
@@ -666,6 +687,8 @@ func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error 
 	if err := e.cfg.Scheme.Init(e.rt); err != nil {
 		return fmt.Errorf("core: scheme init: %w", err)
 	}
+	// Delegation hands queries to any node, so it keeps every contact.
+	e.serversOnly = e.rt.serversOnly && e.delegation == nil
 
 	if e.cfg.RebuildInterval > 0 {
 		if rb, ok := e.cfg.Scheme.(Rebuilder); ok {

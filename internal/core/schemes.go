@@ -202,8 +202,11 @@ func (s *refreshScheme) Name() string { return s.name }
 
 // Init implements Scheme: it builds the refresh tree for every item (a
 // star rooted at the source for the non-hierarchical variants) and sizes
-// the dense per-node state.
+// the dense per-node state. Duties live only at sources and caching nodes,
+// and relays deliver only to caching nodes, so it declares that it acts
+// only at those nodes.
 func (s *refreshScheme) Init(rt *Runtime) error {
+	rt.ActsOnlyAtServers()
 	s.rt = rt
 	s.items = rt.Items()
 	s.n = rt.N
