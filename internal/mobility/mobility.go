@@ -9,7 +9,6 @@
 package mobility
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -66,22 +65,44 @@ func pairFromIndex(k int64, n int) (int, int) {
 
 // samplePairIndices draws a binomial count of active pairs out of total
 // with the given per-pair probability, then picks that many distinct pair
-// indices uniformly (rejection-sampled, so the caller should keep p well
-// below 1). The result is sorted ascending so downstream rate draws
-// consume the RNG in a deterministic pair order.
+// indices uniformly (see sampleIndices, so the caller should keep p well
+// below 1), in ascending order so that downstream rate draws consume the
+// RNG in a deterministic pair order.
 func samplePairIndices(rng *rand.Rand, total int64, p float64) []int64 {
-	k := stats.Binomial(rng, total, p)
-	chosen := make(map[int64]struct{}, k)
+	return sampleIndices(rng, total, stats.Binomial(rng, total, p), nil)
+}
+
+// sampleIndices returns k distinct indices drawn uniformly from
+// [0, total) and accepted by accept (every index when accept is nil), in
+// ascending order. It draws exactly what a rejection loop does, one index
+// at a time until k distinct accepted indices are held: a round draws as
+// many indices as are still missing, sorts the accepted ones into those
+// already held and drops repeats. A round can complete the set only if
+// each of its draws adds an index, so its last draw is the loop's last.
+func sampleIndices(rng *rand.Rand, total, k int64, accept func(int64) bool) []int64 {
 	idx := make([]int64, 0, k)
+	var drawn []int64 // a later round's accepted draws, merged from the back
 	for int64(len(idx)) < k {
-		c := rng.Int63n(total)
-		if _, dup := chosen[c]; dup {
-			continue
+		held := len(idx)
+		for range k - int64(held) {
+			if c := rng.Int63n(total); accept == nil || accept(c) {
+				idx = append(idx, c)
+			}
 		}
-		chosen[c] = struct{}{}
-		idx = append(idx, c)
+		slices.Sort(idx[held:])
+		if held > 0 {
+			drawn = append(drawn[:0], idx[held:]...)
+			i, j := held-1, len(drawn)-1
+			for w := len(idx) - 1; j >= 0; w-- {
+				if i >= 0 && idx[i] > drawn[j] {
+					idx[w], i = idx[i], i-1
+				} else {
+					idx[w], j = drawn[j], j-1
+				}
+			}
+		}
+		idx = slices.Compact(idx)
 	}
-	slices.Sort(idx)
 	return idx
 }
 
@@ -381,80 +402,65 @@ func (g *Community) expectedContacts(comm []int, boost []float64) float64 {
 	return expectedContacts(pairs, rates, g.MeanContactDur, g.Duration)
 }
 
-// generateSparse is the O(active pairs) community path: every
-// intra-community pair is enumerated block by block (intra pairs always
-// meet, so there is nothing to sample), and the active cross-community
-// pairs are drawn by a binomial count plus uniform pair-index decoding,
-// rejecting intra and duplicate indices. The merged active-pair list is
-// processed in ascending (a, b) order so the trace is a deterministic
-// function of the seed.
+// generateSparse is the O(active pairs) community path. Intra-community
+// pairs always meet, so there is nothing to sample for them; the active
+// cross-community pairs are drawn by a binomial count plus uniform
+// pair-index decoding, rejecting intra indices (sampleIndices). The pairs
+// are then visited in ascending (a, b) order, which makes the trace a
+// deterministic function of the seed: for each node a, a merge of its
+// later community members with its row of the sorted cross-community
+// indices. Each pair's rate and contacts are drawn when the merge reaches
+// it.
 func (g *Community) generateSparse(rng *rand.Rand, comm []int, boost []float64, t *trace.Trace) {
-	type activePair struct {
-		a, b int
-		mean float64
+	members := make([][]int, g.Communities) // each community's nodes, ascending
+	for i, c := range comm {
+		members[c] = append(members[c], i)
 	}
-	var pairs []activePair
-
-	if g.IntraRate > 0 {
-		members := make([][]int, g.Communities)
-		for i, c := range comm {
-			members[c] = append(members[c], i)
-		}
-		for _, m := range members {
-			for i := 0; i < len(m); i++ {
-				for j := i + 1; j < len(m); j++ {
-					a, b := m[i], m[j]
-					if a > b {
-						a, b = b, a
-					}
-					pairs = append(pairs, activePair{a: a, b: b, mean: g.IntraRate})
-				}
-			}
-		}
-	}
-
+	var inter []int64
 	if g.InterPairFraction > 0 && g.InterRate > 0 {
 		var intra int64
-		sizes := make([]int64, g.Communities)
-		for _, c := range comm {
-			sizes[c]++
-		}
-		for _, s := range sizes {
-			intra += s * (s - 1) / 2
+		for _, m := range members {
+			intra += int64(len(m)) * int64(len(m)-1) / 2
 		}
 		total := pairCount(g.N)
-		interTotal := total - intra
-		if interTotal > 0 {
+		if interTotal := total - intra; interTotal > 0 {
 			k := stats.Binomial(rng, interTotal, g.InterPairFraction)
-			chosen := make(map[int64]struct{}, k)
-			idx := make([]int64, 0, k)
-			for int64(len(idx)) < k {
-				c := rng.Int63n(total)
+			inter = sampleIndices(rng, total, k, func(c int64) bool {
 				a, b := pairFromIndex(c, g.N)
-				if comm[a] == comm[b] {
-					continue // uniform over inter pairs: reject intra
-				}
-				if _, dup := chosen[c]; dup {
-					continue
-				}
-				chosen[c] = struct{}{}
-				idx = append(idx, c)
-			}
-			slices.Sort(idx)
-			for _, c := range idx {
-				a, b := pairFromIndex(c, g.N)
-				pairs = append(pairs, activePair{a: a, b: b, mean: g.InterRate})
-			}
+				return comm[a] != comm[b] // uniform over inter pairs: reject intra
+			})
 		}
 	}
 
-	slices.SortFunc(pairs, func(x, y activePair) int {
-		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
-	})
-	for _, p := range pairs {
-		rate := stats.Gamma(rng, g.RateShape, p.mean/g.RateShape)
+	pair := func(a, b int, mean float64) {
+		rate := stats.Gamma(rng, g.RateShape, mean/g.RateShape)
 		// Same hub semantics as the dense loop: geometric-mean boost.
-		rate *= math.Sqrt(boost[p.a] * boost[p.b])
-		pairProcess(rng, trace.NodeID(p.a), trace.NodeID(p.b), rate, g.MeanContactDur, g.Duration, &t.Contacts)
+		rate *= math.Sqrt(boost[a] * boost[b])
+		pairProcess(rng, trace.NodeID(a), trace.NodeID(b), rate, g.MeanContactDur, g.Duration, &t.Contacts)
+	}
+	seen := make([]int, g.Communities) // members of each community visited so far
+	n := int64(g.N)
+	for a := 0; a < g.N; a++ {
+		c := comm[a]
+		seen[c]++
+		later := members[c][seen[c]:]
+		// Row a of the pair indices is [pairOffset(a), pairOffset(a+1)),
+		// and its index x is the pair (a, x−base).
+		base, rowEnd := pairOffset(int64(a), n)-int64(a)-1, pairOffset(int64(a+1), n)
+		j := 0
+		for j < len(inter) && inter[j] < rowEnd {
+			j++
+		}
+		row := inter[:j]
+		inter = inter[j:]
+		for len(row) > 0 || len(later) > 0 {
+			if len(later) == 0 || len(row) > 0 && int(row[0]-base) < later[0] {
+				pair(a, int(row[0]-base), g.InterRate)
+				row = row[1:]
+			} else {
+				pair(a, later[0], g.IntraRate)
+				later = later[1:]
+			}
+		}
 	}
 }

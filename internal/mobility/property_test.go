@@ -2,6 +2,8 @@ package mobility
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -190,6 +192,47 @@ func TestSparseSamplingMatchesDense(t *testing.T) {
 	wantContacts := wantPairs * base.MeanRate * base.Duration
 	if ratio := float64(sc) / wantContacts; ratio < 0.8 || ratio > 1.2 {
 		t.Fatalf("sparse path emitted %d contacts, want ≈%.0f", sc, wantContacts)
+	}
+}
+
+// TestSampleIndicesMatchesRejectionLoop holds the batched sampler to the
+// plain rejection loop: draw one index at a time, skip it if rejected or
+// already held in a hash set, stop at k, then sort. The indices must be
+// the loop's, and so must the number of draws, which the next draw from
+// each RNG shows. The cases include every index of a small range, where
+// repeats are the rule, and a filter that accepts exactly k indices.
+func TestSampleIndicesMatchesRejectionLoop(t *testing.T) {
+	loop := func(rng *rand.Rand, total, k int64, accept func(int64) bool) []int64 {
+		held := make(map[int64]bool)
+		idx := []int64{}
+		for int64(len(idx)) < k {
+			c := rng.Int63n(total)
+			if accept != nil && !accept(c) || held[c] {
+				continue
+			}
+			held[c] = true
+			idx = append(idx, c)
+		}
+		slices.Sort(idx)
+		return idx
+	}
+	odd := func(c int64) bool { return c%2 == 1 }
+	for _, tc := range []struct {
+		total, k int64
+		accept   func(int64) bool
+	}{
+		{10, 0, nil}, {1, 1, nil}, {10, 10, nil}, {1000, 900, nil}, {1_000_000, 5000, nil},
+		{1000, 400, odd}, {1000, 500, odd}, {1 << 40, 20_000, odd},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			if g, w := sampleIndices(got, tc.total, tc.k, tc.accept), loop(want, tc.total, tc.k, tc.accept); !slices.Equal(g, w) {
+				t.Fatalf("total %d, k %d, seed %d: sampled %d indices %v…, the loop %d %v…", tc.total, tc.k, seed, len(g), g[:min(len(g), 5)], len(w), w[:min(len(w), 5)])
+			}
+			if got.Int63() != want.Int63() {
+				t.Fatalf("total %d, k %d, seed %d: the sampler and the loop took different numbers of draws", tc.total, tc.k, seed)
+			}
+		}
 	}
 }
 

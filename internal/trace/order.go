@@ -3,12 +3,32 @@ package trace
 import (
 	"cmp"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 )
 
-// bucketSize is the mean number of contacts the second bucket pass leaves
-// in a bucket for the comparison sort to finish.
-const bucketSize = 8
+const (
+	// bucketSize is the mean number of contacts a leaf's bucket pass leaves
+	// in a bucket for the insertion sort to finish.
+	bucketSize = 8
+	// fanout is the number of buckets a pass above the leaves spreads a
+	// range over. Each bucket keeps a next free slot that every step of the
+	// permutation writes through; 64 of them stay in the first-level cache
+	// however large the range.
+	fanout = 64
+	// leafMax is the most contacts a leaf holds: 1 MiB, which stays in a
+	// core's second-level cache while its one bucket pass spreads it over
+	// leafMax/bucketSize buckets. It is also the smallest range with a
+	// first level to split across workers.
+	leafMax = 1 << 15
+	// maxDepth bounds the passes above the leaves. Starts that spread
+	// evenly need one pass for every factor of fanout above leafMax; starts
+	// packed ever closer (1, ½, ¼, …) could leave one bucket nearly whole
+	// at every pass, and past the bound a comparison sort finishes it.
+	maxDepth = 8
+)
 
 // compareContacts orders contacts by (Start, A, B, End): the trace order
 // Normalize establishes.
@@ -25,41 +45,145 @@ func compareContacts(x, y Contact) int {
 	return cmp.Compare(x.End, y.End)
 }
 
-// sortContacts sorts cs by compareContacts in place. Two bucket passes on
-// Start, each a permutation in place, leave only short runs for the
-// comparison sort: about √(n/bucketSize) equal-width coarse buckets over
-// the start range, then each coarse bucket split the same way over its own
-// range into buckets of about bucketSize contacts. A bucket's index never
+// sortContacts sorts cs by compareContacts in place. Passes above the
+// leaves permute a range in place into fanout equal-width buckets on
+// Start, until each bucket is a leaf of at most leafMax contacts; a leaf
+// gets one more such pass into buckets of about bucketSize contacts, and
+// an insertion sort finishes each of those. A bucket's index never
 // decreases as Start grows and equal starts share a bucket, so the result
-// is the one a comparison sort of the whole slice gives. The scratch is two
-// bucket-bound arrays per pass, never a second copy of the contacts.
+// is the one a comparison sort of the whole slice gives. The scratch is
+// two bucket-bound arrays per pass, never a second copy of the contacts.
+//
+// The first pass's buckets hold disjoint contacts, so they are sorted on
+// min(GOMAXPROCS, fanout) goroutines, the caller among them. Each
+// bucket's order is fixed by its contacts alone, so the result does not
+// depend on which worker sorts which bucket.
 func sortContacts(cs []Contact) {
-	nc := int(math.Sqrt(float64(len(cs) / bucketSize)))
-	coarse := make([]int, 2*nc)
-	ends := coarse[:nc]
-	if nc < 2 || !distribute(cs, ends, coarse[nc:]) {
+	var s sorter
+	s.sort(cs, maxDepth, min(runtime.GOMAXPROCS(0), fanout))
+}
+
+// sorter sorts ranges of contacts on one goroutine. fine is its leaves'
+// bucket-bound scratch, kept from leaf to leaf.
+type sorter struct{ fine []int }
+
+// sort sorts cs by compareContacts in place with at most depth passes
+// above the leaves. With more than one worker, the buckets of its first
+// pass are sorted on that many goroutines.
+func (s *sorter) sort(cs []Contact, depth, workers int) {
+	if len(cs) <= leafMax {
+		s.leaf(cs)
+		return
+	}
+	var ends, next [fanout]int
+	if depth == 0 || !distribute(cs, ends[:], next[:]) {
 		slices.SortFunc(cs, compareContacts)
 		return
 	}
-	widest, from := 0, 0
-	for _, to := range ends {
-		widest, from = max(widest, to-from), to
+	if workers > 1 {
+		sortBuckets(cs, ends[:], depth-1, workers)
+		return
 	}
-	fine := make([]int, 2*(widest/bucketSize))
-	from = 0
+	s.reserve(widest(ends[:]))
+	from := 0
 	for _, to := range ends {
-		b := cs[from:to]
+		s.sort(cs[from:to], depth-1, 1)
 		from = to
-		nf := len(b) / bucketSize
-		if nf < 2 || !distribute(b, fine[:nf], fine[nf:2*nf]) {
-			slices.SortFunc(b, compareContacts)
-			continue
+	}
+}
+
+// sortBuckets sorts the buckets of cs that end at ends on workers
+// goroutines, the caller among them. Each worker claims the next unsorted
+// bucket until none is left.
+func sortBuckets(cs []Contact, ends []int, depth, workers int) {
+	bounds := slices.Clone(ends) // the workers' copy, so the caller's stays on its stack
+	var claimed atomic.Int64
+	work := func() {
+		var s sorter
+		s.reserve(widest(bounds))
+		for k := claimed.Add(1) - 1; k < int64(len(bounds)); k = claimed.Add(1) - 1 {
+			from := 0
+			if k > 0 {
+				from = bounds[k-1]
+			}
+			s.sort(cs[from:bounds[k]], depth, 1)
 		}
-		lo := 0
-		for _, hi := range fine[:nf] {
-			slices.SortFunc(b[lo:hi], compareContacts)
-			lo = hi
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// widest returns the length of the longest bucket that ends at ends.
+func widest(ends []int) int {
+	w, from := 0, 0
+	for _, to := range ends {
+		w, from = max(w, to-from), to
+	}
+	return w
+}
+
+// reserve makes room in fine for the bucket pass of a leaf of up to n
+// contacts.
+func (s *sorter) reserve(n int) {
+	if nb := min(n, leafMax) / bucketSize; cap(s.fine) < 2*nb {
+		s.fine = make([]int, 2*nb)
+	}
+}
+
+// leaf sorts a leaf: one bucket pass into buckets of about bucketSize
+// contacts, then each bucket on its own.
+func (s *sorter) leaf(cs []Contact) {
+	nb := len(cs) / bucketSize
+	if nb < 2 {
+		finish(cs)
+		return
+	}
+	s.reserve(len(cs))
+	ends, next := s.fine[:nb], s.fine[nb:2*nb]
+	if !distribute(cs, ends, next) {
+		finish(cs)
+		return
+	}
+	from := 0
+	for _, to := range ends {
+		finish(cs[from:to])
+		from = to
+	}
+}
+
+// finish sorts one of a leaf's buckets. A bucket that the pass left long,
+// because the leaf's starts cluster, goes to the comparison sort, as
+// insertion's cost grows with the square of the run.
+func finish(cs []Contact) {
+	if len(cs) > 4*bucketSize {
+		slices.SortFunc(cs, compareContacts)
+		return
+	}
+	insertionSort(cs)
+}
+
+// insertionSort sorts cs by compareContacts. The starts are compared
+// inline; only a tie, or a NaN start, which fails both comparisons, goes
+// to compareContacts.
+func insertionSort(cs []Contact) {
+	for i := 1; i < len(cs); i++ {
+		c, j := cs[i], i
+		for ; j > 0; j-- {
+			p := &cs[j-1]
+			if !(c.Start < p.Start) && (c.Start > p.Start || compareContacts(c, *p) >= 0) {
+				break
+			}
+			cs[j] = *p
 		}
+		cs[j] = c
 	}
 }
 

@@ -74,7 +74,7 @@ func TestNormalize(t *testing.T) {
 }
 
 // Property: Normalize always yields a Validate-clean trace from arbitrary
-// well-typed contact soup, of sizes that reach both bucket passes.
+// well-typed contact soup, of sizes that reach a leaf's bucket pass.
 func TestNormalizeProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8, sizeRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
