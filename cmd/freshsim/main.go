@@ -229,7 +229,6 @@ func runReplicated(cfg replicatedConfig, baseOpts []freshcache.Option, rf *expt.
 		Replicates: cfg.runs,
 		Parallel:   1,
 		BaseSeed:   cfg.baseSeed,
-		Obs:        rf.Observer,
 		Journal:    rf.Journal,
 		Ledger:     rf.Ledger,
 	}

@@ -34,16 +34,13 @@ func readStore(path, tool string) ([]obs.Manifest, error) {
 }
 
 // flatten names a manifest's metrics the way trend and query address
-// them: registry counters and gauges under their registry names, and
-// per-scheme roll-up figures under "scheme/<name>/...".
+// them: registry counters under their registry names, and per-scheme
+// roll-up figures under "scheme/<name>/...".
 func flatten(m obs.Manifest) map[string]float64 {
 	out := make(map[string]float64)
 	if m.Metrics != nil {
 		for k, v := range m.Metrics.Counters {
 			out[k] = float64(v)
-		}
-		for k, v := range m.Metrics.Gauges {
-			out[k] = v
 		}
 	}
 	for _, r := range m.SchemeStats {

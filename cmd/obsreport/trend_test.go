@@ -12,16 +12,16 @@ import (
 	"freshcache/internal/obs"
 )
 
-// appendRecord appends one manifest carrying the given gauges to the store
-// at path.
-func appendRecord(t *testing.T, path, tool string, day int, gauges map[string]float64) {
+// appendRecord appends one manifest carrying the given counters to the
+// store at path.
+func appendRecord(t *testing.T, path, tool string, day int, counters map[string]int64) {
 	t.Helper()
 	m := &obs.Manifest{
 		Schema:    obs.ManifestSchema,
 		Tool:      tool,
 		CreatedAt: fmt.Sprintf("2026-01-%02dT00:00:00Z", day),
 		Seed:      42,
-		Metrics:   &obs.RegistrySnapshot{Gauges: gauges},
+		Metrics:   &obs.RegistrySnapshot{Counters: counters},
 	}
 	if err := m.Append(path); err != nil {
 		t.Fatal(err)
@@ -29,11 +29,11 @@ func appendRecord(t *testing.T, path, tool string, day int, gauges map[string]fl
 }
 
 // writeStore appends records carrying one metric with the given values.
-func writeStore(t *testing.T, metric string, vals ...float64) string {
+func writeStore(t *testing.T, metric string, vals ...int64) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	for i, v := range vals {
-		appendRecord(t, path, "experiments", i+1, map[string]float64{metric: v, "other": float64(i)})
+		appendRecord(t, path, "experiments", i+1, map[string]int64{metric: v, "other": int64(i)})
 	}
 	return path
 }
@@ -82,7 +82,7 @@ func TestQueryListsRecordsAndMetrics(t *testing.T) {
 func TestReadStoreFiltersByTool(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.jsonl")
 	for i, tool := range []string{"a", "b", "a"} {
-		appendRecord(t, path, tool, i+1, map[string]float64{"m": float64(i)})
+		appendRecord(t, path, tool, i+1, map[string]int64{"m": int64(i)})
 	}
 	for tool, want := range map[string]int{"a": 2, "b": 1, "": 3} {
 		ms, err := readStore(path, tool)
@@ -99,16 +99,15 @@ func TestReadStoreFiltersByTool(t *testing.T) {
 	}
 }
 
-// TestFlattenNames: counters and gauges keep their registry names, and
-// each scheme roll-up adds its figures under "scheme/<name>/".
+// TestFlattenNames: counters keep their registry names, and each scheme
+// roll-up adds its figures under "scheme/<name>/".
 func TestFlattenNames(t *testing.T) {
 	delay := metrics.NewHist(metrics.DelayBuckets())
 	delay.Observe(30)
 	delay.Observe(90)
 	m := obs.Manifest{
 		Metrics: &obs.RegistrySnapshot{
-			Counters: map[string]int64{"engine/contacts": 12},
-			Gauges:   map[string]float64{"sweep/queue_depth": 0},
+			Counters: map[string]int64{"engine/contacts": 12, "sweep/cells_failed": 0},
 		},
 		SchemeStats: []metrics.SchemeRollup{
 			{Scheme: "hierarchical", Transmissions: 9, Deliveries: 4, VersionsGenerated: 2,
@@ -118,7 +117,7 @@ func TestFlattenNames(t *testing.T) {
 	}
 	want := map[string]float64{
 		"engine/contacts":                        12,
-		"sweep/queue_depth":                      0,
+		"sweep/cells_failed":                     0,
 		"scheme/hierarchical/transmissions":      9,
 		"scheme/hierarchical/deliveries":         4,
 		"scheme/hierarchical/versions_generated": 2,

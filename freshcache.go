@@ -404,14 +404,14 @@ func WithRebuildInterval(interval time.Duration) Option {
 // WithRecording attaches one run's observability collectors (package
 // internal/obs, handed out by Observer.Open): the engine and scheme emit
 // typed events (contact begin/end, refresh scheduled/delivered,
-// replication planned, cache hit/miss, …) into its trace, count hot-path
-// totals in its registry, extend a causal span tree for every generated
-// version in its lineage, and sample freshness, cumulative counts and
-// copy ages into its timeline every tick of simulated time. Any collector
-// may be nil. A timeline schedules extra simulator events, so
-// Result.SimulatedEventCount grows with it. The option exists for the
-// module's own commands; callers outside the module observe runs through
-// Result instead.
+// replication planned, cache hit/miss, …) into its trace, add the run's
+// totals to its registry when it succeeds, extend a causal span tree for
+// every generated version in its lineage, and sample freshness,
+// cumulative counts and copy ages into its timeline every tick of
+// simulated time. Any collector may be nil. A timeline schedules extra
+// simulator events, so Result.SimulatedEventCount grows with it. The
+// option exists for the module's own commands; callers outside the module
+// observe runs through Result instead.
 func WithRecording(rec obs.Recording) Option {
 	return func(o *options) error {
 		o.rec = rec

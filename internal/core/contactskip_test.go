@@ -108,7 +108,7 @@ func runLogged(t *testing.T, cfg Config, s Scheme, withdraw bool) loggedRun {
 		queries:    eng.book.All(),
 		events:     cfg.Recording.Trace.Events(),
 		spans:      cfg.Recording.Lineage.Spans(),
-		contacts:   int(cfg.Recording.Metrics.Counter("engine/contacts").Value()),
+		contacts:   int(cfg.Recording.Metrics.Snapshot().Counters["engine/contacts"]),
 		got:        log.got,
 		canServe:   eng.canServe,
 	}

@@ -232,9 +232,11 @@ type Config struct {
 	// Recording receives what the run records; each of its collectors is
 	// off when nil, and the zero value records nothing. Trace takes the
 	// typed events (contacts, refresh facts, query outcomes, ...), Metrics
-	// the registry counters and the event-queue depth, and Lineage the
-	// causal span tree: one root per generated version, extended at every
-	// duty assumption, relay handoff, delivery and duty reassignment.
+	// the run's totals once it has succeeded (contacts after the epoch,
+	// deliveries and dropped queries, added to the engine/* counters), and
+	// Lineage the causal span tree: one root per generated version,
+	// extended at every duty assumption, relay handoff, delivery and duty
+	// reassignment.
 	// Timeline takes simulated-time telemetry (freshness ratio, cumulative
 	// counts, per-node/per-item copy age) every TimelineTick simulated
 	// seconds (<= 0: measurement phase / 240); its ticks are extra
@@ -361,16 +363,14 @@ type Engine struct {
 	serversOnly bool
 
 	// Observability: rec is cfg.Recording, the one path every fact is
-	// recorded through; the metric handles are resolved once at
-	// construction and are nil (no-op) when its registry is nil.
-	// copySpan[node][item] is the delivery span of a caching node's
-	// current copy, the parent of onward syncs; its rows exist only for
-	// caching nodes and only with lineage on.
-	rec         *obs.Recording
-	copySpan    [][]obs.SpanID
-	cContacts   *obs.Counter
-	cDeliveries *obs.Counter
-	cQueryDrops *obs.Counter
+	// recorded through. copySpan[node][item] is the delivery span of a
+	// caching node's current copy, the parent of onward syncs; its rows
+	// exist only for caching nodes and only with lineage on.
+	// epochContacts is the network's contact count when the epoch event
+	// begins: every contact after it reaches the measurement phase.
+	rec           *obs.Recording
+	copySpan      [][]obs.SpanID
+	epochContacts int
 
 	// queryDrops counts workload queries discarded because their item is
 	// missing from the catalog; surfaced as Result.QueriesDropped so
@@ -426,16 +426,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	scratch := cfg.Reuse.acquire()
 	e := &Engine{
-		cfg:         cfg,
-		sim:         scratch.sim,
-		scratch:     scratch,
-		collector:   metrics.New(),
-		book:        cache.NewQueryBook(cfg.Trace.N, cfg.Catalog.Len()),
-		stores:      make([]*cache.Store, cfg.Trace.N),
-		sources:     make(map[trace.NodeID][]cache.ItemID),
-		cContacts:   cfg.Recording.Metrics.Counter("engine/contacts"),
-		cDeliveries: cfg.Recording.Metrics.Counter("engine/deliveries"),
-		cQueryDrops: cfg.Recording.Metrics.Counter("engine/query_drops"),
+		cfg:       cfg,
+		sim:       scratch.sim,
+		scratch:   scratch,
+		collector: metrics.New(),
+		book:      cache.NewQueryBook(cfg.Trace.N, cfg.Catalog.Len()),
+		stores:    make([]*cache.Store, cfg.Trace.N),
+		sources:   make(map[trace.NodeID][]cache.ItemID),
 	}
 	e.rec = &e.cfg.Recording
 	e.epoch = cfg.Trace.Duration * cfg.WarmupFraction
@@ -492,7 +489,6 @@ func (e *Engine) Run() (metrics.Result, error) {
 		if e.rt == nil || e.initErr != nil {
 			return
 		}
-		e.cContacts.Inc()
 		if e.rec.Trace != nil {
 			e.rec.Trace.Emit(obs.Event{
 				T: c.Time, Kind: obs.KindContactBegin,
@@ -511,21 +507,6 @@ func (e *Engine) Run() (metrics.Result, error) {
 			})
 		}
 	}))
-	if e.rec.Metrics != nil {
-		// Sample event-queue depth every few hundred processed events: the
-		// histogram shows how deep the future-event list runs without
-		// touching per-event cost in unobserved runs (the hook stays nil).
-		// The run samples into its own histogram and merges it into the
-		// registry when Run returns; depths are integers, so the merged sum
-		// is exact in any order.
-		depth := metrics.NewHist(obs.DepthBuckets())
-		defer e.rec.Metrics.MergeHist("eventsim/queue_depth", depth)
-		e.sim.SetProcessedHook(func(processed uint64) {
-			if processed%256 == 0 {
-				depth.Observe(float64(e.sim.Pending()))
-			}
-		})
-	}
 	if err := e.net.ScheduleCompiled(e.cfg.ContactTimeline); err != nil {
 		return metrics.Result{}, err
 	}
@@ -614,6 +595,11 @@ func (e *Engine) Run() (metrics.Result, error) {
 		// Scheme stats ride along for analysis-validation experiments.
 		res.SchemeStats = sr.SchemeStats()
 	}
+	// The registry is shared by every run of the process, so a run adds
+	// its totals only once it has succeeded: a failed run adds nothing.
+	e.rec.Metrics.Add("engine/contacts", int64(e.net.ContactsDispatched()-e.epochContacts))
+	e.rec.Metrics.Add("engine/deliveries", int64(e.collector.DeliveryCount()))
+	e.rec.Metrics.Add("engine/query_drops", int64(e.queryDrops))
 	return res, nil
 }
 
@@ -622,9 +608,9 @@ func (e *Engine) Collector() *metrics.Collector { return e.collector }
 
 // ContactsDispatched reports how many trace contacts the network fired
 // during the run, warm-up included; contacts suppressed by churn are not
-// counted. Only contacts from the epoch on reach the engine/contacts
-// counter, so this count is the larger one: 115,200 against 80,485 on the
-// reality-like trace at seed 42. Of those, a scheme that declared
+// counted. The engine/contacts counter counts only the contacts after the
+// epoch event, so this count is the larger one: 115,200 against 80,485 on
+// the reality-like trace at seed 42. Of those, a scheme that declared
 // Runtime.ActsOnlyAtServers gets only the contacts with a caching node or
 // an item source at one end, unless query delegation is on. The
 // timeline's contacts series samples the same count.
@@ -635,6 +621,7 @@ func (e *Engine) ContactsDispatched() int { return e.net.ContactsDispatched() }
 func (e *Engine) Runtime() *Runtime { return e.rt }
 
 func (e *Engine) startMeasurement(est *centrality.Estimator, now float64) error {
+	e.epochContacts = e.net.ContactsDispatched()
 	rates, err := est.Rates(now)
 	if err != nil {
 		return fmt.Errorf("core: rate estimation: %w", err)
@@ -894,7 +881,6 @@ func (e *Engine) deliverToCache(from, node trace.NodeID, c cache.Copy, now float
 		DeliveredAt: now,
 		OnTime:      now-c.GeneratedAt <= it.FreshnessWindow,
 	})
-	e.cDeliveries.Inc()
 	sp := e.rec.Delivered(now, parent, int32(from), int32(node), int32(c.Item), int32(c.Version), now-c.GeneratedAt)
 	if e.copySpan != nil {
 		e.copySpan[node][c.Item] = sp
@@ -904,9 +890,8 @@ func (e *Engine) deliverToCache(from, node trace.NodeID, c cache.Copy, now float
 
 // sampleTimeline records one telemetry tick: run-level aggregates first,
 // then the age of every held (caching node, item) copy. It reads only
-// run-local state (collector, net, stores), never the process-wide metric
-// registry — under a parallel sweep the registry mixes concurrent runs, so
-// sampling it here would make the export depend on worker scheduling.
+// run-local state (collector, net, stores); the process-wide metric
+// registry holds only the totals of runs that have finished.
 func (e *Engine) sampleTimeline(now float64) {
 	tl := e.rec.Timeline
 	tl.Sample(now, "freshness_ratio", -1, -1, e.freshnessRatio(now))
@@ -960,7 +945,6 @@ func (e *Engine) issueQuery(q *cache.Query, now float64) {
 		// count the drop instead of swallowing it so malformed workloads
 		// are visible in the result and the metric registry.
 		e.queryDrops++
-		e.cQueryDrops.Inc()
 		return
 	}
 	e.book.Issue(q)

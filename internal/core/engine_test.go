@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,16 +70,16 @@ func runScheme(t *testing.T, s Scheme, seed int64) metrics.Result {
 }
 
 // TestQueryDropCounted: a workload query for an item the catalog does not
-// know must be counted as dropped — in the engine's result field and the
-// metric registry — instead of vanishing silently.
+// know must be counted as dropped instead of vanishing silently. The run
+// hands the count to Result.QueriesDropped and to the registry's
+// engine/query_drops, which checkRecordingsAgree reconciles after every
+// observed run.
 func TestQueryDropCounted(t *testing.T) {
-	reg := obs.NewRegistry()
 	eng, err := NewEngine(Config{
 		Trace:           testScenarioTrace(t, 1),
 		Catalog:         testScenarioCatalog(t, 4*mobility.Hour),
 		Scheme:          NewDirect(),
 		NumCachingNodes: 6,
-		Recording:       obs.Recording{Metrics: reg},
 		Seed:            1,
 	})
 	if err != nil {
@@ -89,9 +90,6 @@ func TestQueryDropCounted(t *testing.T) {
 	if eng.queryDrops != 2 {
 		t.Fatalf("queryDrops = %d, want 2", eng.queryDrops)
 	}
-	if got := reg.Counter("engine/query_drops").Value(); got != 2 {
-		t.Fatalf("engine/query_drops = %d, want 2", got)
-	}
 	if n := len(eng.book.All()); n != 0 {
 		t.Fatalf("dropped queries were issued to the book: %d", n)
 	}
@@ -99,6 +97,46 @@ func TestQueryDropCounted(t *testing.T) {
 	eng.issueQuery(&cache.Query{Item: 0, Requester: 5, IssuedAt: 0}, 0)
 	if eng.queryDrops != 2 || len(eng.book.All()) != 1 {
 		t.Fatalf("valid query mishandled: drops=%d issued=%d", eng.queryDrops, len(eng.book.All()))
+	}
+}
+
+// failingRebuild is a scheme whose rebuilds fail, which fails its run
+// mid-measurement.
+type failingRebuild struct{ Scheme }
+
+func (failingRebuild) Rebuild(*Runtime) error { return errors.New("rebuild refused") }
+
+// TestFailedRunAddsNothing: a run that fails part-way adds no total to the
+// registry, which every run of a process shares. RunStats and the
+// observer's exports leave an uncommitted run out, and so must the
+// registry.
+func TestFailedRunAddsNothing(t *testing.T) {
+	o := obs.NewObserver(obs.Config{})
+	eng, err := NewEngine(Config{
+		Trace:           testScenarioTrace(t, 1),
+		Catalog:         testScenarioCatalog(t, 4*mobility.Hour),
+		Scheme:          failingRebuild{NewHierarchical()},
+		NumCachingNodes: 4,
+		RebuildInterval: mobility.Day,
+		Recording:       o.Open("failed", "hierarchical"),
+		Seed:            1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err == nil {
+		t.Fatal("a run whose rebuild fails succeeded")
+	}
+	if eng.collector.DeliveryCount() == 0 {
+		t.Fatal("the run failed before its first delivery, so there was nothing to leave out")
+	}
+	for name, n := range o.Metrics.Snapshot().Counters {
+		if strings.HasPrefix(name, "engine/") {
+			t.Errorf("the failed run added %s = %d", name, n)
+		}
+	}
+	if st := o.Stats(); st.Runs != 0 {
+		t.Fatalf("observer holds %d runs, want none committed", st.Runs)
 	}
 }
 

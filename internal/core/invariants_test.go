@@ -272,7 +272,8 @@ func checkRecordingsAgree(t *testing.T, seed int64, res metrics.Result, rec obs.
 	for _, sp := range lin.Spans() {
 		spans[sp.Kind]++
 	}
-	counter := func(name string) int { return int(reg.Counter(name).Value()) }
+	counters := reg.Snapshot().Counters
+	counter := func(name string) int { return int(counters[name]) }
 	for _, fact := range []struct {
 		name   string
 		counts []int

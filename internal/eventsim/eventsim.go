@@ -65,8 +65,8 @@ type Simulator struct {
 }
 
 // SetProcessedHook installs f to be called after every executed event with
-// the cumulative processed count. Pass nil to remove. Observability layers
-// use this to sample event-queue depth through Pending.
+// the cumulative processed count. Pass nil to remove. Tests use it to
+// watch each dispatch.
 func (s *Simulator) SetProcessedHook(f func(processed uint64)) {
 	s.onProcessed = f
 }

@@ -35,7 +35,7 @@ type Options struct {
 	// experiment of a process, since labels start with the experiment ID.
 	Stats *metrics.RunStats
 	// Obs, when non-nil, collects per-run event traces and registry
-	// metrics (the `-obs` flag). Nil means observability off: the hot
+	// totals (the `-obs` flag). Nil means observability off: the hot
 	// paths then see nil traces/registries and record nothing.
 	Obs *obs.Observer
 	// Timings includes wall-clock timing columns in tables that have them
@@ -69,7 +69,6 @@ func (o Options) sweep(id string, presets []string, points int, schemes []string
 		Replicates: o.Replicates,
 		Parallel:   o.Parallel,
 		BaseSeed:   o.Seed,
-		Obs:        o.Obs,
 		Journal:    o.Journal,
 		Ledger:     o.Ledger,
 		KeepGoing:  o.KeepGoing,
@@ -86,10 +85,10 @@ func cellLabel(c Cell) string {
 
 // runConfig is the one run function of the suite: it runs one labelled
 // engine configuration with the options' observability attached. The run
-// records into its own Recording and the shared registry; a successful
-// result is recorded into Stats under the label and its recording
-// committed. Failed runs commit nothing, so exports only carry completed
-// cells.
+// records into its own Recording; a successful run adds its totals to the
+// shared registry, its result is recorded into Stats under the label and
+// its recording committed. Failed runs add, record and commit nothing, so
+// exports only carry completed cells.
 func (o Options) runConfig(label string, cfg core.Config) (metrics.Result, *core.Engine, error) {
 	rec := o.Obs.Open(label, cfg.Scheme.Name())
 	cfg.Recording = rec

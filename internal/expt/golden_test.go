@@ -52,13 +52,16 @@ func checkQuickGolden(t *testing.T, id string, golden []byte, exports ...string)
 		t.Fatal(err)
 	}
 	o := obs.NewObserver(obs.Config{SampleEvery: 1, Lineage: true, TimelineTick: 6 * 3600})
+	ledger := &Ledger{}
 	tables, err := e.Run(Options{
 		Seed: 42, Quick: true, Parallel: 4,
-		Stats: metrics.NewRunStats(), Obs: o,
+		Stats: metrics.NewRunStats(), Obs: o, Ledger: ledger,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The sweep counters are folded in as RunFlags.Finish folds them.
+	ledger.AddTo(o.Metrics)
 	csv := make([]string, len(tables))
 	for i, tb := range tables {
 		csv[i] = tb.CSV()

@@ -304,6 +304,19 @@ func (l *Ledger) Summary() obs.ResumeSummary {
 	}
 }
 
+// AddTo adds the ledger's cell counts to r as the sweep/cells_* counters:
+// done (executed), failed, skipped and replayed, and queued, their sum.
+// RunFlags.Finish calls it once, after the run's last sweep, so the
+// registry carries the same counts as the manifest's resume summary.
+func (l *Ledger) AddTo(r *obs.Registry) {
+	s := l.Summary()
+	r.Add("sweep/cells_queued", int64(s.CellsExecuted+s.CellsFailed+s.CellsSkipped+s.CellsReplayed))
+	r.Add("sweep/cells_done", int64(s.CellsExecuted))
+	r.Add("sweep/cells_failed", int64(s.CellsFailed))
+	r.Add("sweep/cells_skipped", int64(s.CellsSkipped))
+	r.Add("sweep/cells_replayed", int64(s.CellsReplayed))
+}
+
 // Fingerprint hashes the sweep's grid-defining configuration (experiment,
 // base seed, axes, replicate count). Journal records replay only into a
 // sweep with an identical fingerprint, so a journal written by one

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"freshcache/internal/obs"
 )
 
 // journalSweep is the fixed grid the checkpoint tests run on.
@@ -467,6 +470,57 @@ func TestSweepFailFastSkipAccounting(t *testing.T) {
 	}
 	if sum.CellsExecuted+sum.CellsFailed+sum.CellsSkipped+sum.CellsReplayed != 6 {
 		t.Fatalf("dispositions do not cover the grid: %+v", sum)
+	}
+}
+
+// TestLedgerAddTo: each cell disposition lands in its own sweep/cells_*
+// counter, and queued is their sum: a skipped, failed or replayed cell is
+// not done, but it was queued. A nil ledger names the five counters at 0.
+func TestLedgerAddTo(t *testing.T) {
+	l := &Ledger{}
+	l.addReplayed(2)
+	for i := 0; i < 3; i++ {
+		l.addExecuted()
+	}
+	l.addFailure(Cell{Experiment: "L"}, errors.New("boom"))
+	l.addSkipped()
+	reg := obs.NewRegistry()
+	l.AddTo(reg)
+	want := map[string]int64{
+		"sweep/cells_queued":   7,
+		"sweep/cells_done":     3,
+		"sweep/cells_replayed": 2,
+		"sweep/cells_failed":   1,
+		"sweep/cells_skipped":  1,
+	}
+	if got := reg.Snapshot().Counters; !reflect.DeepEqual(got, want) {
+		t.Fatalf("counters = %v, want %v", got, want)
+	}
+
+	reg = obs.NewRegistry()
+	(*Ledger)(nil).AddTo(reg)
+	for name := range want {
+		want[name] = 0
+	}
+	if got := reg.Snapshot().Counters; !reflect.DeepEqual(got, want) {
+		t.Fatalf("nil ledger: counters = %v, want %v", got, want)
+	}
+}
+
+// TestLedgerConcurrentSweep: a sweep's workers account their cells into
+// one ledger at once (run it under -race), and each cell is counted once.
+func TestLedgerConcurrentSweep(t *testing.T) {
+	l := &Ledger{}
+	s := Sweep{Experiment: "L", Presets: []string{"a"}, Points: 16, Parallel: 4,
+		BaseSeed: 1, Ledger: l}
+	if _, err := s.Run(func(Cell) ([]float64, error) { return []float64{1}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	l.AddTo(reg)
+	c := reg.Snapshot().Counters
+	if c["sweep/cells_done"] != 16 || c["sweep/cells_queued"] != 16 {
+		t.Fatalf("counters = %v, want 16 cells queued and done", c)
 	}
 }
 

@@ -178,8 +178,9 @@ func TestLineageTimelineDeterministicAcrossParallel(t *testing.T) {
 	}
 }
 
-// TestObsRollupsPopulated checks the sweep-level registry and per-scheme
-// roll-ups fill in during a real run.
+// TestObsRollupsPopulated checks that the registry's run and sweep totals
+// and the per-scheme roll-ups fill in during a real run, and that the
+// totals agree with the roll-ups.
 func TestObsRollupsPopulated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick E2 sweep")
@@ -188,37 +189,38 @@ func TestObsRollupsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, stats := obs.NewObserver(obs.Config{SampleEvery: 16}), metrics.NewRunStats()
-	if _, err := e.Run(Options{Seed: 42, Quick: true, Parallel: 4, Stats: stats, Obs: o}); err != nil {
+	o, stats, ledger := obs.NewObserver(obs.Config{SampleEvery: 16}), metrics.NewRunStats(), &Ledger{}
+	if _, err := e.Run(Options{Seed: 42, Quick: true, Parallel: 4, Stats: stats, Obs: o, Ledger: ledger}); err != nil {
 		t.Fatal(err)
 	}
-	reg := o.Metrics
-	queued := reg.Counter("sweep/cells_queued").Value()
-	done := reg.Counter("sweep/cells_done").Value()
+	ledger.AddTo(o.Metrics)
+	c := o.Metrics.Snapshot().Counters
+	queued, done := c["sweep/cells_queued"], c["sweep/cells_done"]
 	if queued == 0 || queued != done {
 		t.Fatalf("cells queued=%d done=%d", queued, done)
 	}
-	if reg.Counter("engine/contacts").Value() == 0 {
-		t.Fatal("engine/contacts counter never incremented")
-	}
-	if reg.Counter("engine/deliveries").Value() == 0 {
-		t.Fatal("engine/deliveries counter never incremented")
-	}
-	if reg.Snapshot().Histograms["eventsim/queue_depth"].Total == 0 {
-		t.Fatal("queue-depth histogram never observed")
+	if c["engine/contacts"] == 0 {
+		t.Fatal("engine/contacts counter never added")
 	}
 	rollups := stats.SchemeRollups()
 	if len(rollups) == 0 {
 		t.Fatal("no scheme rollups")
 	}
+	var runs, deliveries int64
 	for _, ru := range rollups {
 		if ru.Runs == 0 || ru.DeliveryDelayHist == nil {
 			t.Fatalf("rollup incomplete: %+v", ru)
 		}
+		runs += int64(ru.Runs)
+		deliveries += int64(ru.Deliveries)
+	}
+	if done != runs || c["engine/deliveries"] != deliveries || deliveries == 0 {
+		t.Fatalf("registry reads %d cells done and %d deliveries, the roll-ups %d runs and %d deliveries",
+			done, c["engine/deliveries"], runs, deliveries)
 	}
 	st := o.Stats()
-	if st.Runs == 0 || st.Seen == 0 {
-		t.Fatalf("event stats empty: %+v", st)
+	if st.Runs == 0 || st.Seen == 0 || int64(st.Runs) != done {
+		t.Fatalf("event stats %+v, %d cells done", st, done)
 	}
 }
 

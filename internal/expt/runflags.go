@@ -180,8 +180,13 @@ type RunReport struct {
 
 // Finish writes the run's artifacts: the observer's exports into the
 // -obs directory, and one manifest, written into each of r.ManifestDirs
-// and appended as one line to the -store file.
+// and appended as one line to the -store file. It first adds the ledger's
+// cell counts to the observer's registry, so call it once, after the
+// run's last sweep.
 func (f *RunFlags) Finish(r RunReport) error {
+	if f.Observer != nil {
+		f.Ledger.AddTo(f.Observer.Metrics)
+	}
 	outputs := r.Outputs
 	if f.Obs != "" {
 		paths, err := f.writeExports()

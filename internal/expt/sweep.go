@@ -11,7 +11,6 @@ import (
 
 	"freshcache/internal/eventsim"
 	"freshcache/internal/network"
-	"freshcache/internal/obs"
 	"freshcache/internal/stats"
 	"freshcache/internal/trace"
 )
@@ -81,10 +80,6 @@ type Sweep struct {
 	Parallel int
 	// BaseSeed is the experiment's base seed.
 	BaseSeed int64
-	// Obs, when non-nil, tracks sweep progress (cells queued/done, queue
-	// depth) in its registry. Cell-level tracing is the cell body's job.
-	Obs *obs.Observer
-
 	// Journal, when non-nil, checkpoints each completed cell's metric
 	// vector (synced record by record) and replays matching completed
 	// cells instead of re-executing them, making interrupted runs
@@ -92,7 +87,9 @@ type Sweep struct {
 	Journal *Journal
 	// Ledger, when non-nil, accounts every cell's disposition (executed,
 	// replayed, failed, skipped) and collects the failure roster across
-	// the run's sweeps.
+	// the run's sweeps. It is the one record of dispositions: the
+	// manifest's resume summary, its failure roster and the registry's
+	// sweep/cells_* counters are read from it.
 	Ledger *Ledger
 	// KeepGoing switches the runner from fail-fast to degradation mode:
 	// cell failures no longer abort the sweep — the rest of the grid
@@ -216,7 +213,6 @@ func (s Sweep) Run(fn CellFunc) (*SweepResult, error) {
 	fp := s.Fingerprint()
 	runs := make([][]float64, len(cells))
 	errs := make([]error, len(cells))
-	s.Obs.CellQueued(len(cells))
 
 	// Replay journaled cells first: they cost nothing, and the worker pool
 	// then only sees the remainder.
@@ -226,7 +222,6 @@ func (s Sweep) Run(fn CellFunc) (*SweepResult, error) {
 		if v, ok := s.Journal.Lookup(c, fp); ok {
 			runs[i] = v
 			replayed++
-			s.Obs.CellReplayed()
 			continue
 		}
 		pending = append(pending, i)
@@ -251,7 +246,6 @@ func (s Sweep) Run(fn CellFunc) (*SweepResult, error) {
 			for i := range idx {
 				if !s.KeepGoing && failed.Load() {
 					s.Ledger.addSkipped()
-					s.Obs.CellSkipped()
 					continue // drain: a cell already failed
 				}
 				var (
@@ -267,7 +261,6 @@ func (s Sweep) Run(fn CellFunc) (*SweepResult, error) {
 					errs[i] = err
 					failed.Store(true)
 					s.Ledger.addFailure(cells[i], err)
-					s.Obs.CellFailed()
 					continue
 				}
 				runs[i] = v
@@ -281,7 +274,6 @@ func (s Sweep) Run(fn CellFunc) (*SweepResult, error) {
 					}
 					jmu.Unlock()
 				}
-				s.Obs.CellDone()
 			}
 		}()
 	}

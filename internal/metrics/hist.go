@@ -15,8 +15,7 @@ func DelayBuckets() []float64 {
 // Hist is a fixed-bucket histogram of nonnegative values. Counts[i] holds
 // observations <= Bounds[i]; the final extra bucket holds the overflow.
 // It is a plain value type (no atomics): one Hist belongs to one run, and
-// cross-run histograms are merged from those (RunStats' readers,
-// obs.Registry.MergeHist).
+// cross-run histograms are merged from those (RunStats' readers).
 type Hist struct {
 	Bounds []float64 `json:"bounds"`
 	Counts []uint64  `json:"counts"` // len(Bounds)+1
@@ -69,22 +68,6 @@ func (h *Hist) Merge(other *Hist) {
 	}
 	h.Total += other.Total
 	h.Sum += other.Sum
-}
-
-// Clone returns a deep copy (nil for nil).
-func (h *Hist) Clone() *Hist {
-	if h == nil {
-		return nil
-	}
-	c := &Hist{
-		Bounds: append([]float64(nil), h.Bounds...),
-		Counts: append([]uint64(nil), h.Counts...),
-		Total:  h.Total,
-		Sum:    h.Sum,
-		Min:    h.Min,
-		Max:    h.Max,
-	}
-	return c
 }
 
 // Mean returns the mean of the observed values (0 when empty).

@@ -9,25 +9,12 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"freshcache/internal/metrics"
 )
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter recorded")
-	}
-	g := r.Gauge("y")
-	g.Set(3)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge recorded")
-	}
-	r.MergeHist("z", metrics.NewHist(DepthBuckets()))
-	if s := r.Snapshot(); s.Counters != nil || s.Gauges != nil || s.Histograms != nil {
+	r.Add("x", 5)
+	if s := r.Snapshot(); s.Counters != nil {
 		t.Fatalf("nil registry snapshot non-empty: %+v", s)
 	}
 
@@ -46,11 +33,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil observer handed out state")
 	}
 	o.Commit(Recording{})
-	o.CellQueued(3)
-	o.CellDone()
-	o.CellFailed()
-	o.CellSkipped()
-	o.CellReplayed()
 	if err := o.WriteJSONL(&buf); err != nil {
 		t.Fatalf("nil observer JSONL: %v", err)
 	}
@@ -66,6 +48,9 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrent: Adds and Snapshots from several goroutines at
+// once (run under -race) lose no count, and a counter added 0 is named in
+// the snapshot.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	const workers, per = 8, 1000
@@ -74,63 +59,27 @@ func TestRegistryConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Resolve the shared handles inside the goroutine so handle
-			// creation itself races too.
-			c := r.Counter("c")
-			g := r.Gauge("g")
-			h := metrics.NewHist(DepthBuckets())
 			for i := 0; i < per; i++ {
-				c.Inc()
-				g.Set(float64(i))
-				h.Observe(float64(i % 100))
+				r.Add("c", 1)
+				r.Add("zero", 0)
+				if s := r.Snapshot(); s.Counters["c"] < 1 {
+					t.Errorf("snapshot after an Add reads c = %d", s.Counters["c"])
+					return
+				}
 			}
-			r.MergeHist("h", h)
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("c").Value(); got != workers*per {
-		t.Fatalf("counter = %d, want %d", got, workers*per)
+	s := r.Snapshot()
+	if got, ok := s.Counters["zero"]; got != 0 || !ok {
+		t.Fatalf("zero = %d (present %v), want 0, present", got, ok)
 	}
-	s := r.Snapshot().Histograms["h"]
-	var sum uint64
-	for _, c := range s.Counts {
-		sum += c
+	if got := s.Counters["c"]; got != workers*per {
+		t.Fatalf("c = %d, want %d", got, workers*per)
 	}
-	if sum != s.Total || s.Total != workers*per {
-		t.Fatalf("snapshot counts sum %d, total %d", sum, s.Total)
-	}
-	// Sum of 8×(0..99 mod) = 8 × 10 × 4950.
-	want := float64(workers) * 10 * 4950
-	if s.Sum != want {
-		t.Fatalf("snapshot sum = %v, want %v", s.Sum, want)
-	}
-}
-
-// TestHistogramBuckets: a registry histogram takes its bounds from the
-// first run merged into it, adds each later run's bucket counts, and
-// snapshots a copy.
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	for _, run := range [][]float64{{0.5, 1, 2}, {10, 99, 100, 1e6}} {
-		h := metrics.NewHist([]float64{1, 10, 100})
-		for _, v := range run {
-			h.Observe(v)
-		}
-		r.MergeHist("h", h)
-	}
-	s := r.Snapshot().Histograms["h"]
-	want := []uint64{2, 2, 2, 1} // <=1, <=10, <=100, overflow
-	for i, w := range want {
-		if s.Counts[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (%v)", i, s.Counts[i], w, s.Counts)
-		}
-	}
-	if s.Total != 7 || s.Min != 0.5 || s.Max != 1e6 {
-		t.Fatalf("total %d min %v max %v", s.Total, s.Min, s.Max)
-	}
-	s.Counts[0] = 99
-	if got := r.Snapshot().Histograms["h"].Counts[0]; got != 2 {
-		t.Fatalf("snapshot shares the registry's counts: bucket 0 = %d", got)
+	s.Counters["c"] = -1
+	if got := r.Snapshot().Counters["c"]; got != workers*per {
+		t.Fatalf("a snapshot shares the registry's map: c = %d", got)
 	}
 }
 
@@ -250,7 +199,6 @@ func TestObserverFlushOrderAndDeterminism(t *testing.T) {
 func TestObserverConcurrent(t *testing.T) {
 	o := NewObserver(Config{SampleEvery: 2})
 	const runs = 16
-	o.CellQueued(runs)
 	var wg sync.WaitGroup
 	for i := 0; i < runs; i++ {
 		i := i
@@ -262,50 +210,12 @@ func TestObserverConcurrent(t *testing.T) {
 				rec.Trace.Emit(Event{T: float64(j), Kind: KindGenerate, A: -1, B: -1, Item: -1, Ver: -1})
 			}
 			o.Commit(rec)
-			o.CellDone()
 		}()
 	}
 	wg.Wait()
 	st := o.Stats()
 	if st.Runs != runs || st.Seen != runs*100 || st.Buffered != runs*50 {
 		t.Fatalf("stats: %+v", st)
-	}
-	reg := o.Metrics
-	if reg.Counter("sweep/cells_done").Value() != runs {
-		t.Fatalf("cells_done = %d", reg.Counter("sweep/cells_done").Value())
-	}
-	if reg.Gauge("sweep/queue_depth").Value() != 0 {
-		t.Fatalf("queue depth = %v", reg.Gauge("sweep/queue_depth").Value())
-	}
-}
-
-// TestObserverCellDispositions: every cell disposition lands in its own
-// counter and all four drain the queue-depth gauge — a skipped or failed
-// cell is not "done", but it is no longer queued either.
-func TestObserverCellDispositions(t *testing.T) {
-	o := NewObserver(Config{})
-	o.CellQueued(10)
-	for i := 0; i < 3; i++ {
-		o.CellDone()
-	}
-	for i := 0; i < 2; i++ {
-		o.CellReplayed()
-	}
-	o.CellFailed()
-	o.CellSkipped()
-	reg := o.Metrics
-	for name, want := range map[string]int64{
-		"sweep/cells_done":     3,
-		"sweep/cells_replayed": 2,
-		"sweep/cells_failed":   1,
-		"sweep/cells_skipped":  1,
-	} {
-		if got := reg.Counter(name).Value(); got != want {
-			t.Fatalf("%s = %d, want %d", name, got, want)
-		}
-	}
-	if got := reg.Gauge("sweep/queue_depth").Value(); got != 3 {
-		t.Fatalf("queue depth = %v, want 3 (10 queued − 7 settled)", got)
 	}
 }
 

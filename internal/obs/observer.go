@@ -24,9 +24,9 @@ type Config struct {
 }
 
 // Observer is the sweep/experiment-level sink: it hands out one Recording
-// per run, collects the committed ones, and tracks sweep progress. All
-// methods are safe for concurrent use and no-ops on a nil receiver, so
-// `-obs` off means passing nil around.
+// per run and collects the committed ones. All methods are safe for
+// concurrent use and no-ops on a nil receiver, so `-obs` off means passing
+// nil around.
 //
 // Determinism contract: each run writes only to its own Recording (no
 // cross-run interleaving), and flushes order committed runs by label with
@@ -34,19 +34,12 @@ type Config struct {
 // depend on how many sweep workers ran, only on the set of runs.
 type Observer struct {
 	cfg Config
-	// Metrics is the process-wide registry backing the observer's
-	// counters; exported so CLIs can snapshot it into manifests/expvar.
+	// Metrics is the process-wide registry every Recording the observer
+	// opens shares; the CLIs snapshot it into metrics.om and the manifest.
 	Metrics *Registry
 
 	mu   sync.Mutex
 	runs []Recording
-
-	cellsQueued   *Counter
-	cellsDone     *Counter
-	cellsFailed   *Counter
-	cellsSkipped  *Counter
-	cellsReplayed *Counter
-	queueDepth    *Gauge
 }
 
 // Recording is one run's collectors, handed out by Observer.Open and
@@ -142,17 +135,7 @@ func NewObserver(cfg Config) *Observer {
 	if cfg.BufferCap < 1 {
 		cfg.BufferCap = DefaultBufferCap
 	}
-	reg := NewRegistry()
-	return &Observer{
-		cfg:           cfg,
-		Metrics:       reg,
-		cellsQueued:   reg.Counter("sweep/cells_queued"),
-		cellsDone:     reg.Counter("sweep/cells_done"),
-		cellsFailed:   reg.Counter("sweep/cells_failed"),
-		cellsSkipped:  reg.Counter("sweep/cells_skipped"),
-		cellsReplayed: reg.Counter("sweep/cells_replayed"),
-		queueDepth:    reg.Gauge("sweep/queue_depth"),
-	}
+	return &Observer{cfg: cfg, Metrics: NewRegistry()}
 }
 
 // Open returns fresh collectors for one labelled run of the named scheme.
@@ -186,65 +169,6 @@ func (o *Observer) Commit(rec Recording) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.runs = append(o.runs, rec)
-}
-
-// CellQueued notes that n sweep cells were enqueued.
-func (o *Observer) CellQueued(n int) {
-	if o == nil {
-		return
-	}
-	o.count(o.cellsQueued, int64(n))
-}
-
-// CellDone notes that one sweep cell ran to completion. Cells that failed,
-// were drained after a failure, or were replayed from a checkpoint journal
-// are reported via CellFailed/CellSkipped/CellReplayed instead, so the
-// counters never overcount actual work.
-func (o *Observer) CellDone() {
-	if o == nil {
-		return
-	}
-	o.count(o.cellsDone, 1)
-}
-
-// CellFailed notes that one sweep cell failed.
-func (o *Observer) CellFailed() {
-	if o == nil {
-		return
-	}
-	o.count(o.cellsFailed, 1)
-}
-
-// CellSkipped notes that one sweep cell was drained without running
-// because an earlier cell already failed the sweep.
-func (o *Observer) CellSkipped() {
-	if o == nil {
-		return
-	}
-	o.count(o.cellsSkipped, 1)
-}
-
-// CellReplayed notes that one sweep cell's result was replayed from a
-// checkpoint journal instead of being executed.
-func (o *Observer) CellReplayed() {
-	if o == nil {
-		return
-	}
-	o.count(o.cellsReplayed, 1)
-}
-
-// count adds n to one of the cell counters and recomputes the queue-depth
-// gauge as queued minus every terminal disposition (done, failed, skipped,
-// replayed). Both happen under the observer's lock: two cells settling at
-// once could otherwise each read the counters, and the later Set could
-// carry the earlier, stale depth into the manifest.
-func (o *Observer) count(c *Counter, n int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	c.Add(n)
-	settled := o.cellsDone.Value() + o.cellsFailed.Value() +
-		o.cellsSkipped.Value() + o.cellsReplayed.Value()
-	o.queueDepth.Set(float64(o.cellsQueued.Value() - settled))
 }
 
 // sortedRuns returns the committed runs ordered by label (stable, so

@@ -8,89 +8,28 @@ import (
 )
 
 // WriteOpenMetrics renders a registry snapshot in OpenMetrics text format
-// (the Prometheus exposition superset): sorted metric names, counters with
-// the mandatory `_total` suffix, histograms as cumulative `_bucket{le=...}`
-// series plus `_sum`/`_count`, terminated by `# EOF`. Metric names are
-// prefixed `freshcache_` and sanitized (every non [a-zA-Z0-9_] byte maps
-// to '_'), so registry names like "sweep/cells_done" become
+// (the Prometheus exposition superset): counters in sorted name order,
+// each with the mandatory `_total` suffix, terminated by `# EOF`. Metric
+// names are prefixed `freshcache_` and sanitized (every non [a-zA-Z0-9_]
+// byte maps to '_'), so registry names like "sweep/cells_done" become
 // "freshcache_sweep_cells_done".
 //
-// The snapshot should be taken after all runs finish: the registry is
-// process-wide, so mid-sweep values depend on worker scheduling, but the
-// final totals are deterministic.
+// The snapshot should be taken after all runs finish, when every total
+// has been added.
 func WriteOpenMetrics(w io.Writer, snap RegistrySnapshot) error {
-	bw := bufio.NewWriter(w)
-
 	names := make([]string, 0, len(snap.Counters))
 	for name := range snap.Counters {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	bw := bufio.NewWriter(w)
 	for _, name := range names {
 		om := openMetricsName(name)
-		writeLine(bw, "# TYPE ", om, " counter")
-		bw.WriteString(om)
-		bw.WriteString("_total ")
-		bw.WriteString(strconv.FormatInt(snap.Counters[name], 10))
-		bw.WriteByte('\n')
+		bw.WriteString("# TYPE " + om + " counter\n")
+		bw.WriteString(om + "_total " + strconv.FormatInt(snap.Counters[name], 10) + "\n")
 	}
-
-	names = names[:0]
-	for name := range snap.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		om := openMetricsName(name)
-		writeLine(bw, "# TYPE ", om, " gauge")
-		bw.WriteString(om)
-		bw.WriteByte(' ')
-		bw.WriteString(formatOMFloat(snap.Gauges[name]))
-		bw.WriteByte('\n')
-	}
-
-	names = names[:0]
-	for name := range snap.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := snap.Histograms[name]
-		om := openMetricsName(name)
-		writeLine(bw, "# TYPE ", om, " histogram")
-		cum := uint64(0)
-		for i, b := range h.Bounds {
-			cum += h.Counts[i]
-			bw.WriteString(om)
-			bw.WriteString(`_bucket{le="`)
-			bw.WriteString(formatOMFloat(b))
-			bw.WriteString(`"} `)
-			bw.WriteString(strconv.FormatUint(cum, 10))
-			bw.WriteByte('\n')
-		}
-		bw.WriteString(om)
-		bw.WriteString(`_bucket{le="+Inf"} `)
-		bw.WriteString(strconv.FormatUint(h.Total, 10))
-		bw.WriteByte('\n')
-		bw.WriteString(om)
-		bw.WriteString("_sum ")
-		bw.WriteString(formatOMFloat(h.Sum))
-		bw.WriteByte('\n')
-		bw.WriteString(om)
-		bw.WriteString("_count ")
-		bw.WriteString(strconv.FormatUint(h.Total, 10))
-		bw.WriteByte('\n')
-	}
-
 	bw.WriteString("# EOF\n")
 	return bw.Flush()
-}
-
-func writeLine(bw *bufio.Writer, parts ...string) {
-	for _, p := range parts {
-		bw.WriteString(p)
-	}
-	bw.WriteByte('\n')
 }
 
 // openMetricsName prefixes and sanitizes a registry metric name.
@@ -107,10 +46,4 @@ func openMetricsName(name string) string {
 		}
 	}
 	return string(out)
-}
-
-// formatOMFloat renders a float the way the rest of the obs exports do:
-// strconv 'g' shortest round-trip, byte-deterministic.
-func formatOMFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -49,8 +49,10 @@ func TestStoreAppendReadRoundTrip(t *testing.T) {
 		t.Fatalf("store holds %d lines, want one per append", n)
 	}
 	// Builds with a retry policy wrote an "attempts" count on every cell
-	// cost and cell failure; such a line still reads, without it.
-	appendRaw(t, path, legacyAttemptsLine(t, storeManifest(3))+"\n")
+	// cost and cell failure, and builds before the counter-only registry
+	// wrote its gauges and histograms; such a line still reads, without
+	// them.
+	appendRaw(t, path, legacyLine(t, storeManifest(3))+"\n")
 	ms, err := ReadStore(path)
 	if err != nil {
 		t.Fatal(err)
@@ -65,9 +67,10 @@ func TestStoreAppendReadRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyAttemptsLine renders m as one store line with an "attempts" field
-// added to each cell cost and cell failure.
-func legacyAttemptsLine(t *testing.T, m *Manifest) string {
+// legacyLine renders m as one store line with an "attempts" field added
+// to each cell cost and cell failure, and a gauge and a histogram added
+// to the metric snapshot.
+func legacyLine(t *testing.T, m *Manifest) string {
 	t.Helper()
 	b, err := json.Marshal(m)
 	if err != nil {
@@ -86,6 +89,10 @@ func legacyAttemptsLine(t *testing.T, m *Manifest) string {
 			entry.(map[string]any)["attempts"] = 2
 		}
 	}
+	snap := raw["metrics"].(map[string]any)
+	snap["gauges"] = map[string]any{"sweep/queue_depth": 0}
+	snap["histograms"] = map[string]any{"eventsim/queue_depth": map[string]any{
+		"bounds": []any{1, 2}, "counts": []any{0, 1, 0}, "total": 1, "sum": 2, "min": 2, "max": 2}}
 	b, err = json.Marshal(raw)
 	if err != nil {
 		t.Fatal(err)

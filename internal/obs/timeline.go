@@ -14,12 +14,10 @@ import (
 
 // Timeline samples run-local series on a simulated-time tick. Like
 // RunTrace it is written only by its run's goroutine, and it is nil-safe.
-// It deliberately samples engine-local quantities (freshness ratio, counts
-// the run itself owns) rather than the process-wide metric registry: under
-// a parallel sweep the registry interleaves all concurrent runs, so mid-run
-// registry snapshots would depend on worker scheduling. The registry is
-// instead exported once at the end (see WriteOpenMetrics), when its totals
-// are deterministic.
+// It samples engine-local quantities (freshness ratio, counts the run
+// itself owns): the process-wide metric registry holds only the totals of
+// runs that have already finished, added when each ends, and is exported
+// once at the end (see WriteOpenMetrics).
 type Timeline struct {
 	Label string
 
